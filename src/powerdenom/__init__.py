@@ -3,8 +3,8 @@ Bernoulli polynomials, each computed two independent ways: direct rational
 arithmetic and closed-form digit-sum products.
 """
 
-from .bench import BenchRecord, run_bench
 from .bernoulli import BernoulliCache, RationalPoly
+from .cli import BenchRecord, run_bench
 from .denom import (
     DenomTriple,
     denominator_triple,
@@ -20,7 +20,6 @@ from .denom import (
     nonconstant_quotient,
     number_denom,
     number_denom_direct,
-    poly_denominator,
 )
 from .digits import (
     DigitExpansion,
@@ -81,7 +80,6 @@ __all__ = [
     "number_denom",
     "number_denom_direct",
     "p_valuation",
-    "poly_denominator",
     "power_sum_denominator",
     "power_sum_difference",
     "power_sum_naive",

@@ -12,18 +12,24 @@ Exit codes: 0 success, 1 a verification sweep found failures, 2 usage error,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from typing import Iterator, Optional, Sequence
+import time
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import partial
+from typing import Callable, Optional, Sequence
 
-from .bench import bench_ids, run_bench
 from .bernoulli import BernoulliCache, RationalPoly
 from .denom import (
+    clear_formula_caches,
     full_denom,
+    full_denom_direct,
     full_denom_quotient,
     nonconstant_denom,
+    nonconstant_denom_direct,
     nonconstant_quotient,
     number_denom,
+    number_denom_direct,
 )
 from .errors import TheoremViolationError
 from .powersum import (
@@ -32,50 +38,124 @@ from .powersum import (
     power_sum_naive,
     power_sum_poly,
 )
-from .verify import available_sweeps, run_sweep
+from .verify import available_sweeps, run_sweep, usable_cpus
 
-SEQ_IDS = ("D", "DD", "DB", "DDQ", "DBQ")
+# id -> (closed form, rational oracle, parity of the domain or None for all
+# n >= 1).  The entries look their functions up in this module at call time,
+# so a rebound name (a test's fake, a tracing wrapper) is the one called.
+# The quotient oracles divide exactly: a denominator at n+1 that does not
+# divide the one at n shows up as a disagreement, not as a floored integer.
+SEQUENCES: dict[str, tuple[Callable, Callable, Optional[int]]] = {
+    "D": (lambda n: number_denom(n).value, lambda c, n: number_denom_direct(c, n), None),
+    "DD": (
+        lambda n: nonconstant_denom(n).value,
+        lambda c, n: nonconstant_denom_direct(c, n),
+        None,
+    ),
+    "DB": (lambda n: full_denom(n).value, lambda c, n: full_denom_direct(c, n), None),
+    "DDQ": (
+        lambda n: nonconstant_quotient(n),
+        lambda c, n: Fraction(
+            nonconstant_denom_direct(c, n), nonconstant_denom_direct(c, n + 1)
+        ),
+        1,
+    ),
+    "DBQ": (
+        lambda n: full_denom_quotient(n),
+        lambda c, n: Fraction(full_denom_direct(c, n), full_denom_direct(c, n + 1)),
+        0,
+    ),
+}
 
 
-def _seq_rows(seq_id: str, lo: int, hi: int) -> Iterator[tuple[int, int]]:
-    for n in range(lo, hi + 1):
-        if seq_id == "D":
-            yield n, number_denom(n).value
-        elif seq_id == "DD":
-            yield n, nonconstant_denom(n).value
-        elif seq_id == "DB":
-            yield n, full_denom(n).value
-        elif seq_id == "DDQ":
-            if n % 2:
-                yield n, nonconstant_quotient(n)
-        elif seq_id == "DBQ":
-            if n % 2 == 0 and n >= 2:
-                yield n, full_denom_quotient(n)
+def indices(seq_id: str, lo: int, hi: int) -> range:
+    """The n in lo..hi (lo >= 1) at which ``seq_id`` is defined."""
+    parity = SEQUENCES[seq_id][2]
+    if parity is None:
+        return range(lo, hi + 1)
+    return range(lo + (lo - parity) % 2, hi + 1, 2)
 
 
 def _cmd_seq(args: argparse.Namespace) -> int:
     lo, hi = args.start, args.stop
     if lo < 1 or hi < lo:
         raise ValueError(f"need 1 <= from <= to, got {lo}..{hi}")
-    emitted = 0
+    formula, _, parity = SEQUENCES[args.seq_id]
+    ns = indices(args.seq_id, lo, hi)
+    sep = "," if args.format == "csv" else " "
     out = sys.stdout
     if args.format == "csv":
         out.write("n,a_n\n")
-    for n, value in _seq_rows(args.seq_id, lo, hi):
-        emitted += 1
-        if args.format == "csv":
-            out.write(f"{n},{value}\n")
-        else:
-            out.write(f"{n} {value}\n")
-    skipped = hi - lo + 1 - emitted
+    for n in ns:
+        out.write(f"{n}{sep}{formula(n)}\n")
+    skipped = hi - lo + 1 - len(ns)
     if skipped:
-        parity = "odd" if args.seq_id == "DDQ" else "even"
         print(
-            f"note: {args.seq_id} is defined for {parity} n; "
+            f"note: {args.seq_id} is defined for {'odd' if parity else 'even'} n; "
             f"skipped {skipped} other indices",
             file=sys.stderr,
         )
     return 0
+
+
+@dataclass(frozen=True, slots=True)
+class BenchRecord:
+    """One timed comparison; only ever built after the equality pass."""
+
+    sequence_id: str
+    lo: int
+    hi: int
+    formula_ns: int
+    oracle_ns: int
+
+    @property
+    def speedup(self) -> Fraction:
+        """oracle time / formula time; how much the closed form saves."""
+        return Fraction(self.oracle_ns, max(self.formula_ns, 1))
+
+
+def run_bench(sequence_id: str, lo: int, hi: int, reps: int = 3) -> BenchRecord:
+    """Verify the closed form and the oracle agree on [lo, hi], then time each.
+
+    The contract comes before the stopwatch: both paths are compared value
+    by value at every index of [lo, hi] where the sequence is defined, and a
+    disagreement raises TheoremViolationError with nothing timed.  Timing is
+    best-of-``reps`` wall clock.  Every repetition of either path starts with
+    the memoized formula scans dropped and a fresh Bernoulli cache, so
+    repetitions measure real work, not cache hits.
+    """
+    if sequence_id not in SEQUENCES:
+        known = ", ".join(SEQUENCES)
+        raise ValueError(f"unknown bench id {sequence_id!r} (known: {known})")
+    if lo < 1 or hi < lo:
+        raise ValueError(f"need 1 <= lo <= hi, got {lo}..{hi}")
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    formula, oracle, _ = SEQUENCES[sequence_id]
+    ns = indices(sequence_id, lo, hi)
+    if not ns:
+        raise ValueError(f"{sequence_id} is defined at no n in {lo}..{hi}")
+
+    cache = BernoulliCache()
+    for n in ns:
+        want = formula(n)
+        got = oracle(cache, n)
+        if want != got:
+            raise TheoremViolationError(
+                f"{sequence_id} paths disagree at n={n}: formula {want}, oracle {got}"
+            )
+
+    formula_ns = min(_time_ns(formula, ns) for _ in range(reps))
+    oracle_ns = min(_time_ns(partial(oracle, BernoulliCache()), ns) for _ in range(reps))
+    return BenchRecord(sequence_id, lo, hi, formula_ns, oracle_ns)
+
+
+def _time_ns(path: Callable[[int], object], ns: range) -> int:
+    clear_formula_caches()
+    start = time.perf_counter_ns()
+    for n in ns:
+        path(n)
+    return time.perf_counter_ns() - start
 
 
 def _format_int_poly(coeffs: Sequence[int]) -> str:
@@ -196,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     seq = sub.add_parser(
         "seq", help="stream a denominator or quotient sequence"
     )
-    seq.add_argument("seq_id", choices=SEQ_IDS, help="sequence to emit")
+    seq.add_argument("seq_id", choices=tuple(SEQUENCES), help="sequence to emit")
     seq.add_argument("--from", dest="start", type=int, required=True, metavar="N")
     seq.add_argument("--to", dest="stop", type=int, required=True, metavar="N")
     seq.add_argument(
@@ -220,14 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--m-max", type=int, default=None)
     ver.add_argument("--r-max", type=int, default=None)
     ver.add_argument(
-        "--jobs", type=int, default=max(os.cpu_count() or 1, 1),
-        help="worker processes (default: available parallelism)",
+        "--jobs", type=int, default=usable_cpus(),
+        help="worker processes, at most the usable CPUs (default: all of them)",
     )
 
     bench = sub.add_parser(
         "bench", help="time formula vs. oracle after checking they agree"
     )
-    bench.add_argument("sequence_id", choices=bench_ids())
+    bench.add_argument("sequence_id", choices=tuple(SEQUENCES))
     bench.add_argument("span", metavar="LO..HI", help="index range, e.g. 1..200")
     bench.add_argument("--reps", type=int, default=3, help="repetitions, best-of")
 

@@ -12,7 +12,9 @@ two sequences, a successor relation through the radical, and a two-factor
 prime product); all are exposed so their agreement can be asserted rather
 than assumed.  The quotient sequences nonconstant_quotient (A286516) and
 full_denom_quotient (A286517) are exact by the divisibility laws for the
-stated parities and reject the other parity.
+stated parities and reject the other parity.  The command line ids of the
+five sequences (D, DD, DB and the two quotients), each with its closed form,
+oracle and domain, are set in one table: ``cli.SEQUENCES``.
 
 Formula paths depend only on digit sums and sieves; the ``*_direct`` oracles
 take a BernoulliCache and do the rational arithmetic for real.
@@ -23,15 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import lcm
+from typing import Callable
 
-from .bernoulli import BernoulliCache, RationalPoly
+from .bernoulli import BernoulliCache
 from .digits import SquarefreeProduct, digit_sum, is_prime, primes_up_to, radical
 from .errors import SearchCapExceeded, TheoremViolationError
-
-
-def poly_denominator(f: RationalPoly) -> int:
-    """Smallest d >= 1 with d*f integral: lcm of coefficient denominators."""
-    return f.denominator
 
 
 def _check_index(n: int) -> None:
@@ -131,7 +129,7 @@ def full_denom_split_product(n: int) -> SquarefreeProduct:
 
 def full_denom_direct(cache: BernoulliCache, n: int) -> int:
     _check_index(n)
-    return poly_denominator(cache.polynomial(n))
+    return cache.polynomial(n).denominator
 
 
 def nonconstant_quotient(n: int) -> int:
@@ -142,26 +140,23 @@ def nonconstant_quotient(n: int) -> int:
     """
     if n < 1 or n % 2 == 0:
         raise ValueError(f"quotient defined for odd n >= 1, got {n}")
-    a = nonconstant_denom(n).value
-    b = nonconstant_denom(n + 1).value
-    q, rem = divmod(a, b)
-    if rem:
-        raise TheoremViolationError(
-            f"nonconstant denominator at n+1 must divide value at n: n={n}, {a}/{b}"
-        )
-    return q
+    return _exact_quotient(nonconstant_denom, "nonconstant", n)
 
 
 def full_denom_quotient(n: int) -> int:
     """full_denom(n) / full_denom(n+1) for even n; integral by the same law."""
     if n < 2 or n % 2:
         raise ValueError(f"quotient defined for even n >= 2, got {n}")
-    a = full_denom(n).value
-    b = full_denom(n + 1).value
+    return _exact_quotient(full_denom, "full", n)
+
+
+def _exact_quotient(denom: Callable[[int], SquarefreeProduct], name: str, n: int) -> int:
+    a = denom(n).value
+    b = denom(n + 1).value
     q, rem = divmod(a, b)
     if rem:
         raise TheoremViolationError(
-            f"full denominator at n+1 must divide value at n: n={n}, {a}/{b}"
+            f"{name} denominator at n+1 must divide value at n: n={n}, {a}/{b}"
         )
     return q
 

@@ -1,9 +1,6 @@
-"""Base-p digit arithmetic, p-adic valuations, radicals and prime enumeration.
+"""Base-p digit arithmetic, p-adic valuations, factorization and prime enumeration.
 
 Everything here is exact integer arithmetic on Python's native bigints.
-Conventions: ``gcd(0, x) = |x|`` (as in :func:`math.gcd`), while an ``lcm``
-with a zero argument is rejected -- the lcm identities used by the
-denominator sequences are only meaningful for positive integers.
 
 All functions are pure; the prime sieve keeps a module-level cache that only
 ever grows, so concurrent readers are safe.
@@ -12,6 +9,7 @@ ever grows, so concurrent readers are safe.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 
@@ -151,25 +149,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def radical(k: int) -> SquarefreeProduct:
-    """rad(k): the product of the distinct prime divisors of k >= 1."""
+def factorize(k: int) -> list[tuple[int, int]]:
+    """Ascending (prime, exponent) pairs of ``k >= 1``, by trial division."""
     if k < 1:
-        raise ValueError(f"radical requires k >= 1, got {k}")
-    primes = []
-    if k % 2 == 0:
-        primes.append(2)
-        while k % 2 == 0:
-            k //= 2
-    f = 3
+        raise ValueError(f"factorize requires k >= 1, got {k}")
+    pairs = []
+    f = 2
     while f * f <= k:
         if k % f == 0:
-            primes.append(f)
-            while k % f == 0:
-                k //= f
-        f += 2
+            e = p_valuation(f, k)
+            k //= f**e
+            pairs.append((f, e))
+        f += 1 if f == 2 else 2
     if k > 1:
-        primes.append(k)
-    return SquarefreeProduct.of(primes)
+        pairs.append((k, 1))
+    return pairs
+
+
+def radical(k: int) -> SquarefreeProduct:
+    """rad(k): the product of the distinct prime divisors of k >= 1."""
+    return SquarefreeProduct.of(p for p, _ in factorize(k))
 
 
 # Growable sieve cache; only replaced by strictly larger sieves.
@@ -192,22 +191,4 @@ def primes_up_to(bound: int) -> list[int]:
                 sieve[start :: p] = bytearray(len(range(start, limit + 1, p)))
         _sieve_primes = [i for i, flag in enumerate(sieve) if flag]
         _sieve_limit = limit
-    primes = _sieve_primes
-    # bisect on a sorted prime list
-    lo, hi = 0, len(primes)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if primes[mid] <= bound:
-            lo = mid + 1
-        else:
-            hi = mid
-    return primes[:lo]
-
-
-def lcm(*values: int) -> int:
-    """Least common multiple of positive integers; zero is rejected."""
-    if not values:
-        return 1
-    if any(v == 0 for v in values):
-        raise ValueError("lcm of 0 is undefined here")
-    return math.lcm(*values)
+    return _sieve_primes[: bisect_right(_sieve_primes, bound)]

@@ -21,6 +21,7 @@ Sweep ids and default grids:
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
@@ -33,9 +34,8 @@ from .denom import (
     full_denom_quotient,
     nonconstant_denom,
     nonconstant_quotient,
-    radical,
 )
-from .digits import p_valuation, primes_up_to
+from .digits import factorize, p_valuation, primes_up_to, radical
 from .errors import TheoremViolationError
 from .powersum import (
     ProgressionSpec,
@@ -156,23 +156,6 @@ def _relations_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
     return checked, failures
 
 
-def _factorize(k: int) -> list[tuple[int, int]]:
-    # ascending (prime, exponent) pairs by trial division; k >= 1
-    out = []
-    f = 2
-    while f * f <= k:
-        if k % f == 0:
-            e = 0
-            while k % f == 0:
-                k //= f
-                e += 1
-            out.append((f, e))
-        f += 1 if f == 2 else 2
-    if k > 1:
-        out.append((k, 1))
-    return out
-
-
 def _dd_quotient_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
     checked, failures = 0, []
     for n in range(lo | 1, hi + 1, 2):
@@ -183,7 +166,7 @@ def _dd_quotient_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
                 failures.append(((n,), "2 at n = 2^k - 1", str(q)))
         elif q % 2 == 0:
             failures.append(((n,), "odd quotient", str(q)))
-        fac = _factorize(n + 1)
+        fac = factorize(n + 1)
         if len(fac) == 2 and fac[0][0] == 2:
             # n + 1 = 2^l p^k with p an odd prime
             ell, p = fac[0][1], fac[1][0]
@@ -196,13 +179,12 @@ def _dd_quotient_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
 
 def _db_quotient_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
     checked, failures = 0, []
-    start = lo if lo % 2 == 0 else lo + 1
-    for n in range(start, hi + 1, 2):
+    for n in range(lo + lo % 2, hi + 1, 2):
         checked += 1
         q = full_denom_quotient(n)
         if q % 2 == 0:
             failures.append(((n,), "odd quotient", str(q)))
-        fac = _factorize(n + 1)
+        fac = factorize(n + 1)
         if len(fac) == 1:
             p = fac[0][0]
             if q != p:
@@ -295,6 +277,12 @@ def available_sweeps() -> tuple[str, ...]:
     return tuple(_SWEEPS)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
+
+
 def _chunk_entry(args: tuple[str, int, int, Bounds]) -> ChunkResult:
     theorem_id, lo, hi, bounds = args
     return _SWEEPS[theorem_id].chunk(lo, hi, bounds)
@@ -309,8 +297,9 @@ def run_sweep(
 ) -> SweepReport:
     """Run one sweep, optionally overriding its default grid bounds.
 
-    ``jobs`` > 1 partitions the outer axis over a process pool; results are
-    identical to the inline run, only faster.
+    ``jobs`` > 1 partitions the outer axis over a process pool of at most
+    ``jobs`` workers, and never more than the CPUs this process may use;
+    results are identical to the inline run, only faster.
     """
     if theorem_id not in _SWEEPS:
         known = ", ".join(_SWEEPS)
@@ -325,8 +314,12 @@ def run_sweep(
         bounds = replace(bounds, m_max=m_max)
     if r_max is not None and bounds.r_max is not None:
         bounds = replace(bounds, r_max=r_max)
-    if bounds.max_n < 1:
-        raise ValueError(f"max n must be >= 1, got {bounds.max_n}")
+    limits = (("n", bounds.max_n, 1), ("m", bounds.m_max, 1), ("r", bounds.r_max, 0))
+    for axis, top, least in limits:
+        if top is not None and top < least:
+            raise ValueError(f"max {axis} must be >= {least}, got {top}")
+    # a fork-started pool launches all its workers up front
+    jobs = min(jobs, usable_cpus())
 
     lo = sweep.axis_lo
     hi = bounds.max_n if sweep.axis == "n" else bounds.m_max
@@ -336,7 +329,7 @@ def run_sweep(
     else:
         spans = _split_span(lo, hi, jobs * 4)
         args = [(theorem_id, a, z, bounds) for a, z in spans]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(spans))) as pool:
             parts = list(pool.map(_chunk_entry, args))
         checked = sum(c for c, _ in parts)
         failures = [f for _, fs in parts for f in fs]

@@ -183,7 +183,7 @@ def test_criterion_11_bench_contract():
     start = time.perf_counter()
     details = []
     ok = True
-    for seq_id in ("D", "DD", "DB"):
+    for seq_id in ("D", "DD", "DB", "DDQ", "DBQ"):
         try:
             record = run_bench(seq_id, 1, 200, reps=1)
         except TheoremViolationError as exc:

@@ -159,6 +159,7 @@ def test_poly_trimming_and_degree():
 
 def test_poly_denominator():
     assert RationalPoly(()).denominator == 1
+    assert RationalPoly((1,)).denominator == 1
     assert RationalPoly((F(1, 6), -1, 1)).denominator == 6
     assert RationalPoly((0, F(1, 6), F(-1, 2), F(1, 3))).denominator == 6
 

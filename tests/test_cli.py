@@ -1,7 +1,14 @@
 """End-to-end CLI behavior: formats, exit codes, cross-checks."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import powerdenom
+from powerdenom import cli, verify
 from powerdenom.cli import main, run
 
 NONCONSTANT_1_21 = [1, 1, 2, 1, 6, 2, 6, 3, 10, 2, 6, 2, 210, 30, 6, 3, 30, 10, 210, 42, 330]
@@ -182,6 +189,39 @@ def test_verify_usage_errors(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "verify", "T1-parity", "--jobs", "0")
     assert code == 2
+    code, _, _ = run_cli(capsys, "verify", "T2-denominator", "--m-max", "0", "--jobs", "1")
+    assert code == 2
+    code, _, _ = run_cli(capsys, "verify", "AM-integrality", "--r-max", "-1", "--jobs", "1")
+    assert code == 2
+
+
+def test_verify_jobs_are_clamped_to_usable_cpus(capsys, monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert cli.build_parser().parse_args(["verify", "T1-parity"]).jobs == 3
+    code, out, _ = run_cli(capsys, "verify", "T1-parity", "--max", "64", "--jobs", "5000")
+    assert code == 0
+    assert "checked 64 cases" in out
+    code, _, _ = run_cli(capsys, "verify", "T1-parity", "--max", "2", "--jobs", "5000")
+    assert code == 0
+    assert pools == [3, 2]  # the CPUs, then the two one-index spans
+    monkeypatch.delattr(verify.os, "sched_getaffinity")  # not every OS has one
+    assert verify.usable_cpus() == (os.cpu_count() or 1)
 
 
 def test_bench_emits_csv_after_agreement(capsys):
@@ -201,8 +241,23 @@ def test_bench_usage_errors(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "bench", "DD", "1..10", "--reps", "0")
     assert code == 2
-    code, _, _ = run_cli(capsys, "bench", "DDQ", "1..10")
+    code, _, _ = run_cli(capsys, "bench", "DX", "1..10")
     assert code == 2
+    code, _, _ = run_cli(capsys, "bench", "DBQ", "1..1")  # no even n in range
+    assert code == 2
+
+
+def test_bench_quotient_oracle_divides_exactly(capsys, monkeypatch):
+    real = cli.full_denom_direct
+
+    def off_at_4(cache, n):
+        # 31 // 6 == 5 == DBQ(4): only exact division sees the fault
+        return real(cache, n) + (n == 4)
+
+    monkeypatch.setattr(cli, "full_denom_direct", off_at_4)
+    code, _, err = run_cli(capsys, "bench", "DBQ", "1..10", "--reps", "1")
+    assert code == 3
+    assert "n=4" in err
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -220,3 +275,15 @@ def test_run_raises_system_exit(capsys):
         finally:
             sys.argv = original
     assert info.value.code == 0
+
+
+def test_python_m_powerdenom():
+    src = str(Path(powerdenom.__file__).parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    result = subprocess.run(
+        [sys.executable, "-m", "powerdenom", "seq", "D", "--from", "1", "--to", "3"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert result.returncode == 0
+    assert result.stdout == "1 2\n2 6\n3 1\n"

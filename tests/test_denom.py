@@ -1,13 +1,12 @@
 """The three denominator sequences, their variants, and the quotients."""
 
-from fractions import Fraction
 from math import lcm
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from powerdenom.bernoulli import BernoulliCache, RationalPoly
+from powerdenom.bernoulli import BernoulliCache
 from powerdenom.denom import (
     DenomTriple,
     clear_formula_caches,
@@ -24,7 +23,6 @@ from powerdenom.denom import (
     nonconstant_quotient,
     number_denom,
     number_denom_direct,
-    poly_denominator,
 )
 from powerdenom.digits import SquarefreeProduct, digit_sum, primes_up_to
 from powerdenom.errors import SearchCapExceeded
@@ -53,14 +51,6 @@ def test_number_list():
 def test_quotient_lists():
     assert [nonconstant_quotient(n) for n in range(1, 42, 2)] == NONCONSTANT_QUOT
     assert [full_denom_quotient(n) for n in range(2, 38, 2)] == FULL_QUOT
-
-
-def test_poly_denominator_examples():
-    assert poly_denominator(RationalPoly((1,))) == 1
-    assert poly_denominator(RationalPoly(())) == 1
-    assert poly_denominator(RationalPoly((Fraction(1, 6), -1, 1))) == 6
-    scaled_cubic = RationalPoly((0, Fraction(1, 6), Fraction(-1, 2), Fraction(1, 3)))
-    assert poly_denominator(scaled_cubic) == 6
 
 
 def test_number_denom_spot_values():

@@ -11,8 +11,8 @@ from powerdenom.digits import (
     SquarefreeProduct,
     digit_sum,
     expand,
+    factorize,
     is_prime,
-    lcm,
     p_valuation,
     primes_up_to,
     radical,
@@ -111,6 +111,18 @@ def test_radical_rejects_nonpositive():
         radical(0)
 
 
+def test_factorize_to_5000():
+    for k in range(1, 5001):
+        pairs = factorize(k)
+        primes = tuple(p for p, _ in pairs)
+        assert list(primes) == sorted(set(primes)), k
+        assert all(is_prime(p) for p in primes), k
+        assert math.prod(p**e for p, e in pairs) == k
+        assert radical(k).primes == primes
+    with pytest.raises(ValueError):
+        factorize(0)
+
+
 @given(st.integers(min_value=1, max_value=10**6))
 def test_radical_divides_and_is_squarefree(k):
     r = radical(k)
@@ -136,14 +148,6 @@ def test_sieve_prefix_stability():
     big = primes_up_to(5000)
     assert primes_up_to(100) == [p for p in big if p <= 100]
     assert primes_up_to(4999) == [p for p in big if p <= 4999]
-
-
-def test_lcm_strictness():
-    assert lcm() == 1
-    assert lcm(4, 6) == 12
-    assert lcm(2, 3, 5) == 30
-    with pytest.raises(ValueError):
-        lcm(0, 4)
 
 
 def test_squarefree_product_construction():
