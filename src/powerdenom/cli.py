@@ -340,3 +340,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def run() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    run()

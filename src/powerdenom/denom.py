@@ -18,13 +18,24 @@ oracle and domain, are set in one table: ``cli.SEQUENCES``.
 
 Formula paths depend only on digit sums and sieves; the ``*_direct`` oracles
 take a BernoulliCache and do the rational arithmetic for real.
+
+The two memoized closed forms cost O(sqrt(n)) checks once the sieve is
+built.  nonconstant_denom splits its primes at sqrt(n), as Kellner does in
+"On a product of certain primes" (J. Number Theory, 2017): digit sums only
+for p <= sqrt(n), and above that one candidate prime per quotient
+a = n // p.  number_denom enumerates the divisors d of n and keeps the
+primes d + 1.  Membership in the sieve is decided by bisection.
+nonconstant_denom_all_primes and full_denom_split_product scan every prime
+on purpose: they are the independent references the fast forms are tested
+against.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
+from math import isqrt, lcm
 from typing import Callable
 
 from .bernoulli import BernoulliCache
@@ -42,9 +53,30 @@ def _digit_bound(n: int) -> int:
     return (n + 1) // 2 if n % 2 else (n + 1) // 3
 
 
+def _sieved(primes: list[int], k: int) -> int | None:
+    """The sieve's own int equal to k, or None when k is not listed.
+
+    Returning the listed object, not k, lets the memoized tuples share the
+    sieve's ints instead of each holding fresh copies.
+    """
+    i = bisect_left(primes, k)
+    return primes[i] if i < len(primes) and primes[i] == k else None
+
+
 @lru_cache(maxsize=None)
 def _nonconstant_primes(n: int) -> tuple[int, ...]:
-    return tuple(p for p in primes_up_to(_digit_bound(n)) if digit_sum(p, n) >= p)
+    primes = primes_up_to(_digit_bound(n))
+    root = isqrt(n)
+    found = [p for p in primes[: bisect_right(primes, root)] if digit_sum(p, n) >= p]
+    # A prime p > sqrt(n) has two digits: n = a*p + b with a = n // p <= root,
+    # so s_p(n) = a + b >= p exactly when n/(a+1) < p <= (n+a)/(a+1).  That
+    # interval is shorter than 1, so each a offers one candidate; descending a
+    # yields them in ascending order.
+    for a in range(root, 0, -1):
+        p = (n + a) // (a + 1)
+        if p > root and p * (a + 1) > n and (p := _sieved(primes, p)):
+            found.append(p)
+    return tuple(found)
 
 
 @lru_cache(maxsize=None)
@@ -53,7 +85,10 @@ def _number_primes(n: int) -> tuple[int, ...]:
         return (2,)
     if n % 2:
         return ()
-    return tuple(p for p in primes_up_to(n + 1) if n % (p - 1) == 0)
+    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    high = [n // d for d in reversed(low) if d * d != n]
+    primes = primes_up_to(n + 1)
+    return tuple(p for d in low + high if (p := _sieved(primes, d + 1)))
 
 
 def clear_formula_caches() -> None:
@@ -65,8 +100,10 @@ def clear_formula_caches() -> None:
 def number_denom(n: int) -> SquarefreeProduct:
     """Denominator of the nth Bernoulli number, by von Staudt-Clausen.
 
-    For even n this is the product of all primes p with p-1 dividing n;
-    the odd cases are 2 at n = 1 and 1 for n >= 3 (the numbers vanish there).
+    For even n this is the product of all primes p with p-1 dividing n,
+    found by enumerating the divisors d <= sqrt(n) of n with their cofactors
+    and keeping each prime d + 1; the odd cases are 2 at n = 1 and 1 for
+    n >= 3 (the numbers vanish there).
     """
     _check_index(n)
     return SquarefreeProduct.of(_number_primes(n))
@@ -79,7 +116,13 @@ def number_denom_direct(cache: BernoulliCache, n: int) -> int:
 
 def nonconstant_denom(n: int) -> SquarefreeProduct:
     """Denominator of B_n(x) - B_n: primes p <= (n+1)/2 (odd n) resp.
-    (n+1)/3 (even n) whose base-p digit sum of n reaches p."""
+    (n+1)/3 (even n) whose base-p digit sum of n reaches p.
+
+    Digit sums are taken only for p <= sqrt(n).  Above sqrt(n), n = a*p + b
+    has two base-p digits, and for each a <= sqrt(n) at most one prime,
+    (n+a) // (a+1), can satisfy a + b >= p (Kellner 2017).  The cost is
+    O(sqrt(n)) checks after the sieve.
+    """
     _check_index(n)
     return SquarefreeProduct.of(_nonconstant_primes(n))
 
@@ -89,7 +132,10 @@ def nonconstant_denom_all_primes(n: int) -> SquarefreeProduct:
 
     The digit-sum condition s_p(n) >= p already forces p <= n, so this must
     agree with nonconstant_denom exactly; keeping both lets the equality be
-    asserted as a fact instead of silently relied on.
+    asserted as a fact instead of silently relied on.  The full scan is
+    deliberate: it takes a digit sum for every prime, so it shares neither
+    the sqrt(n) split nor the size bound with nonconstant_denom and serves
+    as its independent reference.
     """
     _check_index(n)
     return SquarefreeProduct.of(
@@ -116,7 +162,12 @@ def full_denom_via_successor(n: int) -> SquarefreeProduct:
 
 
 def full_denom_split_product(n: int) -> SquarefreeProduct:
-    """Two-factor form: rad(n+1) times the digit-sum primes avoiding n+1."""
+    """Two-factor form: rad(n+1) times the digit-sum primes avoiding n+1.
+
+    Deliberately a full scan, taking a digit sum for every prime up to the
+    bound, so it stays an independent reference for the sqrt(n) split that
+    full_denom relies on through nonconstant_denom.
+    """
     _check_index(n)
     k = n + 1
     extra = (

@@ -277,13 +277,24 @@ def test_run_raises_system_exit(capsys):
     assert info.value.code == 0
 
 
-def test_python_m_powerdenom():
+def _run_module(module: str) -> subprocess.CompletedProcess:
     src = str(Path(powerdenom.__file__).parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
-    result = subprocess.run(
-        [sys.executable, "-m", "powerdenom", "seq", "D", "--from", "1", "--to", "3"],
+    return subprocess.run(
+        [sys.executable, "-m", module, "seq", "D", "--from", "1", "--to", "3"],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def test_python_m_powerdenom():
+    result = _run_module("powerdenom")
+    assert result.returncode == 0
+    assert result.stdout == "1 2\n2 6\n3 1\n"
+
+
+def test_python_m_powerdenom_cli():
+    # runpy may warn on stderr that the package imported cli first; harmless
+    result = _run_module("powerdenom.cli")
     assert result.returncode == 0
     assert result.stdout == "1 2\n2 6\n3 1\n"

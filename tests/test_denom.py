@@ -1,5 +1,7 @@
 """The three denominator sequences, their variants, and the quotients."""
 
+import random
+from itertools import chain
 from math import lcm
 
 import pytest
@@ -74,9 +76,23 @@ def test_full_denom_variants_agree():
         assert value == lcm(nonconstant_denom(n).value, number_denom(n).value), n
 
 
+def _sqrt_boundary_indices():
+    # indices where a prime sits at or next to sqrt(n), or where n // p jumps
+    for p in primes_up_to(300):
+        yield from (p * p - 1, p * p, p * p + 1, p * (p + 1) - 1, p * (p + 1))
+
+
 def test_bounded_and_unbounded_scans_agree():
-    for n in range(1, 501):
-        assert nonconstant_denom(n).value == nonconstant_denom_all_primes(n).value, n
+    rng = random.Random(2017)
+    large = [rng.randrange(10**5, 10**6) for _ in range(20)]
+    for n in chain(range(1, 5001), large, _sqrt_boundary_indices()):
+        assert nonconstant_denom(n).primes == nonconstant_denom_all_primes(n).primes, n
+
+
+def test_number_denom_matches_sieve_filter():
+    for n in range(2, 20001, 2):
+        reference = tuple(p for p in primes_up_to(n + 1) if n % (p - 1) == 0)
+        assert number_denom(n).primes == reference, n
 
 
 def test_products_are_valid_squarefree():
