@@ -1,172 +1,258 @@
-"""Exact Bernoulli numbers and polynomials over ``fractions.Fraction``.
+"""Exact Bernoulli numbers and polynomials in integer arithmetic.
 
 The sign convention is B_1 = -1/2, so the defining recurrence reads
 
     sum_{k=0}^{n-1} C(n, k) B_k = 0   for n >= 2, with B_0 = 1.
 
-This module is the slow-but-certain oracle: O(n^2) rational operations per
-table fill, no approximations anywhere.  The closed-form denominator products
-elsewhere never touch it; they are tested against it.
+The table is not filled from that recurrence.  Even-index numbers come from
+the tangent numbers T_k (1, 2, 16, 272, ...) as
+
+    B_2k = (-1)^(k-1) * 2k * T_k / (4^k (4^k - 1)),
+
+after Brent and Harvey, "Fast computation of Bernoulli, Tangent and Secant
+numbers" (2011).  T_k is the zigzag number A_(2k-1), the last entry of row
+2k-1 of the Seidel-Entringer (boustrophedon) triangle, whose rows are built
+from each other by additions alone.  Each B_2k is reduced by ``Fraction``,
+so its denominator comes from that gcd and never from von Staudt-Clausen.
+Polynomials are integer numerators over one common denominator.
+
+This module is the certain oracle: exact integers throughout, no
+approximations anywhere.  The closed-form denominator products elsewhere
+never touch it; they are tested against it.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from math import comb
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
 
 
 class RationalPoly:
-    """Dense univariate polynomial with Fraction coefficients.
+    """Dense univariate polynomial with rational coefficients.
 
-    Coefficients are stored ascending (index i belongs to x^i) with trailing
-    zeros trimmed; the zero polynomial has an empty tuple and degree -1.
-    Instances are immutable by convention: ``coeffs`` is a tuple and all
-    arithmetic returns fresh objects.
+    Stored as integer numerators ``nums`` (ascending: index i belongs to x^i)
+    over one denominator ``den``, in canonical form: den > 0,
+    gcd(den, *nums) == 1 and no trailing zero numerators.  The zero
+    polynomial has ``nums == ()``, ``den == 1`` and degree -1.  Instances are
+    immutable by convention; all arithmetic runs in integers and returns
+    fresh objects.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
-    coeffs: tuple[Fraction, ...]
+    nums: tuple[int, ...]
+    den: int
 
     def __init__(self, coeffs: Iterable[Rat] = ()) -> None:
         cs = [Fraction(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        den = math.lcm(*(c.denominator for c in cs)) if cs else 1
+        self._canonical([c.numerator * (den // c.denominator) for c in cs], den)
+
+    @classmethod
+    def scaled(cls, nums: Sequence[int], den: int) -> "RationalPoly":
+        """The polynomial sum(nums[i] x^i) / den, put in canonical form."""
+        if not den:
+            raise ZeroDivisionError("RationalPoly denominator must be nonzero")
+        poly = cls.__new__(cls)
+        poly._canonical(list(nums), den)
+        return poly
+
+    def _canonical(self, nums: list[int], den: int) -> None:
+        while nums and not nums[-1]:
+            nums.pop()
+        if den < 0:
+            nums = [-c for c in nums]
+            den = -den
+        g = math.gcd(den, *nums)
+        if g > 1:
+            nums = [c // g for c in nums]
+            den //= g
+        self.nums = tuple(nums)
+        self.den = den
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.nums)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def denominator(self) -> int:
         """Smallest d >= 1 such that d * self has integer coefficients."""
-        return math.lcm(*(c.denominator for c in self.coeffs)) if self.coeffs else 1
+        return self.den
 
     def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
+        if 0 <= i < len(self.nums):
+            return Fraction(self.nums[i], self.den)
         return Fraction(0)
 
     def __call__(self, x: Rat) -> Fraction:
-        # Horner over exact rationals
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        # homogeneous Horner: q^d f(p/q) = sum c_i p^i q^(d-i), in integers
+        nums = self.nums
+        if not nums:
+            return Fraction(0)
+        p, q = x.numerator, x.denominator
+        acc = nums[-1]
+        qpow = 1
+        for c in reversed(nums[:-1]):
+            qpow *= q
+            acc = acc * p + c * qpow
+        return Fraction(acc, self.den * qpow)
 
-    def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        a, b = self.coeffs, other.coeffs
+    def _combine(self, other: "RationalPoly", sign: int) -> "RationalPoly":
+        den = math.lcm(self.den, other.den)
+        a = [c * (den // self.den) for c in self.nums]
+        b = [sign * c * (den // other.den) for c in other.nums]
         if len(a) < len(b):
             a, b = b, a
-        mixed = [x + y for x, y in zip(a, b)]
-        mixed.extend(a[len(b) :])
-        return RationalPoly(mixed)
+        for i, c in enumerate(b):
+            a[i] += c
+        return RationalPoly.scaled(a, den)
 
-    def __neg__(self) -> "RationalPoly":
-        return RationalPoly(-c for c in self.coeffs)
+    def __add__(self, other: "RationalPoly") -> "RationalPoly":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "RationalPoly") -> "RationalPoly":
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "RationalPoly":
+        return RationalPoly.scaled([-c for c in self.nums], self.den)
 
     def __mul__(self, other: Union["RationalPoly", Rat]) -> "RationalPoly":
         if not isinstance(other, RationalPoly):
-            return RationalPoly(c * other for c in self.coeffs)
+            p, q = other.numerator, other.denominator
+            return RationalPoly.scaled([c * p for c in self.nums], self.den * q)
         if self.is_zero or other.is_zero:
             return RationalPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        out = [0] * (len(self.nums) + len(other.nums) - 1)
+        for i, a in enumerate(self.nums):
             if not a:
                 continue
-            for j, b in enumerate(other.coeffs):
+            for j, b in enumerate(other.nums):
                 out[i + j] += a * b
-        return RationalPoly(out)
+        return RationalPoly.scaled(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def substituted(self, inner: "RationalPoly") -> "RationalPoly":
         """Composition self(inner(x)), by Horner over polynomials."""
         acc = RationalPoly()
-        for c in reversed(self.coeffs):
-            acc = acc * inner + RationalPoly((c,))
+        for c in reversed(self.nums):
+            acc = acc * inner + RationalPoly.scaled((c,), self.den)
         return acc
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalPoly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self) -> str:
-        return f"RationalPoly({list(self.coeffs)!r})"
+        return f"RationalPoly.scaled({list(self.nums)!r}, {self.den})"
 
 
 class BernoulliCache:
     """Growable table of Bernoulli numbers plus derived evaluations.
 
-    Requesting index n fills every index <= n, so the table only grows.
-    Single writer: concurrent readers of already-filled entries are fine,
-    but parallel sweeps should hold one cache per worker.
+    Requesting index n fills every index <= n, so the table only grows, and
+    so does the boustrophedon row it is read from, whatever the order of the
+    requests.  Single writer: concurrent readers of already-filled entries
+    are fine, but parallel sweeps should hold one cache per worker.
     """
 
     def __init__(self) -> None:
-        self._numbers: list[Fraction] = [Fraction(1)]
-        self._values: dict[tuple[int, Fraction], Fraction] = {}
+        # B_k = _num[k] / _den[k] in lowest terms, for every k filled so far
+        self._num: list[int] = [1, -1]
+        self._den: list[int] = [1, 2]
+        # Seidel-Entringer row r (r + 1 entries), stored reversed for odd r:
+        # the last entry of an odd row, a tangent number, sits at index 0
+        self._row: list[int] = [1]
+        self._values: dict[tuple[int, int, int], Fraction] = {}
         self._scaled: dict[int, tuple[int, tuple[int, ...]]] = {}
 
+    def _tangent(self, k: int) -> int:
+        """T_k = A_(2k-1), advancing the kept row to 2k-1; k = 1, 2, ... in turn."""
+        row = self._row
+        while len(row) < 2 * k:
+            r = len(row)  # index of the row being built
+            if r % 2:
+                # row r-1 is in natural order: suffix sums, then E(r, 0) = 0
+                for i in range(r - 2, -1, -1):
+                    row[i] += row[i + 1]
+                row.append(0)
+            else:
+                # row r-1 is reversed: prefix sums, with E(r, 0) = 0 in front
+                for i in range(1, r):
+                    row[i] += row[i - 1]
+                row.insert(0, 0)
+        return row[0]
+
     def _extend(self, n: int) -> None:
-        nums = self._numbers
-        for m in range(len(nums), n + 1):
-            acc = Fraction(0)
-            for k in range(m):
-                if k > 1 and k % 2:
-                    continue
-                acc += comb(m + 1, k) * nums[k]
-            nums.append(-acc / (m + 1))
+        for m in range(len(self._num), n + 1):
+            if m % 2:
+                b = Fraction(0)
+            else:
+                k = m // 2
+                four = 1 << m  # 4^k
+                sign = 1 if k % 2 else -1
+                b = Fraction(sign * m * self._tangent(k), four * (four - 1))
+            self._num.append(b.numerator)
+            self._den.append(b.denominator)
 
     def number(self, n: int) -> Fraction:
         """B_n; zero for odd n >= 3."""
         if n < 0:
             raise ValueError(f"Bernoulli index must be >= 0, got {n}")
-        if n >= len(self._numbers):
+        if n >= len(self._num):
             self._extend(n)
-        return self._numbers[n]
+        return Fraction(self._num[n], self._den[n])
 
     def numbers(self, n: int) -> tuple[Fraction, ...]:
         """The tuple (B_0, ..., B_n)."""
         self.number(n)
-        return tuple(self._numbers[: n + 1])
+        return tuple(map(Fraction, self._num[: n + 1], self._den[: n + 1]))
+
+    def _polynomial(self, n: int) -> RationalPoly:
+        # C(n, j) B_(n-j), the coefficient of x^j, over L = lcm of the
+        # denominators of B_0..B_n, with a running binomial
+        num, den = self._num, self._den
+        scale = math.lcm(*den[: n + 1])
+        out = []
+        binom = 1
+        for j in range(n + 1):
+            k = n - j
+            out.append(binom * num[k] * (scale // den[k]) if num[k] else 0)
+            binom = binom * k // (j + 1)
+        return RationalPoly.scaled(out, scale)
 
     def polynomial(self, n: int) -> RationalPoly:
         """B_n(x) = sum_{k=0}^{n} C(n,k) B_k x^(n-k): monic, constant term B_n."""
         self.number(n)
-        nums = self._numbers
-        return RationalPoly(comb(n, j) * nums[n - j] for j in range(n + 1))
+        return self._polynomial(n)
 
     def value_at(self, n: int, y: Rat) -> Fraction:
-        """B_n(y) without materializing the polynomial; memoized per (n, y)."""
-        y = Fraction(y)
-        key = (n, y)
+        """B_n(y), by integer Horner over B_n(x); memoized per (n, y)."""
+        if not isinstance(y, Fraction):
+            y = Fraction(y)
+        key = (n, y.numerator, y.denominator)  # ints hash faster than a Fraction
         hit = self._values.get(key)
         if hit is not None:
             return hit
         self.number(n)
-        nums = self._numbers
-        acc = Fraction(0)
-        for k in range(n + 1):
-            acc = acc * y + comb(n, k) * nums[k]
-        self._values[key] = acc
-        return acc
+        value = self._values[key] = self._polynomial(n)(y)
+        return value
 
     def scaled_numbers(self, n: int) -> tuple[int, tuple[int, ...]]:
         """(L, (L*B_0, ..., L*B_n)) with L = lcm of the denominators.
@@ -178,8 +264,8 @@ class BernoulliCache:
         if hit is not None:
             return hit
         self.number(n)
-        nums = self._numbers[: n + 1]
-        scale = math.lcm(*(b.denominator for b in nums))
-        scaled = tuple(b.numerator * (scale // b.denominator) for b in nums)
+        den = self._den[: n + 1]
+        scale = math.lcm(*den)
+        scaled = tuple(a * (scale // d) for a, d in zip(self._num, den))
         self._scaled[n] = (scale, scaled)
         return scale, scaled

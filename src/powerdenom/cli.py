@@ -21,6 +21,8 @@ from typing import Callable, Optional, Sequence
 
 from .bernoulli import BernoulliCache, RationalPoly
 from .denom import (
+    FULL_QUOTIENT_PARITY,
+    NONCONSTANT_QUOTIENT_PARITY,
     clear_formula_caches,
     full_denom,
     full_denom_direct,
@@ -30,6 +32,7 @@ from .denom import (
     nonconstant_quotient,
     number_denom,
     number_denom_direct,
+    parity_indices,
 )
 from .errors import TheoremViolationError
 from .powersum import (
@@ -58,22 +61,19 @@ SEQUENCES: dict[str, tuple[Callable, Callable, Optional[int]]] = {
         lambda c, n: Fraction(
             nonconstant_denom_direct(c, n), nonconstant_denom_direct(c, n + 1)
         ),
-        1,
+        NONCONSTANT_QUOTIENT_PARITY,
     ),
     "DBQ": (
         lambda n: full_denom_quotient(n),
         lambda c, n: Fraction(full_denom_direct(c, n), full_denom_direct(c, n + 1)),
-        0,
+        FULL_QUOTIENT_PARITY,
     ),
 }
 
 
 def indices(seq_id: str, lo: int, hi: int) -> range:
     """The n in lo..hi (lo >= 1) at which ``seq_id`` is defined."""
-    parity = SEQUENCES[seq_id][2]
-    if parity is None:
-        return range(lo, hi + 1)
-    return range(lo + (lo - parity) % 2, hi + 1, 2)
+    return parity_indices(SEQUENCES[seq_id][2], lo, hi)
 
 
 def _cmd_seq(args: argparse.Namespace) -> int:
@@ -186,12 +186,13 @@ def format_poly(f: RationalPoly) -> str:
     """Human form: integer polynomial, divided by its denominator if any."""
     if f.is_zero:
         return "0"
-    d = f.denominator
-    body = _format_int_poly([int(c * d) for c in f.coeffs])
-    return body if d == 1 else f"({body})/{d}"
+    body = _format_int_poly(f.nums)
+    return body if f.den == 1 else f"({body})/{f.den}"
 
 
 def _cmd_powersum(args: argparse.Namespace) -> int:
+    if args.x is not None and args.x < 0:
+        raise ValueError(f"need x >= 0, got {args.x}")
     if args.n == 0:
         # trivial sum of x ones; every theorem starts at n = 1
         if args.m < 1 or args.r < 0:
@@ -208,8 +209,6 @@ def _cmd_powersum(args: argparse.Namespace) -> int:
     print(f"denominator: {poly.denominator}")
     print(f"integral: {'yes' if integral else 'no'}")
     if args.x is not None:
-        if args.x < 0:
-            raise ValueError(f"need x >= 0, got {args.x}")
         via_poly = poly(args.x)
         if args.n == 0:
             naive = args.x

@@ -12,12 +12,15 @@ two sequences, a successor relation through the radical, and a two-factor
 prime product); all are exposed so their agreement can be asserted rather
 than assumed.  The quotient sequences nonconstant_quotient (A286516) and
 full_denom_quotient (A286517) are exact by the divisibility laws for the
-stated parities and reject the other parity.  The command line ids of the
-five sequences (D, DD, DB and the two quotients), each with its closed form,
-oracle and domain, are set in one table: ``cli.SEQUENCES``.
+stated parities and reject the other parity; that parity is set here once
+(``*_QUOTIENT_PARITY``), and ``parity_indices`` lists the n of a domain.
+The command line ids of the five sequences (D, DD, DB and the two
+quotients), each with its closed form, oracle and domain, are set in one
+table: ``cli.SEQUENCES``.
 
 Formula paths depend only on digit sums and sieves; the ``*_direct`` oracles
-take a BernoulliCache and do the rational arithmetic for real.
+take a BernoulliCache and read denominators off its exact integer
+polynomials.
 
 The two memoized closed forms cost O(sqrt(n)) checks once the sieve is
 built.  nonconstant_denom splits its primes at sqrt(n), as Kellner does in
@@ -35,7 +38,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Callable
 
 from .bernoulli import BernoulliCache
@@ -146,7 +149,7 @@ def nonconstant_denom_all_primes(n: int) -> SquarefreeProduct:
 def nonconstant_denom_direct(cache: BernoulliCache, n: int) -> int:
     _check_index(n)
     f = cache.polynomial(n)
-    return lcm(*(c.denominator for c in f.coeffs[1:]))
+    return f.den // gcd(f.den, *f.nums[1:])
 
 
 def full_denom(n: int) -> SquarefreeProduct:
@@ -183,20 +186,33 @@ def full_denom_direct(cache: BernoulliCache, n: int) -> int:
     return cache.polynomial(n).denominator
 
 
+# The parity of the n at which each quotient is defined: its divisibility
+# law holds there, and nothing guarantees an integer at the other parity.
+NONCONSTANT_QUOTIENT_PARITY = 1
+FULL_QUOTIENT_PARITY = 0
+
+
+def parity_indices(parity: int | None, lo: int, hi: int) -> range:
+    """The n in lo..hi (lo >= 1) with n % 2 == parity; every n for None."""
+    if parity is None:
+        return range(lo, hi + 1)
+    return range(lo + (lo - parity) % 2, hi + 1, 2)
+
+
 def nonconstant_quotient(n: int) -> int:
     """nonconstant_denom(n) / nonconstant_denom(n+1) for odd n.
 
     Integral by the divisibility law for odd n; even input is rejected since
     nothing guarantees an integer there.
     """
-    if n < 1 or n % 2 == 0:
+    if n < 1 or n % 2 != NONCONSTANT_QUOTIENT_PARITY:
         raise ValueError(f"quotient defined for odd n >= 1, got {n}")
     return _exact_quotient(nonconstant_denom, "nonconstant", n)
 
 
 def full_denom_quotient(n: int) -> int:
     """full_denom(n) / full_denom(n+1) for even n; integral by the same law."""
-    if n < 2 or n % 2:
+    if n < 2 or n % 2 != FULL_QUOTIENT_PARITY:
         raise ValueError(f"quotient defined for even n >= 2, got {n}")
     return _exact_quotient(full_denom, "full", n)
 

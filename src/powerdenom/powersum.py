@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .bernoulli import BernoulliCache, RationalPoly
 from .denom import full_denom, nonconstant_denom
@@ -69,13 +69,15 @@ def power_sum_poly(cache: BernoulliCache, spec: ProgressionSpec) -> RationalPoly
     """
     m, r, n = spec.m, spec.r, spec.n
     y = Fraction(r, m)
-    scale = m**n
-    coeffs = [Fraction(0)]
-    for j in range(1, n + 2):
-        coeffs.append(
-            Fraction(scale * comb(n + 1, j), n + 1) * cache.value_at(n + 1 - j, y)
-        )
-    return RationalPoly(coeffs)
+    values = [cache.value_at(k, y) for k in range(n, -1, -1)]  # B_(n+1-j)(y)
+    scale = lcm(*(v.denominator for v in values))
+    mn = m**n
+    nums = [0]
+    binom = 1
+    for j, v in enumerate(values, start=1):
+        binom = binom * (n + 2 - j) // j  # C(n+1, j)
+        nums.append(mn * binom * v.numerator * (scale // v.denominator))
+    return RationalPoly.scaled(nums, (n + 1) * scale)
 
 
 def _power_gcd(a: int, m: int) -> int:

@@ -30,10 +30,13 @@ from typing import Callable, Optional
 
 from .bernoulli import BernoulliCache
 from .denom import (
+    FULL_QUOTIENT_PARITY,
+    NONCONSTANT_QUOTIENT_PARITY,
     full_denom,
     full_denom_quotient,
     nonconstant_denom,
     nonconstant_quotient,
+    parity_indices,
 )
 from .digits import factorize, p_valuation, primes_up_to, radical
 from .errors import TheoremViolationError
@@ -158,7 +161,7 @@ def _relations_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
 
 def _dd_quotient_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
     checked, failures = 0, []
-    for n in range(lo | 1, hi + 1, 2):
+    for n in parity_indices(NONCONSTANT_QUOTIENT_PARITY, lo, hi):
         checked += 1
         q = nonconstant_quotient(n)
         if n >= 3 and (n + 1) & n == 0:
@@ -179,7 +182,7 @@ def _dd_quotient_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
 
 def _db_quotient_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
     checked, failures = 0, []
-    for n in range(lo + lo % 2, hi + 1, 2):
+    for n in parity_indices(FULL_QUOTIENT_PARITY, lo, hi):
         checked += 1
         q = full_denom_quotient(n)
         if q % 2 == 0:

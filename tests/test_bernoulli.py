@@ -1,5 +1,7 @@
 """Bernoulli numbers, polynomials, and the RationalPoly container."""
 
+import math
+import random
 from fractions import Fraction
 from math import comb
 
@@ -11,6 +13,23 @@ from powerdenom.bernoulli import BernoulliCache, RationalPoly
 from powerdenom.digits import p_valuation, primes_up_to
 
 CACHE = BernoulliCache()
+
+
+def _recurrence_numbers(n: int) -> list[Fraction]:
+    """B_0..B_n from sum_{k<=m} C(m+1, k) B_k = 0, in Fractions: the
+    reference the tangent-number table is compared with."""
+    nums = [Fraction(1)]
+    for m in range(1, n + 1):
+        acc = Fraction(0)
+        for k in range(m):
+            if k > 1 and k % 2:
+                continue
+            acc += comb(m + 1, k) * nums[k]
+        nums.append(-acc / (m + 1))
+    return nums
+
+
+REFERENCE = _recurrence_numbers(400)
 
 F = Fraction
 
@@ -38,10 +57,31 @@ def test_odd_numbers_vanish():
 
 
 def test_defining_recurrence_reasserted():
-    # the same identity the computation uses, checked independently
-    nums = CACHE.numbers(120)
-    for n in range(2, 121):
-        assert sum(comb(n, k) * nums[k] for k in range(n)) == 0
+    # the defining identity, which the tangent-number table never uses
+    nums = CACHE.numbers(400)
+    for n in range(2, 401):
+        assert sum(comb(n, k) * nums[k] for k in range(n)) == 0, n
+
+
+def test_table_matches_recurrence_in_one_call():
+    assert list(BernoulliCache().numbers(400)) == REFERENCE
+
+
+def test_table_matches_recurrence_in_ascending_steps():
+    cache = BernoulliCache()
+    for n in range(401):
+        assert cache.number(n) == REFERENCE[n], n
+    assert list(cache.numbers(400)) == REFERENCE
+
+
+def test_table_matches_recurrence_in_shuffled_order():
+    # the boustrophedon row only grows; any request order gives one table
+    order = list(range(401))
+    random.Random(2017).shuffle(order)
+    cache = BernoulliCache()
+    for n in order:
+        assert cache.number(n) == REFERENCE[n], n
+    assert list(cache.numbers(400)) == REFERENCE
 
 
 def test_numbers_prefix_consistency():
@@ -189,6 +229,85 @@ def test_poly_ring_operations_evaluate_pointwise(f, g, x):
 @given(small_polys, small_polys, small_fractions)
 def test_poly_composition_evaluates_pointwise(f, g, x):
     assert f.substituted(g)(x) == f(g(x))
+
+
+small_ints = st.integers(min_value=-60, max_value=60)
+
+
+@settings(max_examples=80)
+@given(
+    st.lists(small_ints, max_size=6),
+    st.integers(min_value=-36, max_value=36).filter(bool),
+)
+def test_poly_constructors_agree_in_canonical_form(nums, den):
+    by_ints = RationalPoly.scaled(nums, den)
+    by_fractions = RationalPoly(Fraction(c, den) for c in nums)
+    assert by_ints == by_fractions
+    assert hash(by_ints) == hash(by_fractions)
+    assert by_ints.den > 0
+    assert math.gcd(by_ints.den, *by_ints.nums) == 1
+    assert not by_ints.nums or by_ints.nums[-1] != 0
+    assert by_ints.coeffs == tuple(Fraction(c, den) for c in nums)[: len(by_ints.nums)]
+    # the old definition: lcm of the coefficient denominators
+    assert by_ints.denominator == math.lcm(*(c.denominator for c in by_ints.coeffs))
+
+
+def test_poly_scaled_normalizes_sign_and_common_factors():
+    assert RationalPoly.scaled((2, -4, 6), -4) == RationalPoly((F(-1, 2), 1, F(-3, 2)))
+    f = RationalPoly.scaled((6, 0, 12, 0), 18)
+    assert (f.nums, f.den) == ((1, 0, 2), 3)
+    zero = RationalPoly.scaled((0, 0), -7)
+    assert (zero.nums, zero.den) == ((), 1)
+    assert zero == RationalPoly()
+    with pytest.raises(ZeroDivisionError):
+        RationalPoly.scaled((1,), 0)
+
+
+def _fraction_add(a, b):
+    n = max(len(a), len(b))
+    a, b = a + [F(0)] * (n - len(a)), b + [F(0)] * (n - len(b))
+    return [x + y for x, y in zip(a, b)]
+
+
+def _fraction_mul(a, b):
+    if not a or not b:
+        return []
+    out = [F(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _fraction_call(a, x):
+    acc = F(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _fraction_substituted(a, b):
+    acc = []
+    for c in reversed(a):
+        acc = _fraction_add(_fraction_mul(acc, b), [c])
+    return acc
+
+
+@settings(max_examples=80)
+@given(
+    st.lists(small_fractions, max_size=6),
+    st.lists(small_fractions, max_size=6),
+    small_fractions,
+)
+def test_poly_arithmetic_matches_fraction_reference(a, b, x):
+    f, g = RationalPoly(a), RationalPoly(b)
+    assert f + g == RationalPoly(_fraction_add(a, b))
+    assert f - g == RationalPoly(_fraction_add(a, [-c for c in b]))
+    assert f * g == RationalPoly(_fraction_mul(a, b))
+    assert f * x == RationalPoly(c * x for c in a)
+    assert f.substituted(g) == RationalPoly(_fraction_substituted(a, b))
+    assert f(x) == _fraction_call(a, x)
+    assert f(3) == _fraction_call(a, 3)
 
 
 def test_poly_equality_and_hash():

@@ -151,6 +151,14 @@ def test_powersum_usage_errors(capsys):
     assert code == 2
 
 
+def test_powersum_rejects_negative_x_before_any_output(capsys):
+    code, out, err = run_cli(capsys, "powersum", "--m", "3", "--r", "1", "--n", "2",
+                             "--x", "-1")
+    assert code == 2
+    assert out == ""
+    assert "need x >= 0" in err
+
+
 def test_verify_pass_and_report(capsys):
     code, out, _ = run_cli(capsys, "verify", "T1-parity", "--max", "256",
                            "--jobs", "1")

@@ -10,6 +10,8 @@ import hypothesis.strategies as st
 
 from powerdenom.bernoulli import BernoulliCache
 from powerdenom.denom import (
+    FULL_QUOTIENT_PARITY,
+    NONCONSTANT_QUOTIENT_PARITY,
     DenomTriple,
     clear_formula_caches,
     denominator_triple,
@@ -25,6 +27,7 @@ from powerdenom.denom import (
     nonconstant_quotient,
     number_denom,
     number_denom_direct,
+    parity_indices,
 )
 from powerdenom.digits import SquarefreeProduct, digit_sum, primes_up_to
 from powerdenom.errors import SearchCapExceeded
@@ -66,6 +69,34 @@ def test_oracle_equivalence_to_300():
         assert nonconstant_denom(n).value == nonconstant_denom_direct(CACHE, n), n
         assert number_denom(n).value == number_denom_direct(CACHE, n), n
         assert full_denom(n).value == full_denom_direct(CACHE, n), n
+
+
+def test_oracle_equivalence_to_600_and_sampled_to_2000():
+    # a fresh cache, so the table grows through this test's own request order
+    cache = BernoulliCache()
+    rng = random.Random(2017)
+    for n in chain(range(1, 601), rng.sample(range(1501, 2001), 10)):
+        assert number_denom(n).value == number_denom_direct(cache, n), n
+        assert nonconstant_denom(n).value == nonconstant_denom_direct(cache, n), n
+        assert full_denom(n).value == full_denom_direct(cache, n), n
+
+
+def test_quotient_domains_are_where_the_quotients_are_defined():
+    for lo in range(1, 6):
+        for hi in range(lo, 12):
+            for quotient, parity in (
+                (nonconstant_quotient, NONCONSTANT_QUOTIENT_PARITY),
+                (full_denom_quotient, FULL_QUOTIENT_PARITY),
+            ):
+                defined = []
+                for n in range(lo, hi + 1):
+                    try:
+                        quotient(n)
+                    except ValueError:
+                        continue
+                    defined.append(n)
+                assert list(parity_indices(parity, lo, hi)) == defined, (lo, hi)
+            assert parity_indices(None, lo, hi) == range(lo, hi + 1)
 
 
 def test_full_denom_variants_agree():
