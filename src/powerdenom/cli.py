@@ -16,7 +16,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Callable, Optional, Sequence
 
 from .bernoulli import BernoulliCache, RationalPoly
@@ -296,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run one theorem sweep")
     ver.add_argument("theorem_id", choices=available_sweeps())
     ver.add_argument("--max", type=int, default=None, help="largest n")
-    ver.add_argument("--m-max", type=int, default=None)
-    ver.add_argument("--r-max", type=int, default=None)
+    ver.add_argument("--m-max", type=int, default=None, help="largest m (grid sweeps)")
+    ver.add_argument("--r-max", type=int, default=None, help="largest r (grid sweeps)")
     ver.add_argument(
         "--jobs", type=int, default=usable_cpus(),
         help="worker processes, at most the usable CPUs (default: all of them)",
@@ -321,10 +321,13 @@ _COMMANDS = {
 }
 
 
+# one parser per process: building it costs about as much as a sparse query
+_parser = cache(build_parser)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

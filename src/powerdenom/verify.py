@@ -7,7 +7,7 @@ contiguous chunks, each worker owns a private Bernoulli cache, and chunk
 results are merged in axis order so output is deterministic regardless of
 worker count.
 
-Sweep ids and default grids:
+Sweep ids (each report's first line prints the bounds it ran with):
 
   T1-parity        nonconstant denominator odd exactly at powers of two
   T2-denominator   closed-form power sum denominator vs. the polynomial
@@ -233,10 +233,8 @@ def _am_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
 
 @dataclass(frozen=True, slots=True)
 class _SweepDef:
-    defaults: Bounds
+    defaults: Bounds  # a grid over (m, r, n) exactly when m_max is set
     chunk: Callable[[int, int, Bounds], ChunkResult]
-    axis: str  # "n" or "m": which bound the workers partition
-    axis_lo: int
     label: Callable[[Bounds], str]
 
 
@@ -249,28 +247,24 @@ def _grid_label(b: Bounds) -> str:
 
 
 _SWEEPS: dict[str, _SweepDef] = {
-    "T1-parity": _SweepDef(Bounds(4096), _parity_chunk, "n", 1, _n_label),
+    "T1-parity": _SweepDef(Bounds(4096), _parity_chunk, _n_label),
     "T2-denominator": _SweepDef(
-        Bounds(60, m_max=30, r_max=3), _denominator_chunk, "m", 1, _grid_label
+        Bounds(60, m_max=30, r_max=3), _denominator_chunk, _grid_label
     ),
     "T3-integrality": _SweepDef(
-        Bounds(60, m_max=60, r_max=3), _integrality_chunk, "m", 1, _grid_label
+        Bounds(60, m_max=60, r_max=3), _integrality_chunk, _grid_label
     ),
-    "C2-relations": _SweepDef(Bounds(2000), _relations_chunk, "n", 1, _n_label),
-    "T4-quotients": _SweepDef(Bounds(2047), _dd_quotient_chunk, "n", 1, _n_label),
-    "T5-quotients": _SweepDef(Bounds(2048), _db_quotient_chunk, "n", 2, _n_label),
+    "C2-relations": _SweepDef(Bounds(2000), _relations_chunk, _n_label),
+    "T4-quotients": _SweepDef(Bounds(2047), _dd_quotient_chunk, _n_label),
+    "T5-quotients": _SweepDef(Bounds(2048), _db_quotient_chunk, _n_label),
     "L1-congruence": _SweepDef(
         Bounds(60, m_max=20, r_max=20),
         _congruence_chunk,
-        "m",
-        1,
         lambda b: f"{_grid_label(b)}, p <= 13",
     ),
     "AM-integrality": _SweepDef(
         Bounds(80, m_max=40, r_max=40),
         _am_chunk,
-        "m",
-        1,
         lambda b: f"m <= {b.m_max}, |r| <= {b.r_max}, n <= {b.max_n}",
     ),
 }
@@ -298,11 +292,14 @@ def run_sweep(
     r_max: Optional[int] = None,
     jobs: int = 1,
 ) -> SweepReport:
-    """Run one sweep, optionally overriding its default grid bounds.
+    """Run one sweep, optionally overriding its default bounds.
 
-    ``jobs`` > 1 partitions the outer axis over a process pool of at most
-    ``jobs`` workers, and never more than the CPUs this process may use;
-    results are identical to the inline run, only faster.
+    A sweep over n alone takes only ``max_n``; a grid sweep also takes
+    ``m_max`` and ``r_max``.  Bounds that hold no case are rejected.
+    ``jobs`` > 1 partitions the outer axis (m for a grid, n otherwise) over
+    a process pool of at most ``jobs`` workers, and never more than the CPUs
+    this process may use; results are identical to the inline run, only
+    faster.
     """
     if theorem_id not in _SWEEPS:
         known = ", ".join(_SWEEPS)
@@ -310,13 +307,11 @@ def run_sweep(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     sweep = _SWEEPS[theorem_id]
-    bounds = sweep.defaults
-    if max_n is not None:
-        bounds = replace(bounds, max_n=max_n)
-    if m_max is not None and bounds.m_max is not None:
-        bounds = replace(bounds, m_max=m_max)
-    if r_max is not None and bounds.r_max is not None:
-        bounds = replace(bounds, r_max=r_max)
+    grid = sweep.defaults.m_max is not None
+    if not grid and (m_max is not None or r_max is not None):
+        raise ValueError(f"{theorem_id} sweeps n only; it takes no m or r bound")
+    given = {"max_n": max_n, "m_max": m_max, "r_max": r_max}
+    bounds = replace(sweep.defaults, **{k: v for k, v in given.items() if v is not None})
     limits = (("n", bounds.max_n, 1), ("m", bounds.m_max, 1), ("r", bounds.r_max, 0))
     for axis, top, least in limits:
         if top is not None and top < least:
@@ -324,29 +319,29 @@ def run_sweep(
     # a fork-started pool launches all its workers up front
     jobs = min(jobs, usable_cpus())
 
-    lo = sweep.axis_lo
-    hi = bounds.max_n if sweep.axis == "n" else bounds.m_max
+    hi = bounds.m_max if grid else bounds.max_n
     start = time.perf_counter()
-    if jobs == 1 or hi - lo + 1 <= 1:
-        checked, failures = sweep.chunk(lo, hi, bounds)
+    if jobs == 1 or hi <= 1:
+        checked, failures = sweep.chunk(1, hi, bounds)
     else:
-        spans = _split_span(lo, hi, jobs * 4)
+        spans = _split_span(hi, jobs * 4)
         args = [(theorem_id, a, z, bounds) for a, z in spans]
         with ProcessPoolExecutor(max_workers=min(jobs, len(spans))) as pool:
             parts = list(pool.map(_chunk_entry, args))
         checked = sum(c for c, _ in parts)
         failures = [f for _, fs in parts for f in fs]
     elapsed = time.perf_counter() - start
+    if not checked:
+        raise ValueError(f"{theorem_id} has no case with {sweep.label(bounds)}")
     return SweepReport(theorem_id, sweep.label(bounds), checked, tuple(failures), elapsed)
 
 
-def _split_span(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
-    """Contiguous near-equal subranges covering [lo, hi], in order."""
-    count = hi - lo + 1
-    parts = max(1, min(parts, count))
-    size, extra = divmod(count, parts)
+def _split_span(hi: int, parts: int) -> list[tuple[int, int]]:
+    """Contiguous near-equal subranges covering [1, hi], in order."""
+    parts = max(1, min(parts, hi))
+    size, extra = divmod(hi, parts)
     spans = []
-    a = lo
+    a = 1
     for i in range(parts):
         z = a + size - 1 + (1 if i < extra else 0)
         spans.append((a, z))

@@ -15,17 +15,16 @@ from powerdenom import (
     full_denom,
     full_denom_direct,
     full_denom_quotient,
-    full_denom_split_product,
-    full_denom_via_successor,
     nonconstant_denom,
     nonconstant_denom_direct,
     nonconstant_quotient,
     number_denom,
     number_denom_direct,
     power_sum_poly,
-    run_bench,
-    run_sweep,
 )
+from powerdenom.cli import run_bench
+from powerdenom.denom import full_denom_split_product, full_denom_via_successor
+from powerdenom.verify import run_sweep
 
 CACHE = BernoulliCache()
 

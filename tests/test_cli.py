@@ -1,9 +1,11 @@
 """End-to-end CLI behavior: formats, exit codes, cross-checks."""
 
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -201,6 +203,34 @@ def test_verify_usage_errors(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "verify", "AM-integrality", "--r-max", "-1", "--jobs", "1")
     assert code == 2
+    # an m or r bound on a sweep over n alone, and bounds that hold no case
+    for argv in (("T1-parity", "--m-max", "3"), ("C2-relations", "--r-max", "0"),
+                 ("T5-quotients", "--max", "1")):
+        code, out, err = run_cli(capsys, "verify", *argv, "--jobs", "1")
+        assert (code, out) == (2, "")
+        assert argv[0] in err
+
+
+def test_verify_relations_sweep(capsys):
+    code, out, _ = run_cli(capsys, "verify", "C2-relations", "--max", "300",
+                           "--jobs", "1")
+    assert code == 0
+    assert out.startswith("C2-relations: n <= 300\nchecked 300 cases in ")
+    assert out.endswith(": PASS\n")
+
+
+def test_verify_reports_each_failing_input(capsys, monkeypatch):
+    real = verify.nonconstant_denom
+
+    def odd_at_13(n):
+        got = real(n)
+        return SimpleNamespace(value=got.value + 1) if n == 13 else got
+
+    monkeypatch.setattr(verify, "nonconstant_denom", odd_at_13)
+    code, out, _ = run_cli(capsys, "verify", "T1-parity", "--max", "64", "--jobs", "1")
+    assert code == 1
+    assert "checked 64 cases" in out and "FAIL (1 failures)" in out
+    assert out.endswith("  input=(13,) expected=odd=False actual=odd=True\n")
 
 
 def test_verify_jobs_are_clamped_to_usable_cpus(capsys, monkeypatch):
@@ -285,14 +315,17 @@ def test_run_raises_system_exit(capsys):
     assert info.value.code == 0
 
 
-def _run_module(module: str) -> subprocess.CompletedProcess:
+def _python(*argv: str) -> subprocess.CompletedProcess:
     src = str(Path(powerdenom.__file__).parents[1])
     path = os.environ.get("PYTHONPATH")
     env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     return subprocess.run(
-        [sys.executable, "-m", module, "seq", "D", "--from", "1", "--to", "3"],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+def _run_module(module: str, *flags: str) -> subprocess.CompletedProcess:
+    return _python(*flags, "-m", module, "seq", "D", "--from", "1", "--to", "3")
 
 
 def test_python_m_powerdenom():
@@ -302,7 +335,46 @@ def test_python_m_powerdenom():
 
 
 def test_python_m_powerdenom_cli():
-    # runpy may warn on stderr that the package imported cli first; harmless
-    result = _run_module("powerdenom.cli")
+    # the root does not import cli, so runpy has nothing to warn about
+    result = _run_module("powerdenom.cli", "-W", "error")
     assert result.returncode == 0
     assert result.stdout == "1 2\n2 6\n3 1\n"
+
+
+LIBRARY = (
+    "BernoulliCache RationalPoly ProgressionSpec TheoremViolationError "
+    "number_denom nonconstant_denom full_denom nonconstant_quotient full_denom_quotient "
+    "number_denom_direct nonconstant_denom_direct full_denom_direct "
+    "power_sum_poly power_sum_denominator is_integral am_integer"
+).split()
+# each name that left the package root, by the module that defines it
+MOVED = {
+    "cli": ("BenchRecord", "run_bench"),
+    "denom": ("DenomTriple", "denominator_triple", "first_index_digit_sum_reaches",
+              "full_denom_split_product", "full_denom_via_successor",
+              "nonconstant_denom_all_primes"),
+    "digits": ("DigitExpansion", "SquarefreeProduct", "digit_sum", "expand", "is_prime",
+               "p_valuation", "primes_up_to", "radical"),
+    "errors": ("SearchCapExceeded",),
+    "powersum": ("AMInteger", "am_congruence_check", "c_coeff", "power_sum_difference",
+                 "power_sum_naive"),
+    "verify": ("SweepReport", "available_sweeps", "run_sweep"),
+}
+
+
+def test_package_root_is_the_library_only():
+    # a star import fails if any __all__ name does not resolve
+    result = _python("-W", "error", "-c", (
+        "import sys\n"
+        "from powerdenom import *\n"
+        "import powerdenom\n"
+        "front = ('powerdenom.cli', 'powerdenom.verify', 'argparse', 'concurrent.futures')\n"
+        "print(*[name for name in front if name in sys.modules])\n"
+        "print(*sorted(powerdenom.__all__))"
+    ))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "\n" + " ".join(sorted(LIBRARY)) + "\n"
+    for module, names in MOVED.items():
+        owner = importlib.import_module(f"powerdenom.{module}")
+        for name in names:
+            assert hasattr(owner, name) and not hasattr(powerdenom, name), name
