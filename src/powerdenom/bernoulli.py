@@ -14,7 +14,10 @@ numbers" (2011).  T_k is the zigzag number A_(2k-1), the last entry of row
 2k-1 of the Seidel-Entringer (boustrophedon) triangle, whose rows are built
 from each other by additions alone.  Each B_2k is reduced by ``Fraction``,
 so its denominator comes from that gcd and never from von Staudt-Clausen.
-Polynomials are integer numerators over one common denominator.
+Polynomials are integer numerators over one common denominator.  Where only
+denominators are wanted, ``coefficient_denominators`` gives the reduced
+denominator of each coefficient C(n, j) B_(n-j) of B_n(x) without building
+the polynomial.
 
 This module is the certain oracle: exact integers throughout, no
 approximations anywhere.  The closed-form denominator products elsewhere
@@ -181,6 +184,9 @@ class BernoulliCache:
         self._row: list[int] = [1]
         self._values: dict[tuple[int, int, int], Fraction] = {}
         self._scaled: dict[int, tuple[int, tuple[int, ...]]] = {}
+        # the last coefficient_denominators answer only, one slot, no per-n
+        # memo; it starts at n = 0, where B_0(x) = 1
+        self._last_dens: tuple[int, tuple[int, ...]] = (0, (1,))
 
     def _tangent(self, k: int) -> int:
         """T_k = A_(2k-1), advancing the kept row to 2k-1; k = 1, 2, ... in turn."""
@@ -241,6 +247,32 @@ class BernoulliCache:
         """B_n(x) = sum_{k=0}^{n} C(n,k) B_k x^(n-k): monic, constant term B_n."""
         self.number(n)
         return self._polynomial(n)
+
+    def coefficient_denominators(self, n: int) -> tuple[int, ...]:
+        """The reduced denominator of C(n, j) B_(n-j), the x^j coefficient of
+        B_n(x), for j = 0..n.
+
+        The lcm of these is the denominator of B_n(x) in lowest terms, so
+        denominators are read without building the polynomial.  Only the
+        last n asked for is remembered.
+        """
+        last_n, dens = self._last_dens
+        if n == last_n:
+            return dens
+        self.number(n)
+        den = self._den
+        out = []
+        binom = 1
+        for j in range(n + 1):
+            k = n - j
+            # B_k is stored in lowest terms, so the numerator shares no factor
+            # with den[k] and only the binomial can cancel; a zero B_k has
+            # den[k] == 1
+            out.append(den[k] // math.gcd(den[k], binom))
+            binom = binom * k // (j + 1)
+        dens = tuple(out)
+        self._last_dens = (n, dens)
+        return dens
 
     def value_at(self, n: int, y: Rat) -> Fraction:
         """B_n(y), by integer Horner over B_n(x); memoized per (n, y)."""

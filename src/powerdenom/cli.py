@@ -71,6 +71,14 @@ SEQUENCES: dict[str, tuple[Callable, Callable, Optional[int]]] = {
 }
 
 
+# The largest index n that ``powersum --n`` and ``bench`` accept; a larger
+# one is refused before any Bernoulli number is computed.  Both commands
+# fill the table to about n, at a cost that grows faster than n^2: the test
+# suite checks the oracles at every n up to here, and ``powersum --m 3
+# --r 1 --n 1500`` takes about half a minute.
+MAX_TABLE_N = 1500
+
+
 def indices(seq_id: str, lo: int, hi: int) -> range:
     """The n in lo..hi (lo >= 1) at which ``seq_id`` is defined."""
     return parity_indices(SEQUENCES[seq_id][2], lo, hi)
@@ -129,6 +137,8 @@ def run_bench(sequence_id: str, lo: int, hi: int, reps: int = 3) -> BenchRecord:
         raise ValueError(f"unknown bench id {sequence_id!r} (known: {known})")
     if lo < 1 or hi < lo:
         raise ValueError(f"need 1 <= lo <= hi, got {lo}..{hi}")
+    if hi > MAX_TABLE_N:
+        raise ValueError(f"bench takes n <= {MAX_TABLE_N}, got {hi}")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
     formula, oracle, _ = SEQUENCES[sequence_id]
@@ -191,6 +201,8 @@ def format_poly(f: RationalPoly) -> str:
 
 
 def _cmd_powersum(args: argparse.Namespace) -> int:
+    if args.n > MAX_TABLE_N:
+        raise ValueError(f"powersum takes n <= {MAX_TABLE_N}, got {args.n}")
     if args.x is not None and args.x < 0:
         raise ValueError(f"need x >= 0, got {args.x}")
     if args.n == 0:
@@ -290,7 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ps.add_argument("--m", type=int, required=True, help="common difference, >= 1")
     ps.add_argument("--r", type=int, required=True, help="first term, >= 0")
-    ps.add_argument("--n", type=int, required=True, help="exponent, >= 0")
+    ps.add_argument(
+        "--n", type=int, required=True, help=f"exponent, 0 <= n <= {MAX_TABLE_N}"
+    )
     ps.add_argument("--x", type=int, default=None, help="also evaluate at x terms")
 
     ver = sub.add_parser("verify", help="run one theorem sweep")
@@ -307,7 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
         "bench", help="time formula vs. oracle after checking they agree"
     )
     bench.add_argument("sequence_id", choices=tuple(SEQUENCES))
-    bench.add_argument("span", metavar="LO..HI", help="index range, e.g. 1..200")
+    bench.add_argument(
+        "span", metavar="LO..HI", help=f"index range, e.g. 1..200; HI <= {MAX_TABLE_N}"
+    )
     bench.add_argument("--reps", type=int, default=3, help="repetitions, best-of")
 
     return parser

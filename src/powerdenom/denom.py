@@ -19,8 +19,12 @@ quotients), each with its closed form, oracle and domain, are set in one
 table: ``cli.SEQUENCES``.
 
 Formula paths depend only on digit sums and sieves; the ``*_direct`` oracles
-take a BernoulliCache and read denominators off its exact integer
-polynomials.
+take a BernoulliCache and use no digit sum, sieve or primality test.  D is
+the reduced denominator of the table's B_n.  DB and DD are the lcm of the
+reduced denominators of B_n(x)'s coefficients
+(``BernoulliCache.coefficient_denominators``), with the constant term left
+out for DD: a polynomial's denominator in lowest terms is that lcm, so
+neither builds the polynomial.
 
 The two memoized closed forms cost O(sqrt(n)) checks once the sieve is
 built.  nonconstant_denom splits its primes at sqrt(n), as Kellner does in
@@ -38,7 +42,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from typing import Callable
 
 from .bernoulli import BernoulliCache
@@ -148,8 +152,7 @@ def nonconstant_denom_all_primes(n: int) -> SquarefreeProduct:
 
 def nonconstant_denom_direct(cache: BernoulliCache, n: int) -> int:
     _check_index(n)
-    f = cache.polynomial(n)
-    return f.den // gcd(f.den, *f.nums[1:])
+    return lcm(*cache.coefficient_denominators(n)[1:])
 
 
 def full_denom(n: int) -> SquarefreeProduct:
@@ -183,7 +186,7 @@ def full_denom_split_product(n: int) -> SquarefreeProduct:
 
 def full_denom_direct(cache: BernoulliCache, n: int) -> int:
     _check_index(n)
-    return cache.polynomial(n).denominator
+    return lcm(*cache.coefficient_denominators(n))
 
 
 # The parity of the n at which each quotient is defined: its divisibility

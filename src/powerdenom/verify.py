@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from math import lcm
 from typing import Callable, Optional
@@ -324,6 +323,10 @@ def run_sweep(
     if jobs == 1 or hi <= 1:
         checked, failures = sweep.chunk(1, hi, bounds)
     else:
+        # imported here: loading the pool pulls in multiprocessing, which an
+        # inline sweep, and every other command, never needs
+        from concurrent.futures import ProcessPoolExecutor
+
         spans = _split_span(hi, jobs * 4)
         args = [(theorem_id, a, z, bounds) for a, z in spans]
         with ProcessPoolExecutor(max_workers=min(jobs, len(spans))) as pool:

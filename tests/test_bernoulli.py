@@ -109,6 +109,18 @@ def test_polynomial_shape():
         assert f.coefficient(0) == CACHE.number(n)
 
 
+def test_coefficient_denominators_are_the_reduced_coefficient_denominators():
+    # against Fractions from the recurrence, one coefficient at a time, with
+    # n descending so every answer misses the one-slot memo
+    cache = BernoulliCache()
+    for n in range(200, -1, -1):
+        want = tuple((comb(n, j) * REFERENCE[n - j]).denominator for j in range(n + 1))
+        assert cache.coefficient_denominators(n) == want, n
+    assert cache.coefficient_denominators(0) == (1,)
+    with pytest.raises(ValueError):
+        cache.coefficient_denominators(-1)
+
+
 def test_value_at_fixed_points():
     for n in range(40):
         assert CACHE.value_at(n, 0) == CACHE.number(n)

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: formats, exit codes, cross-checks."""
 
+import concurrent.futures
 import importlib
 import os
 import subprocess
@@ -11,6 +12,7 @@ import pytest
 
 import powerdenom
 from powerdenom import cli, verify
+from powerdenom.bernoulli import BernoulliCache
 from powerdenom.cli import main, run
 
 NONCONSTANT_1_21 = [1, 1, 2, 1, 6, 2, 6, 3, 10, 2, 6, 2, 210, 30, 6, 3, 30, 10, 210, 42, 330]
@@ -249,7 +251,8 @@ def test_verify_jobs_are_clamped_to_usable_cpus(capsys, monkeypatch):
         def map(self, fn, args):
             return map(fn, args)
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", RecordingPool)
+    # run_sweep imports the pool on its parallel path, so it finds the fake
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1, 2})
     assert cli.build_parser().parse_args(["verify", "T1-parity"]).jobs == 3
     code, out, _ = run_cli(capsys, "verify", "T1-parity", "--max", "64", "--jobs", "5000")
@@ -283,6 +286,22 @@ def test_bench_usage_errors(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "bench", "DBQ", "1..1")  # no even n in range
     assert code == 2
+
+
+def test_table_bound_is_refused_before_any_table_fill(capsys, monkeypatch):
+    def no_fill(self, n):
+        raise AssertionError(f"table filled to {n}")
+
+    monkeypatch.setattr(BernoulliCache, "_extend", no_fill)
+    past = str(cli.MAX_TABLE_N + 1)
+    for argv in (
+        ("powersum", "--m", "3", "--r", "1", "--n", past),
+        ("bench", "DD", f"1..{past}", "--reps", "1"),
+        ("bench", "DBQ", f"2..{past}", "--reps", "1"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert f"n <= {cli.MAX_TABLE_N}" in err, argv
 
 
 def test_bench_quotient_oracle_divides_exactly(capsys, monkeypatch):
@@ -339,6 +358,18 @@ def test_python_m_powerdenom_cli():
     result = _run_module("powerdenom.cli", "-W", "error")
     assert result.returncode == 0
     assert result.stdout == "1 2\n2 6\n3 1\n"
+
+
+def test_cli_import_loads_no_process_pool():
+    # only a parallel sweep needs the pool and the multiprocessing behind it
+    result = _python("-W", "error", "-c", (
+        "import sys\n"
+        "import powerdenom.cli\n"
+        "print(*[name for name in ('concurrent.futures', 'multiprocessing') "
+        "if name in sys.modules])"
+    ))
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "\n"
 
 
 LIBRARY = (

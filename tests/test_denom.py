@@ -2,12 +2,13 @@
 
 import random
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from powerdenom import denom, digits
 from powerdenom.bernoulli import BernoulliCache
 from powerdenom.denom import (
     FULL_QUOTIENT_PARITY,
@@ -71,14 +72,57 @@ def test_oracle_equivalence_to_300():
         assert full_denom(n).value == full_denom_direct(CACHE, n), n
 
 
-def test_oracle_equivalence_to_600_and_sampled_to_2000():
+def test_oracle_equivalence_to_1500_and_sampled_to_2000():
     # a fresh cache, so the table grows through this test's own request order
     cache = BernoulliCache()
     rng = random.Random(2017)
-    for n in chain(range(1, 601), rng.sample(range(1501, 2001), 10)):
+    for n in chain(range(1, 1501), rng.sample(range(1501, 2001), 10)):
         assert number_denom(n).value == number_denom_direct(cache, n), n
         assert nonconstant_denom(n).value == nonconstant_denom_direct(cache, n), n
         assert full_denom(n).value == full_denom_direct(cache, n), n
+
+
+def test_oracles_equal_the_polynomial_route_to_600():
+    # the denominators of the whole B_n(x), the oracles' route before they
+    # read coefficient denominators, on a cache of its own
+    reference = BernoulliCache()
+    cache = BernoulliCache()
+    order = list(range(1, 601))
+    random.Random(2017).shuffle(order)
+    for i, n in enumerate(order):
+        f = reference.polynomial(n)
+        dd, db = f.den // gcd(f.den, *f.nums[1:]), f.den
+        # the one-slot memo: DB before DD, the same n twice, then n, n+1, n
+        assert full_denom_direct(cache, n) == db, n
+        assert nonconstant_denom_direct(cache, n) == dd, n
+        assert nonconstant_denom_direct(cache, n) == dd, n
+        if i % 50 == 0:
+            g = reference.polynomial(n + 1)
+            assert full_denom_direct(cache, n + 1) == g.den, n + 1
+            assert full_denom_direct(cache, n) == db, n
+
+
+def test_direct_oracles_use_no_digit_sum_sieve_or_primality(monkeypatch):
+    want = [
+        (number_denom(n).value, nonconstant_denom(n).value, full_denom(n).value)
+        for n in range(1, 201)
+    ]
+
+    def forbidden(*args):
+        raise AssertionError("a closed-form ingredient reached the oracle")
+
+    clear_formula_caches()
+    for module in (denom, digits):
+        for name in ("digit_sum", "primes_up_to", "is_prime", "radical"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    with pytest.raises(AssertionError):
+        nonconstant_denom(7)  # the patches reach the closed forms
+    cache = BernoulliCache()
+    for n, (d, dd, db) in enumerate(want, start=1):
+        assert number_denom_direct(cache, n) == d, n
+        assert nonconstant_denom_direct(cache, n) == dd, n
+        assert full_denom_direct(cache, n) == db, n
 
 
 def test_quotient_domains_are_where_the_quotients_are_defined():
