@@ -72,11 +72,20 @@ def test_oracle_equivalence_to_300():
         assert full_denom(n).value == full_denom_direct(CACHE, n), n
 
 
-def test_oracle_equivalence_to_1500_and_sampled_to_2000():
+def test_oracle_equivalence_to_600_and_sampled_to_2000():
     # a fresh cache, so the table grows through this test's own request order
     cache = BernoulliCache()
     rng = random.Random(2017)
-    for n in chain(range(1, 1501), rng.sample(range(1501, 2001), 10)):
+    for n in chain(range(1, 601), rng.sample(range(1501, 2001), 10)):
+        assert number_denom(n).value == number_denom_direct(cache, n), n
+        assert nonconstant_denom(n).value == nonconstant_denom_direct(cache, n), n
+        assert full_denom(n).value == full_denom_direct(cache, n), n
+
+
+def test_oracle_equivalence_601_to_1500():
+    # with the test above, every n <= 1500; a fresh cache, filled upward
+    cache = BernoulliCache()
+    for n in range(601, 1501):
         assert number_denom(n).value == number_denom_direct(cache, n), n
         assert nonconstant_denom(n).value == nonconstant_denom_direct(cache, n), n
         assert full_denom(n).value == full_denom_direct(cache, n), n
