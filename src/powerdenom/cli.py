@@ -78,6 +78,11 @@ SEQUENCES: dict[str, tuple[Callable, Callable, Optional[int]]] = {
 # --r 1 --n 1500`` takes about half a minute.
 MAX_TABLE_N = 1500
 
+# The largest index n that ``seq --to`` accepts; a larger one is refused
+# before the sieve grows.  D at n needs a flag table of n + 1 bytes and DD
+# one of about n/2: D(10**8) peaks at about 130 MB.
+MAX_SEQ_N = 10**8
+
 
 def indices(seq_id: str, lo: int, hi: int) -> range:
     """The n in lo..hi (lo >= 1) at which ``seq_id`` is defined."""
@@ -88,6 +93,8 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     lo, hi = args.start, args.stop
     if lo < 1 or hi < lo:
         raise ValueError(f"need 1 <= from <= to, got {lo}..{hi}")
+    if hi > MAX_SEQ_N:
+        raise ValueError(f"seq takes n <= {MAX_SEQ_N}, got {hi}")
     formula, _, parity = SEQUENCES[args.seq_id]
     ns = indices(args.seq_id, lo, hi)
     sep = "," if args.format == "csv" else " "
@@ -215,25 +222,39 @@ def _cmd_powersum(args: argparse.Namespace) -> int:
         spec = ProgressionSpec(args.m, args.r, args.n)
         poly = power_sum_poly(BernoulliCache(), spec)
         integral = is_integral(spec)
-    print(f"power sum: m={args.m} r={args.r} n={args.n}")
-    print(f"polynomial: {format_poly(poly)}")
-    print("coefficients:", ", ".join(str(c) for c in poly.coeffs))
-    print(f"denominator: {poly.denominator}")
-    print(f"integral: {'yes' if integral else 'no'}")
     if args.x is not None:
         via_poly = poly(args.x)
-        if args.n == 0:
-            naive = args.x
-        else:
-            naive = power_sum_naive(spec, args.x)
-        print(f"value at x={args.x}: {via_poly}")
-        print(f"naive sum: {naive}")
+        naive = args.x if args.n == 0 else power_sum_naive(spec, args.x)
         if via_poly != naive:
             raise TheoremViolationError(
                 f"polynomial and naive sum disagree at x={args.x}: "
                 f"{via_poly} vs {naive}"
             )
-        print("cross-check: match")
+    # every line is formatted before any is written, so a failure leaves
+    # stdout empty
+    try:
+        lines = [
+            f"power sum: m={args.m} r={args.r} n={args.n}",
+            f"polynomial: {format_poly(poly)}",
+            "coefficients: " + ", ".join(str(c) for c in poly.coeffs),
+            f"denominator: {poly.denominator}",
+            f"integral: {'yes' if integral else 'no'}",
+        ]
+        if args.x is not None:
+            lines += [
+                f"value at x={args.x}: {via_poly}",
+                f"naive sum: {naive}",
+                "cross-check: match",
+            ]
+    except ValueError:
+        # str() of an int past the interpreter's digit limit; raising that
+        # limit would change it for every other user of this process
+        raise ValueError(
+            f"powersum output for m={args.m} r={args.r} n={args.n} holds an "
+            f"integer longer than Python's {sys.get_int_max_str_digits()}-digit "
+            "limit for int-to-str conversion"
+        ) from None
+    print("\n".join(lines))
     return 0
 
 
@@ -289,7 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     seq.add_argument("seq_id", choices=tuple(SEQUENCES), help="sequence to emit")
     seq.add_argument("--from", dest="start", type=int, required=True, metavar="N")
-    seq.add_argument("--to", dest="stop", type=int, required=True, metavar="N")
+    seq.add_argument(
+        "--to", dest="stop", type=int, required=True, metavar="N",
+        help=f"last index, at most {MAX_SEQ_N}",
+    )
     seq.add_argument(
         "--format", choices=("csv", "bfile"), default="bfile",
         help="csv with header n,a_n or OEIS b-file lines (default)",

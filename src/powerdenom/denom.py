@@ -31,7 +31,9 @@ built.  nonconstant_denom splits its primes at sqrt(n), as Kellner does in
 "On a product of certain primes" (J. Number Theory, 2017): digit sums only
 for p <= sqrt(n), and above that one candidate prime per quotient
 a = n // p.  number_denom enumerates the divisors d of n and keeps the
-primes d + 1.  Membership in the sieve is decided by bisection.
+primes d + 1.  Both ask the sieve's flag table (``digits.prime_flags``)
+whether a candidate is prime, one index per candidate; only
+nonconstant_denom lists primes, and only up to sqrt(n).
 nonconstant_denom_all_primes and full_denom_split_product scan every prime
 on purpose: they are the independent references the fast forms are tested
 against.
@@ -39,14 +41,20 @@ against.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt, lcm
 from typing import Callable
 
 from .bernoulli import BernoulliCache
-from .digits import SquarefreeProduct, digit_sum, is_prime, primes_up_to, radical
+from .digits import (
+    SquarefreeProduct,
+    digit_sum,
+    is_prime,
+    prime_flags,
+    primes_up_to,
+    radical,
+)
 from .errors import SearchCapExceeded, TheoremViolationError
 
 
@@ -60,28 +68,19 @@ def _digit_bound(n: int) -> int:
     return (n + 1) // 2 if n % 2 else (n + 1) // 3
 
 
-def _sieved(primes: list[int], k: int) -> int | None:
-    """The sieve's own int equal to k, or None when k is not listed.
-
-    Returning the listed object, not k, lets the memoized tuples share the
-    sieve's ints instead of each holding fresh copies.
-    """
-    i = bisect_left(primes, k)
-    return primes[i] if i < len(primes) and primes[i] == k else None
-
-
 @lru_cache(maxsize=None)
 def _nonconstant_primes(n: int) -> tuple[int, ...]:
-    primes = primes_up_to(_digit_bound(n))
+    bound = _digit_bound(n)
     root = isqrt(n)
-    found = [p for p in primes[: bisect_right(primes, root)] if digit_sum(p, n) >= p]
+    found = [p for p in primes_up_to(min(root, bound)) if digit_sum(p, n) >= p]
+    flags = prime_flags(bound)
     # A prime p > sqrt(n) has two digits: n = a*p + b with a = n // p <= root,
     # so s_p(n) = a + b >= p exactly when n/(a+1) < p <= (n+a)/(a+1).  That
     # interval is shorter than 1, so each a offers one candidate; descending a
     # yields them in ascending order.
     for a in range(root, 0, -1):
         p = (n + a) // (a + 1)
-        if p > root and p * (a + 1) > n and (p := _sieved(primes, p)):
+        if p > root and p * (a + 1) > n and p <= bound and flags[p]:
             found.append(p)
     return tuple(found)
 
@@ -94,8 +93,8 @@ def _number_primes(n: int) -> tuple[int, ...]:
         return ()
     low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
     high = [n // d for d in reversed(low) if d * d != n]
-    primes = primes_up_to(n + 1)
-    return tuple(p for d in low + high if (p := _sieved(primes, d + 1)))
+    flags = prime_flags(n + 1)
+    return tuple(d + 1 for d in low + high if flags[d + 1])
 
 
 def clear_formula_caches() -> None:

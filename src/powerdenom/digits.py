@@ -2,8 +2,12 @@
 
 Everything here is exact integer arithmetic on Python's native bigints.
 
-All functions are pure; the prime sieve keeps a module-level cache that only
-ever grows, so concurrent readers are safe.
+All functions are pure apart from the prime sieve, a module-level cache that
+only ever grows.  Its state is a flag table, one byte per integer up to
+``_sieve_limit``, set exactly at the primes: ``prime_flags`` hands it out
+read-only, so "is k prime?" costs one index.  ``primes_up_to`` lists primes
+from the flags lazily, only as far as the largest bound asked so far, and
+extends that list in place.  A table once handed out is never written again.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 
 
 @dataclass(frozen=True)
@@ -171,24 +176,48 @@ def radical(k: int) -> SquarefreeProduct:
     return SquarefreeProduct.of(p for p, _ in factorize(k))
 
 
-# Growable sieve cache; only replaced by strictly larger sieves.
+# Growable sieve cache.  The flag table is only replaced by a strictly larger
+# one; _sieve_primes lists the primes up to the largest bound asked so far and
+# stays valid when the table grows.  Setting _sieve_limit = 0 and
+# _sieve_primes = [] gives the state of a fresh interpreter.
 _sieve_limit = 0
+_sieve_flags = memoryview(b"")
 _sieve_primes: list[int] = []
 
 
-def primes_up_to(bound: int) -> list[int]:
-    """All primes <= bound, ascending (deterministic Eratosthenes sieve)."""
-    global _sieve_limit, _sieve_primes
-    if bound < 2:
-        return []
+def prime_flags(bound: int) -> memoryview:
+    """Read-only table with ``flags[k] == 1`` exactly when k is prime, k <= bound.
+
+    The table may reach past ``bound``; every index up to its length is exact.
+    Writing to it raises TypeError.
+    """
+    global _sieve_limit, _sieve_flags
     if bound > _sieve_limit:
         limit = max(bound, 2 * _sieve_limit, 256)
-        sieve = bytearray([1]) * (limit + 1)
-        sieve[0] = sieve[1] = 0
-        for p in range(2, math.isqrt(limit) + 1):
+        # odd k flagged from the start, so only odd multiples of odd primes
+        # are crossed out and no zero run is longer than limit/6 bytes
+        sieve = bytearray(b"\x00\x01") * (limit // 2 + 1)
+        del sieve[limit + 1 :]
+        sieve[1] = 0
+        sieve[2] = 1
+        for p in range(3, math.isqrt(limit) + 1, 2):
             if sieve[p]:
                 start = p * p
-                sieve[start :: p] = bytearray(len(range(start, limit + 1, p)))
-        _sieve_primes = [i for i, flag in enumerate(sieve) if flag]
+                sieve[start :: 2 * p] = bytes(len(range(start, limit + 1, 2 * p)))
+        _sieve_flags = memoryview(sieve).toreadonly()
         _sieve_limit = limit
-    return _sieve_primes[: bisect_right(_sieve_primes, bound)]
+    return _sieve_flags
+
+
+def primes_up_to(bound: int) -> list[int]:
+    """All primes <= bound, ascending, as a fresh list (Eratosthenes sieve)."""
+    if bound < 2:
+        return []
+    flags = prime_flags(bound)
+    primes = _sieve_primes
+    # resume after the last listed prime: the gap up to the old bound holds
+    # no prime, so rescanning it costs little and needs no second bound
+    start = primes[-1] + 1 if primes else 0
+    if bound >= start:
+        primes.extend(compress(range(start, bound + 1), flags[start : bound + 1]))
+    return primes[: bisect_right(primes, bound)]

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 import pytest
 
 import powerdenom
-from powerdenom import cli, verify
+from powerdenom import cli, denom, digits, verify
 from powerdenom.bernoulli import BernoulliCache
 from powerdenom.cli import main, run
 
@@ -106,6 +106,50 @@ def test_seq_usage_errors(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "seq", "D", "--from", "1")
     assert code == 2
+
+
+def test_seq_bound_is_refused_before_the_sieve_grows(capsys, monkeypatch):
+    def no_sieve(bound):
+        raise AssertionError(f"sieve asked for {bound}")
+
+    for module in (denom, digits):
+        for name in ("prime_flags", "primes_up_to"):
+            monkeypatch.setattr(module, name, no_sieve)
+    past = cli.MAX_SEQ_N + 1
+    for argv in (
+        ("seq", "D", "--from", str(past), "--to", str(past)),
+        ("seq", "DBQ", "--from", str(past - 3), "--to", str(past), "--format", "csv"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert f"n <= {cli.MAX_SEQ_N}" in err, argv
+
+
+def test_seq_help_states_the_bound(capsys):
+    code, out, _ = run_cli(capsys, "seq", "--help")
+    assert code == 0
+    assert f"at most {cli.MAX_SEQ_N}" in out
+
+
+def test_huge_n_query_needs_no_big_sieve():
+    # D at n sieves to n + 1 and DD to about n/2: the peak must stay well
+    # below what a list of every prime that far would take
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status to read VmHWM from")
+    result = _python("-c", (
+        "import contextlib, io\n"
+        "from powerdenom.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    codes = [main(['seq', 'D', '--from', '10000000', '--to', '10000000']),\n"
+        "             main(['seq', 'DD', '--from', '10000001', '--to', '10000001'])]\n"
+        "print(codes, out.getvalue().split()[::2])\n"
+        "with open('/proc/self/status') as f:\n"
+        "    print(next(line.split()[1] for line in f if line.startswith('VmHWM:')))"
+    ))
+    assert result.returncode == 0, result.stderr
+    verdict, vmhwm_kb = result.stdout.splitlines()
+    assert verdict == "[0, 0] ['10000000', '10000001']"
+    assert int(vmhwm_kb) < 40 * 1024
 
 
 def test_powersum_integral_case(capsys):
@@ -332,6 +376,14 @@ def test_run_raises_system_exit(capsys):
         finally:
             sys.argv = original
     assert info.value.code == 0
+
+
+def test_powersum_past_the_digit_limit_prints_nothing(capsys):
+    code, out, err = run_cli(capsys, "powersum", "--m", "1000000", "--r", "1",
+                             "--n", "800")
+    assert (code, out) == (2, "")
+    assert "m=1000000 r=1 n=800" in err
+    assert f"{sys.get_int_max_str_digits()}-digit limit" in err
 
 
 def _python(*argv: str) -> subprocess.CompletedProcess:

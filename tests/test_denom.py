@@ -122,7 +122,7 @@ def test_direct_oracles_use_no_digit_sum_sieve_or_primality(monkeypatch):
 
     clear_formula_caches()
     for module in (denom, digits):
-        for name in ("digit_sum", "primes_up_to", "is_prime", "radical"):
+        for name in ("digit_sum", "primes_up_to", "prime_flags", "is_prime", "radical"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     with pytest.raises(AssertionError):
@@ -171,6 +171,20 @@ def test_bounded_and_unbounded_scans_agree():
     large = [rng.randrange(10**5, 10**6) for _ in range(20)]
     for n in chain(range(1, 5001), large, _sqrt_boundary_indices()):
         assert nonconstant_denom(n).primes == nonconstant_denom_all_primes(n).primes, n
+
+
+def test_a_candidate_past_the_digit_bound_is_not_looked_up(monkeypatch):
+    # for even n = 3q - 2 the candidate at a = 2 is q, one past the bound
+    # (n + 1) // 3; from a fresh sieve the flag table ends at that bound
+    for name in ("_sieve_limit", "_sieve_flags", "_sieve_primes"):
+        monkeypatch.setattr(digits, name, getattr(digits, name))
+    digits._sieve_limit = 0
+    digits._sieve_primes = []
+    clear_formula_caches()
+    n = 3 * 10**6 - 2
+    fast = nonconstant_denom(n).primes
+    assert len(digits._sieve_flags) == (n + 1) // 3 + 1
+    assert fast == nonconstant_denom_all_primes(n).primes
 
 
 def test_number_denom_matches_sieve_filter():

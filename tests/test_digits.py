@@ -1,11 +1,14 @@
 """Digit expansions, valuations, radicals, sieve vs. trial division."""
 
 import math
+import random
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from powerdenom import digits
 from powerdenom.digits import (
     DigitExpansion,
     SquarefreeProduct,
@@ -14,6 +17,7 @@ from powerdenom.digits import (
     factorize,
     is_prime,
     p_valuation,
+    prime_flags,
     primes_up_to,
     radical,
 )
@@ -148,6 +152,61 @@ def test_sieve_prefix_stability():
     big = primes_up_to(5000)
     assert primes_up_to(100) == [p for p in big if p <= 100]
     assert primes_up_to(4999) == [p for p in big if p <= 4999]
+
+
+FLAG_TOP = 200_000
+FLAG_BOUNDS = [1, 2, 3, 4, 97, 255, 256, 257, 1000, 4097, 30_030, 65_537, 123_457, FLAG_TOP]
+
+
+@pytest.fixture
+def fresh_sieve(monkeypatch):
+    """Empty sieve for the test; the whole cache comes back afterwards."""
+    for name in ("_sieve_limit", "_sieve_flags", "_sieve_primes"):
+        monkeypatch.setattr(digits, name, getattr(digits, name))
+
+    def reset():
+        # what perfbench does before a repetition: a fresh interpreter's state
+        digits._sieve_limit = 0
+        digits._sieve_primes = []
+
+    reset()
+    return reset
+
+
+@pytest.fixture(scope="module")
+def trial_flags():
+    return bytes(is_prime(j) for j in range(FLAG_TOP + 1))
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_flag_table_and_prime_list_match_trial_division(fresh_sieve, trial_flags, order):
+    bounds = sorted(FLAG_BOUNDS, reverse=order == "descending")
+    if order == "shuffled":
+        random.Random(2017).shuffle(bounds)
+    trial_primes = [j for j in range(FLAG_TOP + 1) if trial_flags[j]]
+    for b in bounds:
+        assert primes_up_to(b) == trial_primes[: bisect_right(trial_primes, b)], b
+        flags = prime_flags(b)
+        assert len(flags) > b
+        top = min(len(flags), FLAG_TOP + 1)
+        assert flags[:top] == trial_flags[:top], b
+    assert prime_flags(FLAG_TOP)[: FLAG_TOP + 1] == trial_flags
+
+
+def test_reset_after_a_large_sieve_lists_afresh(fresh_sieve):
+    primes_up_to(100_000)
+    fresh_sieve()
+    assert primes_up_to(100) == [j for j in range(101) if is_prime(j)]
+    assert primes_up_to(1000) == [j for j in range(1001) if is_prime(j)]
+
+
+def test_prime_flags_are_read_only():
+    flags = prime_flags(100)
+    with pytest.raises(TypeError):
+        flags[4] = 1
+    with pytest.raises(TypeError):
+        flags[2:4] = b"\x00\x00"
+    assert flags[4] == 0 and flags[97] == 1
 
 
 def test_squarefree_product_construction():
