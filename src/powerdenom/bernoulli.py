@@ -17,7 +17,10 @@ so its denominator comes from that gcd and never from von Staudt-Clausen.
 Polynomials are integer numerators over one common denominator.  Where only
 denominators are wanted, ``coefficient_denominators`` gives the reduced
 denominator of each coefficient C(n, j) B_(n-j) of B_n(x) without building
-the polynomial.
+the polynomial.  Values B_k(y) at a rational point are kept as one row per
+distinct y in lowest terms: a request for B_n(y) fills that row upward to
+n + 1 entries, each by integer Horner over B_k(x) and one gcd, so the n + 1
+values a power-sum polynomial needs come from a single fetch.
 
 This module is the certain oracle: exact integers throughout, no
 approximations anywhere.  The closed-form denominator products elsewhere
@@ -171,8 +174,9 @@ class BernoulliCache:
 
     Requesting index n fills every index <= n, so the table only grows, and
     so does the boustrophedon row it is read from, whatever the order of the
-    requests.  Single writer: concurrent readers of already-filled entries
-    are fine, but parallel sweeps should hold one cache per worker.
+    requests.  The rows of values B_k(y) grow the same way.  Single writer:
+    concurrent readers of already-filled entries are fine, but parallel
+    sweeps should hold one cache per worker.
     """
 
     def __init__(self) -> None:
@@ -181,8 +185,10 @@ class BernoulliCache:
         self._den: list[int] = [1, 2]
         # Seidel-Entringer row r (r + 1 entries), stored reversed for odd r:
         # the last entry of an odd row, a tangent number, sits at index 0
-        self._row: list[int] = [1]
-        self._values: dict[tuple[int, int, int], Fraction] = {}
+        self._seidel: list[int] = [1]
+        # one row per y = p/q in lowest terms, keyed (p, q): B_k(y) =
+        # nums[k] / dens[k] in lowest terms and lcms[k] = lcm(dens[0..k])
+        self._rows: dict[tuple[int, int], tuple[list[int], list[int], list[int]]] = {}
         self._scaled: dict[int, tuple[int, tuple[int, ...]]] = {}
         # the last coefficient_denominators answer only, one slot, no per-n
         # memo; it starts at n = 0, where B_0(x) = 1
@@ -190,7 +196,7 @@ class BernoulliCache:
 
     def _tangent(self, k: int) -> int:
         """T_k = A_(2k-1), advancing the kept row to 2k-1; k = 1, 2, ... in turn."""
-        row = self._row
+        row = self._seidel
         while len(row) < 2 * k:
             r = len(row)  # index of the row being built
             if r % 2:
@@ -230,9 +236,9 @@ class BernoulliCache:
         self.number(n)
         return tuple(map(Fraction, self._num[: n + 1], self._den[: n + 1]))
 
-    def _polynomial(self, n: int) -> RationalPoly:
+    def _coefficients(self, n: int) -> tuple[list[int], int]:
         # C(n, j) B_(n-j), the coefficient of x^j, over L = lcm of the
-        # denominators of B_0..B_n, with a running binomial
+        # denominators of B_0..B_n, with a running binomial; not reduced
         num, den = self._num, self._den
         scale = math.lcm(*den[: n + 1])
         out = []
@@ -241,7 +247,10 @@ class BernoulliCache:
             k = n - j
             out.append(binom * num[k] * (scale // den[k]) if num[k] else 0)
             binom = binom * k // (j + 1)
-        return RationalPoly.scaled(out, scale)
+        return out, scale
+
+    def _polynomial(self, n: int) -> RationalPoly:
+        return RationalPoly.scaled(*self._coefficients(n))
 
     def polynomial(self, n: int) -> RationalPoly:
         """B_n(x) = sum_{k=0}^{n} C(n,k) B_k x^(n-k): monic, constant term B_n."""
@@ -274,17 +283,56 @@ class BernoulliCache:
         self._last_dens = (n, dens)
         return dens
 
-    def value_at(self, n: int, y: Rat) -> Fraction:
-        """B_n(y), by integer Horner over B_n(x); memoized per (n, y)."""
+    def _row(self, n: int, y: Rat) -> tuple[list[int], list[int], list[int]]:
+        """The row of y, filled to at least index n."""
+        if n < 0:
+            raise ValueError(f"Bernoulli index must be >= 0, got {n}")
         if not isinstance(y, Fraction):
             y = Fraction(y)
-        key = (n, y.numerator, y.denominator)  # ints hash faster than a Fraction
-        hit = self._values.get(key)
-        if hit is not None:
-            return hit
-        self.number(n)
-        value = self._values[key] = self._polynomial(n)(y)
-        return value
+        p, q = y.numerator, y.denominator
+        row = self._rows.get((p, q))
+        if row is None:
+            row = self._rows[(p, q)] = ([], [], [])
+        nums, dens, lcms = row
+        if n >= len(nums):
+            self.number(n)
+            last = lcms[-1] if lcms else 1
+            for k in range(len(nums), n + 1):
+                # homogeneous Horner: L q^k B_k(p/q) = sum c_i p^i q^(k-i)
+                coeffs, scale = self._coefficients(k)
+                acc = coeffs[-1]
+                qpow = 1
+                for c in reversed(coeffs[:-1]):
+                    qpow *= q
+                    acc = acc * p + c * qpow
+                den = scale * qpow
+                g = math.gcd(acc, den)
+                nums.append(acc // g)
+                dens.append(den // g)
+                last = math.lcm(last, den // g)
+                lcms.append(last)
+        return row
+
+    def value_at(self, n: int, y: Rat) -> Fraction:
+        """B_n(y), by integer Horner over B_n(x).
+
+        Values are kept as one row per distinct y in lowest terms, filled
+        upward: asking for B_n(y) fills B_0(y), ..., B_n(y), n + 1 entries,
+        unless the row already holds them.
+        """
+        nums, dens, _ = self._row(n, y)
+        return Fraction(nums[n], dens[n])
+
+    def scaled_values(self, n: int, y: Rat) -> tuple[int, tuple[int, ...]]:
+        """(L, (L*B_0(y), ..., L*B_n(y))) with L = lcm of the denominators.
+
+        The values at y in one fetch, read from the row of y (filled to n + 1
+        entries as ``value_at`` fills it), over one common integer
+        denominator as ``scaled_numbers`` gives B_0..B_n.
+        """
+        nums, dens, lcms = self._row(n, y)
+        scale = lcms[n]
+        return scale, tuple(a * (scale // d) for a, d in zip(nums[: n + 1], dens))
 
     def scaled_numbers(self, n: int) -> tuple[int, tuple[int, ...]]:
         """(L, (L*B_0, ..., L*B_n)) with L = lcm of the denominators.

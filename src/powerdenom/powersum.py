@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from .bernoulli import BernoulliCache, RationalPoly
 from .denom import full_denom, nonconstant_denom
@@ -65,18 +65,18 @@ def power_sum_poly(cache: BernoulliCache, spec: ProgressionSpec) -> RationalPoly
     """The power sum as a polynomial in the term count.
 
     Coefficient of x^j (1 <= j <= n+1) is m^n C(n+1, j) B_(n+1-j)(r/m)
-    divided by n+1; the constant term is zero.
+    divided by n+1; the constant term is zero.  The n+1 values B_0(r/m),
+    ..., B_n(r/m) come from one ``scaled_values`` fetch over their common
+    denominator L, so the polynomial is built over (n+1) L in integers.
     """
     m, r, n = spec.m, spec.r, spec.n
-    y = Fraction(r, m)
-    values = [cache.value_at(k, y) for k in range(n, -1, -1)]  # B_(n+1-j)(y)
-    scale = lcm(*(v.denominator for v in values))
+    scale, values = cache.scaled_values(n, Fraction(r, m))  # L*B_k(r/m)
     mn = m**n
     nums = [0]
     binom = 1
-    for j, v in enumerate(values, start=1):
+    for j in range(1, n + 2):
         binom = binom * (n + 2 - j) // j  # C(n+1, j)
-        nums.append(mn * binom * v.numerator * (scale // v.denominator))
+        nums.append(mn * binom * values[n + 1 - j])
     return RationalPoly.scaled(nums, (n + 1) * scale)
 
 
@@ -132,26 +132,25 @@ def power_sum_difference(
 def am_integer(cache: BernoulliCache, m: int, r: int, n: int) -> AMInteger:
     """m^n(B_n(r/m) - B_n) for any integer r, via the binomial sum.
 
-    Computed as sum_{k=0}^{n-1} C(n,k) B_k m^k r^(n-k) with all Bernoulli
-    numbers scaled to a common integer denominator, so the whole sum runs in
-    integer arithmetic and integrality is a single exact division at the end.
-    A nonzero remainder would contradict the theorem and raises.
+    Computed as sum_{k=0}^{n-1} C(n,k) B_k m^k r^(n-k) by Horner in m from
+    k = n-1 down, with all Bernoulli numbers scaled to a common integer
+    denominator, so the whole sum runs in integer arithmetic and integrality
+    is a single exact division at the end.  A nonzero remainder would
+    contradict the theorem and raises.
     """
     if m < 1:
         raise ValueError(f"difference m must be >= 1, got {m}")
     if n < 1:
         raise ValueError(f"exponent n must be >= 1, got {n}")
     scale, scaled = cache.scaled_numbers(n - 1)
-    rpow = [1] * (n + 1)
-    for j in range(1, n + 1):
-        rpow[j] = rpow[j - 1] * r
     total = 0
-    mpow = 1
-    for k in range(n):
+    rpow = 1
+    for k in range(n - 1, -1, -1):
+        rpow *= r  # r^(n-k)
+        total *= m
         s = scaled[k]
         if s:
-            total += comb(n, k) * s * mpow * rpow[n - k]
-        mpow *= m
+            total += comb(n, k) * s * rpow
     value, rem = divmod(total, scale)
     if rem:
         raise TheoremViolationError(

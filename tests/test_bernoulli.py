@@ -138,6 +138,45 @@ def test_value_at_matches_polynomial(n, y):
     assert CACHE.value_at(n, y) == CACHE.polynomial(n)(y)
 
 
+# ints and Fractions; 1/2 and 2/4, 2 and 6/3 are one point each
+ROW_POINTS = (0, 1, -2, F(1, 2), F(-1, 3), F(5, 7), F(2, 4), F(6, 3))
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_value_rows_match_polynomials_in_any_order(order):
+    reference = BernoulliCache()
+    want = {}  # y -> [B_0(y), ..., B_60(y)] by Horner over B_n(x)
+    for y in ROW_POINTS:
+        want[F(y)] = [reference.polynomial(n)(y) for n in range(61)]
+    indices = list(range(61))
+    if order == "descending":
+        indices.reverse()
+    elif order == "shuffled":
+        random.Random(2017).shuffle(indices)
+    cache = BernoulliCache()
+    for n in indices:
+        for y in ROW_POINTS:
+            values = want[F(y)][: n + 1]
+            assert cache.value_at(n, y) == values[n], (n, y)
+            scale = math.lcm(*(v.denominator for v in values))
+            scaled = tuple(int(scale * v) for v in values)
+            assert cache.scaled_values(n, y) == (scale, scaled), (n, y)
+    # one row per distinct point in lowest terms
+    assert set(cache._rows) == {(0, 1), (1, 1), (-2, 1), (1, 2), (-1, 3), (5, 7), (2, 1)}
+
+
+def test_value_rows_reject_negative_index():
+    # on a fresh row and on a filled one, where index -1 would read the
+    # last entry
+    for filled in (False, True):
+        cache = BernoulliCache()
+        if filled:
+            cache.value_at(5, F(1, 3))
+        for ask in (cache.value_at, cache.scaled_values):
+            with pytest.raises(ValueError):
+                ask(-1, F(1, 3))
+
+
 def test_von_staudt_clausen_to_400():
     nums = CACHE.numbers(400)
     for n in range(1, 401):

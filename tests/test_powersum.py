@@ -1,7 +1,8 @@
 """Power sum polynomials, their denominators, and the scaled differences."""
 
+import random
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -75,13 +76,46 @@ def test_poly_shape():
 
 
 def test_poly_matches_naive_small_grid():
-    for m in range(1, 5):
+    # x = 0..n+1 are n+2 points, enough to fix the degree-(n+1) polynomial
+    for m in range(1, 7):
         for r in range(4):
-            for n in range(1, 13):
+            for n in range(1, 31):
                 spec = ProgressionSpec(m, r, n)
                 f = power_sum_poly(CACHE, spec)
-                for x in range(9):
+                for x in range(max(9, n + 2)):
                     assert f(x) == power_sum_naive(spec, x), (m, r, n, x)
+
+
+def _power_sum_poly_by_value_at(cache, spec):
+    """The polynomial from n+1 separate value_at calls and the lcm of their
+    reduced denominators: the reference the one-fetch route is pinned to."""
+    m, r, n = spec.m, spec.r, spec.n
+    y = Fraction(r, m)
+    values = [cache.value_at(k, y) for k in range(n, -1, -1)]  # B_(n+1-j)(y)
+    scale = lcm(*(v.denominator for v in values))
+    mn = m**n
+    nums = [0]
+    binom = 1
+    for j, v in enumerate(values, start=1):
+        binom = binom * (n + 2 - j) // j  # C(n+1, j)
+        nums.append(mn * binom * v.numerator * (scale // v.denominator))
+    return RationalPoly.scaled(nums, (n + 1) * scale)
+
+
+def test_poly_matches_value_at_route_on_t2_grid():
+    specs = [
+        ProgressionSpec(m, r, n)
+        for m in range(1, 31)
+        for r in range(4)
+        for n in range(1, 61)
+    ]
+    random.Random(2017).shuffle(specs)
+    cache = BernoulliCache()
+    for spec in specs:
+        assert power_sum_poly(cache, spec) == _power_sum_poly_by_value_at(CACHE, spec), spec
+    # one row per r/m in lowest terms: (1, 2) serves m, r = 2, 1 and 4, 2 and 6, 3
+    points = {Fraction(r, m) for m in range(1, 31) for r in range(4)}
+    assert set(cache._rows) == {(y.numerator, y.denominator) for y in points}
 
 
 @settings(max_examples=60)
@@ -191,6 +225,24 @@ def test_am_integer_matches_rational_definition():
                 got = am_integer(CACHE, m, r, n)
                 assert got.value == expected, (m, r, n)
                 assert got == AMInteger(m, r, n, got.value)
+
+
+def _am_integer_by_comb_sum(cache, m, r, n):
+    """sum_{k<n} C(n,k) B_k m^k r^(n-k) over the scaled numbers, term by term:
+    the reference the Horner route is pinned to."""
+    scale, scaled = cache.scaled_numbers(n - 1)
+    total = sum(comb(n, k) * scaled[k] * m**k * r ** (n - k) for k in range(n))
+    value, rem = divmod(total, scale)
+    assert rem == 0, (m, r, n)
+    return value
+
+
+def test_am_integer_matches_comb_sum():
+    for m in range(1, 13):
+        for r in range(-12, 13):
+            for n in range(1, 81):
+                want = _am_integer_by_comb_sum(CACHE, m, r, n)
+                assert am_integer(CACHE, m, r, n).value == want, (m, r, n)
 
 
 def test_am_integer_validation():
