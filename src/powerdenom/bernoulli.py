@@ -4,23 +4,24 @@ The sign convention is B_1 = -1/2, so the defining recurrence reads
 
     sum_{k=0}^{n-1} C(n, k) B_k = 0   for n >= 2, with B_0 = 1.
 
-The table is not filled from that recurrence.  Even-index numbers come from
-the tangent numbers T_k (1, 2, 16, 272, ...) as
+The numbers are not filled from that recurrence.  Even-index numbers come
+from the tangent numbers T_k (1, 2, 16, 272, ...) as
 
     B_2k = (-1)^(k-1) * 2k * T_k / (4^k (4^k - 1)),
 
 after Brent and Harvey, "Fast computation of Bernoulli, Tangent and Secant
 numbers" (2011).  T_k is the zigzag number A_(2k-1), the last entry of row
 2k-1 of the Seidel-Entringer (boustrophedon) triangle, whose rows are built
-from each other by additions alone.  Each B_2k is reduced by ``Fraction``,
-so its denominator comes from that gcd and never from von Staudt-Clausen.
-Polynomials are integer numerators over one common denominator.  Where only
-denominators are wanted, ``coefficient_denominators`` gives the reduced
-denominator of each coefficient C(n, j) B_(n-j) of B_n(x) without building
-the polynomial.  Values B_k(y) at a rational point are kept as one row per
-distinct y in lowest terms: a request for B_n(y) fills that row upward to
-n + 1 entries, each by integer Horner over B_k(x) and one gcd, so the n + 1
-values a power-sum polynomial needs come from a single fetch.
+from each other by additions alone.  Each B_2k is reduced by one gcd, so its
+denominator comes from that gcd and never from von Staudt-Clausen.
+
+Polynomials are integer numerators over one common denominator.  Values
+B_k(y) share one row format: per distinct y in lowest terms, the reduced
+numerators, reduced denominators and running lcm of B_0(y), B_1(y), ...
+as int lists.  The table of Bernoulli numbers is the row of 0; every other
+row is filled upward by integer Horner over B_k(x), read from the table
+over its one lcm.  ``coefficient_denominators`` gives the reduced
+denominators of B_n(x)'s coefficients without building the polynomial.
 
 This module is the certain oracle: exact integers throughout, no
 approximations anywhere.  The closed-form denominator products elsewhere
@@ -34,6 +35,29 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
+# B_k(y) for k = 0, 1, ...: reduced numerators, reduced denominators, and
+# lcms[k] = lcm(dens[0..k])
+Row = tuple[list[int], list[int], list[int]]
+
+
+def _horner(coeffs: Sequence[int], p: int, q: int) -> tuple[int, int]:
+    """(q^d f(p/q), q^d), coeffs highest power first: homogeneous Horner."""
+    acc = coeffs[0]
+    qpow = 1
+    for c in coeffs[1:]:
+        qpow *= q
+        acc = acc * p + c * qpow
+    return acc, qpow
+
+
+def _binomial_terms(n: int, scaled: Sequence[int]) -> list[int]:
+    """From L*B_0, ..., L*B_n, the coefficients of L*B_n(x), highest first."""
+    out = []
+    binom = 1
+    for i in range(n + 1):
+        out.append(binom * scaled[i])
+        binom = binom * (n - i) // (i + 1)
+    return out
 
 
 class RationalPoly:
@@ -103,16 +127,9 @@ class RationalPoly:
         return Fraction(0)
 
     def __call__(self, x: Rat) -> Fraction:
-        # homogeneous Horner: q^d f(p/q) = sum c_i p^i q^(d-i), in integers
-        nums = self.nums
-        if not nums:
+        if not self.nums:
             return Fraction(0)
-        p, q = x.numerator, x.denominator
-        acc = nums[-1]
-        qpow = 1
-        for c in reversed(nums[:-1]):
-            qpow *= q
-            acc = acc * p + c * qpow
+        acc, qpow = _horner(self.nums[::-1], x.numerator, x.denominator)
         return Fraction(acc, self.den * qpow)
 
     def _combine(self, other: "RationalPoly", sign: int) -> "RationalPoly":
@@ -170,25 +187,23 @@ class RationalPoly:
 
 
 class BernoulliCache:
-    """Growable table of Bernoulli numbers plus derived evaluations.
+    """Growable rows of values B_k(y), one format for every y; the row of
+    y = 0 is the table of Bernoulli numbers.
 
-    Requesting index n fills every index <= n, so the table only grows, and
-    so does the boustrophedon row it is read from, whatever the order of the
-    requests.  The rows of values B_k(y) grow the same way.  Single writer:
-    concurrent readers of already-filled entries are fine, but parallel
-    sweeps should hold one cache per worker.
+    Requesting index n fills every index <= n, so a row only grows, and so
+    does the boustrophedon row the table is read from, whatever the order of
+    the requests.  Single writer: concurrent readers of already-filled
+    entries are fine, but parallel sweeps should hold one cache per worker.
     """
 
     def __init__(self) -> None:
-        # B_k = _num[k] / _den[k] in lowest terms, for every k filled so far
-        self._num: list[int] = [1, -1]
-        self._den: list[int] = [1, 2]
         # Seidel-Entringer row r (r + 1 entries), stored reversed for odd r:
         # the last entry of an odd row, a tangent number, sits at index 0
         self._seidel: list[int] = [1]
-        # one row per y = p/q in lowest terms, keyed (p, q): B_k(y) =
-        # nums[k] / dens[k] in lowest terms and lcms[k] = lcm(dens[0..k])
-        self._rows: dict[tuple[int, int], tuple[list[int], list[int], list[int]]] = {}
+        # one row per y = p/q in lowest terms, keyed (p, q); the row of 0
+        # is the table, starting from B_0 = 1 and B_1 = -1/2
+        self._table: Row = ([1, -1], [1, 2], [1, 2])
+        self._rows: dict[tuple[int, int], Row] = {(0, 1): self._table}
         self._scaled: dict[int, tuple[int, tuple[int, ...]]] = {}
         # the last coefficient_denominators answer only, one slot, no per-n
         # memo; it starts at n = 0, where B_0(x) = 1
@@ -212,50 +227,41 @@ class BernoulliCache:
         return row[0]
 
     def _extend(self, n: int) -> None:
-        for m in range(len(self._num), n + 1):
+        nums, dens, lcms = self._table
+        for m in range(len(nums), n + 1):
             if m % 2:
-                b = Fraction(0)
+                num, den = 0, 1
             else:
                 k = m // 2
                 four = 1 << m  # 4^k
-                sign = 1 if k % 2 else -1
-                b = Fraction(sign * m * self._tangent(k), four * (four - 1))
-            self._num.append(b.numerator)
-            self._den.append(b.denominator)
+                num = (m if k % 2 else -m) * self._tangent(k)
+                den = four * (four - 1)
+                g = math.gcd(num, den)
+                num //= g
+                den //= g
+            nums.append(num)
+            dens.append(den)
+            lcms.append(math.lcm(lcms[-1], den))
 
     def number(self, n: int) -> Fraction:
         """B_n; zero for odd n >= 3."""
         if n < 0:
             raise ValueError(f"Bernoulli index must be >= 0, got {n}")
-        if n >= len(self._num):
+        nums, dens, _ = self._table
+        if n >= len(nums):
             self._extend(n)
-        return Fraction(self._num[n], self._den[n])
+        return Fraction(nums[n], dens[n])
 
     def numbers(self, n: int) -> tuple[Fraction, ...]:
         """The tuple (B_0, ..., B_n)."""
         self.number(n)
-        return tuple(map(Fraction, self._num[: n + 1], self._den[: n + 1]))
-
-    def _coefficients(self, n: int) -> tuple[list[int], int]:
-        # C(n, j) B_(n-j), the coefficient of x^j, over L = lcm of the
-        # denominators of B_0..B_n, with a running binomial; not reduced
-        num, den = self._num, self._den
-        scale = math.lcm(*den[: n + 1])
-        out = []
-        binom = 1
-        for j in range(n + 1):
-            k = n - j
-            out.append(binom * num[k] * (scale // den[k]) if num[k] else 0)
-            binom = binom * k // (j + 1)
-        return out, scale
-
-    def _polynomial(self, n: int) -> RationalPoly:
-        return RationalPoly.scaled(*self._coefficients(n))
+        nums, dens, _ = self._table
+        return tuple(map(Fraction, nums[: n + 1], dens[: n + 1]))
 
     def polynomial(self, n: int) -> RationalPoly:
         """B_n(x) = sum_{k=0}^{n} C(n,k) B_k x^(n-k): monic, constant term B_n."""
-        self.number(n)
-        return self._polynomial(n)
+        scale, scaled = self.scaled_values(n, 0)
+        return RationalPoly.scaled(_binomial_terms(n, scaled)[::-1], scale)
 
     def coefficient_denominators(self, n: int) -> tuple[int, ...]:
         """The reduced denominator of C(n, j) B_(n-j), the x^j coefficient of
@@ -269,7 +275,7 @@ class BernoulliCache:
         if n == last_n:
             return dens
         self.number(n)
-        den = self._den
+        den = self._table[1]
         out = []
         binom = 1
         for j in range(n + 1):
@@ -283,7 +289,7 @@ class BernoulliCache:
         self._last_dens = (n, dens)
         return dens
 
-    def _row(self, n: int, y: Rat) -> tuple[list[int], list[int], list[int]]:
+    def _row(self, n: int, y: Rat) -> Row:
         """The row of y, filled to at least index n."""
         if n < 0:
             raise ValueError(f"Bernoulli index must be >= 0, got {n}")
@@ -295,16 +301,13 @@ class BernoulliCache:
             row = self._rows[(p, q)] = ([], [], [])
         nums, dens, lcms = row
         if n >= len(nums):
+            # fills the table, which is the whole fill of the row of 0
             self.number(n)
             last = lcms[-1] if lcms else 1
             for k in range(len(nums), n + 1):
-                # homogeneous Horner: L q^k B_k(p/q) = sum c_i p^i q^(k-i)
-                coeffs, scale = self._coefficients(k)
-                acc = coeffs[-1]
-                qpow = 1
-                for c in reversed(coeffs[:-1]):
-                    qpow *= q
-                    acc = acc * p + c * qpow
+                # L q^k B_k(p/q), L = lcm(den B_0..B_k), over B_k(x)
+                scale, scaled = self.scaled_values(k, 0)
+                acc, qpow = _horner(_binomial_terms(k, scaled), p, q)
                 den = scale * qpow
                 g = math.gcd(acc, den)
                 nums.append(acc // g)
@@ -318,7 +321,7 @@ class BernoulliCache:
 
         Values are kept as one row per distinct y in lowest terms, filled
         upward: asking for B_n(y) fills B_0(y), ..., B_n(y), n + 1 entries,
-        unless the row already holds them.
+        unless the row already holds them.  At y = 0 the row is the table.
         """
         nums, dens, _ = self._row(n, y)
         return Fraction(nums[n], dens[n])
@@ -328,7 +331,7 @@ class BernoulliCache:
 
         The values at y in one fetch, read from the row of y (filled to n + 1
         entries as ``value_at`` fills it), over one common integer
-        denominator as ``scaled_numbers`` gives B_0..B_n.
+        denominator; at y = 0 these are the Bernoulli numbers.
         """
         nums, dens, lcms = self._row(n, y)
         scale = lcms[n]
@@ -338,14 +341,10 @@ class BernoulliCache:
         """(L, (L*B_0, ..., L*B_n)) with L = lcm of the denominators.
 
         Lets callers run binomial sums over B_k in pure integer arithmetic;
-        the result is exact because L clears every denominator.
+        the result is exact because L clears every denominator.  It is
+        ``scaled_values(n, 0)``, remembered per n.
         """
         hit = self._scaled.get(n)
-        if hit is not None:
-            return hit
-        self.number(n)
-        den = self._den[: n + 1]
-        scale = math.lcm(*den)
-        scaled = tuple(a * (scale // d) for a, d in zip(self._num, den))
-        self._scaled[n] = (scale, scaled)
-        return scale, scaled
+        if hit is None:
+            hit = self._scaled[n] = self.scaled_values(n, 0)
+        return hit

@@ -109,6 +109,16 @@ def test_polynomial_shape():
         assert f.coefficient(0) == CACHE.number(n)
 
 
+def test_polynomial_coefficients_match_recurrence_in_shuffled_order():
+    # every coefficient C(n, j) B_(n-j), read from the row of 0 over its lcm
+    order = list(range(201))
+    random.Random(2017).shuffle(order)
+    cache = BernoulliCache()
+    for n in order:
+        want = tuple(comb(n, j) * REFERENCE[n - j] for j in range(n + 1))
+        assert cache.polynomial(n).coeffs == want, n
+
+
 def test_coefficient_denominators_are_the_reduced_coefficient_denominators():
     # against Fractions from the recurrence, one coefficient at a time, with
     # n descending so every answer misses the one-slot memo
@@ -138,8 +148,11 @@ def test_value_at_matches_polynomial(n, y):
     assert CACHE.value_at(n, y) == CACHE.polynomial(n)(y)
 
 
-# ints and Fractions; 1/2 and 2/4, 2 and 6/3 are one point each
-ROW_POINTS = (0, 1, -2, F(1, 2), F(-1, 3), F(5, 7), F(2, 4), F(6, 3))
+# ints and Fractions; 1/2 and 2/4, 2 and 6/3 are one point each; the last
+# two have a large denominator and a large numerator
+ROW_POINTS = (
+    0, 1, -2, F(1, 2), F(-1, 3), F(5, 7), F(2, 4), F(6, 3), F(-7, 10**6), F(10**6 + 1, 3)
+)
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
@@ -162,7 +175,9 @@ def test_value_rows_match_polynomials_in_any_order(order):
             scaled = tuple(int(scale * v) for v in values)
             assert cache.scaled_values(n, y) == (scale, scaled), (n, y)
     # one row per distinct point in lowest terms
-    assert set(cache._rows) == {(0, 1), (1, 1), (-2, 1), (1, 2), (-1, 3), (5, 7), (2, 1)}
+    assert set(cache._rows) == {
+        (0, 1), (1, 1), (-2, 1), (1, 2), (-1, 3), (5, 7), (2, 1), (-7, 10**6), (10**6 + 1, 3)
+    }
 
 
 def test_value_rows_reject_negative_index():
@@ -370,7 +385,15 @@ def test_poly_equality_and_hash():
 
 
 def test_scaled_numbers_clear_denominators():
-    scale, scaled = CACHE.scaled_numbers(12)
-    nums = CACHE.numbers(12)
-    assert all(scale * b == s for b, s in zip(nums, scaled))
-    assert scale == 30030  # lcm of 1, 2, 6, 30, 42, 66, 2730
+    # the minimal L at every n <= 400, asked in ascending, descending and
+    # shuffled order, each on a fresh cache
+    ascending = list(range(401))
+    shuffled = ascending[:]
+    random.Random(2017).shuffle(shuffled)
+    for indices in (ascending, ascending[::-1], shuffled):
+        cache = BernoulliCache()
+        for n in indices:
+            scale, scaled = cache.scaled_numbers(n)
+            assert scale == math.lcm(*(b.denominator for b in REFERENCE[: n + 1])), n
+            assert scaled == tuple(int(scale * b) for b in REFERENCE[: n + 1]), n
+        assert cache.scaled_numbers(12)[0] == 30030  # lcm of 1, 2, 6, 30, 42, 66, 2730

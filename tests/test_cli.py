@@ -348,6 +348,23 @@ def test_table_bound_is_refused_before_any_table_fill(capsys, monkeypatch):
         assert f"n <= {cli.MAX_TABLE_N}" in err, argv
 
 
+def test_term_count_bound_is_refused_before_any_work(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"work started for {args[1:]}")
+
+    monkeypatch.setattr(BernoulliCache, "_extend", refuse)
+    monkeypatch.setattr(cli, "power_sum_naive", refuse)
+    past = str(cli.MAX_POWERSUM_X + 1)
+    for n in ("0", "5", str(cli.MAX_TABLE_N)):
+        argv = ("powersum", "--m", "3", "--r", "1", "--n", n, "--x", past)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert f"x <= {cli.MAX_POWERSUM_X}" in err, argv
+    code, out, _ = run_cli(capsys, "powersum", "--help")
+    assert code == 0
+    assert f"x <= {cli.MAX_POWERSUM_X}" in " ".join(out.split())
+
+
 def test_bench_quotient_oracle_divides_exactly(capsys, monkeypatch):
     real = cli.full_denom_direct
 
