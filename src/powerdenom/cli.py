@@ -79,8 +79,10 @@ SEQUENCES: dict[str, tuple[Callable, Callable, Optional[int]]] = {
 MAX_TABLE_N = 1500
 
 # The largest index n that ``seq --to`` accepts; a larger one is refused
-# before the sieve grows.  D at n needs a flag table of n + 1 bytes and DD
-# one of about n/2: D(10**8) peaks at about 130 MB.
+# before the sieve grows.  The bound comes from D, DD and DB, the ids that
+# use the sieve: D at n needs a flag table of n + 1 bytes and DD one of
+# about n/2, so D(10**8) peaks at about 130 MB.  DDQ and DBQ need no sieve
+# (one trial division of n + 1), but the bound stays one for all ids.
 MAX_SEQ_N = 10**8
 
 # The largest term count x that ``powersum --x`` accepts; a larger one is
@@ -274,11 +276,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         r_max=args.r_max,
         jobs=args.jobs,
     )
-    verdict = "PASS" if report.ok else f"FAIL ({len(report.failures)} failures)"
+    verdict = "PASS" if report.ok else f"FAIL ({report.failure_count} failures)"
     print(f"{report.theorem_id}: {report.range_label}")
     print(f"checked {report.checked} cases in {report.elapsed:.2f}s: {verdict}")
     for inputs, expected, actual in report.failures:
         print(f"  input={inputs} expected={expected} actual={actual}")
+    unshown = report.failure_count - len(report.failures)
+    if unshown:
+        print(f"  ... {unshown} more")
     return 0 if report.ok else 1
 
 

@@ -11,17 +11,37 @@ The full denominator comes in three equivalent closed forms (lcm of the other
 two sequences, a successor relation through the radical, and a two-factor
 prime product); all are exposed so their agreement can be asserted rather
 than assumed.  The quotient sequences nonconstant_quotient (A286516) and
-full_denom_quotient (A286517) are exact by the divisibility laws for the
-stated parities and reject the other parity; that parity is set here once
-(``*_QUOTIENT_PARITY``), and ``parity_indices`` lists the n of a domain.
-The command line ids of the five sequences (D, DD, DB and the two
-quotients), each with its closed form, oracle and domain, are set in one
-table: ``cli.SEQUENCES``.
+full_denom_quotient (A286517) are defined at one parity each and reject the
+other; that parity is set here once (``*_QUOTIENT_PARITY``), and
+``parity_indices`` lists the n of a domain.  The command line ids of the
+five sequences (D, DD, DB and the two quotients), each with its closed
+form, oracle and domain, are set in one table: ``cli.SEQUENCES``.
 
-Formula paths depend only on digit sums and sieves; the ``*_direct`` oracles
-take a BernoulliCache and use no digit sum, sieve or primality test.  D is
-the reduced denominator of the table's B_n.  DB and DD are the lcm of the
-reduced denominators of B_n(x)'s coefficients
+The quotients are prime sets read off n+1 alone.  A prime p is in DD(n)
+exactly when s_p(n) >= p (Kellner-Sondow, "Power-sum denominators", 2017),
+and base-p digit sums satisfy s_p(n+1) = s_p(n) + 1 - t(p-1), where t
+counts the trailing base-p digits of n equal to p-1.  If p does not divide
+n+1, then t = 0 and p stays in the set from n to n+1; so only a prime
+p^e || n+1 can leave it, and then t = e.  Hence
+
+  DDQ(n), n odd:   the p^e || n+1 with s_p(n+1) < p <= s_p(n+1) - 1 + e(p-1),
+                   the right side being s_p(n);
+  DBQ(n), n even:  the p | n+1 with s_p(n+1) < p, since
+                   DB(n) = lcm(DD(n+1), rad(n+1)) and DB(n+1) = DD(n+1).
+
+Each costs one trial division of n+1 and one digit sum per prime factor:
+no sieve, no scan and no memo.  The quotients by division,
+``nonconstant_quotient_by_division`` and ``full_denom_quotient_by_division``,
+stay beside ``full_denom_via_successor`` as references; they divide the
+closed forms at n and n+1 and raise TheoremViolationError when the
+division leaves a remainder.  That divisibility check runs wherever the
+two paths are compared: the T4 and T5 sweeps, the tests, and the
+benchmark's reference check of its b-file and sparse values.
+
+Formula paths depend only on digit sums, sieves and trial division; the
+``*_direct`` oracles take a BernoulliCache and use no digit sum, sieve or
+primality test.  D is the reduced denominator of the table's B_n.  DB and
+DD are the lcm of the reduced denominators of B_n(x)'s coefficients
 (``BernoulliCache.coefficient_denominators``), with the constant term left
 out for DD: a polynomial's denominator in lowest terms is that lcm, so
 neither builds the polynomial.
@@ -43,13 +63,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt, lcm
+from math import isqrt, lcm, prod
 from typing import Callable
 
 from .bernoulli import BernoulliCache
 from .digits import (
     SquarefreeProduct,
     digit_sum,
+    factorize,
     is_prime,
     prime_flags,
     primes_up_to,
@@ -201,21 +222,71 @@ def parity_indices(parity: int | None, lo: int, hi: int) -> range:
     return range(lo + (lo - parity) % 2, hi + 1, 2)
 
 
-def nonconstant_quotient(n: int) -> int:
-    """nonconstant_denom(n) / nonconstant_denom(n+1) for odd n.
-
-    Integral by the divisibility law for odd n; even input is rejected since
-    nothing guarantees an integer there.
-    """
+def _check_nonconstant_quotient_index(n: int) -> None:
     if n < 1 or n % 2 != NONCONSTANT_QUOTIENT_PARITY:
         raise ValueError(f"quotient defined for odd n >= 1, got {n}")
-    return _exact_quotient(nonconstant_denom, "nonconstant", n)
+
+
+def _check_full_quotient_index(n: int) -> None:
+    if n < 2 or n % 2 != FULL_QUOTIENT_PARITY:
+        raise ValueError(f"quotient defined for even n >= 2, got {n}")
+
+
+def nonconstant_quotient(n: int) -> int:
+    """nonconstant_denom(n) / nonconstant_denom(n+1) for odd n, as a prime set.
+
+    The product of the p^e || n+1 with s_p(n+1) < p <= s_p(n+1) - 1 + e(p-1):
+    the primes with s_p(n) >= p > s_p(n+1), since n ends in e base-p digits
+    p-1.  No other prime can leave the digit-sum set between n and n+1.
+    Costs one trial division of n+1 and one digit sum per prime factor.
+    Even input is rejected: DD(n+1) need not divide DD(n) there.  The
+    division it replaces, with its divisibility check, is
+    nonconstant_quotient_by_division; the T4 sweep compares the two at
+    every odd n it covers.
+    """
+    _check_nonconstant_quotient_index(n)
+    k = n + 1
+    q = 1
+    for p, e in factorize(k):
+        s = digit_sum(p, k)
+        if s < p <= s - 1 + e * (p - 1):
+            q *= p
+    return q
 
 
 def full_denom_quotient(n: int) -> int:
-    """full_denom(n) / full_denom(n+1) for even n; integral by the same law."""
-    if n < 2 or n % 2 != FULL_QUOTIENT_PARITY:
-        raise ValueError(f"quotient defined for even n >= 2, got {n}")
+    """full_denom(n) / full_denom(n+1) for even n, as a prime set.
+
+    The product of the primes p | n+1 with s_p(n+1) < p: DB(n) is
+    lcm(DD(n+1), rad(n+1)) and DB(n+1) = DD(n+1) at odd n+1 >= 3, so DB(n)
+    gains exactly the primes of n+1 missing from DD(n+1).  Costs one trial
+    division of n+1 and one digit sum per prime factor.  The division it
+    replaces, with its divisibility check, is full_denom_quotient_by_division;
+    the T5 sweep compares the two at every even n it covers.
+    """
+    _check_full_quotient_index(n)
+    k = n + 1
+    return prod(p for p, _ in factorize(k) if digit_sum(p, k) < p)
+
+
+def nonconstant_quotient_by_division(n: int) -> int:
+    """nonconstant_denom(n) / nonconstant_denom(n+1) for odd n, by division.
+
+    The reference for nonconstant_quotient: two closed forms and a sieve to
+    about n/2.  Raises TheoremViolationError if the value at n+1 does not
+    divide the one at n, which the divisibility law for odd n forbids.
+    """
+    _check_nonconstant_quotient_index(n)
+    return _exact_quotient(nonconstant_denom, "nonconstant", n)
+
+
+def full_denom_quotient_by_division(n: int) -> int:
+    """full_denom(n) / full_denom(n+1) for even n, by division.
+
+    The reference for full_denom_quotient, checked for divisibility the same
+    way as nonconstant_quotient_by_division.
+    """
+    _check_full_quotient_index(n)
     return _exact_quotient(full_denom, "full", n)
 
 

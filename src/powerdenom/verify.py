@@ -1,11 +1,13 @@
 """Range sweeps that try to falsify the library's theorem-level claims.
 
 Each sweep exhaustively checks one family of identities over a bounded grid
-and reports every counterexample found; an empty failure list is the whole
-point.  Sweeps are embarrassingly parallel: the outer axis is split into
-contiguous chunks, each worker owns a private Bernoulli cache, and chunk
-results are merged in axis order so output is deterministic regardless of
-worker count.
+and counts every counterexample found; a count of zero is the whole point.
+A report keeps the total and the first ``MAX_REPORTED_FAILURES``
+counterexamples in axis order, so a sweep that fails everywhere still
+returns and prints a bounded report.  Sweeps are embarrassingly parallel:
+the outer axis is split into contiguous chunks, each worker owns a private
+Bernoulli cache, and chunk results are merged in axis order so output is
+deterministic regardless of worker count.
 
 Sweep ids (each report's first line prints the bounds it ran with):
 
@@ -13,8 +15,9 @@ Sweep ids (each report's first line prints the bounds it ran with):
   T2-denominator   closed-form power sum denominator vs. the polynomial
   T3-integrality   integrality flag vs. actual integer coefficients
   C2-relations     successor lcm laws, divisibility, radicals, evenness
-  T4-quotients     structure of nonconstant denominator quotients (odd n)
-  T5-quotients     structure of full denominator quotients (even n)
+  T4-quotients     nonconstant denominator quotients (odd n): the prime-set
+                   form against exact division, then their structure
+  T5-quotients     full denominator quotients (even n): the same
   L1-congruence    prime power divisibility of scaled differences
   AM-integrality   integrality of m^n(B_n(r/m) - B_n) over a signed grid
 """
@@ -33,8 +36,10 @@ from .denom import (
     NONCONSTANT_QUOTIENT_PARITY,
     full_denom,
     full_denom_quotient,
+    full_denom_quotient_by_division,
     nonconstant_denom,
     nonconstant_quotient,
+    nonconstant_quotient_by_division,
     parity_indices,
 )
 from .digits import factorize, p_valuation, primes_up_to, radical
@@ -52,6 +57,9 @@ from .powersum import (
 Failure = tuple[tuple, str, str]
 ChunkResult = tuple[int, list[Failure]]
 
+# The counterexamples a report keeps; it counts all of them.
+MAX_REPORTED_FAILURES = 20
+
 
 @dataclass(frozen=True, slots=True)
 class Bounds:
@@ -65,12 +73,13 @@ class SweepReport:
     theorem_id: str
     range_label: str
     checked: int
-    failures: tuple[Failure, ...]
+    failure_count: int
+    failures: tuple[Failure, ...]  # the first MAX_REPORTED_FAILURES, in axis order
     elapsed: float
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return not self.failure_count
 
 
 def _parity_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
@@ -158,11 +167,28 @@ def _relations_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
     return checked, failures
 
 
+def _quotient_against_division(
+    n: int, quotient: Callable[[int], int], by_division: Callable[[int], int]
+) -> tuple[int, Optional[Failure]]:
+    """The quotient at n, and the failure if exact division disagrees."""
+    q = quotient(n)
+    try:
+        want = by_division(n)
+    except TheoremViolationError as exc:
+        return q, ((n,), "exact division", str(exc))
+    return q, None if q == want else ((n,), f"{want} by division", str(q))
+
+
 def _dd_quotient_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
     checked, failures = 0, []
     for n in parity_indices(NONCONSTANT_QUOTIENT_PARITY, lo, hi):
         checked += 1
-        q = nonconstant_quotient(n)
+        q, failure = _quotient_against_division(
+            n, nonconstant_quotient, nonconstant_quotient_by_division
+        )
+        if failure:
+            failures.append(failure)
+            continue
         if n >= 3 and (n + 1) & n == 0:
             if q != 2:
                 failures.append(((n,), "2 at n = 2^k - 1", str(q)))
@@ -183,7 +209,12 @@ def _db_quotient_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
     checked, failures = 0, []
     for n in parity_indices(FULL_QUOTIENT_PARITY, lo, hi):
         checked += 1
-        q = full_denom_quotient(n)
+        q, failure = _quotient_against_division(
+            n, full_denom_quotient, full_denom_quotient_by_division
+        )
+        if failure:
+            failures.append(failure)
+            continue
         if q % 2 == 0:
             failures.append(((n,), "odd quotient", str(q)))
         fac = factorize(n + 1)
@@ -254,8 +285,8 @@ _SWEEPS: dict[str, _SweepDef] = {
         Bounds(60, m_max=60, r_max=3), _integrality_chunk, _grid_label
     ),
     "C2-relations": _SweepDef(Bounds(2000), _relations_chunk, _n_label),
-    "T4-quotients": _SweepDef(Bounds(2047), _dd_quotient_chunk, _n_label),
-    "T5-quotients": _SweepDef(Bounds(2048), _db_quotient_chunk, _n_label),
+    "T4-quotients": _SweepDef(Bounds(8191), _dd_quotient_chunk, _n_label),
+    "T5-quotients": _SweepDef(Bounds(8192), _db_quotient_chunk, _n_label),
     "L1-congruence": _SweepDef(
         Bounds(60, m_max=20, r_max=20),
         _congruence_chunk,
@@ -279,9 +310,11 @@ def usable_cpus() -> int:
     return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
-def _chunk_entry(args: tuple[str, int, int, Bounds]) -> ChunkResult:
+def _chunk_entry(args: tuple[str, int, int, Bounds]) -> tuple[int, int, list[Failure]]:
+    """(checked, failure count, the first failures) of one chunk."""
     theorem_id, lo, hi, bounds = args
-    return _SWEEPS[theorem_id].chunk(lo, hi, bounds)
+    checked, failures = _SWEEPS[theorem_id].chunk(lo, hi, bounds)
+    return checked, len(failures), failures[:MAX_REPORTED_FAILURES]
 
 
 def run_sweep(
@@ -321,7 +354,7 @@ def run_sweep(
     hi = bounds.m_max if grid else bounds.max_n
     start = time.perf_counter()
     if jobs == 1 or hi <= 1:
-        checked, failures = sweep.chunk(1, hi, bounds)
+        parts = [_chunk_entry((theorem_id, 1, hi, bounds))]
     else:
         # imported here: loading the pool pulls in multiprocessing, which an
         # inline sweep, and every other command, never needs
@@ -331,12 +364,15 @@ def run_sweep(
         args = [(theorem_id, a, z, bounds) for a, z in spans]
         with ProcessPoolExecutor(max_workers=min(jobs, len(spans))) as pool:
             parts = list(pool.map(_chunk_entry, args))
-        checked = sum(c for c, _ in parts)
-        failures = [f for _, fs in parts for f in fs]
     elapsed = time.perf_counter() - start
+    checked = sum(c for c, _, _ in parts)
     if not checked:
         raise ValueError(f"{theorem_id} has no case with {sweep.label(bounds)}")
-    return SweepReport(theorem_id, sweep.label(bounds), checked, tuple(failures), elapsed)
+    count = sum(k for _, k, _ in parts)
+    sample = [f for _, _, fs in parts for f in fs][:MAX_REPORTED_FAILURES]
+    return SweepReport(
+        theorem_id, sweep.label(bounds), checked, count, tuple(sample), elapsed
+    )
 
 
 def _split_span(hi: int, parts: int) -> list[tuple[int, int]]:

@@ -96,15 +96,15 @@ def test_criterion_05_parity_law():
 
 def test_criterion_06_nonconstant_quotient_specials():
     rep = run_sweep("T4-quotients")
-    twos = {n for n in range(1, 2048, 2) if nonconstant_quotient(n) == 2}
-    expected_twos = {2**k - 1 for k in range(2, 12)}
+    twos = {n for n in range(1, 8192, 2) if nonconstant_quotient(n) == 2}
+    expected_twos = {2**k - 1 for k in range(2, 14)}
     stray_even = [
-        n for n in range(1, 2048, 2)
+        n for n in range(1, 8192, 2)
         if n not in expected_twos and nonconstant_quotient(n) % 2 == 0
     ]
     ok = rep.ok and twos == expected_twos and not stray_even
     _report(6, "quotient = 2 exactly below powers of two, odd otherwise", ok,
-            f"odd n <= 2047, twos at {sorted(twos)[:4]}..., {rep.elapsed:.2f}s")
+            f"odd n <= 8191, twos at {sorted(twos)[:4]}..., {rep.elapsed:.2f}s")
 
 
 def test_criterion_07_full_quotient_specials():
@@ -112,14 +112,14 @@ def test_criterion_07_full_quotient_specials():
     special_bad = []
     for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         pk = p
-        while pk <= 2048:
+        while pk <= 8192:
             if full_denom_quotient(pk - 1) != p:
                 special_bad.append((p, pk))
             pk *= p
-    stray_even = [n for n in range(2, 2049, 2) if full_denom_quotient(n) % 2 == 0]
+    stray_even = [n for n in range(2, 8193, 2) if full_denom_quotient(n) % 2 == 0]
     ok = rep.ok and not special_bad and not stray_even
     _report(7, "full quotient = p below odd prime powers, always odd", ok,
-            f"even n <= 2048, primes to 31, {rep.elapsed:.2f}s")
+            f"even n <= 8192, primes to 31, {rep.elapsed:.2f}s")
 
 
 def test_criterion_08_scaled_difference_integrality():

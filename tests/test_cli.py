@@ -14,6 +14,7 @@ import powerdenom
 from powerdenom import cli, denom, digits, verify
 from powerdenom.bernoulli import BernoulliCache
 from powerdenom.cli import main, run
+from powerdenom.errors import TheoremViolationError
 
 NONCONSTANT_1_21 = [1, 1, 2, 1, 6, 2, 6, 3, 10, 2, 6, 2, 210, 30, 6, 3, 30, 10, 210, 42, 330]
 FULL_1_18 = [2, 6, 2, 30, 6, 42, 6, 30, 10, 66, 6, 2730, 210, 30, 6, 510, 30, 3990]
@@ -123,6 +124,19 @@ def test_seq_bound_is_refused_before_the_sieve_grows(capsys, monkeypatch):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert f"n <= {cli.MAX_SEQ_N}" in err, argv
+
+
+def test_seq_quotients_at_huge_n_use_no_sieve(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"asked {args}")
+
+    for name in ("prime_flags", "primes_up_to", "nonconstant_denom"):
+        monkeypatch.setattr(denom, name, refuse)
+    limit = digits._sieve_limit
+    for seq_id, n, want in (("DDQ", 99999999, 5), ("DBQ", 99999998, 73)):
+        code, out, err = run_cli(capsys, "seq", seq_id, "--from", str(n), "--to", str(n))
+        assert (code, out, err) == (0, f"{n} {want}\n", ""), seq_id
+    assert digits._sieve_limit == limit
 
 
 def test_seq_help_states_the_bound(capsys):
@@ -277,6 +291,37 @@ def test_verify_reports_each_failing_input(capsys, monkeypatch):
     assert code == 1
     assert "checked 64 cases" in out and "FAIL (1 failures)" in out
     assert out.endswith("  input=(13,) expected=odd=False actual=odd=True\n")
+
+
+def test_verify_reports_a_bounded_sample_of_failures(capsys, monkeypatch):
+    real = verify.nonconstant_quotient
+    monkeypatch.setattr(verify, "nonconstant_quotient", lambda n: real(n) + 2)
+    code, out, _ = run_cli(capsys, "verify", "T4-quotients", "--max", "2047",
+                           "--jobs", "1")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[1].endswith(": FAIL (1024 failures)")
+    shown = [line for line in lines if line.startswith("  input=")]
+    assert shown[0] == "  input=(1,) expected=1 by division actual=3"
+    assert len(shown) == verify.MAX_REPORTED_FAILURES
+    assert lines[-1] == f"  ... {1024 - verify.MAX_REPORTED_FAILURES} more"
+    report = verify.run_sweep("T4-quotients", max_n=2047)
+    assert (report.ok, report.failure_count) == (False, 1024)
+    assert len(report.failures) == verify.MAX_REPORTED_FAILURES
+
+
+def test_quotient_sweeps_report_a_failed_division(capsys, monkeypatch):
+    def uneven_at_10(n):
+        if n == 10:
+            raise TheoremViolationError("full denominator at n+1 must divide value at n")
+        return real(n)
+
+    real = verify.full_denom_quotient_by_division
+    monkeypatch.setattr(verify, "full_denom_quotient_by_division", uneven_at_10)
+    code, out, _ = run_cli(capsys, "verify", "T5-quotients", "--max", "64", "--jobs", "1")
+    assert code == 1
+    assert "checked 32 cases" in out and "FAIL (1 failures)" in out
+    assert "  input=(10,) expected=exact division actual=full denominator" in out
 
 
 def test_verify_jobs_are_clamped_to_usable_cpus(capsys, monkeypatch):
@@ -451,8 +496,9 @@ LIBRARY = (
 MOVED = {
     "cli": ("BenchRecord", "run_bench"),
     "denom": ("DenomTriple", "denominator_triple", "first_index_digit_sum_reaches",
-              "full_denom_split_product", "full_denom_via_successor",
-              "nonconstant_denom_all_primes"),
+              "full_denom_quotient_by_division", "full_denom_split_product",
+              "full_denom_via_successor", "nonconstant_denom_all_primes",
+              "nonconstant_quotient_by_division"),
     "digits": ("DigitExpansion", "SquarefreeProduct", "digit_sum", "expand", "is_prime",
                "p_valuation", "primes_up_to", "radical"),
     "errors": ("SearchCapExceeded",),

@@ -20,12 +20,14 @@ from powerdenom.denom import (
     full_denom,
     full_denom_direct,
     full_denom_quotient,
+    full_denom_quotient_by_division,
     full_denom_split_product,
     full_denom_via_successor,
     nonconstant_denom,
     nonconstant_denom_all_primes,
     nonconstant_denom_direct,
     nonconstant_quotient,
+    nonconstant_quotient_by_division,
     number_denom,
     number_denom_direct,
     parity_indices,
@@ -213,14 +215,42 @@ def test_formula_prime_membership_matches_digit_condition():
 
 
 def test_quotients_reject_wrong_parity():
-    with pytest.raises(ValueError):
-        nonconstant_quotient(2)
-    with pytest.raises(ValueError):
-        nonconstant_quotient(0)
-    with pytest.raises(ValueError):
-        full_denom_quotient(3)
-    with pytest.raises(ValueError):
-        full_denom_quotient(0)
+    for quotient in (nonconstant_quotient, nonconstant_quotient_by_division):
+        with pytest.raises(ValueError):
+            quotient(2)
+        with pytest.raises(ValueError):
+            quotient(0)
+    for quotient in (full_denom_quotient, full_denom_quotient_by_division):
+        with pytest.raises(ValueError):
+            quotient(3)
+        with pytest.raises(ValueError):
+            quotient(0)
+
+
+def test_prime_set_quotients_equal_the_division_path():
+    # every n <= 4096, then 20 seeded n in [10^5, 2*10^6], each fixed once
+    # to the odd and once to the even index beside it
+    rng = random.Random(2017)
+    large = [rng.randrange(10**5, 2 * 10**6 + 1) for _ in range(20)]
+    odd = chain(range(1, 4097, 2), (n | 1 for n in large))
+    even = chain(range(2, 4097, 2), (n - n % 2 for n in large))
+    for n in odd:
+        assert nonconstant_quotient(n) == nonconstant_quotient_by_division(n), n
+    for n in even:
+        assert full_denom_quotient(n) == full_denom_quotient_by_division(n), n
+
+
+def test_quotients_by_division_check_divisibility(monkeypatch):
+    from powerdenom.errors import TheoremViolationError
+
+    real = denom.nonconstant_denom
+    # DD(8) = 3 does not divide a DD(7) of 10 in place of 6
+    monkeypatch.setattr(
+        denom, "nonconstant_denom", lambda n: SquarefreeProduct.of([2, 5]) if n == 7 else real(n)
+    )
+    with pytest.raises(TheoremViolationError):
+        nonconstant_quotient_by_division(7)
+    assert nonconstant_quotient(7) == 2  # the prime set never divides
 
 
 def test_sequences_reject_nonpositive_index():
