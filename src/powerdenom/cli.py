@@ -22,8 +22,11 @@ from typing import Callable, Optional, Sequence
 from .bernoulli import BernoulliCache, RationalPoly
 from .denom import (
     FULL_QUOTIENT_PARITY,
+    MEMO_BOUND,
     NONCONSTANT_QUOTIENT_PARITY,
     clear_formula_caches,
+    fill_nonconstant_memo,
+    fill_number_memo,
     full_denom,
     full_denom_direct,
     full_denom_quotient,
@@ -44,31 +47,55 @@ from .powersum import (
 from .verify import available_sweeps, run_sweep, usable_cpus
 
 # id -> (closed form, rational oracle, parity of the domain or None for all
-# n >= 1).  The entries look their functions up in this module at call time,
-# so a rebound name (a test's fake, a tracing wrapper) is the one called.
+# n >= 1, the memo fills of the closed form).  The closed forms and oracles
+# look their functions up in this module at call time, so a rebound name (a
+# test's fake, a tracing wrapper) is the one called.  The fills only store
+# values the closed forms then read: D reads the number memo, DD the
+# nonconstant memo, DB both, and the quotients neither.
 # The quotient oracles divide exactly: a denominator at n+1 that does not
 # divide the one at n shows up as a disagreement, not as a floored integer.
-SEQUENCES: dict[str, tuple[Callable, Callable, Optional[int]]] = {
-    "D": (lambda n: number_denom(n).value, lambda c, n: number_denom_direct(c, n), None),
+SEQUENCES: dict[str, tuple[Callable, Callable, Optional[int], tuple[Callable, ...]]] = {
+    "D": (
+        lambda n: number_denom(n).value,
+        lambda c, n: number_denom_direct(c, n),
+        None,
+        (fill_number_memo,),
+    ),
     "DD": (
         lambda n: nonconstant_denom(n).value,
         lambda c, n: nonconstant_denom_direct(c, n),
         None,
+        (fill_nonconstant_memo,),
     ),
-    "DB": (lambda n: full_denom(n).value, lambda c, n: full_denom_direct(c, n), None),
+    "DB": (
+        lambda n: full_denom(n).value,
+        lambda c, n: full_denom_direct(c, n),
+        None,
+        (fill_nonconstant_memo, fill_number_memo),
+    ),
     "DDQ": (
         lambda n: nonconstant_quotient(n),
         lambda c, n: Fraction(
             nonconstant_denom_direct(c, n), nonconstant_denom_direct(c, n + 1)
         ),
         NONCONSTANT_QUOTIENT_PARITY,
+        (),
     ),
     "DBQ": (
         lambda n: full_denom_quotient(n),
         lambda c, n: Fraction(full_denom_direct(c, n), full_denom_direct(c, n + 1)),
         FULL_QUOTIENT_PARITY,
+        (),
     ),
 }
+
+# The fewest indices for which ``seq`` fills the memos a segment at a time.
+# One segment scan of R indices costs about as much as eight per-index
+# scans, so a shorter range, such as a single-term query, keeps the
+# per-index path.  Segments hold at most half the memo bound, so filling
+# one never evicts the values the segment is about to print.
+SEGMENT_MIN_TERMS = 16
+SEGMENT_TERMS = MEMO_BOUND // 2
 
 
 # The largest index n that ``powersum --n`` and ``bench`` accept; a larger
@@ -83,6 +110,9 @@ MAX_TABLE_N = 1500
 # use the sieve: D at n needs a flag table of n + 1 bytes and DD one of
 # about n/2, so D(10**8) peaks at about 130 MB.  DDQ and DBQ need no sieve
 # (one trial division of n + 1), but the bound stays one for all ids.
+# Below it, DD and DB outgrow Python's int-to-str digit limit (4300 digits
+# by default; DD(10**8 - 1) has 6839): ``seq`` then stops with exit 2 at
+# the first n it cannot print, naming the id, n and the limit.
 MAX_SEQ_N = 10**8
 
 # The largest term count x that ``powersum --x`` accepts; a larger one is
@@ -103,14 +133,31 @@ def _cmd_seq(args: argparse.Namespace) -> int:
         raise ValueError(f"need 1 <= from <= to, got {lo}..{hi}")
     if hi > MAX_SEQ_N:
         raise ValueError(f"seq takes n <= {MAX_SEQ_N}, got {hi}")
-    formula, _, parity = SEQUENCES[args.seq_id]
+    formula, _, parity, fills = SEQUENCES[args.seq_id]
     ns = indices(args.seq_id, lo, hi)
     sep = "," if args.format == "csv" else " "
     out = sys.stdout
     if args.format == "csv":
         out.write("n,a_n\n")
-    for n in ns:
-        out.write(f"{n}{sep}{formula(n)}\n")
+    if len(ns) < SEGMENT_MIN_TERMS:
+        fills = ()
+    for start in range(0, len(ns), SEGMENT_TERMS):
+        segment = ns[start : start + SEGMENT_TERMS]
+        for fill in fills:
+            fill(segment[0], segment[-1])
+        for n in segment:
+            value = formula(n)
+            try:
+                line = f"{n}{sep}{value}\n"
+            except ValueError:
+                # str() of an int past the interpreter's digit limit, which
+                # is process-wide, as in ``powersum``
+                raise ValueError(
+                    f"{args.seq_id}({n}) is longer than Python's "
+                    f"{sys.get_int_max_str_digits()}-digit limit for int-to-str "
+                    "conversion; the lines before it are printed"
+                ) from None
+            out.write(line)
     skipped = hi - lo + 1 - len(ns)
     if skipped:
         print(
@@ -156,7 +203,7 @@ def run_bench(sequence_id: str, lo: int, hi: int, reps: int = 3) -> BenchRecord:
         raise ValueError(f"bench takes n <= {MAX_TABLE_N}, got {hi}")
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    formula, oracle, _ = SEQUENCES[sequence_id]
+    formula, oracle, _, _ = SEQUENCES[sequence_id]
     ns = indices(sequence_id, lo, hi)
     if not ns:
         raise ValueError(f"{sequence_id} is defined at no n in {lo}..{hi}")

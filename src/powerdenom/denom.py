@@ -57,12 +57,39 @@ nonconstant_denom lists primes, and only up to sqrt(n).
 nonconstant_denom_all_primes and full_denom_split_product scan every prime
 on purpose: they are the independent references the fast forms are tested
 against.
+
+A whole segment lo..hi of either sequence comes from one scan with the two
+loops turned inside out: primes (or divisors) outside, n inside.
+
+  DD, p <= sqrt(hi):  n = k*p + d with d < p has s_p(n) = s_p(k) + d, so p
+                      is in DD(n) exactly for n in
+                      [kp + max(p - s_p(k), 0), kp + p - 1]: one digit sum
+                      per block k = n // p, not one per n.
+  DD, p > sqrt(hi):   n = k*p + d has two digits, k <= sqrt(hi) < p, so p
+                      is in DD(n) exactly for n in [(k+1)p - k, (k+1)p - 1];
+                      for each k the primes in the matching p-interval come
+                      from one slice of the flag table, and k walks down so
+                      that each n gets its primes in ascending order.
+  D:                  for each d <= sqrt(hi), the even multiples n = d*j
+                      with j >= d take d + 1 and j + 1 when prime.
+
+A segment of R indices costs about R*log(hi) + sqrt(hi) steps plus one per
+prime written, where R per-n scans cost R*sqrt(hi).  The per-n scans stay:
+below about 16 indices they are the faster ones, and the tests hold the
+segment scans to their tuples.
+
+Both closed forms keep their values in a memo of at most ``MEMO_BOUND``
+indices, oldest out first; a hit returns the stored SquarefreeProduct.
+``fill_nonconstant_memo`` and ``fill_number_memo`` store a segment at
+once, which ``seq`` does over long ranges in segments of at most half the
+bound; ``clear_formula_caches`` empties both memos.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
+from itertools import compress
 from math import isqrt, lcm, prod
 from typing import Callable
 
@@ -78,6 +105,14 @@ from .digits import (
 )
 from .errors import SearchCapExceeded, TheoremViolationError
 
+# The most indices each memo keeps.  Every caller reads the memos locally
+# in n (DB reads DD and D at n, the C2 sweep n and n + 1, ``seq`` one
+# segment of at most half the bound), so a long range needs no more.
+MEMO_BOUND = 4096
+
+_nonconstant_memo: OrderedDict[int, SquarefreeProduct] = OrderedDict()
+_number_memo: OrderedDict[int, SquarefreeProduct] = OrderedDict()
+
 
 def _check_index(n: int) -> None:
     if n < 1:
@@ -89,7 +124,6 @@ def _digit_bound(n: int) -> int:
     return (n + 1) // 2 if n % 2 else (n + 1) // 3
 
 
-@lru_cache(maxsize=None)
 def _nonconstant_primes(n: int) -> tuple[int, ...]:
     bound = _digit_bound(n)
     root = isqrt(n)
@@ -106,7 +140,6 @@ def _nonconstant_primes(n: int) -> tuple[int, ...]:
     return tuple(found)
 
 
-@lru_cache(maxsize=None)
 def _number_primes(n: int) -> tuple[int, ...]:
     if n == 1:
         return (2,)
@@ -118,10 +151,97 @@ def _number_primes(n: int) -> tuple[int, ...]:
     return tuple(d + 1 for d in low + high if flags[d + 1])
 
 
+def _nonconstant_segment(lo: int, hi: int) -> list[list[int]]:
+    """_nonconstant_primes(n) for n = lo..hi, as lists, from one scan."""
+    found: list[list[int]] = [[] for _ in range(hi - lo + 1)]
+    root = isqrt(hi)
+    # p <= sqrt(hi): in block k = n // p, s_p(n) = s_p(k) + n - kp reaches p
+    # from n = kp + max(p - s_p(k), 0) to the block's end
+    for p in primes_up_to(root):
+        for k in range(max(lo // p, 1), hi // p + 1):
+            base = k * p
+            start = max(base + max(p - digit_sum(p, k), 0), lo)
+            for row in found[start - lo : base + p - lo]:
+                row.append(p)
+    # p > sqrt(hi): n = kp + d has two digits, so p is in DD(n) for the k
+    # values n = (k+1)p - k .. (k+1)p - 1; k walks down so that each n gets
+    # its primes in ascending order.  For k = 1 the p-interval ends at
+    # (hi + 1) // 2, the largest prime asked.
+    flags = prime_flags((hi + 1) // 2)
+    for k in range(root, 0, -1):
+        first = max(root + 1, (lo + 1 + k) // (k + 1))
+        last = (hi + k) // (k + 1)
+        for p in compress(range(first, last + 1), flags[first : last + 1]):
+            end = (k + 1) * p - lo
+            for row in found[max(end - k, 0) : end]:
+                row.append(p)
+    return found
+
+
+def _cofactors(d: int, lo: int, hi: int) -> range:
+    """The j >= d with d*j even and lo <= d*j <= hi."""
+    j = max(d, -(-lo // d))
+    if d % 2:
+        return range(j + j % 2, hi // d + 1, 2)
+    return range(j, hi // d + 1)
+
+
+def _number_segment(lo: int, hi: int) -> list[list[int]]:
+    """_number_primes(n) for n = lo..hi, as lists, from one scan."""
+    found: list[list[int]] = [[] for _ in range(hi - lo + 1)]
+    if lo == 1:
+        found[0].append(2)
+    root = isqrt(hi)
+    flags = prime_flags(hi + 1)
+    # d ascending gives each n its primes d + 1 <= sqrt(n) + 1 in ascending
+    # order; then d descending gives the cofactor primes j + 1, ascending too
+    for d in range(1, root + 1):
+        if flags[d + 1]:
+            js = _cofactors(d, lo, hi)
+            for row in found[d * js.start - lo :: d * js.step]:
+                row.append(d + 1)
+    for d in range(root, 0, -1):
+        js = _cofactors(d, lo, hi)
+        for j in compress(js, flags[js.start + 1 : js.stop + 1 : js.step]):
+            if j != d:
+                found[d * j - lo].append(j + 1)
+    return found
+
+
+def _remember(memo: OrderedDict, n: int, primes) -> SquarefreeProduct:
+    value = memo[n] = SquarefreeProduct.of(primes)
+    if len(memo) > MEMO_BOUND:
+        memo.popitem(last=False)
+    return value
+
+
+def _fill(memo: OrderedDict, segment: Callable, lo: int, hi: int) -> None:
+    _check_index(lo)
+    missing = [n for n in range(lo, hi + 1) if n not in memo]
+    if missing:
+        rows = segment(lo, hi)
+        for n in missing:
+            _remember(memo, n, rows[n - lo])
+
+
+def fill_nonconstant_memo(lo: int, hi: int) -> None:
+    """Store nonconstant_denom(n) for n = lo..hi from one segment scan.
+
+    Indices already stored keep their values; a segment stored whole is
+    not scanned again.  At most MEMO_BOUND indices stay, oldest out first.
+    """
+    _fill(_nonconstant_memo, _nonconstant_segment, lo, hi)
+
+
+def fill_number_memo(lo: int, hi: int) -> None:
+    """Store number_denom(n) for n = lo..hi, as fill_nonconstant_memo does."""
+    _fill(_number_memo, _number_segment, lo, hi)
+
+
 def clear_formula_caches() -> None:
     """Drop memoized formula scans (used by benchmarks for honest timings)."""
-    _nonconstant_primes.cache_clear()
-    _number_primes.cache_clear()
+    _nonconstant_memo.clear()
+    _number_memo.clear()
 
 
 def number_denom(n: int) -> SquarefreeProduct:
@@ -133,7 +253,7 @@ def number_denom(n: int) -> SquarefreeProduct:
     n >= 3 (the numbers vanish there).
     """
     _check_index(n)
-    return SquarefreeProduct.of(_number_primes(n))
+    return _number_memo.get(n) or _remember(_number_memo, n, _number_primes(n))
 
 
 def number_denom_direct(cache: BernoulliCache, n: int) -> int:
@@ -151,7 +271,8 @@ def nonconstant_denom(n: int) -> SquarefreeProduct:
     O(sqrt(n)) checks after the sieve.
     """
     _check_index(n)
-    return SquarefreeProduct.of(_nonconstant_primes(n))
+    memo = _nonconstant_memo
+    return memo.get(n) or _remember(memo, n, _nonconstant_primes(n))
 
 
 def nonconstant_denom_all_primes(n: int) -> SquarefreeProduct:

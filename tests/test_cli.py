@@ -5,6 +5,7 @@ import importlib
 import os
 import subprocess
 import sys
+from math import lcm, prod
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -164,6 +165,79 @@ def test_huge_n_query_needs_no_big_sieve():
     verdict, vmhwm_kb = result.stdout.splitlines()
     assert verdict == "[0, 0] ['10000000', '10000001']"
     assert int(vmhwm_kb) < 40 * 1024
+
+
+def test_seq_over_a_long_range_peaks_below_40_mb():
+    # the two memos hold at most MEMO_BOUND indices each, so the peak stays
+    # near a fresh interpreter's even after tens of thousands of terms
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status to read VmHWM from")
+    result = _python("-c", (
+        "import contextlib, io\n"
+        "from powerdenom.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = main(['seq', 'DD', '--from', '1', '--to', '50000'])\n"
+        "print(code, out.getvalue().count('\\n'))\n"
+        "with open('/proc/self/status') as f:\n"
+        "    print(next(line.split()[1] for line in f if line.startswith('VmHWM:')))"
+    ))
+    assert result.returncode == 0, result.stderr
+    verdict, vmhwm_kb = result.stdout.splitlines()
+    assert verdict == "0 50000"
+    assert int(vmhwm_kb) < 40 * 1024
+
+
+def test_seq_over_a_long_range_keeps_each_memo_at_its_bound(capsys):
+    bound = denom.MEMO_BOUND
+    denom.clear_formula_caches()
+    code, out, _ = run_cli(capsys, "seq", "DB", "--from", "1", "--to", str(3 * bound))
+    assert code == 0
+    assert len(denom._nonconstant_memo) == len(denom._number_memo) == bound
+    want = [
+        (n, lcm(prod(denom._nonconstant_primes(n)), prod(denom._number_primes(n))))
+        for n in range(1, 3 * bound + 1)
+    ]
+    assert out == bfile(want)
+
+
+def test_short_seq_ranges_take_the_per_index_path(capsys, monkeypatch):
+    scans = []
+
+    def counted(name, real):
+        def scan(lo, hi):
+            scans.append(name)
+            return real(lo, hi)
+
+        return scan
+
+    for name in ("_nonconstant_segment", "_number_segment"):
+        monkeypatch.setattr(denom, name, counted(name, getattr(denom, name)))
+    for seq_id in ("D", "DD", "DB"):
+        # one term, then the longest range below cli.SEGMENT_MIN_TERMS
+        for lo, hi in ((100000, 100000), (100001, 100015)):
+            denom.clear_formula_caches()
+            code, out, _ = run_cli(capsys, "seq", seq_id, "--from", str(lo), "--to", str(hi))
+            assert (code, len(out.splitlines()), scans) == (0, hi - lo + 1, []), seq_id
+    code, _, _ = run_cli(capsys, "seq", "DB", "--from", "100001", "--to", "100016")
+    assert (code, scans) == (0, ["_nonconstant_segment", "_number_segment"])
+
+
+def test_seq_past_the_digit_limit_names_the_id_and_index(capsys):
+    # DD(999998) has 655 digits, DD(999991) 668, DD(999989) and DD(999990)
+    # at most 640; the second range is long enough to be filled a segment
+    # at a time
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        for lo, hi, first in ((999998, 1000000, 999998), (999989, 1000004, 999991)):
+            code, out, err = run_cli(capsys, "seq", "DD", "--from", str(lo), "--to", str(hi))
+            assert code == 2
+            printed = range(lo, first)
+            assert out == bfile((n, denom.nonconstant_denom(n).value) for n in printed)
+            assert f"DD({first})" in err and "640-digit limit" in err
+            assert "set_int_max_str_digits" not in err
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_powersum_integral_case(capsys):

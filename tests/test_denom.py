@@ -2,7 +2,7 @@
 
 import random
 from itertools import chain
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -173,6 +173,73 @@ def test_bounded_and_unbounded_scans_agree():
     large = [rng.randrange(10**5, 10**6) for _ in range(20)]
     for n in chain(range(1, 5001), large, _sqrt_boundary_indices()):
         assert nonconstant_denom(n).primes == nonconstant_denom_all_primes(n).primes, n
+
+
+def _tilings(top):
+    # segments covering 1..top, their lengths cycling through short and long
+    # ones in two orders, so that lo takes odd and even values and many
+    # segments reach across a square p^2
+    for lengths in ((1, 2, 15, 16, 2048), (2048, 16, 15, 2, 1)):
+        lo, i = 1, 0
+        while lo <= top:
+            hi = min(lo + lengths[i % len(lengths)] - 1, top)
+            yield lo, hi
+            lo, i = hi + 1, i + 1
+    # a length-16 segment around each square p^2 <= top
+    for p in primes_up_to(isqrt(top)):
+        yield max(p * p - 8, 1), min(p * p + 7, top)
+
+
+def _assert_segments_match_per_index_scans(segments, dd, d):
+    for lo, hi in segments:
+        got_dd = denom._nonconstant_segment(lo, hi)
+        got_d = denom._number_segment(lo, hi)
+        assert len(got_dd) == len(got_d) == hi - lo + 1, (lo, hi)
+        for n in range(lo, hi + 1):
+            assert tuple(got_dd[n - lo]) == dd(n), (lo, hi, n)
+            assert tuple(got_d[n - lo]) == d(n), (lo, hi, n)
+
+
+def test_segment_scans_equal_the_per_index_scans_to_20000():
+    top = 20000
+    dd = [None] + [denom._nonconstant_primes(n) for n in range(1, top + 1)]
+    d = [None] + [denom._number_primes(n) for n in range(1, top + 1)]
+    _assert_segments_match_per_index_scans(_tilings(top), dd.__getitem__, d.__getitem__)
+
+
+def test_segment_scans_equal_the_per_index_scans_at_sampled_large_segments():
+    rng = random.Random(2017)
+    segments = []
+    for _ in range(20):
+        lo = rng.randrange(10**5, 2 * 10**6)
+        segments.append((lo, lo + rng.choice((1, 2, 15, 16, 64)) - 1))
+    _assert_segments_match_per_index_scans(
+        segments, denom._nonconstant_primes, denom._number_primes
+    )
+    for lo, hi in segments[:2]:
+        got = denom._nonconstant_segment(lo, hi)
+        for n in (lo, hi):
+            assert tuple(got[n - lo]) == nonconstant_denom_all_primes(n).primes, n
+
+
+def test_filled_memos_hold_the_per_index_values(monkeypatch):
+    clear_formula_caches()
+    denom.fill_nonconstant_memo(990, 1030)
+    denom.fill_number_memo(990, 1030)
+    stored = [(nonconstant_denom(n), number_denom(n)) for n in range(990, 1031)]
+
+    def rescan(lo, hi):
+        raise AssertionError(f"segment {lo}..{hi} scanned again")
+
+    monkeypatch.setattr(denom, "_nonconstant_segment", rescan)
+    monkeypatch.setattr(denom, "_number_segment", rescan)
+    denom.fill_nonconstant_memo(1000, 1030)
+    denom.fill_number_memo(990, 1000)
+    for n, (dd, d) in zip(range(990, 1031), stored):
+        # a hit returns the stored product itself
+        assert nonconstant_denom(n) is dd and number_denom(n) is d, n
+        assert dd.primes == denom._nonconstant_primes(n), n
+        assert d.primes == denom._number_primes(n), n
 
 
 def test_a_candidate_past_the_digit_bound_is_not_looked_up(monkeypatch):
