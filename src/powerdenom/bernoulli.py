@@ -16,12 +16,27 @@ from each other by additions alone.  Each B_2k is reduced by one gcd, so its
 denominator comes from that gcd and never from von Staudt-Clausen.
 
 Polynomials are integer numerators over one common denominator.  Values
-B_k(y) share one row format: per distinct y in lowest terms, the reduced
-numerators, reduced denominators and running lcm of B_0(y), B_1(y), ...
-as int lists.  The table of Bernoulli numbers is the row of 0; every other
-row is filled upward by integer Horner over B_k(x), read from the table
-over its one lcm.  ``coefficient_denominators`` gives the reduced
-denominators of B_n(x)'s coefficients without building the polynomial.
+at a rational point share one row format: per distinct y = p/q in lowest
+terms, the reduced numerators, reduced denominators and running lcm of
+
+    A_k = q^k B_k(p/q) = sum_i C(k, i) B_i p^(k-i) q^i,   k = 0, 1, ...,
+
+as int lists.  Each A_k is an integer combination of B_0..B_k, so its
+denominator divides lcm(den B_0, ..., den B_k) and holds no power of q.
+The table of Bernoulli numbers is the row of 0 (q = 1).  Every other row
+is filled upward by one of two routes, chosen by how many entries a
+request finds missing:
+
+- at most ``HORNER_GAP`` missing: each new A_k by one Horner pass over the
+  table, with a running binomial;
+- more: the whole row from one Taylor shift of q^n B_n(u/q) by p, whose
+  u^j coefficient is C(n, j) A_(n-j) (the Appell identity
+  B_n(x + y) = sum_j C(n, j) B_(n-j)(y) x^j).
+
+Rows that grow one entry per request stay on Horner; a fresh point at a
+large index costs one shift.  ``coefficient_denominators`` gives the
+reduced denominators of B_n(x)'s coefficients without building the
+polynomial.
 
 This module is the certain oracle: exact integers throughout, no
 approximations anywhere.  The closed-form denominator products elsewhere
@@ -32,12 +47,31 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Rat = Union[int, Fraction]
-# B_k(y) for k = 0, 1, ...: reduced numerators, reduced denominators, and
-# lcms[k] = lcm(dens[0..k])
+# q^k B_k(p/q) for k = 0, 1, ... at y = p/q in lowest terms: reduced
+# numerators, reduced denominators, and lcms[k] = lcm(dens[0..k])
 Row = tuple[list[int], list[int], list[int]]
+
+# A row missing at most this many entries is extended by Horner, one pass per
+# entry; a longer gap is filled by one Taylor shift of the whole row.  One
+# shift costs as much as Horner over 10 to 20 entries, for n from 60 to 600
+# and q = 3 or 10^6, so below this gap Horner is the cheaper fill.  Rows that
+# grow one entry per request, as the sweeps and grids ask, stay on Horner.
+HORNER_GAP = 8
+
+
+def _append(row: Row, num: int, den: int) -> None:
+    """Append num/den to a row in lowest terms, with its running lcm."""
+    nums, dens, lcms = row
+    g = math.gcd(num, den)
+    den //= g
+    nums.append(num // g)
+    dens.append(den)
+    lcms.append(math.lcm(lcms[-1], den) if lcms else den)
 
 
 def _horner(coeffs: Sequence[int], p: int, q: int) -> tuple[int, int]:
@@ -187,8 +221,8 @@ class RationalPoly:
 
 
 class BernoulliCache:
-    """Growable rows of values B_k(y), one format for every y; the row of
-    y = 0 is the table of Bernoulli numbers.
+    """Growable rows of values q^k B_k(p/q), one format for every y = p/q;
+    the row of y = 0 is the table of Bernoulli numbers.
 
     Requesting index n fills every index <= n, so a row only grows, and so
     does the boustrophedon row the table is read from, whatever the order of
@@ -289,8 +323,13 @@ class BernoulliCache:
         self._last_dens = (n, dens)
         return dens
 
-    def _row(self, n: int, y: Rat) -> Row:
-        """The row of y, filled to at least index n."""
+    def row(self, n: int, y: Rat) -> Row:
+        """The row of y = p/q in lowest terms, filled to at least index n.
+
+        The cache's own lists (nums, dens, lcms): entry k is q^k B_k(y) =
+        nums[k] / dens[k] in lowest terms, and lcms[k] = lcm(dens[0..k]).
+        Callers read them and must not change them.
+        """
         if n < 0:
             raise ValueError(f"Bernoulli index must be >= 0, got {n}")
         if not isinstance(y, Fraction):
@@ -299,41 +338,96 @@ class BernoulliCache:
         row = self._rows.get((p, q))
         if row is None:
             row = self._rows[(p, q)] = ([], [], [])
-        nums, dens, lcms = row
-        if n >= len(nums):
+        if n >= len(row[0]):
             # fills the table, which is the whole fill of the row of 0
             self.number(n)
-            last = lcms[-1] if lcms else 1
-            for k in range(len(nums), n + 1):
-                # L q^k B_k(p/q), L = lcm(den B_0..B_k), over B_k(x)
-                scale, scaled = self.scaled_values(k, 0)
-                acc, qpow = _horner(_binomial_terms(k, scaled), p, q)
-                den = scale * qpow
-                g = math.gcd(acc, den)
-                nums.append(acc // g)
-                dens.append(den // g)
-                last = math.lcm(last, den // g)
-                lcms.append(last)
+            missing = n + 1 - len(row[0])
+            if missing > HORNER_GAP:
+                self._shift_fill(row, n, p, q)
+            elif missing > 0:
+                self._horner_fill(row, n, p, q)
         return row
 
+    def _horner_fill(self, row: Row, n: int, p: int, q: int) -> None:
+        """Append q^k B_k(p/q) for each missing k <= n, one pass per entry.
+
+        q^k B_k(p/q) = sum_i C(k, i) B_i p^(k-i) q^i over the table's
+        L*B_i, L = lcm(den B_0..B_k): the even i by Horner in p^2 with a
+        running binomial, since B_i = 0 at odd i >= 3, then the term of
+        B_1 = -1/2; one gcd reduces the sum.
+        """
+        tnums, tdens, tlcms = self._table
+        p2, q2 = p * p, q * q
+        for k in range(len(row[0]), n + 1):
+            scale = tlcms[k]
+            acc = scale  # B_0 = 1
+            qpow = 1
+            binom = 1
+            for i in range(2, k + 1, 2):
+                qpow *= q2
+                binom = binom * (k - i + 2) * (k - i + 1) // ((i - 1) * i)
+                acc = acc * p2 + binom * tnums[i] * (scale // tdens[i]) * qpow
+            if k % 2:
+                acc *= p
+            if k:
+                acc -= k * (scale // 2) * p ** (k - 1) * q
+            _append(row, acc, scale)
+
+    def _shift_fill(self, row: Row, n: int, p: int, q: int) -> None:
+        """Append q^k B_k(p/q) for each missing k <= n, from one Taylor shift.
+
+        H(u) = L q^n B_n(u/q) = sum_i C(n, i) L B_i q^i u^(n-i), with
+        L = lcm(den B_0..B_n), has integer coefficients, and by the Appell
+        identity its shift H(u + p) has the u^j coefficient
+        L C(n, j) q^(n-j) B_(n-j)(p/q).  The shift runs as G(v + 1) with
+        G(v) = H(p v), by repeated prefix sums over the coefficients: after
+        pass j the last one is final, p^j times the u^j coefficient of
+        H(u + p).  Dividing it by p^j C(n, j) and reducing over L gives the
+        entry at k = n - j; passes stop once every missing entry is made.
+        """
+        tnums, tdens, tlcms = self._table
+        scale = tlcms[n]
+        ppows = list(accumulate(repeat(p, n), mul, initial=1))
+        # coefficients of G, highest power of v first: C(n, i) L B_i q^i p^(n-i)
+        coeffs = []
+        qpow = 1
+        binom = 1
+        for i in range(n + 1):
+            b = tnums[i]
+            coeffs.append(binom * b * (scale // tdens[i]) * qpow * ppows[n - i] if b else 0)
+            qpow *= q
+            binom = binom * (n - i) // (i + 1)
+        scaled = []  # L q^k B_k(p/q) at k = n - j, for j = 0, 1, ...
+        binom = 1
+        for j in range(n + 1 - len(row[0])):
+            coeffs = list(accumulate(coeffs))
+            scaled.append(coeffs.pop() // (binom * ppows[j]))
+            binom = binom * (n - j) // (j + 1)
+        for a in reversed(scaled):
+            _append(row, a, scale)
+
     def value_at(self, n: int, y: Rat) -> Fraction:
-        """B_n(y), by integer Horner over B_n(x).
+        """B_n(y), read from the row of y = p/q as q^n B_n(y) over q^n.
 
         Values are kept as one row per distinct y in lowest terms, filled
-        upward: asking for B_n(y) fills B_0(y), ..., B_n(y), n + 1 entries,
+        upward: asking for B_n(y) fills the entries k = 0..n, n + 1 of them,
         unless the row already holds them.  At y = 0 the row is the table.
         """
-        nums, dens, _ = self._row(n, y)
-        return Fraction(nums[n], dens[n])
+        if not isinstance(y, Fraction):
+            y = Fraction(y)
+        nums, dens, _ = self.row(n, y)
+        return Fraction(nums[n], dens[n] * y.denominator**n)
 
     def scaled_values(self, n: int, y: Rat) -> tuple[int, tuple[int, ...]]:
-        """(L, (L*B_0(y), ..., L*B_n(y))) with L = lcm of the denominators.
+        """(L, (L*B_0(y), L*q*B_1(y), ..., L*q^n*B_n(y))) for y = p/q in
+        lowest terms, with L the lcm of the denominators.
 
-        The values at y in one fetch, read from the row of y (filled to n + 1
-        entries as ``value_at`` fills it), over one common integer
-        denominator; at y = 0 these are the Bernoulli numbers.
+        The row of y in one fetch (filled to n + 1 entries as ``value_at``
+        fills it), over one common integer denominator.  L divides
+        lcm(den B_0, ..., den B_n): no power of q is in it.  At y = 0 these
+        are the Bernoulli numbers.
         """
-        nums, dens, lcms = self._row(n, y)
+        nums, dens, lcms = self.row(n, y)
         scale = lcms[n]
         return scale, tuple(a * (scale // d) for a, d in zip(nums[: n + 1], dens))
 

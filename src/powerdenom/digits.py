@@ -82,7 +82,16 @@ class SquarefreeProduct:
         return cls(ps, math.prod(ps))
 
     def merge(self, other: "SquarefreeProduct") -> "SquarefreeProduct":
-        """lcm of two squarefree products: the union of their prime sets."""
+        """lcm of two squarefree products: the union of their prime sets.
+
+        Both are squarefree, so one value divides the other exactly when
+        its primes are a subset of the other's; then that operand is the
+        union and comes back unchanged.
+        """
+        if other.value % self.value == 0:
+            return other
+        if self.value % other.value == 0:
+            return self
         return SquarefreeProduct.of(set(self.primes) | set(other.primes))
 
     def divides(self, n: int) -> bool:

@@ -65,18 +65,26 @@ def power_sum_poly(cache: BernoulliCache, spec: ProgressionSpec) -> RationalPoly
     """The power sum as a polynomial in the term count.
 
     Coefficient of x^j (1 <= j <= n+1) is m^n C(n+1, j) B_(n+1-j)(r/m)
-    divided by n+1; the constant term is zero.  The n+1 values B_0(r/m),
-    ..., B_n(r/m) come from one ``scaled_values`` fetch over their common
-    denominator L, so the polynomial is built over (n+1) L in integers.
+    divided by n+1; the constant term is zero.  With g = gcd(r, m) and
+    m = g q, the row of r/m holds A_k = q^k B_k(r/m), so
+    m^n B_k(r/m) = g^n q^(n-k) A_k.  The row's denominators divide
+    lcm(den B_0, ..., den B_n) and hold no power of q, so the polynomial is
+    built in one pass over the row, in integers over (n+1) L with L the
+    row's lcm at n.
     """
     m, r, n = spec.m, spec.r, spec.n
-    scale, values = cache.scaled_values(n, Fraction(r, m))  # L*B_k(r/m)
-    mn = m**n
+    g = gcd(r, m)
+    q = m // g
+    values, dens, lcms = cache.row(n, Fraction(r, m))
+    scale = lcms[n]
+    w = g**n  # g^n q^(j-1) = g^n q^(n-k)
     nums = [0]
     binom = 1
     for j in range(1, n + 2):
-        binom = binom * (n + 2 - j) // j  # C(n+1, j)
-        nums.append(mn * binom * values[n + 1 - j])
+        k = n + 1 - j
+        binom = binom * (k + 1) // j  # C(n+1, j)
+        nums.append(binom * w * values[k] * (scale // dens[k]))
+        w *= q
     return RationalPoly.scaled(nums, (n + 1) * scale)
 
 

@@ -171,6 +171,9 @@ def test_value_rows_match_polynomials_in_any_order(order):
         for y in ROW_POINTS:
             values = want[F(y)][: n + 1]
             assert cache.value_at(n, y) == values[n], (n, y)
+            # the row holds q^k B_k(p/q), so its lcm has no power of q
+            q = F(y).denominator
+            values = [q**k * v for k, v in enumerate(values)]
             scale = math.lcm(*(v.denominator for v in values))
             scaled = tuple(int(scale * v) for v in values)
             assert cache.scaled_values(n, y) == (scale, scaled), (n, y)
@@ -178,6 +181,56 @@ def test_value_rows_match_polynomials_in_any_order(order):
     assert set(cache._rows) == {
         (0, 1), (1, 1), (-2, 1), (1, 2), (-1, 3), (5, 7), (2, 1), (-7, 10**6), (10**6 + 1, 3)
     }
+
+
+def _filled_row(fill, d, y):
+    """The row of y filled to index d by one route alone, from empty."""
+    cache = BernoulliCache()
+    cache.number(d)
+    row = ([], [], [])
+    fill(cache, row, d, y.numerator, y.denominator)
+    return row
+
+
+def test_shift_rows_equal_horner_rows():
+    # every distinct r/m of the T2 grid at d = 61, then seeded points with
+    # denominators up to 10^6 and numerators of either sign
+    points = [(F(r, m), 61) for r in range(4) for m in range(1, 31)]
+    rng = random.Random(2017)
+    for _ in range(200):
+        q = rng.randrange(1, 10 ** rng.randrange(1, 7))
+        points.append((F(rng.randrange(-1000, 1001), q), rng.randrange(62)))
+    for y, d in dict.fromkeys(points):
+        if y == 0:
+            continue  # the row of 0 is the table, never filled by either route
+        shifted = _filled_row(BernoulliCache._shift_fill, d, y)
+        assert shifted == _filled_row(BernoulliCache._horner_fill, d, y), (y, d)
+
+
+def test_shift_extends_a_partial_row():
+    # the shift appends only the missing entries; those already held stay
+    y = F(-2, 7)
+    cache = BernoulliCache()
+    cache.value_at(3, y)
+    held = [list(part) for part in cache.row(3, y)]
+    cache.value_at(40, y)
+    row = cache.row(40, y)
+    assert [part[:4] for part in row] == held
+    assert row == _filled_row(BernoulliCache._horner_fill, 40, y)
+
+
+@pytest.mark.parametrize("m", [3, 10**6])
+def test_fresh_point_at_large_n_in_either_order(m):
+    reference = BernoulliCache()
+    y = F(1, m)
+    want = {n: reference.polynomial(n)(y) for n in (100, 400)}
+    rows = []
+    for order in ((100, 400), (400, 100)):
+        cache = BernoulliCache()
+        for n in order:
+            assert cache.value_at(n, y) == want[n], (order, n)
+        rows.append(cache.row(400, y))
+    assert rows[0] == rows[1]
 
 
 def test_value_rows_reject_negative_index():

@@ -228,6 +228,12 @@ def test_squarefree_product_merge_is_lcm():
     assert merged.primes == (2, 3, 5, 7)
     assert merged.divides(2 * 3 * 5 * 7 * 11)
     assert not merged.divides(2 * 3 * 5)
+    # nested prime sets: the larger operand is the union, either way round
+    small = SquarefreeProduct.of([3, 7])
+    assert a.merge(small) is a and small.merge(a) is a
+    one = SquarefreeProduct.of([])
+    assert one.merge(b) is b and b.merge(one) is b
+    assert a.merge(a) is a
 
 
 def test_digit_expansion_validation():

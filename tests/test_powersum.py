@@ -118,6 +118,40 @@ def test_poly_matches_value_at_route_on_t2_grid():
     assert set(cache._rows) == {(y.numerator, y.denominator) for y in points}
 
 
+def _count_fills(monkeypatch):
+    """Count the calls of the two row fills of every BernoulliCache."""
+    calls = {"_horner_fill": 0, "_shift_fill": 0}
+    for name in calls:
+        fill = getattr(BernoulliCache, name)
+
+        def counted(self, *args, name=name, fill=fill):
+            calls[name] += 1
+            return fill(self, *args)
+
+        monkeypatch.setattr(BernoulliCache, name, counted)
+    return calls
+
+
+def test_a_fresh_point_is_one_shift(monkeypatch):
+    calls = _count_fills(monkeypatch)
+    cache = BernoulliCache()
+    assert cache.value_at(400, Fraction(1, 3)) == CACHE.polynomial(400)(Fraction(1, 3))
+    assert calls == {"_horner_fill": 0, "_shift_fill": 1}
+
+
+def test_grid_order_never_shifts(monkeypatch):
+    # each (m, r) at n = 1..60 in turn, as the sweeps and the grid benchmark
+    # ask: every row grows by one entry per request
+    calls = _count_fills(monkeypatch)
+    cache = BernoulliCache()
+    for m in range(1, 21):
+        for r in range(4):
+            for n in range(1, 61):
+                power_sum_poly(cache, ProgressionSpec(m, r, n))
+    assert calls["_shift_fill"] == 0
+    assert calls["_horner_fill"] > 0
+
+
 @settings(max_examples=60)
 @given(
     st.integers(min_value=1, max_value=12),
