@@ -44,7 +44,8 @@ primality test.  D is the reduced denominator of the table's B_n.  DB and
 DD are the lcm of the reduced denominators of B_n(x)'s coefficients
 (``BernoulliCache.coefficient_denominators``), with the constant term left
 out for DD: a polynomial's denominator in lowest terms is that lcm, so
-neither builds the polynomial.
+neither builds the polynomial.  The lcm runs over the distinct values only,
+most of which are 1.
 
 The two memoized closed forms cost O(sqrt(n)) checks once the sieve is
 built.  nonconstant_denom splits its primes at sqrt(n), as Kellner does in
@@ -293,7 +294,7 @@ def nonconstant_denom_all_primes(n: int) -> SquarefreeProduct:
 
 def nonconstant_denom_direct(cache: BernoulliCache, n: int) -> int:
     _check_index(n)
-    return lcm(*cache.coefficient_denominators(n)[1:])
+    return lcm(*set(cache.coefficient_denominators(n)[1:]))
 
 
 def full_denom(n: int) -> SquarefreeProduct:
@@ -327,7 +328,7 @@ def full_denom_split_product(n: int) -> SquarefreeProduct:
 
 def full_denom_direct(cache: BernoulliCache, n: int) -> int:
     _check_index(n)
-    return lcm(*cache.coefficient_denominators(n))
+    return lcm(*set(cache.coefficient_denominators(n)))
 
 
 # The parity of the n at which each quotient is defined: its divisibility

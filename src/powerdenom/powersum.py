@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
+from typing import Optional
 
 from .bernoulli import BernoulliCache, RationalPoly
 from .denom import full_denom, nonconstant_denom
@@ -137,33 +138,53 @@ def power_sum_difference(
     return diff
 
 
+# The other sign's value from the last am_integer pass, one slot:
+# (cache, m, r, n, value) with r the sign not yet returned.  It holds that
+# cache alive until the next call.
+_am_other: Optional[tuple[BernoulliCache, int, int, int, int]] = None
+
+
 def am_integer(cache: BernoulliCache, m: int, r: int, n: int) -> AMInteger:
     """m^n(B_n(r/m) - B_n) for any integer r, via the binomial sum.
 
-    Computed as sum_{k=0}^{n-1} C(n,k) B_k m^k r^(n-k) by Horner in m from
-    k = n-1 down, with all Bernoulli numbers scaled to a common integer
-    denominator, so the whole sum runs in integer arithmetic and integrality
-    is a single exact division at the end.  A nonzero remainder would
-    contradict the theorem and raises.
+    The sum is sum_{k=0}^{n-1} C(n,k) B_k m^k r^(n-k) with all Bernoulli
+    numbers scaled to a common integer denominator, so it runs in integer
+    arithmetic and integrality is a single exact division at the end.
+    B_k = 0 at odd k >= 3, so the sum is E + O with E the even k, by Horner
+    in m^2 with a running binomial, and O the k = 1 term; at -r it is
+    (-1)^n (E - O).  One pass gives both signs: each is checked by its own
+    division, and the other is kept in a one-slot memo for the next call,
+    which callers walking +r then -r make.  A nonzero remainder would
+    contradict the theorem and raises, naming the (m, r, n) asked for.
     """
+    global _am_other
     if m < 1:
         raise ValueError(f"difference m must be >= 1, got {m}")
     if n < 1:
         raise ValueError(f"exponent n must be >= 1, got {n}")
+    slot = _am_other
+    if slot is not None and slot[0] is cache and slot[1:4] == (m, r, n):
+        _am_other = None
+        return AMInteger(m, r, n, slot[4])
     scale, scaled = cache.scaled_numbers(n - 1)
-    total = 0
-    rpow = 1
-    for k in range(n - 1, -1, -1):
-        rpow *= r  # r^(n-k)
-        total *= m
-        s = scaled[k]
-        if s:
-            total += comb(n, k) * s * rpow
-    value, rem = divmod(total, scale)
+    m2, r2 = m * m, r * r
+    # C(n, k) and r^(n-k) at the largest even k < n, then two steps down
+    binom, rpow = (n, r) if n % 2 else (n * (n - 1) // 2, r2)
+    even = 0
+    for k in range((n - 1) & ~1, -1, -2):
+        even = even * m2 + binom * scaled[k] * rpow
+        rpow *= r2
+        binom = binom * k * (k - 1) // ((n - k + 1) * (n - k + 2))
+    odd = n * scaled[1] * m * r ** (n - 1) if n > 1 else 0
+    other = even - odd if n % 2 == 0 else odd - even
+    value, rem = divmod(even + odd, scale)
     if rem:
         raise TheoremViolationError(
             f"m^n(B_n(r/m) - B_n) non-integral at m={m}, r={r}, n={n}"
         )
+    other, rem = divmod(other, scale)
+    # a non-integral other sign is not kept: asking for it recomputes and raises
+    _am_other = None if rem else (cache, m, -r, n, other)
     return AMInteger(m, r, n, value)
 
 

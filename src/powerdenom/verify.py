@@ -248,16 +248,20 @@ def _congruence_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
 
 
 def _am_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
+    # +r then -r, so that the second is am_integer's kept other sign; the
+    # failures are sorted back into (m, r, n) order
     cache = BernoulliCache()
     checked, failures = 0, []
     for m in range(lo, hi + 1):
-        for r in range(-b.r_max, b.r_max + 1):
+        for r in range(b.r_max + 1):
             for n in range(1, b.max_n + 1):
-                checked += 1
-                try:
-                    am_integer(cache, m, r, n)
-                except TheoremViolationError as exc:
-                    failures.append(((m, r, n), "integer", str(exc)))
+                for signed in (r, -r) if r else (0,):
+                    checked += 1
+                    try:
+                        am_integer(cache, m, signed, n)
+                    except TheoremViolationError as exc:
+                        failures.append(((m, signed, n), "integer", str(exc)))
+    failures.sort(key=lambda failure: failure[0])
     return checked, failures
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from powerdenom import bernoulli
 from powerdenom.bernoulli import BernoulliCache, RationalPoly
 from powerdenom.digits import p_valuation, primes_up_to
 
@@ -64,6 +65,14 @@ def test_defining_recurrence_reasserted():
 
 
 def test_table_matches_recurrence_in_one_call():
+    assert list(BernoulliCache().numbers(400)) == REFERENCE
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, 64])
+def test_table_matches_recurrence_summed_in_blocks(monkeypatch, block):
+    # rows longer than one block, as the table makes past n = 512 at the
+    # default block, summed across block boundaries of every parity
+    monkeypatch.setattr(bernoulli, "SEIDEL_BLOCK", block)
     assert list(BernoulliCache().numbers(400)) == REFERENCE
 
 
@@ -129,6 +138,31 @@ def test_coefficient_denominators_are_the_reduced_coefficient_denominators():
     assert cache.coefficient_denominators(0) == (1,)
     with pytest.raises(ValueError):
         cache.coefficient_denominators(-1)
+
+
+def _denominators_at_every_index(dens, n):
+    """den(B_(n-j)) / gcd(den(B_(n-j)), C(n, j)) for every j = 0..n, one
+    running binomial over all n + 1 indices: the reference for the route
+    over the even indices alone."""
+    out = []
+    binom = 1
+    for j in range(n + 1):
+        d = dens[n - j]
+        out.append(d // math.gcd(d, binom))
+        binom = binom * (n - j) // (j + 1)
+    return tuple(out)
+
+
+def test_coefficient_denominators_match_the_every_index_loop_to_1500():
+    # n descending, so every call misses the one-slot memo; both parities
+    cache = BernoulliCache()
+    numbers = cache.numbers(1500)
+    for k in range(3, 1501, 2):
+        assert (numbers[k].numerator, numbers[k].denominator) == (0, 1), k
+    dens = [b.denominator for b in numbers]
+    for n in range(1500, -1, -1):
+        want = _denominators_at_every_index(dens, n)
+        assert cache.coefficient_denominators(n) == want, n
 
 
 def test_value_at_fixed_points():

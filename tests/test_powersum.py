@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from powerdenom import verify
 from powerdenom.bernoulli import BernoulliCache, RationalPoly
 from powerdenom.denom import full_denom, nonconstant_denom
+from powerdenom.errors import TheoremViolationError
 from powerdenom.powersum import (
     AMInteger,
     ProgressionSpec,
@@ -284,6 +286,91 @@ def test_am_integer_validation():
         am_integer(CACHE, 0, 1, 3)
     with pytest.raises(ValueError):
         am_integer(CACHE, 3, 1, 0)
+
+
+def _counted_scaled_numbers(monkeypatch, cache, bump=None):
+    """Count one cache's scaled_numbers calls; bump, if given, maps the
+    scaled tuple to a changed one, to force a theorem violation."""
+    calls = []
+    real = cache.scaled_numbers
+
+    def counted(n):
+        calls.append(n)
+        scale, scaled = real(n)
+        return scale, bump(scaled) if bump else scaled
+
+    monkeypatch.setattr(cache, "scaled_numbers", counted)
+    return calls
+
+
+def test_am_integer_both_signs_in_any_call_order(monkeypatch):
+    cases = [(m, r, n) for m in (1, 2, 7) for r in (0, 1, 5) for n in (1, 2, 3, 10, 31)]
+    for first, second in ((1, -1), (-1, 1), (1, 1), (-1, -1)):
+        cache = BernoulliCache()
+        calls = _counted_scaled_numbers(monkeypatch, cache)
+        for m, r, n in cases:
+            for sign in (first, second):
+                got = am_integer(cache, m, sign * r, n)
+                assert got.value == _am_integer_by_comb_sum(CACHE, m, sign * r, n)
+                assert got == AMInteger(m, sign * r, n, got.value)
+        # the second sign is the kept one; the same call twice is not, but
+        # at r = 0 both signs are one call
+        kept = sum(1 for _, r, _ in cases if first != second or r == 0)
+        assert len(calls) == 2 * len(cases) - kept, (first, second)
+
+
+def test_am_integer_recomputes_for_a_fresh_cache(monkeypatch):
+    am_integer(CACHE, 3, 2, 9)
+    cache = BernoulliCache()
+    calls = _counted_scaled_numbers(monkeypatch, cache)
+    assert am_integer(cache, 3, -2, 9).value == _am_integer_by_comb_sum(CACHE, 3, -2, 9)
+    assert calls == [8]
+
+
+def test_am_integer_names_the_sign_that_is_not_integral(monkeypatch):
+    # B_0 one unit off: at (2, +-1, 3) both sums miss by 1 against a scale of 6
+    def b0_off(scaled):
+        return (scaled[0] + 1, *scaled[1:])
+
+    for order in ((1, -1), (-1, 1)):
+        cache = BernoulliCache()
+        _counted_scaled_numbers(monkeypatch, cache, b0_off)
+        for r in order:
+            with pytest.raises(TheoremViolationError, match=f"m=2, r={r}, n=3$"):
+                am_integer(cache, 2, r, 3)
+
+    # B_0 one unit up and B_1 one unit down: at (1, 4, 4) the +r sum is
+    # unchanged and the -r sum is 512 off against a scale of 6
+    def b0_b1_off(scaled):
+        return (scaled[0] + 1, scaled[1] - 1, *scaled[2:])
+
+    want = _am_integer_by_comb_sum(CACHE, 1, 4, 4)
+    for order in ((4, -4), (-4, 4)):
+        cache = BernoulliCache()
+        _counted_scaled_numbers(monkeypatch, cache, b0_b1_off)
+        for r in order:
+            if r > 0:
+                assert am_integer(cache, 1, r, 4).value == want
+            else:
+                with pytest.raises(TheoremViolationError, match="m=1, r=-4, n=4$"):
+                    am_integer(cache, 1, r, 4)
+
+
+def test_am_sweep_reports_failures_in_axis_order(monkeypatch):
+    real = verify.am_integer
+    bad = {(1, 2, 5), (1, -2, 5), (1, -1, 7), (1, 0, 1), (2, 3, 2), (2, -3, 8)}
+
+    def failing(cache, m, r, n):
+        if (m, r, n) in bad:
+            raise TheoremViolationError(f"forced at m={m}, r={r}, n={n}")
+        return real(cache, m, r, n)
+
+    monkeypatch.setattr(verify, "am_integer", failing)
+    report = verify.run_sweep("AM-integrality", max_n=8, m_max=2, r_max=3)
+    assert report.checked == 2 * 7 * 8
+    assert report.failure_count == len(bad)
+    assert [f[0] for f in report.failures] == sorted(bad)
+    assert report.failures[0][2] == "forced at m=1, r=-2, n=5"
 
 
 def test_am_additive_relation():
