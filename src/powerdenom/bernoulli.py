@@ -15,7 +15,8 @@ numbers" (2011).  T_k is the zigzag number A_(2k-1), the last entry of row
 from each other by prefix sums alone.  Each B_2k is reduced by one gcd, so
 its denominator comes from that gcd and never from von Staudt-Clausen.
 
-Polynomials are integer numerators over one common denominator.  Values
+Polynomials (``RationalPoly``) are integer numerators over one common
+denominator, built in canonical form and evaluated; nothing else.  Values
 at a rational point share one row format: per distinct y = p/q in lowest
 terms, the reduced numerators, reduced denominators and running lcm of
 
@@ -121,8 +122,8 @@ class RationalPoly:
     over one denominator ``den``, in canonical form: den > 0,
     gcd(den, *nums) == 1 and no trailing zero numerators.  The zero
     polynomial has ``nums == ()``, ``den == 1`` and degree -1.  Instances are
-    immutable by convention; all arithmetic runs in integers and returns
-    fresh objects.
+    immutable by convention.  A polynomial is only built and evaluated; it
+    has no ring arithmetic.
     """
 
     __slots__ = ("nums", "den")
@@ -175,58 +176,11 @@ class RationalPoly:
         """Smallest d >= 1 such that d * self has integer coefficients."""
         return self.den
 
-    def coefficient(self, i: int) -> Fraction:
-        if 0 <= i < len(self.nums):
-            return Fraction(self.nums[i], self.den)
-        return Fraction(0)
-
     def __call__(self, x: Rat) -> Fraction:
         if not self.nums:
             return Fraction(0)
         acc, qpow = _horner(self.nums[::-1], x.numerator, x.denominator)
         return Fraction(acc, self.den * qpow)
-
-    def _combine(self, other: "RationalPoly", sign: int) -> "RationalPoly":
-        den = math.lcm(self.den, other.den)
-        a = [c * (den // self.den) for c in self.nums]
-        b = [sign * c * (den // other.den) for c in other.nums]
-        if len(a) < len(b):
-            a, b = b, a
-        for i, c in enumerate(b):
-            a[i] += c
-        return RationalPoly.scaled(a, den)
-
-    def __add__(self, other: "RationalPoly") -> "RationalPoly":
-        return self._combine(other, 1)
-
-    def __sub__(self, other: "RationalPoly") -> "RationalPoly":
-        return self._combine(other, -1)
-
-    def __neg__(self) -> "RationalPoly":
-        return RationalPoly.scaled([-c for c in self.nums], self.den)
-
-    def __mul__(self, other: Union["RationalPoly", Rat]) -> "RationalPoly":
-        if not isinstance(other, RationalPoly):
-            p, q = other.numerator, other.denominator
-            return RationalPoly.scaled([c * p for c in self.nums], self.den * q)
-        if self.is_zero or other.is_zero:
-            return RationalPoly()
-        out = [0] * (len(self.nums) + len(other.nums) - 1)
-        for i, a in enumerate(self.nums):
-            if not a:
-                continue
-            for j, b in enumerate(other.nums):
-                out[i + j] += a * b
-        return RationalPoly.scaled(out, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def substituted(self, inner: "RationalPoly") -> "RationalPoly":
-        """Composition self(inner(x)), by Horner over polynomials."""
-        acc = RationalPoly()
-        for c in reversed(self.nums):
-            acc = acc * inner + RationalPoly.scaled((c,), self.den)
-        return acc
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalPoly):
@@ -305,12 +259,6 @@ class BernoulliCache:
         if n >= len(nums):
             self._extend(n)
         return Fraction(nums[n], dens[n])
-
-    def numbers(self, n: int) -> tuple[Fraction, ...]:
-        """The tuple (B_0, ..., B_n)."""
-        self.number(n)
-        nums, dens, _ = self._table
-        return tuple(map(Fraction, nums[: n + 1], dens[: n + 1]))
 
     def polynomial(self, n: int) -> RationalPoly:
         """B_n(x) = sum_{k=0}^{n} C(n,k) B_k x^(n-k): monic, constant term B_n."""

@@ -44,7 +44,7 @@ from .powersum import (
     power_sum_naive,
     power_sum_poly,
 )
-from .verify import available_sweeps, run_sweep, usable_cpus
+from .verify import available_sweeps, is_grid_sweep, run_sweep, usable_cpus
 
 # id -> (closed form, rational oracle, parity of the domain or None for all
 # n >= 1, the memo fills of the closed form).  The closed forms and oracles
@@ -98,21 +98,23 @@ SEGMENT_MIN_TERMS = 16
 SEGMENT_TERMS = MEMO_BOUND // 2
 
 
-# The largest index n that ``powersum --n`` and ``bench`` accept; a larger
-# one is refused before any Bernoulli number is computed.  Both commands
-# fill the table to about n, at a cost that grows faster than n^2: the test
-# suite checks the oracles at every n up to here, and ``powersum --m 3
-# --r 1 --n 1500`` takes about half a minute.
+# The largest index n that ``powersum --n``, ``bench`` and ``verify --max``
+# of a grid sweep (T2, T3, L1, AM) accept; a larger one is refused before
+# any Bernoulli number is computed.  These commands fill the table to about
+# n, at a cost that grows faster than n^2: the test suite checks the oracles
+# at every n up to here, and ``powersum --m 3 --r 1 --n 1500`` takes about
+# half a minute.
 MAX_TABLE_N = 1500
 
-# The largest index n that ``seq --to`` accepts; a larger one is refused
-# before the sieve grows.  The bound comes from D, DD and DB, the ids that
-# use the sieve: D at n needs a flag table of n + 1 bytes and DD one of
-# about n/2, so D(10**8) peaks at about 130 MB.  DDQ and DBQ need no sieve
-# (one trial division of n + 1), but the bound stays one for all ids.
-# Below it, DD and DB outgrow Python's int-to-str digit limit (4300 digits
-# by default; DD(10**8 - 1) has 6839): ``seq`` then stops with exit 2 at
-# the first n it cannot print, naming the id, n and the limit.
+# The largest index n that ``seq --to`` and ``verify --max`` of a sweep over
+# n alone (T1, C2, T4, T5) accept; a larger one is refused before the sieve
+# grows.  The bound comes from D, DD and DB, the ids that use the sieve: D
+# at n needs a flag table of n + 1 bytes and DD one of about n/2, so
+# D(10**8) peaks at about 130 MB.  DDQ and DBQ need no sieve (one trial
+# division of n + 1), but the bound stays one for all ids.  Below it, DD and
+# DB outgrow Python's int-to-str digit limit (4300 digits by default;
+# DD(10**8 - 1) has 6839): ``seq`` then stops with exit 2 at the first n it
+# cannot print, naming the id, n and the limit.
 MAX_SEQ_N = 10**8
 
 # The largest term count x that ``powersum --x`` accepts; a larger one is
@@ -316,6 +318,9 @@ def _cmd_powersum(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    top = MAX_TABLE_N if is_grid_sweep(args.theorem_id) else MAX_SEQ_N
+    if args.max is not None and args.max > top:
+        raise ValueError(f"{args.theorem_id} takes n <= {top}, got {args.max}")
     report = run_sweep(
         args.theorem_id,
         max_n=args.max,
@@ -396,7 +401,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run one theorem sweep")
     ver.add_argument("theorem_id", choices=available_sweeps())
-    ver.add_argument("--max", type=int, default=None, help="largest n")
+    ver.add_argument(
+        "--max", type=int, default=None,
+        help=f"largest n: at most {MAX_TABLE_N} for a grid sweep over (m, r, n), "
+        f"{MAX_SEQ_N} for a sweep over n",
+    )
     ver.add_argument("--m-max", type=int, default=None, help="largest m (grid sweeps)")
     ver.add_argument("--r-max", type=int, default=None, help="largest r (grid sweeps)")
     ver.add_argument(

@@ -89,7 +89,6 @@ bound; ``clear_formula_caches`` empties both memos.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from itertools import compress
 from math import isqrt, lcm, prod
 from typing import Callable
@@ -99,12 +98,11 @@ from .digits import (
     SquarefreeProduct,
     digit_sum,
     factorize,
-    is_prime,
     prime_flags,
     primes_up_to,
     radical,
 )
-from .errors import SearchCapExceeded, TheoremViolationError
+from .errors import TheoremViolationError
 
 # The most indices each memo keeps.  Every caller reads the memos locally
 # in n (DB reads DD and D at n, the C2 sweep n and n + 1, ``seq`` one
@@ -421,55 +419,3 @@ def _exact_quotient(denom: Callable[[int], SquarefreeProduct], name: str, n: int
             f"{name} denominator at n+1 must divide value at n: n={n}, {a}/{b}"
         )
     return q
-
-
-@dataclass(frozen=True, slots=True)
-class DenomTriple:
-    """All three denominators at one index, formula path only.
-
-    Construction re-checks the lcm law tying the three together and the
-    evenness of the full denominator; both are theorems, so a failure here
-    is an implementation bug, not bad input.
-    """
-
-    n: int
-    number: SquarefreeProduct
-    nonconstant: SquarefreeProduct
-    full: SquarefreeProduct
-
-    def __post_init__(self) -> None:
-        if self.full.value != lcm(self.nonconstant.value, self.number.value):
-            raise TheoremViolationError(
-                f"full denominator at n={self.n} is not the lcm of its parts"
-            )
-        if 2 not in self.full.primes:
-            raise TheoremViolationError(
-                f"full denominator at n={self.n} must be even"
-            )
-
-
-def denominator_triple(n: int) -> DenomTriple:
-    _check_index(n)
-    return DenomTriple(n, number_denom(n), nonconstant_denom(n), full_denom(n))
-
-
-def first_index_digit_sum_reaches(p: int, q: int, cap: int = 10_000) -> int:
-    """Smallest k >= 1 with digit_sum(p, q^k) >= p, by linear scan.
-
-    Existence is guaranteed for any two distinct primes, but the guarantee is
-    not effective: no bound on k comes with it.  The scan therefore stops at
-    ``cap`` and reports exhaustion distinctly from bad input.  The first index
-    says nothing about larger k; the digit sum can dip below p again.
-    """
-    if not is_prime(p) or not is_prime(q):
-        raise ValueError(f"both arguments must be prime, got ({p}, {q})")
-    if p == q:
-        raise ValueError("primes must be distinct")
-    power = 1
-    for k in range(1, cap + 1):
-        power *= q
-        if digit_sum(p, power) >= p:
-            return k
-    raise SearchCapExceeded(
-        f"digit_sum({p}, {q}^k) stayed below {p} for all k <= {cap}"
-    )

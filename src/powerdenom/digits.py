@@ -19,47 +19,14 @@ from itertools import compress
 
 
 @dataclass(frozen=True)
-class DigitExpansion:
-    """Digits of a non-negative integer in some base, least significant first.
-
-    Canonical form: the most significant digit is nonzero, and the expansion
-    of 0 is empty.  ``value`` reconstructs the expanded integer.
-    """
-
-    base: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.base < 2:
-            raise ValueError(f"base must be >= 2, got {self.base}")
-        if any(d < 0 or d >= self.base for d in self.digits):
-            raise ValueError("digits must lie in [0, base-1]")
-        if self.digits and self.digits[-1] == 0:
-            raise ValueError("most significant digit must be nonzero")
-
-    @property
-    def value(self) -> int:
-        total = 0
-        for d in reversed(self.digits):
-            total = total * self.base + d
-        return total
-
-    def digit_sum(self) -> int:
-        return sum(self.digits)
-
-    def __len__(self) -> int:
-        return len(self.digits)
-
-
-@dataclass(frozen=True)
 class SquarefreeProduct:
     """A squarefree positive integer together with its (sorted) prime divisors.
 
     The empty product is 1.  Construct via :meth:`of`, which derives the value
     from the primes; the constructor itself only checks cheap structural
     invariants (strictly increasing primes, consistent product).  Full
-    primality of every member is the constructors' responsibility and is
-    re-verified by :meth:`validate` in the test suite.
+    primality of every member is the constructors' responsibility; the test
+    suite re-verifies it by trial division.
     """
 
     primes: tuple[int, ...]
@@ -96,25 +63,6 @@ class SquarefreeProduct:
 
     def divides(self, n: int) -> bool:
         return n % self.value == 0
-
-    def validate(self) -> None:
-        """Assert every member is prime (trial division); used by tests."""
-        for p in self.primes:
-            if not is_prime(p):
-                raise ValueError(f"{p} is not prime")
-
-
-def expand(n: int, base: int) -> DigitExpansion:
-    """Base expansion of ``n >= 0``, least significant digit first."""
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
-    if n < 0:
-        raise ValueError(f"cannot expand negative value {n}")
-    digits = []
-    while n:
-        n, d = divmod(n, base)
-        digits.append(d)
-    return DigitExpansion(base, tuple(digits))
 
 
 def digit_sum(base: int, n: int) -> int:

@@ -1,8 +1,8 @@
 """Error types shared across the package.
 
 Plain ``ValueError`` is used for bad input (out-of-domain arguments, wrong
-parity, unknown identifiers).  The classes below mark conditions that are
-*not* input errors.
+parity, unknown identifiers).  The one class below marks the condition that
+is *not* an input error.
 """
 
 
@@ -14,13 +14,4 @@ class TheoremViolationError(Exception):
     of denominator quotients, formula/oracle agreement) are theorems.  The
     test harness and the CLI treat it as a hard failure distinct from usage
     errors.
-    """
-
-
-class SearchCapExceeded(Exception):
-    """An open-ended search hit its configured cap before finding a witness.
-
-    Raised by first-index searches whose termination is guaranteed by an
-    existence theorem without an effective bound.  Distinct from ValueError
-    so callers can tell "bad input" from "raise the cap and retry".
     """

@@ -8,17 +8,18 @@ of the whole coefficient vector from a single divisibility, and computes the
 scaled polynomial differences m^n(B_n(r/m) - B_n), which are always integers
 (Almkvist and Meurman's theorem) and carry a p-power divisibility tied to n.
 
-Theorem-level identities (integrality of the scaled differences, coefficient
-integrality of difference polynomials) are enforced at construction time and
-raise TheoremViolationError on failure: such a failure can only mean a bug
-here, never bad input.
+The integrality of the scaled differences is enforced at construction time
+and raises TheoremViolationError on failure: such a failure can only mean a
+bug here, never bad input.  That the difference of two power sums with the
+same m and n has integer coefficients is checked by the T2 sweep in
+``verify``, which builds the polynomials at every start r of its grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 from typing import Optional
 
 from .bernoulli import BernoulliCache, RationalPoly
@@ -123,21 +124,6 @@ def is_integral(spec: ProgressionSpec) -> bool:
     return spec.m % full_denom(spec.n).value == 0
 
 
-def power_sum_difference(
-    cache: BernoulliCache, m: int, r1: int, r2: int, n: int
-) -> RationalPoly:
-    """Difference of two power sums sharing m and n; always in Z[x]."""
-    diff = power_sum_poly(cache, ProgressionSpec(m, r1, n)) - power_sum_poly(
-        cache, ProgressionSpec(m, r2, n)
-    )
-    if diff.denominator != 1:
-        raise TheoremViolationError(
-            f"difference polynomial for m={m}, r1={r1}, r2={r2}, n={n} "
-            f"has denominator {diff.denominator}"
-        )
-    return diff
-
-
 # The other sign's value from the last am_integer pass, one slot:
 # (cache, m, r, n, value) with r the sign not yet returned.  It holds that
 # cache alive until the next call.
@@ -207,15 +193,3 @@ def am_congruence_check(
         return True
     return am_integer(cache, m, r, n).value % p**e == 0
 
-
-def c_coeff(n: int, k: int) -> Fraction:
-    """C(n, k-1)/k, the coefficient weight of the kth power sum term.
-
-    Symmetric under k -> n+1-k and equal to C(n+1, k)/(n+1); its denominator
-    divides gcd(n+1, k).
-    """
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if k < 1 or k > n:
-        raise ValueError(f"need 1 <= k <= n, got k = {k}")
-    return Fraction(comb(n, k - 1), k)

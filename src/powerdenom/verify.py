@@ -12,13 +12,14 @@ deterministic regardless of worker count.
 Sweep ids (each report's first line prints the bounds it ran with):
 
   T1-parity        nonconstant denominator odd exactly at powers of two
-  T2-denominator   closed-form power sum denominator vs. the polynomial
+  T2-denominator   closed-form power sum denominator vs. the polynomial, the
+                   same for every r, and differences across r in Z[x]
   T3-integrality   integrality flag vs. actual integer coefficients
   C2-relations     successor lcm laws, divisibility, radicals, evenness
   T4-quotients     nonconstant denominator quotients (odd n): the prime-set
                    form against exact division, then their structure
   T5-quotients     full denominator quotients (even n): the same
-  L1-congruence    prime power divisibility of scaled differences
+  L1-congruence    prime power divisibility of scaled differences at +r and -r
   AM-integrality   integrality of m^n(B_n(r/m) - B_n) over a signed grid
 """
 
@@ -27,6 +28,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, replace
+from itertools import zip_longest
 from math import lcm
 from typing import Callable, Optional
 
@@ -104,16 +106,22 @@ def _denominator_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
                 checked += 1
                 spec = ProgressionSpec(m, r, n)
                 formula = power_sum_denominator(spec)
-                direct = power_sum_poly(cache, spec).denominator
-                if formula != direct:
-                    failures.append(((m, r, n), str(formula), str(direct)))
+                poly = power_sum_poly(cache, spec)
+                if formula != poly.denominator:
+                    failures.append(((m, r, n), str(formula), str(poly.denominator)))
                     continue
                 if seen is None:
-                    seen = formula
+                    seen, first = formula, poly.nums
                 elif formula != seen:
                     failures.append(
                         ((m, r, n), f"same for every r ({seen})", str(formula))
                     )
+                # one denominator d for every r: the difference from the first
+                # r is in Z[x] exactly when d divides each numerator difference
+                elif any(
+                    (a - z) % seen for a, z in zip_longest(poly.nums, first, fillvalue=0)
+                ):
+                    failures.append(((m, r, n), "difference in Z[x]", "not"))
                 if envelope % formula:
                     failures.append(
                         ((m, r, n), f"divisor of {envelope}", str(formula))
@@ -230,6 +238,8 @@ def _db_quotient_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
 
 
 def _congruence_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
+    # +r then -r at each (p, e), as _am_chunk walks them, so that -r is
+    # am_integer's kept other sign; failures are sorted into (m, r, n, p, e) order
     cache = BernoulliCache()
     small_primes = primes_up_to(13)
     checked, failures = 0, []
@@ -239,11 +249,13 @@ def _congruence_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
             for n in range(1, b.max_n + 1):
                 for p in usable:
                     for e in range(p_valuation(p, n) + 1):
-                        checked += 1
-                        if not am_congruence_check(cache, m, r, n, p, e):
-                            failures.append(
-                                ((m, r, n, p, e), f"divisible by {p}^{e}", "not")
-                            )
+                        for signed in (r, -r) if r else (0,):
+                            checked += 1
+                            if not am_congruence_check(cache, m, signed, n, p, e):
+                                failures.append(
+                                    ((m, signed, n, p, e), f"divisible by {p}^{e}", "not")
+                                )
+    failures.sort(key=lambda failure: failure[0])
     return checked, failures
 
 
@@ -280,6 +292,10 @@ def _grid_label(b: Bounds) -> str:
     return f"m <= {b.m_max}, r <= {b.r_max}, n <= {b.max_n}"
 
 
+def _signed_grid_label(b: Bounds) -> str:
+    return f"m <= {b.m_max}, |r| <= {b.r_max}, n <= {b.max_n}"
+
+
 _SWEEPS: dict[str, _SweepDef] = {
     "T1-parity": _SweepDef(Bounds(4096), _parity_chunk, _n_label),
     "T2-denominator": _SweepDef(
@@ -294,18 +310,23 @@ _SWEEPS: dict[str, _SweepDef] = {
     "L1-congruence": _SweepDef(
         Bounds(60, m_max=20, r_max=20),
         _congruence_chunk,
-        lambda b: f"{_grid_label(b)}, p <= 13",
+        lambda b: f"{_signed_grid_label(b)}, p <= 13",
     ),
     "AM-integrality": _SweepDef(
         Bounds(80, m_max=40, r_max=40),
         _am_chunk,
-        lambda b: f"m <= {b.m_max}, |r| <= {b.r_max}, n <= {b.max_n}",
+        _signed_grid_label,
     ),
 }
 
 
 def available_sweeps() -> tuple[str, ...]:
     return tuple(_SWEEPS)
+
+
+def is_grid_sweep(theorem_id: str) -> bool:
+    """Whether the sweep runs over (m, r, n), and not over n alone."""
+    return _SWEEPS[theorem_id].defaults.m_max is not None
 
 
 def usable_cpus() -> int:
@@ -343,7 +364,7 @@ def run_sweep(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     sweep = _SWEEPS[theorem_id]
-    grid = sweep.defaults.m_max is not None
+    grid = is_grid_sweep(theorem_id)
     if not grid and (m_max is not None or r_max is not None):
         raise ValueError(f"{theorem_id} sweeps n only; it takes no m or r bound")
     given = {"max_n": max_n, "m_max": m_max, "r_max": r_max}

@@ -467,6 +467,32 @@ def test_table_bound_is_refused_before_any_table_fill(capsys, monkeypatch):
         assert f"n <= {cli.MAX_TABLE_N}" in err, argv
 
 
+def test_verify_bound_is_refused_before_any_table_fill_or_sieve(capsys, monkeypatch):
+    def no_fill(self, n):
+        raise AssertionError(f"table filled to {n}")
+
+    def no_sieve(bound):
+        raise AssertionError(f"sieve grown to {bound}")
+
+    monkeypatch.setattr(BernoulliCache, "_extend", no_fill)
+    for module in (digits, denom):
+        monkeypatch.setattr(module, "prime_flags", no_sieve)
+    grids = ("T2-denominator", "T3-integrality", "L1-congruence", "AM-integrality")
+    for theorem_id in verify.available_sweeps():
+        if theorem_id in grids:
+            top, extra = cli.MAX_TABLE_N, ("--m-max", "1", "--r-max", "1")
+        else:
+            top, extra = cli.MAX_SEQ_N, ()
+        argv = ("verify", theorem_id, "--max", str(top + 1), *extra, "--jobs", "1")
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert f"n <= {top}" in err, argv
+    code, out, _ = run_cli(capsys, "verify", "--help")
+    assert code == 0
+    assert f"at most {cli.MAX_TABLE_N} for a grid sweep" in " ".join(out.split())
+    assert f"{cli.MAX_SEQ_N} for a sweep over n" in " ".join(out.split())
+
+
 def test_term_count_bound_is_refused_before_any_work(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError(f"work started for {args[1:]}")
@@ -569,15 +595,12 @@ LIBRARY = (
 # each name that left the package root, by the module that defines it
 MOVED = {
     "cli": ("BenchRecord", "run_bench"),
-    "denom": ("DenomTriple", "denominator_triple", "first_index_digit_sum_reaches",
-              "full_denom_quotient_by_division", "full_denom_split_product",
+    "denom": ("full_denom_quotient_by_division", "full_denom_split_product",
               "full_denom_via_successor", "nonconstant_denom_all_primes",
               "nonconstant_quotient_by_division"),
-    "digits": ("DigitExpansion", "SquarefreeProduct", "digit_sum", "expand", "is_prime",
-               "p_valuation", "primes_up_to", "radical"),
-    "errors": ("SearchCapExceeded",),
-    "powersum": ("AMInteger", "am_congruence_check", "c_coeff", "power_sum_difference",
-                 "power_sum_naive"),
+    "digits": ("SquarefreeProduct", "digit_sum", "is_prime", "p_valuation",
+               "primes_up_to", "radical"),
+    "powersum": ("AMInteger", "am_congruence_check", "power_sum_naive"),
     "verify": ("SweepReport", "available_sweeps", "run_sweep"),
 }
 

@@ -13,10 +13,7 @@ from powerdenom.bernoulli import BernoulliCache
 from powerdenom.denom import (
     FULL_QUOTIENT_PARITY,
     NONCONSTANT_QUOTIENT_PARITY,
-    DenomTriple,
     clear_formula_caches,
-    denominator_triple,
-    first_index_digit_sum_reaches,
     full_denom,
     full_denom_direct,
     full_denom_quotient,
@@ -33,7 +30,6 @@ from powerdenom.denom import (
     parity_indices,
 )
 from powerdenom.digits import SquarefreeProduct, digit_sum, primes_up_to
-from powerdenom.errors import SearchCapExceeded
 
 CACHE = BernoulliCache()
 
@@ -265,7 +261,7 @@ def test_number_denom_matches_sieve_filter():
 def test_products_are_valid_squarefree():
     for n in range(1, 120):
         for sp in (nonconstant_denom(n), number_denom(n), full_denom(n)):
-            sp.validate()
+            assert all(digits.is_prime(p) for p in sp.primes), (n, sp)
 
 
 def test_nonconstant_odd_iff_power_of_two_small():
@@ -322,60 +318,35 @@ def test_quotients_by_division_check_divisibility(monkeypatch):
 
 def test_sequences_reject_nonpositive_index():
     for fn in (nonconstant_denom, nonconstant_denom_all_primes, number_denom,
-               full_denom, full_denom_via_successor, full_denom_split_product,
-               denominator_triple):
+               full_denom, full_denom_via_successor, full_denom_split_product):
         with pytest.raises(ValueError):
             fn(0)
     with pytest.raises(ValueError):
         nonconstant_denom_direct(CACHE, -3)
 
 
-def test_denominator_triple_structure():
-    for n in range(1, 201):
-        triple = denominator_triple(n)
-        assert triple.full.value == lcm(triple.nonconstant.value, triple.number.value)
-        assert triple.full.value % 2 == 0
-
-
-def test_denominator_triple_rejects_inconsistent_parts():
-    from powerdenom.errors import TheoremViolationError
-
-    two = SquarefreeProduct.of([2])
-    six = SquarefreeProduct.of([2, 3])
-    with pytest.raises(TheoremViolationError):
-        DenomTriple(1, six, two, two)  # full != lcm(parts)
-    odd = SquarefreeProduct.of([3])
-    with pytest.raises(TheoremViolationError):
-        DenomTriple(1, odd, odd, odd)  # full must be even
+def _first_index_digit_sum_reaches(p, q):
+    """Smallest k >= 1 with s_p(q^k) >= p, by linear search: it ends for any
+    two distinct primes, though no bound on k comes with that."""
+    k, power = 1, q
+    while digit_sum(p, power) < p:
+        k, power = k + 1, power * q
+    return k
 
 
 def test_first_index_examples():
-    assert first_index_digit_sum_reaches(3, 2) == 3
-    assert first_index_digit_sum_reaches(5, 2) == 6
+    assert _first_index_digit_sum_reaches(3, 2) == 3
+    assert _first_index_digit_sum_reaches(5, 2) == 6
     for q in (3, 5, 7, 11, 47):
-        assert first_index_digit_sum_reaches(2, q) == 1
+        assert _first_index_digit_sum_reaches(2, q) == 1
 
 
 def test_first_index_really_is_first():
     for p, q in ((3, 2), (5, 2), (7, 2), (5, 3), (11, 7)):
-        k = first_index_digit_sum_reaches(p, q)
+        k = _first_index_digit_sum_reaches(p, q)
         assert digit_sum(p, q**k) >= p
         for j in range(1, k):
             assert digit_sum(p, q**j) < p
-
-
-def test_first_index_input_validation():
-    with pytest.raises(ValueError):
-        first_index_digit_sum_reaches(4, 3)
-    with pytest.raises(ValueError):
-        first_index_digit_sum_reaches(3, 9)
-    with pytest.raises(ValueError):
-        first_index_digit_sum_reaches(5, 5)
-
-
-def test_first_index_cap_is_reported_distinctly():
-    with pytest.raises(SearchCapExceeded):
-        first_index_digit_sum_reaches(5, 2, cap=5)  # true first index is 6
 
 
 def test_clear_formula_caches_preserves_values():

@@ -1,4 +1,4 @@
-"""Digit expansions, valuations, radicals, sieve vs. trial division."""
+"""Digit sums, valuations, radicals, sieve vs. trial division."""
 
 import math
 import random
@@ -10,10 +10,8 @@ import hypothesis.strategies as st
 
 from powerdenom import digits
 from powerdenom.digits import (
-    DigitExpansion,
     SquarefreeProduct,
     digit_sum,
-    expand,
     factorize,
     is_prime,
     p_valuation,
@@ -25,31 +23,19 @@ from powerdenom.digits import (
 PRIMES_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
 
-def test_expand_examples():
-    assert expand(0, 2).digits == ()
-    assert expand(8, 2).digits == (0, 0, 0, 1)
-    assert expand(8, 3).digits == (2, 2)
-
-
-def test_expand_rejects_bad_input():
+def test_digit_sum_rejects_bad_input():
     with pytest.raises(ValueError):
-        expand(5, 1)
+        digit_sum(1, 5)
     with pytest.raises(ValueError):
-        expand(-1, 2)
-
-
-@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=2, max_value=64))
-def test_expand_reconstructs(n, base):
-    e = expand(n, base)
-    assert e.value == n
-    assert all(0 <= d < base for d in e.digits)
-    if e.digits:
-        assert e.digits[-1] != 0
+        digit_sum(2, -1)
 
 
 @given(st.integers(min_value=0, max_value=10**12), st.integers(min_value=2, max_value=40))
-def test_digit_sum_matches_expansion(n, base):
-    assert digit_sum(base, n) == expand(n, base).digit_sum()
+def test_digit_sum_satisfies_legendre(n, base):
+    # sum_{i>=1} floor(n / b^i) = (n - s_b(n)) / (b - 1), the floors taken
+    # without any digit loop; b^i > n once i reaches the bit length of n
+    floors = sum(n // base**i for i in range(1, n.bit_length() + 1))
+    assert floors * (base - 1) == n - digit_sum(base, n)
 
 
 def test_digit_sum_examples():
@@ -131,7 +117,7 @@ def test_factorize_to_5000():
 def test_radical_divides_and_is_squarefree(k):
     r = radical(k)
     assert k % r.value == 0
-    r.validate()
+    assert all(is_prime(p) for p in r.primes)
     for p in r.primes:
         assert r.value % (p * p) != 0
 
@@ -234,16 +220,6 @@ def test_squarefree_product_merge_is_lcm():
     one = SquarefreeProduct.of([])
     assert one.merge(b) is b and b.merge(one) is b
     assert a.merge(a) is a
-
-
-def test_digit_expansion_validation():
-    with pytest.raises(ValueError):
-        DigitExpansion(2, (0, 2))  # digit out of range
-    with pytest.raises(ValueError):
-        DigitExpansion(2, (1, 0))  # leading zero
-    with pytest.raises(ValueError):
-        DigitExpansion(1, ())
-    assert len(DigitExpansion(3, (2, 2))) == 2
 
 
 @settings(max_examples=30)

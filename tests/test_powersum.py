@@ -2,25 +2,24 @@
 
 import random
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from powerdenom import verify
+from powerdenom import powersum, verify
 from powerdenom.bernoulli import BernoulliCache, RationalPoly
 from powerdenom.denom import full_denom, nonconstant_denom
+from powerdenom.digits import p_valuation, primes_up_to
 from powerdenom.errors import TheoremViolationError
 from powerdenom.powersum import (
     AMInteger,
     ProgressionSpec,
     am_congruence_check,
     am_integer,
-    c_coeff,
     is_integral,
     power_sum_denominator,
-    power_sum_difference,
     power_sum_naive,
     power_sum_poly,
 )
@@ -74,7 +73,7 @@ def test_poly_shape():
     for m, r, n in ((1, 0, 1), (4, 3, 7), (9, 2, 12)):
         f = power_sum_poly(CACHE, ProgressionSpec(m, r, n))
         assert f.degree == n + 1
-        assert f.coefficient(0) == 0
+        assert f.coeffs[0] == 0
 
 
 def test_poly_matches_naive_small_grid():
@@ -172,7 +171,7 @@ def test_scaling_identity():
         base = power_sum_poly(CACHE, ProgressionSpec(1, 0, n))
         for m in range(1, 11):
             scaled = power_sum_poly(CACHE, ProgressionSpec(m, 0, n))
-            assert scaled == base * m**n, (m, n)
+            assert scaled == RationalPoly(c * m**n for c in base.coeffs), (m, n)
 
 
 def test_denominator_spot_values():
@@ -220,17 +219,6 @@ def test_integrality_equivalence_sampled(m, r, n):
     assert flag == (m % full_denom(n).value == 0)
 
 
-def test_difference_examples():
-    assert power_sum_difference(CACHE, 5, 3, 3, 7).is_zero
-    assert power_sum_difference(CACHE, 2, 1, 0, 1) == RationalPoly((0, 1))
-    assert power_sum_difference(CACHE, 6, 1, 0, 2) == RationalPoly((0, -5, 6))
-
-
-def test_difference_rejects_negative_start():
-    with pytest.raises(ValueError):
-        power_sum_difference(CACHE, 2, -1, 0, 3)
-
-
 @settings(max_examples=60)
 @given(
     st.integers(min_value=1, max_value=8),
@@ -239,8 +227,11 @@ def test_difference_rejects_negative_start():
     st.integers(min_value=1, max_value=20),
 )
 def test_difference_is_integral(m, r1, r2, n):
-    diff = power_sum_difference(CACHE, m, r1, r2, n)
-    assert diff.denominator == 1
+    # one denominator d for both starts, and d divides each difference of
+    # numerators: the check the T2 sweep makes across r
+    f, g = (power_sum_poly(CACHE, ProgressionSpec(m, r, n)) for r in (r1, r2))
+    assert f.den == g.den
+    assert all((a - b) % f.den == 0 for a, b in zip(f.nums, g.nums, strict=True))
 
 
 def test_am_integer_examples():
@@ -373,6 +364,51 @@ def test_am_sweep_reports_failures_in_axis_order(monkeypatch):
     assert report.failures[0][2] == "forced at m=1, r=-2, n=5"
 
 
+def test_t2_reports_a_numerator_changed_at_one_start(monkeypatch):
+    real = verify.power_sum_poly
+
+    def bent(cache, spec):
+        f = real(cache, spec)
+        if spec.r != 1:
+            return f
+        # constant term 1/d in place of 0: the denominator d stays, and the
+        # difference from r = 0 leaves Z[x] unless d = 1
+        return RationalPoly.scaled((1, *f.nums[1:]), f.den)
+
+    monkeypatch.setattr(verify, "power_sum_poly", bent)
+    report = verify.run_sweep("T2-denominator", max_n=6, m_max=3, r_max=2)
+    want = [
+        (m, 1, n)
+        for m in range(1, 4)
+        for n in range(1, 7)
+        if power_sum_denominator(ProgressionSpec(m, 1, n)) > 1
+    ]
+    assert 0 < len(want) < 18
+    assert [f[0] for f in report.failures] == want
+    assert {f[1] for f in report.failures} == {"difference in Z[x]"}
+
+
+def test_l1_reports_an_am_integer_wrong_only_at_negative_starts(monkeypatch):
+    real = powersum.am_integer
+
+    def off_below_zero(cache, m, r, n):
+        got = real(cache, m, r, n)
+        return got if r >= 0 else AMInteger(m, r, n, got.value + 1)
+
+    monkeypatch.setattr(powersum, "am_integer", off_below_zero)
+    report = verify.run_sweep("L1-congruence", max_n=4, m_max=1, r_max=2)
+    # p^e with e >= 1 divides the true value, so never the value plus one
+    want = sorted(
+        (1, -r, n, p, e)
+        for r in (1, 2)
+        for n in range(1, 5)
+        for p in primes_up_to(13)
+        for e in range(1, p_valuation(p, n) + 1)
+    )
+    assert [f[0] for f in report.failures] == want
+    assert report.range_label == "m <= 1, |r| <= 2, n <= 4, p <= 13"
+
+
 def test_am_additive_relation():
     # shifting the start by r2 re-expands through binomials; the k = 0 term
     # vanishes because the n = 0 difference is zero
@@ -411,37 +447,12 @@ def test_am_congruence_validation():
 
 
 def test_triple_product_integrality():
-    # c(n,k) * m^(n-k) * (scaled difference at exponent k) is an integer
+    # C(n, k-1)/k * m^(n-k) * (scaled difference at exponent k) is an integer
     for m in range(1, 13):
         for r in range(13):
             diffs = [am_integer(CACHE, m, r, k).value for k in range(1, 31)]
             for n in range(1, 31):
                 for k in range(1, n + 1):
-                    value = c_coeff(n, k) * m ** (n - k) * diffs[k - 1]
+                    value = F(comb(n, k - 1), k) * m ** (n - k) * diffs[k - 1]
                     assert value.denominator == 1, (m, r, n, k)
 
-
-def test_c_coeff_values():
-    assert c_coeff(5, 3) == F(10, 3)
-    for n in range(1, 30):
-        assert c_coeff(n, 1) == 1
-        assert c_coeff(n, n) == 1
-
-
-def test_c_coeff_validation():
-    with pytest.raises(ValueError):
-        c_coeff(5, 0)
-    with pytest.raises(ValueError):
-        c_coeff(5, 6)
-    with pytest.raises(ValueError):
-        c_coeff(0, 1)
-
-
-def test_c_coeff_structure_to_200():
-    for n in range(1, 201):
-        for k in range(1, n + 1):
-            value = c_coeff(n, k)
-            assert value == F(comb(n + 1, k), n + 1)
-            assert value == c_coeff(n, n + 1 - k)
-            assert gcd(n + 1, k) % value.denominator == 0
-            assert 2 * value.denominator <= n + 1
