@@ -5,6 +5,14 @@ lines, ``powersum`` prints one power sum polynomial with its denominator and
 integrality verdict, ``verify`` runs a theorem sweep and reports failures,
 ``bench`` compares the closed-form path against the rational oracle.
 
+Each command adds its arguments in one function (``_seq_arguments`` and so
+on).  ``main`` parses an argv that starts with a command name with that
+command's own parser, built the first time the command runs in the process,
+so a query is one argparse pass.  Any other argv (``--help``, no command, an
+unknown command) goes to ``build_parser``, the whole tree, which the same
+functions fill.  The one visible difference: unrecognized arguments are
+reported under the command's usage line, not under ``powerdenom``'s.
+
 Exit codes: 0 success, 1 a verification sweep found failures, 2 usage error,
 3 an internal identity was violated (a bug, never bad input).
 """
@@ -138,6 +146,16 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     formula, _, parity, fills = SEQUENCES[args.seq_id]
     ns = indices(args.seq_id, lo, hi)
     sep = "," if args.format == "csv" else " "
+
+    def too_long(n: int) -> ValueError:
+        # str() of an int past the interpreter's digit limit, which is
+        # process-wide, as in ``powersum``
+        return ValueError(
+            f"{args.seq_id}({n}) is longer than Python's "
+            f"{sys.get_int_max_str_digits()}-digit limit for int-to-str "
+            "conversion; the lines before it are printed"
+        )
+
     out = sys.stdout
     if args.format == "csv":
         out.write("n,a_n\n")
@@ -145,20 +163,23 @@ def _cmd_seq(args: argparse.Namespace) -> int:
         fills = ()
     for start in range(0, len(ns), SEGMENT_TERMS):
         segment = ns[start : start + SEGMENT_TERMS]
+        # the first line is formatted before the fills, by the per-index
+        # path, so a first value past the digit limit stops before any scan
+        n = segment[0]
+        value = formula(n)
+        try:
+            first = f"{n}{sep}{value}\n"
+        except ValueError:
+            raise too_long(n) from None
         for fill in fills:
-            fill(segment[0], segment[-1])
-        for n in segment:
+            fill(n, segment[-1])
+        out.write(first)
+        for n in segment[1:]:
             value = formula(n)
             try:
                 line = f"{n}{sep}{value}\n"
             except ValueError:
-                # str() of an int past the interpreter's digit limit, which
-                # is process-wide, as in ``powersum``
-                raise ValueError(
-                    f"{args.seq_id}({n}) is longer than Python's "
-                    f"{sys.get_int_max_str_digits()}-digit limit for int-to-str "
-                    "conversion; the lines before it are printed"
-                ) from None
+                raise too_long(n) from None
             out.write(line)
     skipped = hi - lo + 1 - len(ns)
     if skipped:
@@ -360,7 +381,75 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _seq_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("seq_id", choices=tuple(SEQUENCES), help="sequence to emit")
+    parser.add_argument("--from", dest="start", type=int, required=True, metavar="N")
+    parser.add_argument(
+        "--to", dest="stop", type=int, required=True, metavar="N",
+        help=f"last index, at most {MAX_SEQ_N}",
+    )
+    parser.add_argument(
+        "--format", choices=("csv", "bfile"), default="bfile",
+        help="csv with header n,a_n or OEIS b-file lines (default)",
+    )
+
+
+def _powersum_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.description = "n = 0 is allowed here and prints the trivial sum x."
+    parser.add_argument("--m", type=int, required=True, help="common difference, >= 1")
+    parser.add_argument("--r", type=int, required=True, help="first term, >= 0")
+    parser.add_argument(
+        "--n", type=int, required=True, help=f"exponent, 0 <= n <= {MAX_TABLE_N}"
+    )
+    parser.add_argument(
+        "--x", type=int, default=None,
+        help=f"also evaluate at x terms and cross-check, 0 <= x <= {MAX_POWERSUM_X}",
+    )
+
+
+def _verify_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("theorem_id", choices=available_sweeps())
+    parser.add_argument(
+        "--max", type=int, default=None,
+        help=f"largest n: at most {MAX_TABLE_N} for a grid sweep over (m, r, n), "
+        f"{MAX_SEQ_N} for a sweep over n",
+    )
+    parser.add_argument("--m-max", type=int, default=None, help="largest m (grid sweeps)")
+    parser.add_argument("--r-max", type=int, default=None, help="largest r (grid sweeps)")
+    parser.add_argument(
+        "--jobs", type=int, default=usable_cpus(),
+        help="worker processes, at most the usable CPUs (default: all of them)",
+    )
+
+
+def _bench_arguments(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("sequence_id", choices=tuple(SEQUENCES))
+    parser.add_argument(
+        "span", metavar="LO..HI", help=f"index range, e.g. 1..200; HI <= {MAX_TABLE_N}"
+    )
+    parser.add_argument("--reps", type=int, default=3, help="repetitions, best-of")
+
+
+# command -> (its line in ``powerdenom --help``, the function that adds its
+# arguments to a parser, the function that runs it on the parsed arguments)
+_COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None], Callable]] = {
+    "seq": ("stream a denominator or quotient sequence", _seq_arguments, _cmd_seq),
+    "powersum": (
+        "print one power sum polynomial exactly", _powersum_arguments, _cmd_powersum
+    ),
+    "verify": ("run one theorem sweep", _verify_arguments, _cmd_verify),
+    "bench": (
+        "time formula vs. oracle after checking they agree", _bench_arguments, _cmd_bench
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree: every command as a subparser of ``powerdenom``.
+
+    ``main`` parses with it only an argv that names no command, such as
+    ``--help``, an empty one or an unknown command.
+    """
     parser = argparse.ArgumentParser(
         prog="powerdenom",
         description=(
@@ -369,81 +458,33 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    seq = sub.add_parser(
-        "seq", help="stream a denominator or quotient sequence"
-    )
-    seq.add_argument("seq_id", choices=tuple(SEQUENCES), help="sequence to emit")
-    seq.add_argument("--from", dest="start", type=int, required=True, metavar="N")
-    seq.add_argument(
-        "--to", dest="stop", type=int, required=True, metavar="N",
-        help=f"last index, at most {MAX_SEQ_N}",
-    )
-    seq.add_argument(
-        "--format", choices=("csv", "bfile"), default="bfile",
-        help="csv with header n,a_n or OEIS b-file lines (default)",
-    )
-
-    ps = sub.add_parser(
-        "powersum",
-        help="print one power sum polynomial exactly",
-        description="n = 0 is allowed here and prints the trivial sum x.",
-    )
-    ps.add_argument("--m", type=int, required=True, help="common difference, >= 1")
-    ps.add_argument("--r", type=int, required=True, help="first term, >= 0")
-    ps.add_argument(
-        "--n", type=int, required=True, help=f"exponent, 0 <= n <= {MAX_TABLE_N}"
-    )
-    ps.add_argument(
-        "--x", type=int, default=None,
-        help=f"also evaluate at x terms and cross-check, 0 <= x <= {MAX_POWERSUM_X}",
-    )
-
-    ver = sub.add_parser("verify", help="run one theorem sweep")
-    ver.add_argument("theorem_id", choices=available_sweeps())
-    ver.add_argument(
-        "--max", type=int, default=None,
-        help=f"largest n: at most {MAX_TABLE_N} for a grid sweep over (m, r, n), "
-        f"{MAX_SEQ_N} for a sweep over n",
-    )
-    ver.add_argument("--m-max", type=int, default=None, help="largest m (grid sweeps)")
-    ver.add_argument("--r-max", type=int, default=None, help="largest r (grid sweeps)")
-    ver.add_argument(
-        "--jobs", type=int, default=usable_cpus(),
-        help="worker processes, at most the usable CPUs (default: all of them)",
-    )
-
-    bench = sub.add_parser(
-        "bench", help="time formula vs. oracle after checking they agree"
-    )
-    bench.add_argument("sequence_id", choices=tuple(SEQUENCES))
-    bench.add_argument(
-        "span", metavar="LO..HI", help=f"index range, e.g. 1..200; HI <= {MAX_TABLE_N}"
-    )
-    bench.add_argument("--reps", type=int, default=3, help="repetitions, best-of")
-
+    for name, (help_line, add_arguments, _) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
-_COMMANDS = {
-    "seq": _cmd_seq,
-    "powersum": _cmd_powersum,
-    "verify": _cmd_verify,
-    "bench": _cmd_bench,
-}
-
-
-# one parser per process: building it costs about as much as a sparse query
-_parser = cache(build_parser)
+# The parser of one command alone, built the first time that command runs
+# in this process: a query then pays for one argparse pass over its own
+# arguments, not for the whole tree and a second pass at the top level.
+@cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog=f"powerdenom {name}")
+    _COMMANDS[name][1](parser)
+    return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _parser().parse_args(argv)
+        if argv and argv[0] in _COMMANDS:
+            args = _command_parser(argv[0]).parse_args(argv[1:])
+            args.command = argv[0]
+        else:
+            args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

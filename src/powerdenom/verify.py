@@ -239,7 +239,9 @@ def _db_quotient_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
 
 def _congruence_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
     # +r then -r at each (p, e), as _am_chunk walks them, so that -r is
-    # am_integer's kept other sign; failures are sorted into (m, r, n, p, e) order
+    # am_integer's kept other sign; failures are sorted into (m, r, n, p, e)
+    # order.  e starts at 1: p^0 divides every value, so a case with e = 0
+    # would check nothing.
     cache = BernoulliCache()
     small_primes = primes_up_to(13)
     checked, failures = 0, []
@@ -248,7 +250,7 @@ def _congruence_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
         for r in range(b.r_max + 1):
             for n in range(1, b.max_n + 1):
                 for p in usable:
-                    for e in range(p_valuation(p, n) + 1):
+                    for e in range(1, p_valuation(p, n) + 1):
                         for signed in (r, -r) if r else (0,):
                             checked += 1
                             if not am_congruence_check(cache, m, signed, n, p, e):

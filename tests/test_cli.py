@@ -240,6 +240,25 @@ def test_seq_past_the_digit_limit_names_the_id_and_index(capsys):
         sys.set_int_max_str_digits(limit)
 
 
+def test_seq_range_past_the_digit_limit_stops_before_any_segment_scan(capsys, monkeypatch):
+    def refuse(lo, hi):
+        raise AssertionError(f"segment scan of {lo}..{hi}")
+
+    for name in ("_nonconstant_segment", "_number_segment"):
+        monkeypatch.setattr(denom, name, refuse)
+    denom.clear_formula_caches()
+    lo, hi = 999998, 999998 + cli.SEGMENT_MIN_TERMS - 1
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        # DB(999998) is a multiple of DD(999998), which has 655 digits
+        code, out, err = run_cli(capsys, "seq", "DB", "--from", str(lo), "--to", str(hi))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (code, out) == (2, "")
+    assert f"DB({lo})" in err and "640-digit limit" in err
+
+
 def test_powersum_integral_case(capsys):
     code, out, _ = run_cli(capsys, "powersum", "--m", "2", "--r", "1", "--n", "1")
     assert code == 0
@@ -339,7 +358,7 @@ def test_verify_usage_errors(capsys):
     assert code == 2
     # an m or r bound on a sweep over n alone, and bounds that hold no case
     for argv in (("T1-parity", "--m-max", "3"), ("C2-relations", "--r-max", "0"),
-                 ("T5-quotients", "--max", "1")):
+                 ("T5-quotients", "--max", "1"), ("L1-congruence", "--max", "1")):
         code, out, err = run_cli(capsys, "verify", *argv, "--jobs", "1")
         assert (code, out) == (2, "")
         assert argv[0] in err
@@ -521,6 +540,83 @@ def test_bench_quotient_oracle_divides_exactly(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "bench", "DBQ", "1..10", "--reps", "1")
     assert code == 3
     assert "n=4" in err
+
+
+def run_tree(capsys, *argv):
+    """What main gives when the whole command tree parses ``argv``."""
+    try:
+        args = cli.build_parser().parse_args(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    else:
+        code = cli._COMMANDS[args.command][2](args)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+PARSE_CASES = [
+    ("--help",),
+    *((name, "--help") for name in ("seq", "powersum", "verify", "bench")),
+    ("seq", "D", "--from", "1"),  # a missing required argument
+    ("seq",),
+    ("powersum", "--m", "2", "--r", "1"),
+    ("seq", "DX", "--from", "1", "--to", "2"),  # a bad choice
+    ("seq", "D", "--from", "1", "--to", "2", "--format", "xml"),
+    ("verify", "T9-unknown"),
+    ("seq", "D", "--from", "one", "--to", "2"),  # a bad int
+    ("bench", "DD", "1..3", "--reps", "z"),
+    ("seq", "D", "--fr", "1", "--to", "3"),  # an abbreviated option
+    (),  # no command
+    ("nope",),  # an unknown command
+    ("nope", "--from", "1"),
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "no argv")
+def test_each_command_parses_as_under_the_whole_tree(capsys, argv):
+    assert run_cli(capsys, *argv) == run_tree(capsys, *argv)
+
+
+def test_unrecognized_arguments_are_reported_under_the_command_usage(capsys):
+    # the one difference from the whole tree, which reports them under the
+    # usage line of powerdenom itself
+    for argv in (("seq", "D", "--from", "1", "--to", "3", "--bogus"),
+                 ("seq", "D", "--from", "1", "--to", "3", "extra")):
+        code, out, err = run_cli(capsys, *argv)
+        tree_code, tree_out, tree_err = run_tree(capsys, *argv)
+        assert (code, out) == (tree_code, tree_out) == (2, "")
+        assert err.startswith("usage: powerdenom seq [-h]")
+        assert tree_err.startswith("usage: powerdenom [-h]")
+        message = f"error: unrecognized arguments: {argv[-1]}"
+        assert err.splitlines()[-1] == f"powerdenom seq: {message}"
+        assert tree_err.splitlines()[-1] == f"powerdenom: {message}"
+
+
+def test_a_seq_query_builds_only_the_seq_parser_once(capsys, monkeypatch):
+    built = []
+
+    def recording(name, add_arguments):
+        def add(parser):
+            built.append((name, parser.prog))
+            add_arguments(parser)
+
+        return add
+
+    def refuse():
+        raise AssertionError("built the whole command tree")
+
+    for name, (help_line, add_arguments, command) in list(cli._COMMANDS.items()):
+        monkeypatch.setitem(
+            cli._COMMANDS, name, (help_line, recording(name, add_arguments), command)
+        )
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    cli._command_parser.cache_clear()
+    try:
+        for n in ("3", "5"):
+            assert run_cli(capsys, "seq", "D", "--from", n, "--to", n)[:2] == (0, f"{n} 1\n")
+    finally:
+        cli._command_parser.cache_clear()
+    assert built == [("seq", "powerdenom seq")]
 
 
 def test_missing_subcommand_is_usage_error(capsys):

@@ -409,6 +409,13 @@ def test_l1_reports_an_am_integer_wrong_only_at_negative_starts(monkeypatch):
     assert report.range_label == "m <= 1, |r| <= 2, n <= 4, p <= 13"
 
 
+def test_l1_counts_only_the_divisibility_checks_it_makes():
+    # p^e with 1 <= e <= v_p(n) for p <= 13 and n <= 4: 2 | 2, 2 | 4, 4 | 4
+    # and 3 | 3, at r = 0 once and at r = 1, 2 with both signs
+    report = verify.run_sweep("L1-congruence", max_n=4, m_max=1, r_max=2)
+    assert (report.ok, report.checked) == (True, 4 * 5)
+
+
 def test_am_additive_relation():
     # shifting the start by r2 re-expands through binomials; the k = 0 term
     # vanishes because the n = 0 difference is zero
