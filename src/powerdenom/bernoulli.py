@@ -24,7 +24,10 @@ terms, the reduced numerators, reduced denominators and running lcm of
 
 as int lists.  Each A_k is an integer combination of B_0..B_k, so its
 denominator divides lcm(den B_0, ..., den B_k) and holds no power of q.
-The table of Bernoulli numbers is the row of 0 (q = 1).  Every other row
+The table of Bernoulli numbers is the row of 0 (q = 1), and it is read over
+one denominator in one way only: ``scaled_numbers(n)`` gives L and
+L*B_0..L*B_n with L the table's running lcm at n, which ``polynomial`` and
+``powersum.am_integer`` sum with binomials.  Every other row
 is filled upward by one of two routes, chosen by how many entries a
 request finds missing:
 
@@ -95,26 +98,6 @@ def _append(row: Row, num: int, den: int) -> None:
     lcms.append(math.lcm(lcms[-1], den) if lcms else den)
 
 
-def _horner(coeffs: Sequence[int], p: int, q: int) -> tuple[int, int]:
-    """(q^d f(p/q), q^d), coeffs highest power first: homogeneous Horner."""
-    acc = coeffs[0]
-    qpow = 1
-    for c in coeffs[1:]:
-        qpow *= q
-        acc = acc * p + c * qpow
-    return acc, qpow
-
-
-def _binomial_terms(n: int, scaled: Sequence[int]) -> list[int]:
-    """From L*B_0, ..., L*B_n, the coefficients of L*B_n(x), highest first."""
-    out = []
-    binom = 1
-    for i in range(n + 1):
-        out.append(binom * scaled[i])
-        binom = binom * (n - i) // (i + 1)
-    return out
-
-
 class RationalPoly:
     """Dense univariate polynomial with rational coefficients.
 
@@ -177,9 +160,17 @@ class RationalPoly:
         return self.den
 
     def __call__(self, x: Rat) -> Fraction:
-        if not self.nums:
+        """Homogeneous Horner at x = p/q: q^d f(p/q) in integers, then one
+        Fraction over den * q^d."""
+        nums = self.nums
+        if not nums:
             return Fraction(0)
-        acc, qpow = _horner(self.nums[::-1], x.numerator, x.denominator)
+        p, q = x.numerator, x.denominator
+        acc = nums[-1]
+        qpow = 1
+        for c in nums[-2::-1]:
+            qpow *= q
+            acc = acc * p + c * qpow
         return Fraction(acc, self.den * qpow)
 
     def __eq__(self, other: object) -> bool:
@@ -235,21 +226,14 @@ class BernoulliCache:
         return row[0]
 
     def _extend(self, n: int) -> None:
-        nums, dens, lcms = self._table
-        for m in range(len(nums), n + 1):
+        table = self._table
+        for m in range(len(table[0]), n + 1):
             if m % 2:
-                num, den = 0, 1
+                _append(table, 0, 1)
             else:
                 k = m // 2
                 four = 1 << m  # 4^k
-                num = (m if k % 2 else -m) * self._tangent(k)
-                den = four * (four - 1)
-                g = math.gcd(num, den)
-                num //= g
-                den //= g
-            nums.append(num)
-            dens.append(den)
-            lcms.append(math.lcm(lcms[-1], den))
+                _append(table, (m if k % 2 else -m) * self._tangent(k), four * (four - 1))
 
     def number(self, n: int) -> Fraction:
         """B_n; zero for odd n >= 3."""
@@ -261,9 +245,18 @@ class BernoulliCache:
         return Fraction(nums[n], dens[n])
 
     def polynomial(self, n: int) -> RationalPoly:
-        """B_n(x) = sum_{k=0}^{n} C(n,k) B_k x^(n-k): monic, constant term B_n."""
-        scale, scaled = self.scaled_values(n, 0)
-        return RationalPoly.scaled(_binomial_terms(n, scaled)[::-1], scale)
+        """B_n(x) = sum_{k=0}^{n} C(n,k) B_k x^(n-k): monic, constant term B_n.
+
+        Built over L = lcm(den B_0..B_n) from ``scaled_numbers``: the
+        x^(n-k) numerator is C(n, k) L B_k, with a running binomial.
+        """
+        scale, scaled = self.scaled_numbers(n)
+        nums = [0] * (n + 1)
+        binom = 1
+        for k, b in enumerate(scaled):
+            nums[n - k] = binom * b
+            binom = binom * (n - k) // (k + 1)
+        return RationalPoly.scaled(nums, scale)
 
     def coefficient_denominators(self, n: int) -> tuple[int, ...]:
         """The reduced denominator of C(n, j) B_(n-j), the x^j coefficient of
@@ -401,27 +394,19 @@ class BernoulliCache:
         nums, dens, _ = self.row(n, y)
         return Fraction(nums[n], dens[n] * y.denominator**n)
 
-    def scaled_values(self, n: int, y: Rat) -> tuple[int, tuple[int, ...]]:
-        """(L, (L*B_0(y), L*q*B_1(y), ..., L*q^n*B_n(y))) for y = p/q in
-        lowest terms, with L the lcm of the denominators.
-
-        The row of y in one fetch (filled to n + 1 entries as ``value_at``
-        fills it), over one common integer denominator.  L divides
-        lcm(den B_0, ..., den B_n): no power of q is in it.  At y = 0 these
-        are the Bernoulli numbers.
-        """
-        nums, dens, lcms = self.row(n, y)
-        scale = lcms[n]
-        return scale, tuple(a * (scale // d) for a, d in zip(nums[: n + 1], dens))
-
     def scaled_numbers(self, n: int) -> tuple[int, tuple[int, ...]]:
-        """(L, (L*B_0, ..., L*B_n)) with L = lcm of the denominators.
+        """(L, (L*B_0, ..., L*B_n)) with L = lcm(den B_0, ..., den B_n).
 
-        Lets callers run binomial sums over B_k in pure integer arithmetic;
-        the result is exact because L clears every denominator.  It is
-        ``scaled_values(n, 0)``, remembered per n.
+        Read straight from the table, which keeps that running lcm, and
+        remembered per n.  Lets callers run binomial sums over B_k in pure
+        integer arithmetic; the result is exact because L clears every
+        denominator.
         """
         hit = self._scaled.get(n)
         if hit is None:
-            hit = self._scaled[n] = self.scaled_values(n, 0)
+            self.number(n)
+            nums, dens, lcms = self._table
+            scale = lcms[n]
+            scaled = tuple(a * (scale // d) for a, d in zip(nums[: n + 1], dens))
+            hit = self._scaled[n] = (scale, scaled)
         return hit

@@ -110,9 +110,19 @@ SEGMENT_TERMS = MEMO_BOUND // 2
 # of a grid sweep (T2, T3, L1, AM) accept; a larger one is refused before
 # any Bernoulli number is computed.  These commands fill the table to about
 # n, at a cost that grows faster than n^2: the test suite checks the oracles
-# at every n up to here, and ``powersum --m 3 --r 1 --n 1500`` takes about
-# half a minute.
+# at every n up to here, and ``powersum --m 3 --r 1 --n 1500`` takes 1.8-2.0 s
+# and 48 MB in a fresh interpreter (Python 3.11, 2 CPUs).
 MAX_TABLE_N = 1500
+
+# The largest m and r that ``verify --m-max`` and ``--r-max`` of a grid sweep
+# accept; a larger one is refused before any Bernoulli number is computed.
+# Each chunk's cache keeps one row per distinct r/m, so time and memory grow
+# with both.  At each bound, with the other bounds at their defaults and
+# ``--jobs 1`` (Python 3.11, 2 CPUs): at m = 300 the slowest sweep, L1, takes
+# 10.6 s and the largest, T2, peaks at 22 MB; at r = 100 T3 is both, 24 s
+# and 45 MB.
+MAX_GRID_M = 300
+MAX_GRID_R = 100
 
 # The largest index n that ``seq --to`` and ``verify --max`` of a sweep over
 # n alone (T1, C2, T4, T5) accept; a larger one is refused before the sieve
@@ -339,9 +349,13 @@ def _cmd_powersum(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    top = MAX_TABLE_N if is_grid_sweep(args.theorem_id) else MAX_SEQ_N
-    if args.max is not None and args.max > top:
-        raise ValueError(f"{args.theorem_id} takes n <= {top}, got {args.max}")
+    tops = [("n", args.max, MAX_SEQ_N)]
+    if is_grid_sweep(args.theorem_id):
+        tops = [("n", args.max, MAX_TABLE_N), ("m", args.m_max, MAX_GRID_M),
+                ("r", args.r_max, MAX_GRID_R)]
+    for axis, value, top in tops:
+        if value is not None and value > top:
+            raise ValueError(f"{args.theorem_id} takes {axis} <= {top}, got {value}")
     report = run_sweep(
         args.theorem_id,
         max_n=args.max,
@@ -414,8 +428,8 @@ def _verify_arguments(parser: argparse.ArgumentParser) -> None:
         help=f"largest n: at most {MAX_TABLE_N} for a grid sweep over (m, r, n), "
         f"{MAX_SEQ_N} for a sweep over n",
     )
-    parser.add_argument("--m-max", type=int, default=None, help="largest m (grid sweeps)")
-    parser.add_argument("--r-max", type=int, default=None, help="largest r (grid sweeps)")
+    parser.add_argument("--m-max", type=int, help=f"largest m (grid sweeps), at most {MAX_GRID_M}")
+    parser.add_argument("--r-max", type=int, help=f"largest r (grid sweeps), at most {MAX_GRID_R}")
     parser.add_argument(
         "--jobs", type=int, default=usable_cpus(),
         help="worker processes, at most the usable CPUs (default: all of them)",

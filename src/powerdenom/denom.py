@@ -79,6 +79,12 @@ prime written, where R per-n scans cost R*sqrt(hi).  The per-n scans stay:
 below about 16 indices they are the faster ones, and the tests hold the
 segment scans to their tuples.
 
+Every scan here, per index or per segment, lists its primes in ascending
+order, and so do the two full-scan references and ``digits.radical``: each
+SquarefreeProduct is built by its constructor straight from those primes,
+with no sort and one product.  Only ``merge``, whose union is unordered,
+goes through ``SquarefreeProduct.of``.
+
 Both closed forms keep their values in a memo of at most ``MEMO_BOUND``
 indices, oldest out first; a hit returns the stored SquarefreeProduct.
 ``fill_nonconstant_memo`` and ``fill_number_memo`` store a segment at
@@ -208,7 +214,8 @@ def _number_segment(lo: int, hi: int) -> list[list[int]]:
 
 
 def _remember(memo: OrderedDict, n: int, primes) -> SquarefreeProduct:
-    value = memo[n] = SquarefreeProduct.of(primes)
+    # every scan lists its primes in ascending order: no sort
+    value = memo[n] = SquarefreeProduct(tuple(primes))
     if len(memo) > MEMO_BOUND:
         memo.popitem(last=False)
     return value
@@ -285,9 +292,7 @@ def nonconstant_denom_all_primes(n: int) -> SquarefreeProduct:
     as its independent reference.
     """
     _check_index(n)
-    return SquarefreeProduct.of(
-        p for p in primes_up_to(n) if digit_sum(p, n) >= p
-    )
+    return SquarefreeProduct(tuple(p for p in primes_up_to(n) if digit_sum(p, n) >= p))
 
 
 def nonconstant_denom_direct(cache: BernoulliCache, n: int) -> int:
@@ -316,12 +321,12 @@ def full_denom_split_product(n: int) -> SquarefreeProduct:
     """
     _check_index(n)
     k = n + 1
-    extra = (
+    extra = tuple(
         p
         for p in primes_up_to(_digit_bound(k))
         if k % p != 0 and digit_sum(p, k) >= p
     )
-    return radical(k).merge(SquarefreeProduct.of(extra))
+    return radical(k).merge(SquarefreeProduct(extra))
 
 
 def full_denom_direct(cache: BernoulliCache, n: int) -> int:

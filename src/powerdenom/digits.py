@@ -1,6 +1,8 @@
 """Base-p digit arithmetic, p-adic valuations, factorization and prime enumeration.
 
 Everything here is exact integer arithmetic on Python's native bigints.
+A squarefree product (``SquarefreeProduct``) is its ascending primes; the
+value is their product, computed once by the pass that checks the order.
 
 All functions are pure apart from the prime sieve, a module-level cache that
 only ever grows.  Its state is a flag table, one byte per integer up to
@@ -14,23 +16,24 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import compress
 
 
 @dataclass(frozen=True)
 class SquarefreeProduct:
-    """A squarefree positive integer together with its (sorted) prime divisors.
+    """A squarefree positive integer, built from its prime divisors ascending.
 
-    The empty product is 1.  Construct via :meth:`of`, which derives the value
-    from the primes; the constructor itself only checks cheap structural
-    invariants (strictly increasing primes, consistent product).  Full
-    primality of every member is the constructors' responsibility; the test
+    The primes are the one input; ``value``, their product, is computed once
+    by the same pass that checks that they strictly increase.  The empty
+    product is 1.  Producers that list their primes in ascending order call
+    the constructor; :meth:`of` sorts first, for unordered input.  Full
+    primality of every member is the producers' responsibility; the test
     suite re-verifies it by trial division.
     """
 
     primes: tuple[int, ...]
-    value: int
+    value: int = field(init=False)
 
     def __post_init__(self) -> None:
         prod = 1
@@ -40,13 +43,12 @@ class SquarefreeProduct:
                 raise ValueError("primes must be strictly increasing and >= 2")
             prev = p
             prod *= p
-        if prod != self.value:
-            raise ValueError(f"value {self.value} is not the product of {self.primes}")
+        object.__setattr__(self, "value", prod)
 
     @classmethod
     def of(cls, primes) -> "SquarefreeProduct":
-        ps = tuple(sorted(primes))
-        return cls(ps, math.prod(ps))
+        """The product of ``primes``, given in any order."""
+        return cls(tuple(sorted(primes)))
 
     def merge(self, other: "SquarefreeProduct") -> "SquarefreeProduct":
         """lcm of two squarefree products: the union of their prime sets.
@@ -130,7 +132,7 @@ def factorize(k: int) -> list[tuple[int, int]]:
 
 def radical(k: int) -> SquarefreeProduct:
     """rad(k): the product of the distinct prime divisors of k >= 1."""
-    return SquarefreeProduct.of(p for p, _ in factorize(k))
+    return SquarefreeProduct(tuple(p for p, _ in factorize(k)))
 
 
 # Growable sieve cache.  The flag table is only replaced by a strictly larger

@@ -205,12 +205,14 @@ def test_value_rows_match_polynomials_in_any_order(order):
         for y in ROW_POINTS:
             values = want[F(y)][: n + 1]
             assert cache.value_at(n, y) == values[n], (n, y)
-            # the row holds q^k B_k(p/q), so its lcm has no power of q
+            # the row holds q^k B_k(p/q) in lowest terms, so its lcm has no
+            # power of q
             q = F(y).denominator
             values = [q**k * v for k, v in enumerate(values)]
-            scale = math.lcm(*(v.denominator for v in values))
-            scaled = tuple(int(scale * v) for v in values)
-            assert cache.scaled_values(n, y) == (scale, scaled), (n, y)
+            nums, dens, lcms = cache.row(n, y)
+            assert nums[: n + 1] == [v.numerator for v in values], (n, y)
+            assert dens[: n + 1] == [v.denominator for v in values], (n, y)
+            assert lcms[n] == math.lcm(*(v.denominator for v in values)), (n, y)
     # one row per distinct point in lowest terms
     assert set(cache._rows) == {
         (0, 1), (1, 1), (-2, 1), (1, 2), (-1, 3), (5, 7), (2, 1), (-7, 10**6), (10**6 + 1, 3)
@@ -274,7 +276,7 @@ def test_value_rows_reject_negative_index():
         cache = BernoulliCache()
         if filled:
             cache.value_at(5, F(1, 3))
-        for ask in (cache.value_at, cache.scaled_values):
+        for ask in (cache.value_at, cache.row):
             with pytest.raises(ValueError):
                 ask(-1, F(1, 3))
 

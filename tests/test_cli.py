@@ -487,6 +487,13 @@ def test_table_bound_is_refused_before_any_table_fill(capsys, monkeypatch):
 
 
 def test_verify_bound_is_refused_before_any_table_fill_or_sieve(capsys, monkeypatch):
+    # the m and r bounds themselves are accepted
+    for argv in (("--m-max", str(cli.MAX_GRID_M), "--r-max", "0"),
+                 ("--m-max", "1", "--r-max", str(cli.MAX_GRID_R))):
+        code, out, _ = run_cli(capsys, "verify", "AM-integrality", "--max", "1", *argv,
+                               "--jobs", "1")
+        assert code == 0 and "PASS" in out, argv
+
     def no_fill(self, n):
         raise AssertionError(f"table filled to {n}")
 
@@ -506,10 +513,24 @@ def test_verify_bound_is_refused_before_any_table_fill_or_sieve(capsys, monkeypa
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert f"n <= {top}" in err, argv
+    # m or r past its bound, the other axes as small as they go, so that only
+    # that bound stands between the argv and a sweep of bound + 1 values
+    for theorem_id in grids:
+        for option, axis, top in (
+            ("--m-max", "m", cli.MAX_GRID_M), ("--r-max", "r", cli.MAX_GRID_R)
+        ):
+            argv = ("verify", theorem_id, "--max", "1", "--m-max", "1", "--r-max", "0",
+                    option, str(top + 1), "--jobs", "1")
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, ""), argv
+            assert f"{axis} <= {top}" in err, argv
     code, out, _ = run_cli(capsys, "verify", "--help")
     assert code == 0
-    assert f"at most {cli.MAX_TABLE_N} for a grid sweep" in " ".join(out.split())
-    assert f"{cli.MAX_SEQ_N} for a sweep over n" in " ".join(out.split())
+    help_text = " ".join(out.split())
+    assert f"at most {cli.MAX_TABLE_N} for a grid sweep" in help_text
+    assert f"{cli.MAX_SEQ_N} for a sweep over n" in help_text
+    assert f"largest m (grid sweeps), at most {cli.MAX_GRID_M}" in help_text
+    assert f"largest r (grid sweeps), at most {cli.MAX_GRID_R}" in help_text
 
 
 def test_term_count_bound_is_refused_before_any_work(capsys, monkeypatch):

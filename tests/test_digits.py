@@ -196,14 +196,21 @@ def test_prime_flags_are_read_only():
 
 
 def test_squarefree_product_construction():
+    # the primes are the only input; the value is their product
+    assert SquarefreeProduct((2, 3, 5)).value == 30
+    assert SquarefreeProduct(()).value == 1
+    with pytest.raises(ValueError):
+        SquarefreeProduct((3, 2))  # not increasing
+    with pytest.raises(ValueError):
+        SquarefreeProduct((2, 2))  # repeated
+    with pytest.raises(TypeError):
+        SquarefreeProduct((2, 3), 6)  # no value argument
+    # of sorts unordered input
     sp = SquarefreeProduct.of([5, 2, 3])
     assert sp.primes == (2, 3, 5)
     assert sp.value == 30
+    assert sp == SquarefreeProduct((2, 3, 5))
     assert SquarefreeProduct.of([]).value == 1
-    with pytest.raises(ValueError):
-        SquarefreeProduct((3, 2), 6)  # not increasing
-    with pytest.raises(ValueError):
-        SquarefreeProduct((2, 3), 5)  # wrong product
 
 
 def test_squarefree_product_merge_is_lcm():
