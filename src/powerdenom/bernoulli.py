@@ -15,8 +15,11 @@ numbers" (2011).  T_k is the zigzag number A_(2k-1), the last entry of row
 from each other by prefix sums alone.  Each B_2k is reduced by one gcd, so
 its denominator comes from that gcd and never from von Staudt-Clausen.
 
-Polynomials (``RationalPoly``) are integer numerators over one common
-denominator, built in canonical form and evaluated; nothing else.  Values
+Integers are the only internal form of a rational here; a ``Fraction`` is
+built only where a method returns one.  Polynomials (``RationalPoly``) are
+integer numerators over one common denominator, built from those integers
+in canonical form and evaluated; nothing else.  A point y is an int or a
+``Fraction``, read through ``y.numerator`` and ``y.denominator``.  Values
 at a rational point share one row format: per distinct y = p/q in lowest
 terms, the reduced numerators, reduced denominators and running lcm of
 
@@ -54,7 +57,7 @@ import math
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 Rat = Union[int, Fraction]
 # q^k B_k(p/q) for k = 0, 1, ... at y = p/q in lowest terms: reduced
@@ -101,8 +104,9 @@ def _append(row: Row, num: int, den: int) -> None:
 class RationalPoly:
     """Dense univariate polynomial with rational coefficients.
 
-    Stored as integer numerators ``nums`` (ascending: index i belongs to x^i)
-    over one denominator ``den``, in canonical form: den > 0,
+    ``RationalPoly(nums, den)`` is sum(nums[i] x^i) / den for integer
+    numerators ``nums`` (ascending: index i belongs to x^i) and a nonzero
+    integer ``den``, stored in canonical form: den > 0,
     gcd(den, *nums) == 1 and no trailing zero numerators.  The zero
     polynomial has ``nums == ()``, ``den == 1`` and degree -1.  Instances are
     immutable by convention.  A polynomial is only built and evaluated; it
@@ -114,21 +118,10 @@ class RationalPoly:
     nums: tuple[int, ...]
     den: int
 
-    def __init__(self, coeffs: Iterable[Rat] = ()) -> None:
-        cs = [Fraction(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in cs)) if cs else 1
-        self._canonical([c.numerator * (den // c.denominator) for c in cs], den)
-
-    @classmethod
-    def scaled(cls, nums: Sequence[int], den: int) -> "RationalPoly":
-        """The polynomial sum(nums[i] x^i) / den, put in canonical form."""
+    def __init__(self, nums: Iterable[int] = (), den: int = 1) -> None:
         if not den:
             raise ZeroDivisionError("RationalPoly denominator must be nonzero")
-        poly = cls.__new__(cls)
-        poly._canonical(list(nums), den)
-        return poly
-
-    def _canonical(self, nums: list[int], den: int) -> None:
+        nums = list(nums)
         while nums and not nums[-1]:
             nums.pop()
         if den < 0:
@@ -182,7 +175,7 @@ class RationalPoly:
         return hash((self.nums, self.den))
 
     def __repr__(self) -> str:
-        return f"RationalPoly.scaled({list(self.nums)!r}, {self.den})"
+        return f"RationalPoly({list(self.nums)!r}, {self.den})"
 
 
 class BernoulliCache:
@@ -256,7 +249,7 @@ class BernoulliCache:
         for k, b in enumerate(scaled):
             nums[n - k] = binom * b
             binom = binom * (n - k) // (k + 1)
-        return RationalPoly.scaled(nums, scale)
+        return RationalPoly(nums, scale)
 
     def coefficient_denominators(self, n: int) -> tuple[int, ...]:
         """The reduced denominator of C(n, j) B_(n-j), the x^j coefficient of
@@ -308,8 +301,6 @@ class BernoulliCache:
         """
         if n < 0:
             raise ValueError(f"Bernoulli index must be >= 0, got {n}")
-        if not isinstance(y, Fraction):
-            y = Fraction(y)
         p, q = y.numerator, y.denominator
         row = self._rows.get((p, q))
         if row is None:
@@ -389,8 +380,6 @@ class BernoulliCache:
         upward: asking for B_n(y) fills the entries k = 0..n, n + 1 of them,
         unless the row already holds them.  At y = 0 the row is the table.
         """
-        if not isinstance(y, Fraction):
-            y = Fraction(y)
         nums, dens, _ = self.row(n, y)
         return Fraction(nums[n], dens[n] * y.denominator**n)
 

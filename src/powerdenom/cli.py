@@ -13,6 +13,13 @@ unknown command) goes to ``build_parser``, the whole tree, which the same
 functions fill.  The one visible difference: unrecognized arguments are
 reported under the command's usage line, not under ``powerdenom``'s.
 
+``run_bench`` returns the two timings as ints, and ``bench`` prints their
+ratio.  The input bounds (``MAX_TABLE_N`` and the rest) are defined in
+``limits`` and imported here; ``seq``, ``powersum`` and ``bench`` check
+theirs, and ``verify`` leaves its bounds to ``run_sweep``.  Integers are the
+only internal form of a rational; the DDQ and DBQ oracles alone build a
+``Fraction``, so that an inexact quotient compares unequal to the formula.
+
 Exit codes: 0 success, 1 a verification sweep found failures, 2 usage error,
 3 an internal identity was violated (a bug, never bad input).
 """
@@ -22,7 +29,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
 from typing import Callable, Optional, Sequence
@@ -46,13 +52,14 @@ from .denom import (
     parity_indices,
 )
 from .errors import TheoremViolationError
+from .limits import MAX_GRID_M, MAX_GRID_R, MAX_POWERSUM_X, MAX_SEQ_N, MAX_TABLE_N
 from .powersum import (
     ProgressionSpec,
     is_integral,
     power_sum_naive,
     power_sum_poly,
 )
-from .verify import available_sweeps, is_grid_sweep, run_sweep, usable_cpus
+from .verify import available_sweeps, run_sweep, usable_cpus
 
 # id -> (closed form, rational oracle, parity of the domain or None for all
 # n >= 1, the memo fills of the closed form).  The closed forms and oracles
@@ -104,42 +111,6 @@ SEQUENCES: dict[str, tuple[Callable, Callable, Optional[int], tuple[Callable, ..
 # one never evicts the values the segment is about to print.
 SEGMENT_MIN_TERMS = 16
 SEGMENT_TERMS = MEMO_BOUND // 2
-
-
-# The largest index n that ``powersum --n``, ``bench`` and ``verify --max``
-# of a grid sweep (T2, T3, L1, AM) accept; a larger one is refused before
-# any Bernoulli number is computed.  These commands fill the table to about
-# n, at a cost that grows faster than n^2: the test suite checks the oracles
-# at every n up to here, and ``powersum --m 3 --r 1 --n 1500`` takes 1.8-2.0 s
-# and 48 MB in a fresh interpreter (Python 3.11, 2 CPUs).
-MAX_TABLE_N = 1500
-
-# The largest m and r that ``verify --m-max`` and ``--r-max`` of a grid sweep
-# accept; a larger one is refused before any Bernoulli number is computed.
-# Each chunk's cache keeps one row per distinct r/m, so time and memory grow
-# with both.  At each bound, with the other bounds at their defaults and
-# ``--jobs 1`` (Python 3.11, 2 CPUs): at m = 300 the slowest sweep, L1, takes
-# 10.6 s and the largest, T2, peaks at 22 MB; at r = 100 T3 is both, 24 s
-# and 45 MB.
-MAX_GRID_M = 300
-MAX_GRID_R = 100
-
-# The largest index n that ``seq --to`` and ``verify --max`` of a sweep over
-# n alone (T1, C2, T4, T5) accept; a larger one is refused before the sieve
-# grows.  The bound comes from D, DD and DB, the ids that use the sieve: D
-# at n needs a flag table of n + 1 bytes and DD one of about n/2, so
-# D(10**8) peaks at about 130 MB.  DDQ and DBQ need no sieve (one trial
-# division of n + 1), but the bound stays one for all ids.  Below it, DD and
-# DB outgrow Python's int-to-str digit limit (4300 digits by default;
-# DD(10**8 - 1) has 6839): ``seq`` then stops with exit 2 at the first n it
-# cannot print, naming the id, n and the limit.
-MAX_SEQ_N = 10**8
-
-# The largest term count x that ``powersum --x`` accepts; a larger one is
-# refused before any Bernoulli number is computed.  The brute-force
-# cross-check sums x terms: at x = 10**4 it takes about 2 ms at n = 1 and
-# 0.8 s at n = MAX_TABLE_N, where the whole command takes about 2 s.
-MAX_POWERSUM_X = 10**4
 
 
 def indices(seq_id: str, lo: int, hi: int) -> range:
@@ -201,24 +172,9 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     return 0
 
 
-@dataclass(frozen=True, slots=True)
-class BenchRecord:
-    """One timed comparison; only ever built after the equality pass."""
-
-    sequence_id: str
-    lo: int
-    hi: int
-    formula_ns: int
-    oracle_ns: int
-
-    @property
-    def speedup(self) -> Fraction:
-        """oracle time / formula time; how much the closed form saves."""
-        return Fraction(self.oracle_ns, max(self.formula_ns, 1))
-
-
-def run_bench(sequence_id: str, lo: int, hi: int, reps: int = 3) -> BenchRecord:
-    """Verify the closed form and the oracle agree on [lo, hi], then time each.
+def run_bench(sequence_id: str, lo: int, hi: int, reps: int = 3) -> tuple[int, int]:
+    """Verify the closed form and the oracle agree on [lo, hi], then time each;
+    return (formula_ns, oracle_ns).
 
     The contract comes before the stopwatch: both paths are compared value
     by value at every index of [lo, hi] where the sequence is defined, and a
@@ -252,7 +208,7 @@ def run_bench(sequence_id: str, lo: int, hi: int, reps: int = 3) -> BenchRecord:
 
     formula_ns = min(_time_ns(formula, ns) for _ in range(reps))
     oracle_ns = min(_time_ns(partial(oracle, BernoulliCache()), ns) for _ in range(reps))
-    return BenchRecord(sequence_id, lo, hi, formula_ns, oracle_ns)
+    return formula_ns, oracle_ns
 
 
 def _time_ns(path: Callable[[int], object], ns: range) -> int:
@@ -349,13 +305,6 @@ def _cmd_powersum(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    tops = [("n", args.max, MAX_SEQ_N)]
-    if is_grid_sweep(args.theorem_id):
-        tops = [("n", args.max, MAX_TABLE_N), ("m", args.m_max, MAX_GRID_M),
-                ("r", args.r_max, MAX_GRID_R)]
-    for axis, value, top in tops:
-        if value is not None and value > top:
-            raise ValueError(f"{args.theorem_id} takes {axis} <= {top}, got {value}")
     report = run_sweep(
         args.theorem_id,
         max_n=args.max,
@@ -386,11 +335,12 @@ def _parse_span(text: str) -> tuple[int, int]:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     lo, hi = _parse_span(args.span)
-    record = run_bench(args.sequence_id, lo, hi, reps=args.reps)
+    formula_ns, oracle_ns = run_bench(args.sequence_id, lo, hi, reps=args.reps)
+    # speedup: oracle time over formula time, how much the closed form saves
     print("id,lo,hi,formula_ns,oracle_ns,speedup")
     print(
-        f"{record.sequence_id},{record.lo},{record.hi},"
-        f"{record.formula_ns},{record.oracle_ns},{float(record.speedup):.2f}"
+        f"{args.sequence_id},{lo},{hi},"
+        f"{formula_ns},{oracle_ns},{oracle_ns / max(formula_ns, 1):.2f}"
     )
     return 0
 

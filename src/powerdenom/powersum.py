@@ -67,17 +67,18 @@ def power_sum_poly(cache: BernoulliCache, spec: ProgressionSpec) -> RationalPoly
     """The power sum as a polynomial in the term count.
 
     Coefficient of x^j (1 <= j <= n+1) is m^n C(n+1, j) B_(n+1-j)(r/m)
-    divided by n+1; the constant term is zero.  With g = gcd(r, m) and
-    m = g q, the row of r/m holds A_k = q^k B_k(r/m), so
-    m^n B_k(r/m) = g^n q^(n-k) A_k.  The row's denominators divide
+    divided by n+1; the constant term is zero.  With q the denominator of
+    r/m in lowest terms and g = m / q = gcd(r, m), the row of r/m holds
+    A_k = q^k B_k(r/m), so m^n B_k(r/m) = g^n q^(n-k) A_k.  The row's denominators divide
     lcm(den B_0, ..., den B_n) and hold no power of q, so the polynomial is
     built in one pass over the row, in integers over (n+1) L with L the
     row's lcm at n.
     """
     m, r, n = spec.m, spec.r, spec.n
-    g = gcd(r, m)
-    q = m // g
-    values, dens, lcms = cache.row(n, Fraction(r, m))
+    y = Fraction(r, m)
+    q = y.denominator
+    g = m // q
+    values, dens, lcms = cache.row(n, y)
     scale = lcms[n]
     w = g**n  # g^n q^(j-1) = g^n q^(n-k)
     nums = [0]
@@ -87,7 +88,7 @@ def power_sum_poly(cache: BernoulliCache, spec: ProgressionSpec) -> RationalPoly
         binom = binom * (k + 1) // j  # C(n+1, j)
         nums.append(binom * w * values[k] * (scale // dens[k]))
         w *= q
-    return RationalPoly.scaled(nums, (n + 1) * scale)
+    return RationalPoly(nums, (n + 1) * scale)
 
 
 def _power_gcd(a: int, m: int) -> int:

@@ -46,6 +46,7 @@ from .denom import (
 )
 from .digits import factorize, p_valuation, primes_up_to, radical
 from .errors import TheoremViolationError
+from .limits import MAX_GRID_M, MAX_GRID_R, MAX_SEQ_N, MAX_TABLE_N
 from .powersum import (
     ProgressionSpec,
     am_congruence_check,
@@ -326,11 +327,6 @@ def available_sweeps() -> tuple[str, ...]:
     return tuple(_SWEEPS)
 
 
-def is_grid_sweep(theorem_id: str) -> bool:
-    """Whether the sweep runs over (m, r, n), and not over n alone."""
-    return _SWEEPS[theorem_id].defaults.m_max is not None
-
-
 def usable_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the OS has one."""
     affinity = getattr(os, "sched_getaffinity", None)
@@ -353,8 +349,11 @@ def run_sweep(
 ) -> SweepReport:
     """Run one sweep, optionally overriding its default bounds.
 
-    A sweep over n alone takes only ``max_n``; a grid sweep also takes
-    ``m_max`` and ``r_max``.  Bounds that hold no case are rejected.
+    A sweep over n alone takes only ``max_n``, at most ``MAX_SEQ_N``; a grid
+    sweep takes ``max_n`` up to ``MAX_TABLE_N``, and also ``m_max`` and
+    ``r_max`` up to ``MAX_GRID_M`` and ``MAX_GRID_R``.  Bounds past those, or
+    that hold no case, are rejected with ValueError, the upper ones before
+    any Bernoulli number or sieve is computed.
     ``jobs`` > 1 partitions the outer axis (m for a grid, n otherwise) over
     a process pool of at most ``jobs`` workers, and never more than the CPUs
     this process may use; results are identical to the inline run, only
@@ -366,15 +365,19 @@ def run_sweep(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     sweep = _SWEEPS[theorem_id]
-    grid = is_grid_sweep(theorem_id)
+    grid = sweep.defaults.m_max is not None
     if not grid and (m_max is not None or r_max is not None):
         raise ValueError(f"{theorem_id} sweeps n only; it takes no m or r bound")
     given = {"max_n": max_n, "m_max": m_max, "r_max": r_max}
     bounds = replace(sweep.defaults, **{k: v for k, v in given.items() if v is not None})
-    limits = (("n", bounds.max_n, 1), ("m", bounds.m_max, 1), ("r", bounds.r_max, 0))
-    for axis, top, least in limits:
-        if top is not None and top < least:
+    axes = [("n", bounds.max_n, 1, MAX_TABLE_N if grid else MAX_SEQ_N)]
+    if grid:
+        axes += [("m", bounds.m_max, 1, MAX_GRID_M), ("r", bounds.r_max, 0, MAX_GRID_R)]
+    for axis, top, least, most in axes:
+        if top < least:
             raise ValueError(f"max {axis} must be >= {least}, got {top}")
+        if top > most:
+            raise ValueError(f"{theorem_id} takes {axis} <= {most}, got {top}")
     # a fork-started pool launches all its workers up front
     jobs = min(jobs, usable_cpus())
 

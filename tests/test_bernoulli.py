@@ -105,9 +105,9 @@ def test_number_rejects_negative_index():
 
 def test_small_polynomials():
     assert CACHE.polynomial(0) == RationalPoly((1,))
-    assert CACHE.polynomial(1) == RationalPoly((F(-1, 2), 1))
-    assert CACHE.polynomial(2) == RationalPoly((F(1, 6), -1, 1))
-    assert CACHE.polynomial(3) == RationalPoly((0, F(1, 2), F(-3, 2), 1))
+    assert CACHE.polynomial(1).coeffs == (F(-1, 2), 1)
+    assert CACHE.polynomial(2).coeffs == (F(1, 6), -1, 1)
+    assert CACHE.polynomial(3).coeffs == (0, F(1, 2), F(-3, 2), 1)
 
 
 def test_polynomial_shape():
@@ -281,6 +281,19 @@ def test_value_rows_reject_negative_index():
                 ask(-1, F(1, 3))
 
 
+def test_a_point_is_read_by_numerator_and_denominator():
+    # the int 1 and Fraction(2, 2) are one point, with one row; so are
+    # Fraction(1, 3) and Fraction(2, 6)
+    cache = BernoulliCache()
+    for same in ((1, F(2, 2)), (F(1, 3), F(2, 6))):
+        rows = [cache.row(20, y) for y in same]
+        assert rows[0] is rows[1]
+        for n in range(21):
+            values = [cache.value_at(n, y) for y in same]
+            assert values[0] == values[1] == CACHE.polynomial(n)(same[0]), (same, n)
+    assert set(cache._rows) == {(0, 1), (1, 1), (1, 3)}
+
+
 def test_von_staudt_clausen_to_400():
     nums = _numbers(CACHE, 400)
     for n in range(1, 401):
@@ -320,9 +333,9 @@ def test_appell_translation(y):
     # both sides have degree n, so their values at n + 1 points fix them
     for n in range(31):
         f = CACHE.polynomial(n)
-        right = RationalPoly(comb(n, j) * CACHE.value_at(n - j, y) for j in range(n + 1))
+        right = [comb(n, j) * CACHE.value_at(n - j, y) for j in range(n + 1)]
         for x in range(n + 1):
-            assert f(x + y) == right(x), (n, x)
+            assert f(x + y) == _fraction_call(right, x), (n, x)
 
 
 def test_reflection():
@@ -348,18 +361,18 @@ def test_poly_trimming_and_degree():
     assert RationalPoly((0, 0)).is_zero
     assert RationalPoly(()).degree == -1
     assert RationalPoly((1, 2, 0)).coeffs == (1, 2)
-    assert RationalPoly((0, 0, F(1, 3))).degree == 2
+    assert RationalPoly((0, 0, 1), 3).degree == 2
 
 
 def test_poly_denominator():
     assert RationalPoly(()).denominator == 1
     assert RationalPoly((1,)).denominator == 1
-    assert RationalPoly((F(1, 6), -1, 1)).denominator == 6
-    assert RationalPoly((0, F(1, 6), F(-1, 2), F(1, 3))).denominator == 6
+    assert RationalPoly((1, -6, 6), 6).denominator == 6
+    assert RationalPoly((0, 2, -6, 4), 12).denominator == 6
 
 
 def test_poly_evaluation():
-    f = RationalPoly((F(1, 2), 0, 1))  # x^2 + 1/2
+    f = RationalPoly((1, 0, 2), 2)  # x^2 + 1/2
     assert f(2) == F(9, 2)
     assert f(F(1, 2)) == F(3, 4)
     assert RationalPoly(())(5) == 0
@@ -373,29 +386,39 @@ small_ints = st.integers(min_value=-60, max_value=60)
 @given(
     st.lists(small_ints, max_size=6),
     st.integers(min_value=-36, max_value=36).filter(bool),
+    st.integers(min_value=-5, max_value=5).filter(bool),
 )
-def test_poly_constructors_agree_in_canonical_form(nums, den):
-    by_ints = RationalPoly.scaled(nums, den)
-    by_fractions = RationalPoly(Fraction(c, den) for c in nums)
-    assert by_ints == by_fractions
-    assert hash(by_ints) == hash(by_fractions)
-    assert by_ints.den > 0
-    assert math.gcd(by_ints.den, *by_ints.nums) == 1
-    assert not by_ints.nums or by_ints.nums[-1] != 0
-    assert by_ints.coeffs == tuple(Fraction(c, den) for c in nums)[: len(by_ints.nums)]
+def test_poly_constructor_is_canonical(nums, den, k):
+    f = RationalPoly(nums, den)
+    want = [Fraction(c, den) for c in nums]
+    while want and not want[-1]:
+        want.pop()
+    assert f.coeffs == tuple(want)
+    assert f.den > 0
+    assert math.gcd(f.den, *f.nums) == 1
+    assert not f.nums or f.nums[-1] != 0
     # the old definition: lcm of the coefficient denominators
-    assert by_ints.denominator == math.lcm(*(c.denominator for c in by_ints.coeffs))
+    assert f.denominator == math.lcm(*(c.denominator for c in want))
+    # the same polynomial at another scaling, of either sign
+    g = RationalPoly([k * c for c in nums], k * den)
+    assert (g.nums, g.den) == (f.nums, f.den)
+    assert g == f
+    assert hash(g) == hash(f)
 
 
-def test_poly_scaled_normalizes_sign_and_common_factors():
-    assert RationalPoly.scaled((2, -4, 6), -4) == RationalPoly((F(-1, 2), 1, F(-3, 2)))
-    f = RationalPoly.scaled((6, 0, 12, 0), 18)
+def test_poly_normalizes_sign_and_common_factors():
+    f = RationalPoly((2, -4, 6), -4)
+    assert (f.nums, f.den) == ((-1, 2, -3), 2)
+    assert f.coeffs == (F(-1, 2), 1, F(-3, 2))
+    f = RationalPoly((6, 0, 12, 0), 18)
     assert (f.nums, f.den) == ((1, 0, 2), 3)
-    zero = RationalPoly.scaled((0, 0), -7)
+    zero = RationalPoly((0, 0), -7)
     assert (zero.nums, zero.den) == ((), 1)
     assert zero == RationalPoly()
     with pytest.raises(ZeroDivisionError):
-        RationalPoly.scaled((1,), 0)
+        RationalPoly((1,), 0)
+    with pytest.raises(ZeroDivisionError):
+        RationalPoly((), 0)
 
 
 def _fraction_call(a, x):
@@ -406,20 +429,27 @@ def _fraction_call(a, x):
 
 
 @settings(max_examples=80)
-@given(st.lists(small_fractions, max_size=6), small_fractions)
-def test_poly_arithmetic_matches_fraction_reference(a, x):
+@given(
+    st.lists(small_ints, max_size=6),
+    st.integers(min_value=1, max_value=36),
+    small_fractions,
+)
+def test_poly_arithmetic_matches_fraction_reference(nums, den, x):
     # the one arithmetic a polynomial has: evaluation by integer Horner
-    f = RationalPoly(a)
+    f = RationalPoly(nums, den)
+    a = [Fraction(c, den) for c in nums]
     assert f(x) == _fraction_call(a, x)
     assert f(3) == _fraction_call(a, 3)
 
 
 def test_poly_equality_and_hash():
-    a = RationalPoly((1, 2))
-    b = RationalPoly((F(2, 2), F(4, 2), 0))
-    assert a == b
-    assert hash(a) == hash(b)
-    assert a != RationalPoly((1,))
+    # x + 1/2 built at three scalings, one with a negative denominator
+    a = RationalPoly((1, 2), 2)
+    for b in (RationalPoly((3, 6, 0), 6), RationalPoly((-5, -10), -10)):
+        assert a == b
+        assert hash(a) == hash(b)
+    assert a != RationalPoly((1, 2))
+    assert a != RationalPoly((1,), 2)
 
 
 def test_scaled_numbers_clear_denominators():

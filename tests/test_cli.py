@@ -3,6 +3,7 @@
 import concurrent.futures
 import importlib
 import os
+import re
 import subprocess
 import sys
 from math import lcm, prod
@@ -453,8 +454,13 @@ def test_bench_emits_csv_after_agreement(capsys):
     lines = out.splitlines()
     assert lines[0] == "id,lo,hi,formula_ns,oracle_ns,speedup"
     fields = lines[1].split(",")
+    assert len(fields) == 6
     assert fields[:3] == ["DD", "1", "50"]
-    assert int(fields[3]) > 0 and int(fields[4]) > 0
+    formula_ns, oracle_ns = int(fields[3]), int(fields[4])
+    assert formula_ns > 0 and oracle_ns > 0
+    # the speedup, oracle over formula time, with two decimals
+    assert re.fullmatch(r"\d+\.\d\d", fields[5])
+    assert fields[5] == f"{oracle_ns / formula_ns:.2f}"
 
 
 def test_bench_usage_errors(capsys):
@@ -531,6 +537,33 @@ def test_verify_bound_is_refused_before_any_table_fill_or_sieve(capsys, monkeypa
     assert f"{cli.MAX_SEQ_N} for a sweep over n" in help_text
     assert f"largest m (grid sweeps), at most {cli.MAX_GRID_M}" in help_text
     assert f"largest r (grid sweeps), at most {cli.MAX_GRID_R}" in help_text
+
+
+def test_run_sweep_refuses_each_bound_before_any_work(monkeypatch):
+    # a library caller is refused as the command line is, with no table
+    # fill, no sieve and no chunk of the sweep run
+    def refuse(*args):
+        raise AssertionError(f"work started for {args[1:]}")
+
+    monkeypatch.setattr(BernoulliCache, "_extend", refuse)
+    for module in (digits, denom):
+        monkeypatch.setattr(module, "prime_flags", refuse)
+    monkeypatch.setattr(verify, "_chunk_entry", refuse)
+    grids = ("T2-denominator", "T3-integrality", "L1-congruence", "AM-integrality")
+    for theorem_id in verify.available_sweeps():
+        if theorem_id in grids:
+            pasts = (
+                ({"max_n": cli.MAX_TABLE_N + 1}, f"n <= {cli.MAX_TABLE_N}"),
+                ({"m_max": cli.MAX_GRID_M + 1}, f"m <= {cli.MAX_GRID_M}"),
+                ({"r_max": cli.MAX_GRID_R + 1}, f"r <= {cli.MAX_GRID_R}"),
+            )
+            small = {"max_n": 1, "m_max": 1, "r_max": 0}
+        else:
+            pasts = (({"max_n": cli.MAX_SEQ_N + 1}, f"n <= {cli.MAX_SEQ_N}"),)
+            small = {}
+        for past, message in pasts:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                verify.run_sweep(theorem_id, **{**small, **past}, jobs=1)
 
 
 def test_term_count_bound_is_refused_before_any_work(capsys, monkeypatch):
@@ -711,7 +744,7 @@ LIBRARY = (
 ).split()
 # each name that left the package root, by the module that defines it
 MOVED = {
-    "cli": ("BenchRecord", "run_bench"),
+    "cli": ("run_bench",),
     "denom": ("full_denom_quotient_by_division", "full_denom_split_product",
               "full_denom_via_successor", "nonconstant_denom_all_primes",
               "nonconstant_quotient_by_division"),

@@ -100,7 +100,7 @@ def _power_sum_poly_by_value_at(cache, spec):
     for j, v in enumerate(values, start=1):
         binom = binom * (n + 2 - j) // j  # C(n+1, j)
         nums.append(mn * binom * v.numerator * (scale // v.denominator))
-    return RationalPoly.scaled(nums, (n + 1) * scale)
+    return RationalPoly(nums, (n + 1) * scale)
 
 
 def test_poly_matches_value_at_route_on_t2_grid():
@@ -171,7 +171,7 @@ def test_scaling_identity():
         base = power_sum_poly(CACHE, ProgressionSpec(1, 0, n))
         for m in range(1, 11):
             scaled = power_sum_poly(CACHE, ProgressionSpec(m, 0, n))
-            assert scaled == RationalPoly(c * m**n for c in base.coeffs), (m, n)
+            assert scaled == RationalPoly([c * m**n for c in base.nums], base.den), (m, n)
 
 
 def test_denominator_spot_values():
@@ -373,7 +373,7 @@ def test_t2_reports_a_numerator_changed_at_one_start(monkeypatch):
             return f
         # constant term 1/d in place of 0: the denominator d stays, and the
         # difference from r = 0 leaves Z[x] unless d = 1
-        return RationalPoly.scaled((1, *f.nums[1:]), f.den)
+        return RationalPoly((1, *f.nums[1:]), f.den)
 
     monkeypatch.setattr(verify, "power_sum_poly", bent)
     report = verify.run_sweep("T2-denominator", max_n=6, m_max=3, r_max=2)
