@@ -52,7 +52,14 @@ from .denom import (
     parity_indices,
 )
 from .errors import TheoremViolationError
-from .limits import MAX_GRID_M, MAX_GRID_R, MAX_POWERSUM_X, MAX_SEQ_N, MAX_TABLE_N
+from .limits import (
+    MAX_GRID_CASES,
+    MAX_GRID_M,
+    MAX_GRID_R,
+    MAX_POWERSUM_X,
+    MAX_SEQ_N,
+    MAX_TABLE_N,
+)
 from .powersum import (
     ProgressionSpec,
     is_integral,
@@ -376,7 +383,7 @@ def _verify_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max", type=int, default=None,
         help=f"largest n: at most {MAX_TABLE_N} for a grid sweep over (m, r, n), "
-        f"{MAX_SEQ_N} for a sweep over n",
+        f"with m*(r+1)*n at most {MAX_GRID_CASES}; {MAX_SEQ_N} for a sweep over n",
     )
     parser.add_argument("--m-max", type=int, help=f"largest m (grid sweeps), at most {MAX_GRID_M}")
     parser.add_argument("--r-max", type=int, help=f"largest r (grid sweeps), at most {MAX_GRID_R}")

@@ -64,8 +64,10 @@ loops turned inside out: primes (or divisors) outside, n inside.
 
   DD, p <= sqrt(hi):  n = k*p + d with d < p has s_p(n) = s_p(k) + d, so p
                       is in DD(n) exactly for n in
-                      [kp + max(p - s_p(k), 0), kp + p - 1]: one digit sum
-                      per block k = n // p, not one per n.
+                      [kp + max(p - s_p(k), 0), kp + p - 1].  One digit sum
+                      per prime, at its first block k = n // p; from block
+                      to block s_p(k) is carried by the step law above,
+                      s_p(k+1) = s_p(k) + 1 - t(p-1).
   DD, p > sqrt(hi):   n = k*p + d has two digits, k <= sqrt(hi) < p, so p
                       is in DD(n) exactly for n in [(k+1)p - k, (k+1)p - 1];
                       for each k the primes in the matching p-interval come
@@ -83,13 +85,14 @@ Every scan here, per index or per segment, lists its primes in ascending
 order, and so do the two full-scan references and ``digits.radical``: each
 SquarefreeProduct is built by its constructor straight from those primes,
 with no sort and one product.  Only ``merge``, whose union is unordered,
-goes through ``SquarefreeProduct.of``.
+sorts first.
 
 Both closed forms keep their values in a memo of at most ``MEMO_BOUND``
 indices, oldest out first; a hit returns the stored SquarefreeProduct.
 ``fill_nonconstant_memo`` and ``fill_number_memo`` store a segment at
-once, which ``seq`` does over long ranges in segments of at most half the
-bound; ``clear_formula_caches`` empties both memos.
+once, making room for it with one eviction before it is stored, which
+``seq`` does over long ranges in segments of at most half the bound;
+``clear_formula_caches`` empties both memos.
 """
 
 from __future__ import annotations
@@ -161,13 +164,22 @@ def _nonconstant_segment(lo: int, hi: int) -> list[list[int]]:
     found: list[list[int]] = [[] for _ in range(hi - lo + 1)]
     root = isqrt(hi)
     # p <= sqrt(hi): in block k = n // p, s_p(n) = s_p(k) + n - kp reaches p
-    # from n = kp + max(p - s_p(k), 0) to the block's end
+    # from n = kp + max(p - s_p(k), 0) to the block's end.  One digit sum at
+    # the first block; then s_p(k + 1) = s_p(k) + 1 - (p - 1)t, where t is
+    # the number of trailing base-p digits p - 1 of k, that is v_p(k + 1).
     for p in primes_up_to(root):
-        for k in range(max(lo // p, 1), hi // p + 1):
+        first = max(lo // p, 1)
+        s = digit_sum(p, first)
+        for k in range(first, hi // p + 1):
             base = k * p
-            start = max(base + max(p - digit_sum(p, k), 0), lo)
+            start = max(base + max(p - s, 0), lo)
             for row in found[start - lo : base + p - lo]:
                 row.append(p)
+            s += 1
+            q = k + 1
+            while q % p == 0:
+                q //= p
+                s -= p - 1
     # p > sqrt(hi): n = kp + d has two digits, so p is in DD(n) for the k
     # values n = (k+1)p - k .. (k+1)p - 1; k walks down so that each n gets
     # its primes in ascending order.  For k = 1 the p-interval ends at
@@ -226,8 +238,14 @@ def _fill(memo: OrderedDict, segment: Callable, lo: int, hi: int) -> None:
     missing = [n for n in range(lo, hi + 1) if n not in memo]
     if missing:
         rows = segment(lo, hi)
+        # room for the segment is made once, oldest out first, before it is
+        # stored, so the memo never holds more than MEMO_BOUND indices; of a
+        # segment longer than that only the last MEMO_BOUND would stay
+        missing = missing[-MEMO_BOUND:]
+        for _ in range(len(memo) + len(missing) - MEMO_BOUND):
+            memo.popitem(last=False)
         for n in missing:
-            _remember(memo, n, rows[n - lo])
+            memo[n] = SquarefreeProduct(tuple(rows[n - lo]))
 
 
 def fill_nonconstant_memo(lo: int, hi: int) -> None:

@@ -1,8 +1,9 @@
 """Base-p digit arithmetic, p-adic valuations, factorization and prime enumeration.
 
 Everything here is exact integer arithmetic on Python's native bigints.
-A squarefree product (``SquarefreeProduct``) is its ascending primes; the
-value is their product, computed once by the pass that checks the order.
+A squarefree product (``SquarefreeProduct``) is a slotted object, immutable
+by convention, holding its ascending primes; the value is their product,
+computed once by the pass that checks the order.
 
 All functions are pure apart from the prime sieve, a module-level cache that
 only ever grows.  Its state is a flag table, one byte per integer up to
@@ -16,34 +17,48 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import compress
 
 
-@dataclass(frozen=True)
 class SquarefreeProduct:
     """A squarefree positive integer, built from its prime divisors ascending.
 
     The primes are the one input; ``value``, their product, is computed once
     by the same pass that checks that they strictly increase.  The empty
-    product is 1.  Producers that list their primes in ascending order call
-    the constructor; :meth:`of` sorts first, for unordered input.  Full
-    primality of every member is the producers' responsibility; the test
-    suite re-verifies it by trial division.
+    product is 1.  Instances are slotted and immutable by convention; two
+    are equal, and hash alike, exactly when their primes are.  Producers
+    that list their primes in ascending order call the constructor;
+    :meth:`of` sorts first, for unordered input.  Full primality of every
+    member is the producers' responsibility; the test suite re-verifies it
+    by trial division.
     """
 
-    primes: tuple[int, ...]
-    value: int = field(init=False)
+    __slots__ = ("primes", "value")
 
-    def __post_init__(self) -> None:
+    primes: tuple[int, ...]
+    value: int
+
+    def __init__(self, primes: tuple[int, ...]) -> None:
         prod = 1
         prev = 1
-        for p in self.primes:
+        for p in primes:
             if p <= prev:
                 raise ValueError("primes must be strictly increasing and >= 2")
             prev = p
             prod *= p
-        object.__setattr__(self, "value", prod)
+        self.primes = primes
+        self.value = prod
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SquarefreeProduct):
+            return NotImplemented
+        return self.primes == other.primes
+
+    def __hash__(self) -> int:
+        return hash(self.primes)
+
+    def __repr__(self) -> str:
+        return f"SquarefreeProduct(primes={self.primes!r}, value={self.value!r})"
 
     @classmethod
     def of(cls, primes) -> "SquarefreeProduct":
@@ -61,7 +76,7 @@ class SquarefreeProduct:
             return other
         if self.value % other.value == 0:
             return self
-        return SquarefreeProduct.of(set(self.primes) | set(other.primes))
+        return SquarefreeProduct(tuple(sorted({*self.primes, *other.primes})))
 
     def divides(self, n: int) -> bool:
         return n % self.value == 0

@@ -20,6 +20,17 @@ MAX_TABLE_N = 1500
 MAX_GRID_M = 300
 MAX_GRID_R = 100
 
+# The most cases m_max * (r_max + 1) * max_n that a grid sweep accepts, its
+# axes each within their own bounds.  With ``--jobs 1`` (Python 3.11, 2
+# CPUs): AM at m = 300 with its other defaults, 984,000 cases at n <= 80,
+# takes 21 s; T3 at r = 100, 363,600 cases, 22 s and 44 MB; the largest
+# default grid, AM's 131,200 cases, 2.6 s.  The cost of a case grows with n
+# (AM at n <= 300, 492,000 cases, takes 64 s; T3 at n <= 300, m <= 60,
+# r <= 10, 198,000 cases, ran past 120 s), so this bound caps the size of a
+# grid, not its time at large n.  Every axis at its bound, 45.4 million
+# cases, is refused.
+MAX_GRID_CASES = 10**6
+
 # The largest index n that ``seq --to`` and the max_n of a sweep over n
 # alone (T1, C2, T4, T5) accept.  The bound comes from D, DD and DB, the ids
 # that use the sieve: D at n needs a flag table of n + 1 bytes and DD one of

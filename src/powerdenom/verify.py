@@ -46,7 +46,7 @@ from .denom import (
 )
 from .digits import factorize, p_valuation, primes_up_to, radical
 from .errors import TheoremViolationError
-from .limits import MAX_GRID_M, MAX_GRID_R, MAX_SEQ_N, MAX_TABLE_N
+from .limits import MAX_GRID_CASES, MAX_GRID_M, MAX_GRID_R, MAX_SEQ_N, MAX_TABLE_N
 from .powersum import (
     ProgressionSpec,
     am_congruence_check,
@@ -351,9 +351,10 @@ def run_sweep(
 
     A sweep over n alone takes only ``max_n``, at most ``MAX_SEQ_N``; a grid
     sweep takes ``max_n`` up to ``MAX_TABLE_N``, and also ``m_max`` and
-    ``r_max`` up to ``MAX_GRID_M`` and ``MAX_GRID_R``.  Bounds past those, or
-    that hold no case, are rejected with ValueError, the upper ones before
-    any Bernoulli number or sieve is computed.
+    ``r_max`` up to ``MAX_GRID_M`` and ``MAX_GRID_R``, with at most
+    ``MAX_GRID_CASES`` cases m_max * (r_max + 1) * max_n.  Bounds past
+    those, or that hold no case, are rejected with ValueError, the upper
+    ones before any Bernoulli number or sieve is computed.
     ``jobs`` > 1 partitions the outer axis (m for a grid, n otherwise) over
     a process pool of at most ``jobs`` workers, and never more than the CPUs
     this process may use; results are identical to the inline run, only
@@ -378,6 +379,12 @@ def run_sweep(
             raise ValueError(f"max {axis} must be >= {least}, got {top}")
         if top > most:
             raise ValueError(f"{theorem_id} takes {axis} <= {most}, got {top}")
+    if grid:
+        cases = bounds.m_max * (bounds.r_max + 1) * bounds.max_n
+        if cases > MAX_GRID_CASES:
+            raise ValueError(
+                f"{theorem_id} takes m*(r+1)*n <= {MAX_GRID_CASES} cases, got {cases}"
+            )
     # a fork-started pool launches all its workers up front
     jobs = min(jobs, usable_cpus())
 

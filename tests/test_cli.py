@@ -566,6 +566,38 @@ def test_run_sweep_refuses_each_bound_before_any_work(monkeypatch):
                 verify.run_sweep(theorem_id, **{**small, **past}, jobs=1)
 
 
+def test_run_sweep_refuses_a_grid_past_the_case_bound_before_any_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"work started for {args[1:]}")
+
+    monkeypatch.setattr(BernoulliCache, "_extend", refuse)
+    for module in (digits, denom):
+        monkeypatch.setattr(module, "prime_flags", refuse)
+    monkeypatch.setattr(verify, "_chunk_entry", refuse)
+    grids = ("T2-denominator", "T3-integrality", "L1-congruence", "AM-integrality")
+    every_axis_at_its_bound = {
+        "max_n": cli.MAX_TABLE_N, "m_max": cli.MAX_GRID_M, "r_max": cli.MAX_GRID_R
+    }
+    # m and r at their bounds, and the largest n that keeps the cases in bound
+    rows = cli.MAX_GRID_M * (cli.MAX_GRID_R + 1)
+    last_n = cli.MAX_GRID_CASES // rows
+    edge = {"m_max": cli.MAX_GRID_M, "r_max": cli.MAX_GRID_R, "max_n": last_n}
+    message = f"m*(r+1)*n <= {cli.MAX_GRID_CASES} cases"
+    for theorem_id in grids:
+        for bounds in (every_axis_at_its_bound, {**edge, "max_n": last_n + 1}):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                verify.run_sweep(theorem_id, **bounds, jobs=1)
+
+    # accepted: every default grid, the edge, and each axis at its own bound
+    # with the others at 1 and 0 (the chunks are stubbed out: nothing runs)
+    monkeypatch.setattr(verify, "_chunk_entry", lambda args: (1, 0, []))
+    small = {"max_n": 1, "m_max": 1, "r_max": 0}
+    alone = [{**small, k: v} for k, v in every_axis_at_its_bound.items()]
+    for theorem_id in grids:
+        for bounds in ({}, edge, *alone):
+            assert verify.run_sweep(theorem_id, **bounds, jobs=1).ok, (theorem_id, bounds)
+
+
 def test_term_count_bound_is_refused_before_any_work(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError(f"work started for {args[1:]}")

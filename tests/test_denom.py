@@ -218,6 +218,20 @@ def test_segment_scans_equal_the_per_index_scans_at_sampled_large_segments():
             assert tuple(got[n - lo]) == nonconstant_denom_all_primes(n).primes, n
 
 
+def test_segment_digit_sums_carry_across_prime_powers():
+    # the segment scan takes one digit sum per prime and carries it from
+    # block to block; across p^e it carries e - 1 trailing digits at once
+    for p in primes_up_to(47):
+        power = p
+        while power <= 2 * 10**6:
+            if power >= 10**5:
+                lo, hi = power - p, power + p - 1
+                got = denom._nonconstant_segment(lo, hi)
+                for n in range(lo, hi + 1):
+                    assert tuple(got[n - lo]) == denom._nonconstant_primes(n), (p, n)
+            power *= p
+
+
 def test_filled_memos_hold_the_per_index_values(monkeypatch):
     clear_formula_caches()
     denom.fill_nonconstant_memo(990, 1030)
@@ -236,6 +250,29 @@ def test_filled_memos_hold_the_per_index_values(monkeypatch):
         assert nonconstant_denom(n) is dd and number_denom(n) is d, n
         assert dd.primes == denom._nonconstant_primes(n), n
         assert d.primes == denom._number_primes(n), n
+
+
+def test_a_fill_keeps_the_newest_indices_and_never_passes_the_bound(monkeypatch):
+    bound = 8
+    monkeypatch.setattr(denom, "MEMO_BOUND", bound)
+    memo = denom._nonconstant_memo
+
+    def stored_within_the_bound(primes):
+        assert len(memo) < bound, len(memo)
+        return SquarefreeProduct(primes)
+
+    monkeypatch.setattr(denom, "SquarefreeProduct", stored_within_the_bound)
+    clear_formula_caches()
+    nonconstant_denom(3)
+    denom.fill_nonconstant_memo(1, 5)  # 3 is stored already and keeps its place
+    assert list(memo) == [3, 1, 2, 4, 5]
+    denom.fill_nonconstant_memo(4, 9)  # four new indices: the oldest, 3, goes
+    assert list(memo) == [1, 2, 4, 5, 6, 7, 8, 9]
+    denom.fill_nonconstant_memo(20, 40)  # longer than the bound: its last 8 stay
+    assert list(memo) == list(range(33, 41))
+    for n, value in memo.items():
+        assert value.primes == denom._nonconstant_primes(n), n
+    clear_formula_caches()
 
 
 def test_a_candidate_past_the_digit_bound_is_not_looked_up(monkeypatch):

@@ -1,6 +1,7 @@
 """Digit sums, valuations, radicals, sieve vs. trial division."""
 
 import math
+import pickle
 import random
 from bisect import bisect_right
 
@@ -211,6 +212,21 @@ def test_squarefree_product_construction():
     assert sp.value == 30
     assert sp == SquarefreeProduct((2, 3, 5))
     assert SquarefreeProduct.of([]).value == 1
+
+
+def test_squarefree_product_equality_hash_repr_and_pickle():
+    a = SquarefreeProduct((2, 3, 7))
+    b = SquarefreeProduct.of([7, 3, 2])
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    assert len({a, b, SquarefreeProduct(())}) == 2
+    assert a != SquarefreeProduct((2, 3)) and a != 42
+    assert repr(a) == "SquarefreeProduct(primes=(2, 3, 7), value=42)"
+    # a product survives pickling, as whatever crosses to a worker process must
+    for product in (a, SquarefreeProduct(())):
+        back = pickle.loads(pickle.dumps(product))
+        assert back == product
+        assert (back.primes, back.value) == (product.primes, product.value)
 
 
 def test_squarefree_product_merge_is_lcm():
