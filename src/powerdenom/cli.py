@@ -41,6 +41,7 @@ from .denom import (
     clear_formula_caches,
     fill_nonconstant_memo,
     fill_number_memo,
+    fill_quotient_memo,
     full_denom,
     full_denom_direct,
     full_denom_quotient,
@@ -56,6 +57,7 @@ from .limits import (
     MAX_GRID_CASES,
     MAX_GRID_M,
     MAX_GRID_R,
+    MAX_GRID_WORK,
     MAX_POWERSUM_X,
     MAX_SEQ_N,
     MAX_TABLE_N,
@@ -73,7 +75,8 @@ from .verify import available_sweeps, run_sweep, usable_cpus
 # look their functions up in this module at call time, so a rebound name (a
 # test's fake, a tracing wrapper) is the one called.  The fills only store
 # values the closed forms then read: D reads the number memo, DD the
-# nonconstant memo, DB both, and the quotients neither.
+# nonconstant memo, DB both, and the quotients the quotient memo, which one
+# fill stores at both parities, so a DBQ range reuses a DDQ range's scan.
 # The quotient oracles divide exactly: a denominator at n+1 that does not
 # divide the one at n shows up as a disagreement, not as a floored integer.
 SEQUENCES: dict[str, tuple[Callable, Callable, Optional[int], tuple[Callable, ...]]] = {
@@ -101,13 +104,13 @@ SEQUENCES: dict[str, tuple[Callable, Callable, Optional[int], tuple[Callable, ..
             nonconstant_denom_direct(c, n), nonconstant_denom_direct(c, n + 1)
         ),
         NONCONSTANT_QUOTIENT_PARITY,
-        (),
+        (fill_quotient_memo,),
     ),
     "DBQ": (
         lambda n: full_denom_quotient(n),
         lambda c, n: Fraction(full_denom_direct(c, n), full_denom_direct(c, n + 1)),
         FULL_QUOTIENT_PARITY,
-        (),
+        (fill_quotient_memo,),
     ),
 }
 
@@ -115,7 +118,9 @@ SEQUENCES: dict[str, tuple[Callable, Callable, Optional[int], tuple[Callable, ..
 # One segment scan of R indices costs about as much as eight per-index
 # scans, so a shorter range, such as a single-term query, keeps the
 # per-index path.  Segments hold at most half the memo bound, so filling
-# one never evicts the values the segment is about to print.
+# one never evicts the values the segment is about to print: a quotient
+# segment of SEGMENT_TERMS indices of one parity spans 2*SEGMENT_TERMS - 1
+# = 4095 values of n, all of them stored, which is still within the bound.
 SEGMENT_MIN_TERMS = 16
 SEGMENT_TERMS = MEMO_BOUND // 2
 
@@ -383,7 +388,8 @@ def _verify_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max", type=int, default=None,
         help=f"largest n: at most {MAX_TABLE_N} for a grid sweep over (m, r, n), "
-        f"with m*(r+1)*n at most {MAX_GRID_CASES}; {MAX_SEQ_N} for a sweep over n",
+        f"with m*(r+1)*n at most {MAX_GRID_CASES} and m*(r+1)*n^3 at most "
+        f"{MAX_GRID_WORK}; {MAX_SEQ_N} for a sweep over n",
     )
     parser.add_argument("--m-max", type=int, help=f"largest m (grid sweeps), at most {MAX_GRID_M}")
     parser.add_argument("--r-max", type=int, help=f"largest r (grid sweeps), at most {MAX_GRID_R}")

@@ -29,8 +29,8 @@ p^e || n+1 can leave it, and then t = e.  Hence
   DBQ(n), n even:  the p | n+1 with s_p(n+1) < p, since
                    DB(n) = lcm(DD(n+1), rad(n+1)) and DB(n+1) = DD(n+1).
 
-Each costs one trial division of n+1 and one digit sum per prime factor:
-no sieve, no scan and no memo.  The quotients by division,
+A single quotient costs one trial division of n+1 and one digit sum per
+prime factor, with no sieve.  The quotients by division,
 ``nonconstant_quotient_by_division`` and ``full_denom_quotient_by_division``,
 stay beside ``full_denom_via_successor`` as references; they divide the
 closed forms at n and n+1 and raise TheoremViolationError when the
@@ -76,10 +76,20 @@ loops turned inside out: primes (or divisors) outside, n inside.
   D:                  for each d <= sqrt(hi), the even multiples n = d*j
                       with j >= d take d + 1 and j + 1 when prime.
 
+  Q:                  the quotients at both parities at once, Q(n) being
+                      DDQ(n) at odd n and DBQ(n) at even n.  For each
+                      p <= sqrt(hi + 1), the multiples k = j*p of p in
+                      lo+1..hi+1 lose p^e from a running cofactor of k and
+                      read s_p(k) = s_p(j), one digit sum per prime and then
+                      carried from j to j + 1 by the step law.  A cofactor
+                      r > 1 left over is a prime with r^2 > k, so
+                      s_r(k) = k // r.  No DD value is read: the quotients
+                      stay independent of the DD scans.
+
 A segment of R indices costs about R*log(hi) + sqrt(hi) steps plus one per
 prime written, where R per-n scans cost R*sqrt(hi).  The per-n scans stay:
 below about 16 indices they are the faster ones, and the tests hold the
-segment scans to their tuples.
+segment scans to their tuples and to the per-index quotients.
 
 Every scan here, per index or per segment, lists its primes in ascending
 order, and so do the two full-scan references and ``digits.radical``: each
@@ -89,10 +99,15 @@ sorts first.
 
 Both closed forms keep their values in a memo of at most ``MEMO_BOUND``
 indices, oldest out first; a hit returns the stored SquarefreeProduct.
-``fill_nonconstant_memo`` and ``fill_number_memo`` store a segment at
-once, making room for it with one eviction before it is stored, which
-``seq`` does over long ranges in segments of at most half the bound;
-``clear_formula_caches`` empties both memos.
+The quotients share a third memo, of ints keyed by n, which only the
+segment fill writes: a quotient computed for one index alone is not
+stored.  ``fill_nonconstant_memo``, ``fill_number_memo`` and
+``fill_quotient_memo`` store a segment at once through one ``_fill``,
+which scans only from the first index not yet stored to the last one and
+makes room with one eviction before it stores.  ``seq`` fills over long
+ranges in segments of at most half the bound for D, DD and DB, and of
+4095 values of n for a quotient's 2048 indices of one parity;
+``clear_formula_caches`` empties all three memos.
 """
 
 from __future__ import annotations
@@ -100,13 +115,14 @@ from __future__ import annotations
 from collections import OrderedDict
 from itertools import compress
 from math import isqrt, lcm, prod
-from typing import Callable
+from typing import Callable, Iterator
 
 from .bernoulli import BernoulliCache
 from .digits import (
     SquarefreeProduct,
     digit_sum,
     factorize,
+    p_valuation,
     prime_flags,
     primes_up_to,
     radical,
@@ -115,11 +131,15 @@ from .errors import TheoremViolationError
 
 # The most indices each memo keeps.  Every caller reads the memos locally
 # in n (DB reads DD and D at n, the C2 sweep n and n + 1, ``seq`` one
-# segment of at most half the bound), so a long range needs no more.
+# segment of at most half the bound, or of 4095 values of n for a
+# quotient), so a long range needs no more.
 MEMO_BOUND = 4096
 
 _nonconstant_memo: OrderedDict[int, SquarefreeProduct] = OrderedDict()
 _number_memo: OrderedDict[int, SquarefreeProduct] = OrderedDict()
+# nonconstant_quotient at odd n, full_denom_quotient at even n: the two
+# domains are complementary, so one memo keyed by n holds both
+_quotient_memo: OrderedDict[int, int] = OrderedDict()
 
 
 def _check_index(n: int) -> None:
@@ -225,6 +245,40 @@ def _number_segment(lo: int, hi: int) -> list[list[int]]:
     return found
 
 
+def _quotient_segment(lo: int, hi: int) -> list[int]:
+    """Q(n) for n = lo..hi from one scan of k = n + 1: nonconstant_quotient(n)
+    at odd n and full_denom_quotient(n) at even n."""
+    size = hi - lo + 1
+    rest = list(range(lo + 1, hi + 2))  # k with its primes <= sqrt(hi + 1) divided out
+    found = [1] * size
+    # p <= sqrt(hi + 1): walk the multiples k = j*p, where s_p(k) = s_p(j).
+    # One digit sum at the first multiple; then s_p(j + 1) = s_p(j) + 1 -
+    # (p - 1)v_p(j + 1), and e = v_p(k) = 1 + v_p(j) comes from the same loop.
+    for p in primes_up_to(isqrt(hi + 1)):
+        j = -(-(lo + 1) // p)
+        s = digit_sum(p, j)
+        e = p_valuation(p, j * p)
+        for i in range(j * p - lo - 1, size, p):
+            rest[i] //= p**e
+            # even n: s_p(k) < p; odd n: also p <= s_p(k) - 1 + e(p - 1) = s_p(n)
+            if s < p and ((lo + i) % 2 == 0 or p <= s - 1 + e * (p - 1)):
+                found[i] *= p
+            j += 1
+            s += 1
+            e = 1
+            t = j
+            while t % p == 0:
+                t //= p
+                s -= p - 1
+                e += 1
+    # a cofactor r > 1 left is a prime with r^2 > k, so s_r(k) = k // r < r:
+    # r joins at even n, and at odd n when k // r >= 2, that is r < k
+    for i, r in enumerate(rest):
+        if r > 1 and ((lo + i) % 2 == 0 or r < lo + i + 1):
+            found[i] *= r
+    return found
+
+
 def _remember(memo: OrderedDict, n: int, primes) -> SquarefreeProduct:
     # every scan lists its primes in ascending order: no sort
     value = memo[n] = SquarefreeProduct(tuple(primes))
@@ -235,37 +289,57 @@ def _remember(memo: OrderedDict, n: int, primes) -> SquarefreeProduct:
 
 def _fill(memo: OrderedDict, segment: Callable, lo: int, hi: int) -> None:
     _check_index(lo)
-    missing = [n for n in range(lo, hi + 1) if n not in memo]
-    if missing:
-        rows = segment(lo, hi)
-        # room for the segment is made once, oldest out first, before it is
-        # stored, so the memo never holds more than MEMO_BOUND indices; of a
-        # segment longer than that only the last MEMO_BOUND would stay
-        missing = missing[-MEMO_BOUND:]
-        for _ in range(len(memo) + len(missing) - MEMO_BOUND):
-            memo.popitem(last=False)
-        for n in missing:
-            memo[n] = SquarefreeProduct(tuple(rows[n - lo]))
+    # of a span longer than the memo only the last MEMO_BOUND indices would stay
+    lo = max(lo, hi - MEMO_BOUND + 1)
+    new = [n not in memo for n in range(lo, hi + 1)]
+    if True not in new:
+        return
+    # only the span from the first missing index to the last one is scanned
+    first = lo + new.index(True)
+    last = hi - new[::-1].index(True)
+    values = segment(first, last)
+    # room is made once, oldest out first, before anything is stored, so
+    # the memo never holds more than MEMO_BOUND indices
+    for _ in range(len(memo) + new.count(True) - MEMO_BOUND):
+        memo.popitem(last=False)
+    memo.update(compress(zip(range(first, last + 1), values), new[first - lo :]))
+
+
+def _products(rows) -> Iterator[SquarefreeProduct]:
+    # built one at a time as _fill stores them, after its eviction; every
+    # scan lists its primes in ascending order: no sort
+    return map(SquarefreeProduct, map(tuple, rows))
 
 
 def fill_nonconstant_memo(lo: int, hi: int) -> None:
     """Store nonconstant_denom(n) for n = lo..hi from one segment scan.
 
-    Indices already stored keep their values; a segment stored whole is
-    not scanned again.  At most MEMO_BOUND indices stay, oldest out first.
+    Indices already stored keep their values; only the span from the first
+    index not stored to the last one is scanned.  At most MEMO_BOUND
+    indices stay, oldest out first.
     """
-    _fill(_nonconstant_memo, _nonconstant_segment, lo, hi)
+    _fill(_nonconstant_memo, lambda a, b: _products(_nonconstant_segment(a, b)), lo, hi)
 
 
 def fill_number_memo(lo: int, hi: int) -> None:
     """Store number_denom(n) for n = lo..hi, as fill_nonconstant_memo does."""
-    _fill(_number_memo, _number_segment, lo, hi)
+    _fill(_number_memo, lambda a, b: _products(_number_segment(a, b)), lo, hi)
+
+
+def fill_quotient_memo(lo: int, hi: int) -> None:
+    """Store the quotient at each n = lo..hi, as fill_nonconstant_memo does.
+
+    That is nonconstant_quotient(n) at odd n and full_denom_quotient(n) at
+    even n, both parities from one scan of n + 1 (``_quotient_segment``).
+    """
+    _fill(_quotient_memo, _quotient_segment, lo, hi)
 
 
 def clear_formula_caches() -> None:
     """Drop memoized formula scans (used by benchmarks for honest timings)."""
     _nonconstant_memo.clear()
     _number_memo.clear()
+    _quotient_memo.clear()
 
 
 def number_denom(n: int) -> SquarefreeProduct:
@@ -381,13 +455,17 @@ def nonconstant_quotient(n: int) -> int:
     The product of the p^e || n+1 with s_p(n+1) < p <= s_p(n+1) - 1 + e(p-1):
     the primes with s_p(n) >= p > s_p(n+1), since n ends in e base-p digits
     p-1.  No other prime can leave the digit-sum set between n and n+1.
-    Costs one trial division of n+1 and one digit sum per prime factor.
-    Even input is rejected: DD(n+1) need not divide DD(n) there.  The
+    Read from the quotient memo when ``fill_quotient_memo`` stored n;
+    otherwise one trial division of n+1 and one digit sum per prime
+    factor, and nothing is stored.  Even input is rejected: DD(n+1) need not divide DD(n) there.  The
     division it replaces, with its divisibility check, is
     nonconstant_quotient_by_division; the T4 sweep compares the two at
     every odd n it covers.
     """
     _check_nonconstant_quotient_index(n)
+    q = _quotient_memo.get(n)
+    if q is not None:
+        return q
     k = n + 1
     q = 1
     for p, e in factorize(k):
@@ -402,12 +480,15 @@ def full_denom_quotient(n: int) -> int:
 
     The product of the primes p | n+1 with s_p(n+1) < p: DB(n) is
     lcm(DD(n+1), rad(n+1)) and DB(n+1) = DD(n+1) at odd n+1 >= 3, so DB(n)
-    gains exactly the primes of n+1 missing from DD(n+1).  Costs one trial
-    division of n+1 and one digit sum per prime factor.  The division it
+    gains exactly the primes of n+1 missing from DD(n+1).  Read from the
+    quotient memo, or computed as nonconstant_quotient is.  The division it
     replaces, with its divisibility check, is full_denom_quotient_by_division;
     the T5 sweep compares the two at every even n it covers.
     """
     _check_full_quotient_index(n)
+    q = _quotient_memo.get(n)
+    if q is not None:
+        return q
     k = n + 1
     return prod(p for p, _ in factorize(k) if digit_sum(p, k) < p)
 

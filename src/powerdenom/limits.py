@@ -24,18 +24,31 @@ MAX_GRID_R = 100
 # axes each within their own bounds.  With ``--jobs 1`` (Python 3.11, 2
 # CPUs): AM at m = 300 with its other defaults, 984,000 cases at n <= 80,
 # takes 21 s; T3 at r = 100, 363,600 cases, 22 s and 44 MB; the largest
-# default grid, AM's 131,200 cases, 2.6 s.  The cost of a case grows with n
-# (AM at n <= 300, 492,000 cases, takes 64 s; T3 at n <= 300, m <= 60,
-# r <= 10, 198,000 cases, ran past 120 s), so this bound caps the size of a
-# grid, not its time at large n.  Every axis at its bound, 45.4 million
-# cases, is refused.
+# default grid, AM's 131,200 cases, 2.6 s.  Every axis at its bound, 45.4
+# million cases, is refused.  The cost of a case grows with n, so this
+# bound caps the size of a grid; MAX_GRID_WORK caps its time at large n.
 MAX_GRID_CASES = 10**6
+
+# The most work m_max * (r_max + 1) * max_n**3 that a grid sweep accepts.
+# A case at n builds a polynomial of degree n with coefficients of about n
+# digits, so its cost grows about as n^2 and a whole axis 1..n about as n^3.
+# With ``--jobs 1`` (Python 3.11, 2 CPUs), T3 at 7.4e8 (n <= 150, m <= 20,
+# r <= 10) takes 6.7 s, at 3.0e9 (n <= 300, m <= 10, r <= 10) 21.5 s, and
+# at n = 1500 alone, 3.4e9, 24.9 s (T2 23.9 s, AM 9.7 s).  Just inside the
+# bound, at 3.9e9 (n <= 300, m <= 12, r <= 11), T2 takes 37.7 s, T3 33.6 s
+# and L1 6.0 s.  Refused: T3 at n <= 300, m <= 60, r <= 10 (1.8e10), which
+# ran past 120 s, and AM at n <= 300 with its defaults (4.4e10), 64 s.
+# Every default grid (AM's is the largest, 8.4e8) and n = MAX_TABLE_N with
+# m = 1 and r = 0 stay inside; at small n the case bound is the tighter.
+MAX_GRID_WORK = 4 * 10**9
 
 # The largest index n that ``seq --to`` and the max_n of a sweep over n
 # alone (T1, C2, T4, T5) accept.  The bound comes from D, DD and DB, the ids
 # that use the sieve: D at n needs a flag table of n + 1 bytes and DD one of
-# about n/2, so D(10**8) peaks at about 130 MB.  DDQ and DBQ need no sieve
-# (one trial division of n + 1), but the bound stays one for all ids.  Below
+# about n/2, so D(10**8) peaks at about 130 MB.  DDQ and DBQ need only the
+# primes up to sqrt(n + 1): none for one index (one trial division of
+# n + 1), and those up to at most 10**4 for a range, whose segment
+# scan spans 4095 values of n.  The bound stays one for all ids.  Below
 # it, DD and DB outgrow Python's int-to-str digit limit (4300 digits by
 # default; DD(10**8 - 1) has 6839): ``seq`` then stops with exit 2 at the
 # first n it cannot print, naming the id, n and the limit.

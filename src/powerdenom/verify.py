@@ -46,7 +46,14 @@ from .denom import (
 )
 from .digits import factorize, p_valuation, primes_up_to, radical
 from .errors import TheoremViolationError
-from .limits import MAX_GRID_CASES, MAX_GRID_M, MAX_GRID_R, MAX_SEQ_N, MAX_TABLE_N
+from .limits import (
+    MAX_GRID_CASES,
+    MAX_GRID_M,
+    MAX_GRID_R,
+    MAX_GRID_WORK,
+    MAX_SEQ_N,
+    MAX_TABLE_N,
+)
 from .powersum import (
     ProgressionSpec,
     am_congruence_check,
@@ -352,7 +359,8 @@ def run_sweep(
     A sweep over n alone takes only ``max_n``, at most ``MAX_SEQ_N``; a grid
     sweep takes ``max_n`` up to ``MAX_TABLE_N``, and also ``m_max`` and
     ``r_max`` up to ``MAX_GRID_M`` and ``MAX_GRID_R``, with at most
-    ``MAX_GRID_CASES`` cases m_max * (r_max + 1) * max_n.  Bounds past
+    ``MAX_GRID_CASES`` cases m_max * (r_max + 1) * max_n and at most
+    ``MAX_GRID_WORK`` work m_max * (r_max + 1) * max_n**3.  Bounds past
     those, or that hold no case, are rejected with ValueError, the upper
     ones before any Bernoulli number or sieve is computed.
     ``jobs`` > 1 partitions the outer axis (m for a grid, n otherwise) over
@@ -384,6 +392,11 @@ def run_sweep(
         if cases > MAX_GRID_CASES:
             raise ValueError(
                 f"{theorem_id} takes m*(r+1)*n <= {MAX_GRID_CASES} cases, got {cases}"
+            )
+        work = cases * bounds.max_n**2
+        if work > MAX_GRID_WORK:
+            raise ValueError(
+                f"{theorem_id} takes m*(r+1)*n^3 <= {MAX_GRID_WORK} work, got {work}"
             )
     # a fork-started pool launches all its workers up front
     jobs = min(jobs, usable_cpus())

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import OrderedDict
 from math import lcm, prod
 from pathlib import Path
 from types import SimpleNamespace
@@ -201,6 +202,46 @@ def test_seq_over_a_long_range_keeps_each_memo_at_its_bound(capsys):
     assert out == bfile(want)
 
 
+def test_seq_quotients_over_a_long_range_keep_their_memo_at_its_bound(capsys, monkeypatch):
+    bound = denom.MEMO_BOUND
+
+    class Bounded(OrderedDict):
+        def __setitem__(self, n, value):
+            assert n in self or len(self) < bound, len(self)
+            super().__setitem__(n, value)
+
+    denom.clear_formula_caches()
+    # the per-index values, taken before any fill
+    want = {n: denom.nonconstant_quotient(n) for n in range(1, 6 * bound, 2)}
+    want.update((n, denom.full_denom_quotient(n)) for n in range(2, 6 * bound + 1, 2))
+    monkeypatch.setattr(denom, "_quotient_memo", Bounded())
+    for seq_id in ("DDQ", "DBQ"):
+        # 3 * bound indices of one parity: six segments
+        code, out, _ = run_cli(capsys, "seq", seq_id, "--from", "1", "--to", str(6 * bound))
+        assert code == 0
+        ns = cli.indices(seq_id, 1, 6 * bound)
+        assert len(ns) == 3 * bound
+        assert out == bfile((n, want[n]) for n in ns), seq_id
+        assert len(denom._quotient_memo) <= bound
+
+
+def test_a_dbq_range_after_a_ddq_range_scans_only_the_missing_index(capsys, monkeypatch):
+    scans = []
+    real = denom._quotient_segment
+
+    def spy(lo, hi):
+        scans.append((lo, hi))
+        return real(lo, hi)
+
+    monkeypatch.setattr(denom, "_quotient_segment", spy)
+    denom.clear_formula_caches()
+    assert run_cli(capsys, "seq", "DDQ", "--from", "1", "--to", "1999")[0] == 0
+    code, out, _ = run_cli(capsys, "seq", "DBQ", "--from", "2", "--to", "2000")
+    assert scans == [(1, 1999), (2000, 2000)]
+    assert code == 0
+    assert out.splitlines()[:3] == ["2 3", "4 5", "6 7"]
+
+
 def test_short_seq_ranges_take_the_per_index_path(capsys, monkeypatch):
     scans = []
 
@@ -211,16 +252,20 @@ def test_short_seq_ranges_take_the_per_index_path(capsys, monkeypatch):
 
         return scan
 
-    for name in ("_nonconstant_segment", "_number_segment"):
+    for name in ("_nonconstant_segment", "_number_segment", "_quotient_segment"):
         monkeypatch.setattr(denom, name, counted(name, getattr(denom, name)))
-    for seq_id in ("D", "DD", "DB"):
+    for seq_id in cli.SEQUENCES:
         # one term, then the longest range below cli.SEGMENT_MIN_TERMS
-        for lo, hi in ((100000, 100000), (100001, 100015)):
+        ns = cli.indices(seq_id, 100000, 100000 + 2 * cli.SEGMENT_MIN_TERMS)
+        for lo, hi in ((ns[0], ns[0]), (ns[0], ns[cli.SEGMENT_MIN_TERMS - 2])):
             denom.clear_formula_caches()
             code, out, _ = run_cli(capsys, "seq", seq_id, "--from", str(lo), "--to", str(hi))
-            assert (code, len(out.splitlines()), scans) == (0, hi - lo + 1, []), seq_id
+            terms = len(cli.indices(seq_id, lo, hi))
+            assert (code, len(out.splitlines()), scans) == (0, terms, []), seq_id
     code, _, _ = run_cli(capsys, "seq", "DB", "--from", "100001", "--to", "100016")
     assert (code, scans) == (0, ["_nonconstant_segment", "_number_segment"])
+    code, _, _ = run_cli(capsys, "seq", "DDQ", "--from", "100001", "--to", "100031")
+    assert (code, scans[2:]) == (0, ["_quotient_segment"])
 
 
 def test_seq_past_the_digit_limit_names_the_id_and_index(capsys):
@@ -596,6 +641,36 @@ def test_run_sweep_refuses_a_grid_past_the_case_bound_before_any_work(monkeypatc
     for theorem_id in grids:
         for bounds in ({}, edge, *alone):
             assert verify.run_sweep(theorem_id, **bounds, jobs=1).ok, (theorem_id, bounds)
+
+
+def test_run_sweep_refuses_a_grid_past_the_work_bound_before_any_work(monkeypatch):
+    def refuse(*args):
+        raise AssertionError(f"work started for {args[1:]}")
+
+    monkeypatch.setattr(BernoulliCache, "_extend", refuse)
+    for module in (digits, denom):
+        monkeypatch.setattr(module, "prime_flags", refuse)
+    monkeypatch.setattr(verify, "_chunk_entry", refuse)
+    grids = ("T2-denominator", "T3-integrality", "L1-congruence", "AM-integrality")
+    # m = 40 and r = 99, and the largest n that keeps the work in bound
+    rows = 40 * 100
+    last_n = max(n for n in range(1, cli.MAX_TABLE_N) if rows * n**3 <= cli.MAX_GRID_WORK)
+    edge = {"m_max": 40, "r_max": 99, "max_n": last_n}
+    assert rows * (last_n + 1) <= cli.MAX_GRID_CASES
+    # inside the case bound, each of these took a minute or more
+    slow = ({"max_n": 300, "m_max": 60, "r_max": 10}, {"max_n": 300, "m_max": 40, "r_max": 40})
+    message = f"m*(r+1)*n^3 <= {cli.MAX_GRID_WORK} work"
+    for theorem_id in grids:
+        for bounds in (*slow, {**edge, "max_n": last_n + 1}):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                verify.run_sweep(theorem_id, **bounds, jobs=1)
+
+    # the edge is accepted (the chunks are stubbed out: nothing runs); every
+    # default grid and each axis at its own bound alone are accepted in
+    # test_run_sweep_refuses_a_grid_past_the_case_bound_before_any_work
+    monkeypatch.setattr(verify, "_chunk_entry", lambda args: (1, 0, []))
+    for theorem_id in grids:
+        assert verify.run_sweep(theorem_id, **edge, jobs=1).ok, theorem_id
 
 
 def test_term_count_bound_is_refused_before_any_work(capsys, monkeypatch):

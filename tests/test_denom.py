@@ -171,11 +171,11 @@ def test_bounded_and_unbounded_scans_agree():
         assert nonconstant_denom(n).primes == nonconstant_denom_all_primes(n).primes, n
 
 
-def _tilings(top):
+def _tilings(top, longest=2048):
     # segments covering 1..top, their lengths cycling through short and long
     # ones in two orders, so that lo takes odd and even values and many
     # segments reach across a square p^2
-    for lengths in ((1, 2, 15, 16, 2048), (2048, 16, 15, 2, 1)):
+    for lengths in ((1, 2, 15, 16, longest), (longest, 16, 15, 2, 1)):
         lo, i = 1, 0
         while lo <= top:
             hi = min(lo + lengths[i % len(lengths)] - 1, top)
@@ -230,6 +230,59 @@ def test_segment_digit_sums_carry_across_prime_powers():
                 for n in range(lo, hi + 1):
                     assert tuple(got[n - lo]) == denom._nonconstant_primes(n), (p, n)
             power *= p
+
+
+def _per_index_quotient(n):
+    # the quotient memo is emptied first, so this is the per-index path
+    return nonconstant_quotient(n) if n % 2 else full_denom_quotient(n)
+
+
+def _assert_quotient_segments_match(segments, want):
+    for lo, hi in segments:
+        got = denom._quotient_segment(lo, hi)
+        assert len(got) == hi - lo + 1, (lo, hi)
+        for n in range(lo, hi + 1):
+            assert got[n - lo] == want(n), (lo, hi, n)
+
+
+def test_quotient_segment_equals_the_per_index_quotients_to_20000():
+    # a quotient segment of cli.SEGMENT_TERMS indices of one parity spans
+    # 4095 values of n
+    top = 20000
+    clear_formula_caches()
+    want = [None] + [_per_index_quotient(n) for n in range(1, top + 1)]
+    _assert_quotient_segments_match(_tilings(top, longest=4095), want.__getitem__)
+
+
+def test_quotient_segment_carries_digit_sums_across_prime_powers():
+    # k = n + 1 walks the multiples of p; across k = p^e the carry loop runs
+    # e - 1 times and the exponent e >= 2 divides out of the cofactor
+    clear_formula_caches()
+    segments = []
+    for p in primes_up_to(47):
+        power = p
+        while power <= 2 * 10**6:
+            if power >= 10**5:
+                segments.append((power - p - 1, power + p - 1))
+            power *= p
+    _assert_quotient_segments_match(segments, _per_index_quotient)
+
+
+def test_quotient_segment_at_sampled_large_segments():
+    clear_formula_caches()
+    rng = random.Random(2017)
+    segments = []
+    for _ in range(20):
+        lo = rng.randrange(10**5, 2 * 10**6)
+        segments.append((lo, lo + rng.choice((1, 2, 15, 16, 64)) - 1))
+    _assert_quotient_segments_match(segments, _per_index_quotient)
+    for lo, hi in segments[:2]:
+        got = denom._quotient_segment(lo, hi)
+        for n in (lo, hi):
+            by_division = (
+                nonconstant_quotient_by_division if n % 2 else full_denom_quotient_by_division
+            )
+            assert got[n - lo] == by_division(n), n
 
 
 def test_filled_memos_hold_the_per_index_values(monkeypatch):
