@@ -54,12 +54,12 @@ never touch it; they are tested against it.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
-from typing import Iterable, Union
 
-Rat = Union[int, Fraction]
+Rat = int | Fraction
 # q^k B_k(p/q) for k = 0, 1, ... at y = p/q in lowest terms: reduced
 # numerators, reduced denominators, and lcms[k] = lcm(dens[0..k])
 Row = tuple[list[int], list[int], list[int]]

@@ -16,7 +16,9 @@ reported under the command's usage line, not under ``powerdenom``'s.
 ``run_bench`` returns the two timings as ints, and ``bench`` prints their
 ratio.  The input bounds (``MAX_TABLE_N`` and the rest) are defined in
 ``limits`` and imported here; ``seq``, ``powersum`` and ``bench`` check
-theirs, and ``verify`` leaves its bounds to ``run_sweep``.  Integers are the
+theirs, and ``verify`` leaves its bounds to ``run_sweep``.  The ``verify``
+module is imported only by the functions of that command, so a query by
+any other command never loads it or its dataclasses.  Integers are the
 only internal form of a rational; the DDQ and DBQ oracles alone build a
 ``Fraction``, so that an inexact quotient compares unequal to the formula.
 
@@ -29,9 +31,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from functools import cache, partial
-from typing import Callable, Optional, Sequence
 
 from .bernoulli import BernoulliCache, RationalPoly
 from .denom import (
@@ -68,7 +70,6 @@ from .powersum import (
     power_sum_naive,
     power_sum_poly,
 )
-from .verify import available_sweeps, run_sweep, usable_cpus
 
 # id -> (closed form, rational oracle, parity of the domain or None for all
 # n >= 1, the memo fills of the closed form).  The closed forms and oracles
@@ -79,7 +80,7 @@ from .verify import available_sweeps, run_sweep, usable_cpus
 # fill stores at both parities, so a DBQ range reuses a DDQ range's scan.
 # The quotient oracles divide exactly: a denominator at n+1 that does not
 # divide the one at n shows up as a disagreement, not as a floored integer.
-SEQUENCES: dict[str, tuple[Callable, Callable, Optional[int], tuple[Callable, ...]]] = {
+SEQUENCES: dict[str, tuple[Callable, Callable, int | None, tuple[Callable, ...]]] = {
     "D": (
         lambda n: number_denom(n).value,
         lambda c, n: number_denom_direct(c, n),
@@ -317,6 +318,8 @@ def _cmd_powersum(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from .verify import run_sweep
+
     report = run_sweep(
         args.theorem_id,
         max_n=args.max,
@@ -384,6 +387,8 @@ def _powersum_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _verify_arguments(parser: argparse.ArgumentParser) -> None:
+    from .verify import available_sweeps, usable_cpus
+
     parser.add_argument("theorem_id", choices=available_sweeps())
     parser.add_argument(
         "--max", type=int, default=None,
@@ -450,7 +455,7 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         if argv and argv[0] in _COMMANDS:

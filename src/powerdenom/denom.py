@@ -113,9 +113,9 @@ ranges in segments of at most half the bound for D, DD and DB, and of
 from __future__ import annotations
 
 from collections import OrderedDict
+from collections.abc import Callable, Iterator
 from itertools import compress
 from math import isqrt, lcm, prod
-from typing import Callable, Iterator
 
 from .bernoulli import BernoulliCache
 from .digits import (
@@ -457,10 +457,10 @@ def nonconstant_quotient(n: int) -> int:
     p-1.  No other prime can leave the digit-sum set between n and n+1.
     Read from the quotient memo when ``fill_quotient_memo`` stored n;
     otherwise one trial division of n+1 and one digit sum per prime
-    factor, and nothing is stored.  Even input is rejected: DD(n+1) need not divide DD(n) there.  The
-    division it replaces, with its divisibility check, is
-    nonconstant_quotient_by_division; the T4 sweep compares the two at
-    every odd n it covers.
+    factor, and nothing is stored.  Even input is rejected: DD(n+1) need
+    not divide DD(n) there.  The division it replaces, with its
+    divisibility check, is nonconstant_quotient_by_division; the T4 sweep
+    compares the two at every odd n it covers.
     """
     _check_nonconstant_quotient_index(n)
     q = _quotient_memo.get(n)

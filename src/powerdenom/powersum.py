@@ -17,10 +17,8 @@ same m and n has integer coefficients is checked by the T2 sweep in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional
 
 from .bernoulli import BernoulliCache, RationalPoly
 from .denom import full_denom, nonconstant_denom
@@ -28,31 +26,79 @@ from .digits import is_prime, p_valuation
 from .errors import TheoremViolationError
 
 
-@dataclass(frozen=True, slots=True)
 class ProgressionSpec:
-    """Progression with difference m >= 1 and start r >= 0, raised to n >= 1."""
+    """Progression with difference m >= 1 and start r >= 0, raised to n >= 1.
+
+    Slotted and immutable by convention; two are equal, and hash alike,
+    exactly when their m, r and n are.
+    """
+
+    __slots__ = ("m", "r", "n")
 
     m: int
     r: int
     n: int
 
-    def __post_init__(self) -> None:
-        if self.m < 1:
-            raise ValueError(f"difference m must be >= 1, got {self.m}")
-        if self.r < 0:
-            raise ValueError(f"start r must be >= 0, got {self.r}")
-        if self.n < 1:
-            raise ValueError(f"exponent n must be >= 1, got {self.n}")
+    def __init__(self, m: int, r: int, n: int) -> None:
+        if m < 1:
+            raise ValueError(f"difference m must be >= 1, got {m}")
+        if r < 0:
+            raise ValueError(f"start r must be >= 0, got {r}")
+        if n < 1:
+            raise ValueError(f"exponent n must be >= 1, got {n}")
+        self.m = m
+        self.r = r
+        self.n = n
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.r, self.n) == (other.m, other.r, other.n)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.r, self.n))
+
+    def __repr__(self) -> str:
+        return f"ProgressionSpec(m={self.m!r}, r={self.r!r}, n={self.n!r})"
+
+    def __reduce__(self) -> tuple:
+        # through the constructor: protocols 0 and 1 cannot pickle bare slots
+        return ProgressionSpec, (self.m, self.r, self.n)
 
 
-@dataclass(frozen=True, slots=True)
 class AMInteger:
-    """The integer m^n(B_n(r/m) - B_n); build through am_integer only."""
+    """The integer m^n(B_n(r/m) - B_n); build through am_integer only.
+
+    Slotted and immutable by convention; equal, and hashed alike, by all
+    four fields.
+    """
+
+    __slots__ = ("m", "r", "n", "value")
 
     m: int
     r: int
     n: int
     value: int
+
+    def __init__(self, m: int, r: int, n: int, value: int) -> None:
+        self.m = m
+        self.r = r
+        self.n = n
+        self.value = value
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.r, self.n, self.value) == (other.m, other.r, other.n, other.value)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.r, self.n, self.value))
+
+    def __repr__(self) -> str:
+        return f"AMInteger(m={self.m!r}, r={self.r!r}, n={self.n!r}, value={self.value!r})"
+
+    def __reduce__(self) -> tuple:
+        return AMInteger, (self.m, self.r, self.n, self.value)
 
 
 def power_sum_naive(spec: ProgressionSpec, x: int) -> int:
@@ -128,7 +174,7 @@ def is_integral(spec: ProgressionSpec) -> bool:
 # The other sign's value from the last am_integer pass, one slot:
 # (cache, m, r, n, value) with r the sign not yet returned.  It holds that
 # cache alive until the next call.
-_am_other: Optional[tuple[BernoulliCache, int, int, int, int]] = None
+_am_other: tuple[BernoulliCache, int, int, int, int] | None = None
 
 
 def am_integer(cache: BernoulliCache, m: int, r: int, n: int) -> AMInteger:

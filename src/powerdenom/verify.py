@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import os
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from itertools import zip_longest
 from math import lcm
-from typing import Callable, Optional
 
 from .bernoulli import BernoulliCache
 from .denom import (
@@ -74,8 +74,8 @@ MAX_REPORTED_FAILURES = 20
 @dataclass(frozen=True, slots=True)
 class Bounds:
     max_n: int
-    m_max: Optional[int] = None
-    r_max: Optional[int] = None
+    m_max: int | None = None
+    r_max: int | None = None
 
 
 @dataclass(frozen=True, slots=True)
@@ -185,7 +185,7 @@ def _relations_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
 
 def _quotient_against_division(
     n: int, quotient: Callable[[int], int], by_division: Callable[[int], int]
-) -> tuple[int, Optional[Failure]]:
+) -> tuple[int, Failure | None]:
     """The quotient at n, and the failure if exact division disagrees."""
     q = quotient(n)
     try:
@@ -349,9 +349,9 @@ def _chunk_entry(args: tuple[str, int, int, Bounds]) -> tuple[int, int, list[Fai
 
 def run_sweep(
     theorem_id: str,
-    max_n: Optional[int] = None,
-    m_max: Optional[int] = None,
-    r_max: Optional[int] = None,
+    max_n: int | None = None,
+    m_max: int | None = None,
+    r_max: int | None = None,
     jobs: int = 1,
 ) -> SweepReport:
     """Run one sweep, optionally overriding its default bounds.

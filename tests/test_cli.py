@@ -843,6 +843,37 @@ def test_cli_import_loads_no_process_pool():
     assert result.stdout == "\n"
 
 
+def test_cli_import_loads_only_what_its_queries_run():
+    # -S: a site can import typing itself; unlike -I, it keeps PYTHONPATH
+    result = _python("-S", "-W", "error", "-c", (
+        "import contextlib, io, sys\n"
+        "import powerdenom\n"
+        "from powerdenom.cli import build_parser, main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['seq', 'DD', '--from', '1', '--to', '40']),\n"
+        "             main(['powersum', '--m', '3', '--r', '1', '--n', '5', '--x', '4']),\n"
+        "             main(['bench', 'DB', '1..20', '--reps', '1'])]\n"
+        "heavy = ('dataclasses', 'inspect', 'typing', 'powerdenom.verify')\n"
+        "print(codes, *[name for name in heavy if name in sys.modules])\n"
+        "print(main(['verify', 'T1-parity', '--max', '64', '--jobs', '1']))\n"
+        "try:\n"
+        "    build_parser().parse_args(['verify', '--help'])\n"
+        "except SystemExit as exc:\n"
+        "    print(exc.code)"
+    ))
+    assert result.returncode == 0, result.stderr
+    lines = result.stdout.splitlines()
+    assert lines[0] == "[0, 0, 0]"
+    assert lines[1] == "T1-parity: n <= 64"
+    assert lines[2].startswith("checked 64 cases in ") and lines[2].endswith(": PASS")
+    assert lines[3] == "0"
+    assert lines[4].startswith("usage: powerdenom verify ") and lines[-1] == "0"
+    usage = "\n".join(lines[4:])
+    for theorem_id in verify.available_sweeps():
+        assert theorem_id in usage, theorem_id
+    assert len(verify.available_sweeps()) == 8
+
+
 LIBRARY = (
     "BernoulliCache RationalPoly ProgressionSpec TheoremViolationError "
     "number_denom nonconstant_denom full_denom nonconstant_quotient full_denom_quotient "

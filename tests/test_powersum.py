@@ -1,5 +1,6 @@
 """Power sum polynomials, their denominators, and the scaled differences."""
 
+import pickle
 import random
 from fractions import Fraction
 from math import comb, lcm
@@ -67,6 +68,39 @@ def test_progression_spec_validation():
         ProgressionSpec(1, -1, 1)
     with pytest.raises(ValueError):
         ProgressionSpec(1, 0, 0)
+
+
+def test_progression_spec_is_a_value():
+    spec = ProgressionSpec(m=6, r=1, n=5)  # as in the README
+    assert (spec.m, spec.r, spec.n) == (6, 1, 5)
+    assert spec == ProgressionSpec(6, 1, 5) == ProgressionSpec(6, r=1, n=5)
+    assert spec != ProgressionSpec(6, 1, 4) and spec != (6, 1, 5)
+    assert hash(spec) == hash(ProgressionSpec(6, 1, 5)) == hash((6, 1, 5))
+    assert len({spec, ProgressionSpec(6, 1, 5), ProgressionSpec(6, 5, 1)}) == 2
+    assert repr(spec) == "ProgressionSpec(m=6, r=1, n=5)"
+    assert not hasattr(spec, "__dict__")
+    for args, message in (
+        ((0, 0, 1), "difference m must be >= 1, got 0"),
+        ((1, -1, 1), "start r must be >= 0, got -1"),
+        ((1, 0, 0), "exponent n must be >= 1, got 0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ProgressionSpec(*args)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(spec, protocol))
+        assert back == spec and repr(back) == repr(spec), protocol
+
+
+def test_am_integer_is_a_value():
+    got = am_integer(BernoulliCache(), 2, 1, 2)
+    assert got == AMInteger(2, 1, 2, -1) == AMInteger(m=2, r=1, n=2, value=-1)
+    assert got != AMInteger(2, -1, 2, -1) and got != (2, 1, 2, -1)
+    assert hash(got) == hash(AMInteger(2, 1, 2, -1)) == hash((2, 1, 2, -1))
+    assert repr(got) == "AMInteger(m=2, r=1, n=2, value=-1)"
+    assert not hasattr(got, "__dict__")
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(got, protocol))
+        assert back == got and repr(back) == repr(got), protocol
 
 
 def test_poly_shape():
