@@ -29,8 +29,10 @@ p^e || n+1 can leave it, and then t = e.  Hence
   DBQ(n), n even:  the p | n+1 with s_p(n+1) < p, since
                    DB(n) = lcm(DD(n+1), rad(n+1)) and DB(n+1) = DD(n+1).
 
-A single quotient costs one trial division of n+1 and one digit sum per
-prime factor, with no sieve.  The quotients by division,
+A single quotient costs one factorization of n+1 (``digits.factorize``,
+trial division by the sieve's primes up to sqrt(n+1), a flag table of at
+most 10**4 bytes below ``limits.MAX_SEQ_N``) and one digit sum per prime
+factor.  The quotients by division,
 ``nonconstant_quotient_by_division`` and ``full_denom_quotient_by_division``,
 stay beside ``full_denom_via_successor`` as references; they divide the
 closed forms at n and n+1 and raise TheoremViolationError when the
@@ -47,14 +49,18 @@ out for DD: a polynomial's denominator in lowest terms is that lcm, so
 neither builds the polynomial.  The lcm runs over the distinct values only,
 most of which are 1.
 
-The two memoized closed forms cost O(sqrt(n)) checks once the sieve is
-built.  nonconstant_denom splits its primes at sqrt(n), as Kellner does in
-"On a product of certain primes" (J. Number Theory, 2017): digit sums only
-for p <= sqrt(n), and above that one candidate prime per quotient
-a = n // p.  number_denom enumerates the divisors d of n and keeps the
-primes d + 1.  Both ask the sieve's flag table (``digits.prime_flags``)
-whether a candidate is prime, one index per candidate; only
-nonconstant_denom lists primes, and only up to sqrt(n).
+One index at a time, nonconstant_denom costs O(sqrt(n)) steps once the
+sieve is built.  It splits its primes at sqrt(n), as Kellner does in "On a
+product of certain primes" (J. Number Theory, 2017).  Above sqrt(n) each
+quotient a = n // p offers one candidate prime, kept when it is prime and
+does not divide n.  Below it only the primes p <= cbrt(n) take a digit
+sum: a prime in (cbrt(n), sqrt(n)] gives n three base-p digits, and then
+s_p(n) = n - (p-1)(n//p + n//p^2) (Legendre).  number_denom builds the
+divisors of n from ``digits.factorize`` and keeps the primes d + 1; only
+even d can give an odd prime, and those are twice the divisors of n/2.
+Both ask the sieve's flag table (``digits.prime_flags``) whether a
+candidate is prime, one index per candidate; nonconstant_denom lists
+primes up to sqrt(n), and factorize reads the same list up to sqrt(n).
 nonconstant_denom_all_primes and full_denom_split_product scan every prime
 on purpose: they are the independent references the fast forms are tested
 against.
@@ -94,8 +100,8 @@ segment scans to their tuples and to the per-index quotients.
 Every scan here, per index or per segment, lists its primes in ascending
 order, and so do the two full-scan references and ``digits.radical``: each
 SquarefreeProduct is built by its constructor straight from those primes,
-with no sort and one product.  Only ``merge``, whose union is unordered,
-sorts first.
+with no sort and one product.  Only ``merge``, which appends the primes one
+operand lacks to the other's, sorts first.
 
 Both closed forms keep their values in a memo of at most ``MEMO_BOUND``
 indices, oldest out first; a hit returns the stored SquarefreeProduct.
@@ -155,15 +161,30 @@ def _digit_bound(n: int) -> int:
 def _nonconstant_primes(n: int) -> tuple[int, ...]:
     bound = _digit_bound(n)
     root = isqrt(n)
-    found = [p for p in primes_up_to(min(root, bound)) if digit_sum(p, n) >= p]
-    flags = prime_flags(bound)
+    cube = round(n ** (1 / 3))
+    cube -= cube * cube * cube > n
+    # A prime p in (cbrt(n), sqrt(n)] gives n three base-p digits, so
+    # s_p(n) = n - (p-1)(n//p + n//p^2) (Legendre); a digit sum only where
+    # p^3 <= n.
+    found = []
+    for p in primes_up_to(min(root, bound)):
+        if p <= cube:
+            if digit_sum(p, n) >= p:
+                found.append(p)
+        elif n - (p - 1) * (n // p + n // (p * p)) >= p:
+            found.append(p)
     # A prime p > sqrt(n) has two digits: n = a*p + b with a = n // p <= root,
     # so s_p(n) = a + b >= p exactly when n/(a+1) < p <= (n+a)/(a+1).  That
-    # interval is shorter than 1, so each a offers one candidate; descending a
-    # yields them in ascending order.
-    for a in range(root, 0, -1):
+    # interval is shorter than 1, so each a offers one candidate
+    # p = (n+a) // (a+1) = 1 + (n-1) // (a+1); descending a yields them in
+    # ascending order.  They pass root for a <= (n-1) // root - 1 and stay
+    # within the bound for a >= (n-1) // bound, so no flag past it is read.
+    # p*(a+1) >= n always, and a prime p > root meets it with equality
+    # exactly when p | n: one remainder decides p*(a+1) > n.
+    flags = prime_flags(bound)
+    for a in range(min(root, (n - 1) // root - 1), max((n - 1) // bound, 1) - 1, -1):
         p = (n + a) // (a + 1)
-        if p > root and p * (a + 1) > n and p <= bound and flags[p]:
+        if flags[p] and n % p:
             found.append(p)
     return tuple(found)
 
@@ -173,10 +194,21 @@ def _number_primes(n: int) -> tuple[int, ...]:
         return (2,)
     if n % 2:
         return ()
-    low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    high = [n // d for d in reversed(low) if d * d != n]
+    # d + 1 is an odd prime only for even d, and the even divisors of n are
+    # twice those of n/2: start from 2 and multiply in n/2's prime powers
+    divisors = [2]
+    for p, e in factorize(n // 2):
+        for d in divisors[:]:
+            for _ in range(e):
+                d *= p
+                divisors.append(d)
+    divisors.sort()
     flags = prime_flags(n + 1)
-    return tuple(d + 1 for d in low + high if flags[d + 1])
+    found = [2]
+    for d in divisors:
+        if flags[d + 1]:
+            found.append(d + 1)
+    return tuple(found)
 
 
 def _nonconstant_segment(lo: int, hi: int) -> list[list[int]]:
@@ -345,10 +377,10 @@ def clear_formula_caches() -> None:
 def number_denom(n: int) -> SquarefreeProduct:
     """Denominator of the nth Bernoulli number, by von Staudt-Clausen.
 
-    For even n this is the product of all primes p with p-1 dividing n,
-    found by enumerating the divisors d <= sqrt(n) of n with their cofactors
-    and keeping each prime d + 1; the odd cases are 2 at n = 1 and 1 for
-    n >= 3 (the numbers vanish there).
+    For even n this is the product of all primes p with p-1 dividing n:
+    2, and each prime d + 1 for the even divisors d of n, built from the
+    factorization of n/2.  The odd cases are 2 at n = 1 and 1 for n >= 3
+    (the numbers vanish there).
     """
     _check_index(n)
     return _number_memo.get(n) or _remember(_number_memo, n, _number_primes(n))
@@ -363,10 +395,12 @@ def nonconstant_denom(n: int) -> SquarefreeProduct:
     """Denominator of B_n(x) - B_n: primes p <= (n+1)/2 (odd n) resp.
     (n+1)/3 (even n) whose base-p digit sum of n reaches p.
 
-    Digit sums are taken only for p <= sqrt(n).  Above sqrt(n), n = a*p + b
-    has two base-p digits, and for each a <= sqrt(n) at most one prime,
-    (n+a) // (a+1), can satisfy a + b >= p (Kellner 2017).  The cost is
-    O(sqrt(n)) checks after the sieve.
+    Digit sums are taken only for p <= cbrt(n); up to sqrt(n), n has three
+    base-p digits and Legendre's formula gives s_p(n) from n//p and n//p^2.
+    Above sqrt(n), n = a*p + b has two base-p digits, and for each
+    a <= sqrt(n) at most one prime, (n+a) // (a+1), can satisfy a + b >= p
+    (Kellner 2017); it does exactly when it does not divide n.  The cost
+    is O(sqrt(n)) steps after the sieve.
     """
     _check_index(n)
     memo = _nonconstant_memo
@@ -456,7 +490,7 @@ def nonconstant_quotient(n: int) -> int:
     the primes with s_p(n) >= p > s_p(n+1), since n ends in e base-p digits
     p-1.  No other prime can leave the digit-sum set between n and n+1.
     Read from the quotient memo when ``fill_quotient_memo`` stored n;
-    otherwise one trial division of n+1 and one digit sum per prime
+    otherwise one ``factorize(n + 1)`` and one digit sum per prime
     factor, and nothing is stored.  Even input is rejected: DD(n+1) need
     not divide DD(n) there.  The division it replaces, with its
     divisibility check, is nonconstant_quotient_by_division; the T4 sweep

@@ -10,14 +10,15 @@ only ever grows.  Its state is a flag table, one byte per integer up to
 ``_sieve_limit``, set exactly at the primes: ``prime_flags`` hands it out
 read-only, so "is k prime?" costs one index.  ``primes_up_to`` lists primes
 from the flags lazily, only as far as the largest bound asked so far, and
-extends that list in place.  A table once handed out is never written again.
+extends that list in place; ``factorize`` reads it in place for its trial
+divisors.  A table once handed out is never written again.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from itertools import compress
+from math import isqrt
 
 
 class SquarefreeProduct:
@@ -70,13 +71,21 @@ class SquarefreeProduct:
 
         Both are squarefree, so one value divides the other exactly when
         its primes are a subset of the other's; then that operand is the
-        union and comes back unchanged.
+        union and comes back unchanged.  Otherwise the union is ``self``'s
+        primes and those of ``other`` that do not divide ``self.value``,
+        one remainder each, put in order by one sort.
         """
         if other.value % self.value == 0:
             return other
         if self.value % other.value == 0:
             return self
-        return SquarefreeProduct(tuple(sorted({*self.primes, *other.primes})))
+        value = self.value
+        primes = [*self.primes]
+        for p in other.primes:
+            if value % p:
+                primes.append(p)
+        primes.sort()
+        return SquarefreeProduct(tuple(primes))
 
     def divides(self, n: int) -> bool:
         return n % self.value == 0
@@ -129,17 +138,30 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(k: int) -> list[tuple[int, int]]:
-    """Ascending (prime, exponent) pairs of ``k >= 1``, by trial division."""
+    """Ascending (prime, exponent) pairs of ``k >= 1``, by trial division.
+
+    The trial divisors are the sieve's primes, and the trials stop once p^2
+    passes the cofactor left, which is then 1 or a prime.  The prime list is
+    extended to sqrt(k) first if it stops short, so the flag table behind it
+    reaches max(sqrt(k), 256): at most 10**4 bytes for k <= 10**8 + 1.
+    """
     if k < 1:
         raise ValueError(f"factorize requires k >= 1, got {k}")
+    primes = _sieve_primes
+    if not primes or primes[-1] ** 2 < k:
+        primes_up_to(isqrt(k))
+        primes = _sieve_primes
     pairs = []
-    f = 2
-    while f * f <= k:
-        if k % f == 0:
-            e = p_valuation(f, k)
-            k //= f**e
-            pairs.append((f, e))
-        f += 1 if f == 2 else 2
+    for p in primes:
+        if p * p > k:
+            break
+        if k % p == 0:
+            k //= p
+            e = 1
+            while k % p == 0:
+                k //= p
+                e += 1
+            pairs.append((p, e))
     if k > 1:
         pairs.append((k, 1))
     return pairs
@@ -174,7 +196,7 @@ def prime_flags(bound: int) -> memoryview:
         del sieve[limit + 1 :]
         sieve[1] = 0
         sieve[2] = 1
-        for p in range(3, math.isqrt(limit) + 1, 2):
+        for p in range(3, isqrt(limit) + 1, 2):
             if sieve[p]:
                 start = p * p
                 sieve[start :: 2 * p] = bytes(len(range(start, limit + 1, 2 * p)))

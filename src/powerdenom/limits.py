@@ -46,9 +46,12 @@ MAX_GRID_WORK = 4 * 10**9
 # alone (T1, C2, T4, T5) accept.  The bound comes from D, DD and DB, the ids
 # that use the sieve: D at n needs a flag table of n + 1 bytes and DD one of
 # about n/2, so D(10**8) peaks at about 130 MB.  DDQ and DBQ need only the
-# primes up to sqrt(n + 1): none for one index (one trial division of
-# n + 1), and those up to at most 10**4 for a range, whose segment
-# scan spans 4095 values of n.  The bound stays one for all ids.  Below
+# primes up to sqrt(n + 1), at most 10**4: one index factors n + 1 by
+# them (``digits.factorize``, a flag table of at most 10**4 bytes), and a
+# range reads them in its segment scan over 4095 values of n.  One
+# ``seq DDQ`` or ``seq DBQ`` term near 10**8 takes 0.06-0.09 s and 14.4 MB
+# in a fresh interpreter, start-up included (Python 3.11, 2 CPUs).  The
+# bound stays one for all ids.  Below
 # it, DD and DB outgrow Python's int-to-str digit limit (4300 digits by
 # default; DD(10**8 - 1) has 6839): ``seq`` then stops with exit 2 at the
 # first n it cannot print, naming the id, n and the limit.

@@ -164,10 +164,17 @@ def _sqrt_boundary_indices():
         yield from (p * p - 1, p * p, p * p + 1, p * (p + 1) - 1, p * (p + 1))
 
 
+def _cube_boundary_indices():
+    # indices where a prime sits at or next to cbrt(n): from p^3 on, s_p(n)
+    # has four digits and is a digit sum, below it three (Legendre)
+    for p in primes_up_to(60):
+        yield from (p**3 - 1, p**3, p**3 + 1)
+
+
 def test_bounded_and_unbounded_scans_agree():
     rng = random.Random(2017)
     large = [rng.randrange(10**5, 10**6) for _ in range(20)]
-    for n in chain(range(1, 5001), large, _sqrt_boundary_indices()):
+    for n in chain(range(1, 5001), large, _sqrt_boundary_indices(), _cube_boundary_indices()):
         assert nonconstant_denom(n).primes == nonconstant_denom_all_primes(n).primes, n
 
 
@@ -343,7 +350,13 @@ def test_a_candidate_past_the_digit_bound_is_not_looked_up(monkeypatch):
 
 
 def test_number_denom_matches_sieve_filter():
-    for n in range(2, 20001, 2):
+    rng = random.Random(21)
+    seeded = [2 * rng.randrange(5 * 10**4, 5 * 10**5) for _ in range(4)]
+    # 720720 has 240 divisors; 2^17 only powers of two; 2p has 1, 2, p and
+    # 2p (99839 with 2p + 1 prime, 99991 without); the even square (2p)^2
+    # holds a divisor equal to its cofactor
+    special = [720720, 2**17, 2 * 99839, 2 * 99991, 2 * 499979, (2 * 499) ** 2]
+    for n in chain(range(2, 20001, 2), special, seeded):
         reference = tuple(p for p in primes_up_to(n + 1) if n % (p - 1) == 0)
         assert number_denom(n).primes == reference, n
 

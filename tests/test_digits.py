@@ -4,6 +4,7 @@ import math
 import pickle
 import random
 from bisect import bisect_right
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -102,8 +103,14 @@ def test_radical_rejects_nonpositive():
         radical(0)
 
 
-def test_factorize_to_5000():
-    for k in range(1, 5001):
+def test_factorize_to_5000(fresh_sieve):
+    # the trial divisors reach sqrt(k) and no further: at the top of the
+    # command line's range the flag table stays within 10**4 bytes
+    assert factorize(10**8 + 1) == [(17, 1), (5882353, 1)]
+    assert digits._sieve_limit <= 10**4
+    # 9973^2, the square of the largest prime below 10**4; 99999989, the
+    # largest prime below 10**8; a power of two whose cofactor ends at 1
+    for k in chain(range(1, 5001), (9973**2, 99_999_989, 2**26, 10**8 + 1)):
         pairs = factorize(k)
         primes = tuple(p for p, _ in pairs)
         assert list(primes) == sorted(set(primes)), k
