@@ -116,9 +116,11 @@ SEQUENCES: dict[str, tuple[Callable, Callable, int | None, tuple[Callable, ...]]
 }
 
 # The fewest indices for which ``seq`` fills the memos a segment at a time.
-# One segment scan of R indices costs about as much as eight per-index
-# scans, so a shorter range, such as a single-term query, keeps the
-# per-index path.  Segments hold at most half the memo bound, so filling
+# At n in [10^5, 10^6] the fills catch up with the per-index path near 8
+# indices for DD, 14 for DB and 30 for the quotients, while D's fill still
+# costs 6.7 times its per-index path at 32: a short segment's cost is its
+# loop over the primes or divisors up to sqrt(hi), not its events or rows.
+# A shorter range, such as a single-term query, keeps the per-index path.  Segments hold at most half the memo bound, so filling
 # one never evicts the values the segment is about to print: a quotient
 # segment of SEGMENT_TERMS indices of one parity spans 2*SEGMENT_TERMS - 1
 # = 4095 values of n, all of them stored, which is still within the bound.

@@ -66,19 +66,29 @@ on purpose: they are the independent references the fast forms are tested
 against.
 
 A whole segment lo..hi of either sequence comes from one scan with the two
-loops turned inside out: primes (or divisors) outside, n inside.
+loops turned inside out: primes (or divisors) outside, n inside.  DD's
+scan lists where each prime's runs of n in DD(n) begin and end, and then
+sweeps n upward; D's lists each n's primes.
 
   DD, p <= sqrt(hi):  n = k*p + d with d < p has s_p(n) = s_p(k) + d, so p
                       is in DD(n) exactly for n in
-                      [kp + max(p - s_p(k), 0), kp + p - 1].  One digit sum
-                      per prime, at its first block k = n // p; from block
-                      to block s_p(k) is carried by the step law above,
-                      s_p(k+1) = s_p(k) + 1 - t(p-1).
+                      [kp + max(p - s_p(k), 0), kp + p - 1].  That run ends
+                      each block k >= 1, so the runs of consecutive blocks
+                      join, and p leaves only at kp for a block with
+                      s_p(k) < p, to enter again at kp + p - s_p(k).  One
+                      digit sum per prime, at its first block k = lo // p;
+                      from block to block s_p(k) is carried by the step law
+                      above, s_p(k+1) = s_p(k) + 1 - t(p-1).
   DD, p > sqrt(hi):   n = k*p + d has two digits, k <= sqrt(hi) < p, so p
                       is in DD(n) exactly for n in [(k+1)p - k, (k+1)p - 1];
                       for each k the primes in the matching p-interval come
-                      from one slice of the flag table, and k walks down so
-                      that each n gets its primes in ascending order.
+                      from one slice of the flag table.
+  DD, the sweep:      each run gives an enter event at its first n, or at
+                      lo for a run that contains lo, and a leave event one
+                      past its last n; one sort orders them by n.  From n
+                      to n + 1 about two primes enter or leave, so the sweep
+                      keeps DD's primes in a sorted list and their product
+                      in an int, and updates both at each event.
   D:                  for each d <= sqrt(hi), the even multiples n = d*j
                       with j >= d take d + 1 and j + 1 when prime.
 
@@ -92,19 +102,27 @@ loops turned inside out: primes (or divisors) outside, n inside.
                       s_r(k) = k // r.  No DD value is read: the quotients
                       stay independent of the DD scans.
 
-A segment of R indices costs about R*log(hi) + sqrt(hi) steps plus one per
-prime written, where R per-n scans cost R*sqrt(hi).  The per-n scans stay:
-below about 16 indices they are the faster ones, and the tests hold the
-segment scans to their tuples and to the per-index quotients.
+A segment of R indices costs about R*log(hi) + sqrt(hi) steps, plus one per
+prime written for D and one per event for DD, where R per-n scans cost
+R*sqrt(hi).  The per-n scans stay: below about 16 indices they are the
+faster ones, and the tests hold the segment scans to their tuples and to
+the per-index quotients.
 
-Every scan here, per index or per segment, lists its primes in ascending
-order, and so do the two full-scan references and ``digits.radical``: each
-SquarefreeProduct is built by its constructor straight from those primes,
-with no sort and one product.  Only ``merge``, which appends the primes one
-operand lacks to the other's, sorts first.
+Every other scan here, per index or per segment, lists its primes in
+ascending order, and so do the two full-scan references and
+``digits.radical``: each of their SquarefreeProducts is built by its
+constructor straight from those primes, with no sort and one product.  Two
+producers carry the value instead, through the private constructor
+``SquarefreeProduct._carried``: ``merge``, which appends the primes one
+operand lacks to the other's and sorts, and the DD sweep, which yields its
+current primes with their product.  The sweep checks each event in place
+of each product: a prime that enters while in DD, or leaves while not in
+it or without dividing the product, raises TheoremViolationError naming n
+and p.
 
 Both closed forms keep their values in a memo of at most ``MEMO_BOUND``
-indices, oldest out first; a hit returns the stored SquarefreeProduct.
+indices, oldest out first; a hit returns the stored SquarefreeProduct
+before any check of n, since the memo holds only valid n.
 The quotients share a third memo, of ints keyed by n, which only the
 segment fill writes: a quotient computed for one index alone is not
 stored.  ``fill_nonconstant_memo``, ``fill_number_memo`` and
@@ -118,9 +136,10 @@ ranges in segments of at most half the bound for D, DD and DB, and of
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import OrderedDict
 from collections.abc import Callable, Iterator
-from itertools import compress
+from itertools import compress, repeat
 from math import isqrt, lcm, prod
 
 from .bernoulli import BernoulliCache
@@ -211,40 +230,90 @@ def _number_primes(n: int) -> tuple[int, ...]:
     return tuple(found)
 
 
-def _nonconstant_segment(lo: int, hi: int) -> list[list[int]]:
-    """_nonconstant_primes(n) for n = lo..hi, as lists, from one scan."""
-    found: list[list[int]] = [[] for _ in range(hi - lo + 1)]
+def _nonconstant_segment(lo: int, hi: int) -> Iterator[SquarefreeProduct]:
+    """nonconstant_denom(n) for n = lo..hi, yielded lazily from one sweep.
+
+    Each run of n at which a prime is in DD(n) becomes an enter event at its
+    first n, or at lo for a run that contains lo, and a leave event one past
+    its last.  From lo on, the sweep carries DD's primes and their product
+    from n - 1 to n through the events at n, and checks each event against
+    them.
+    """
     root = isqrt(hi)
+    # an event is ((n - lo) << 1 | entering) << shift | p, so one sort puts
+    # the events in order of n, the leaves at n before the entries
+    shift = ((hi + 1) // 2).bit_length()
+    events: list[int] = []
     # p <= sqrt(hi): in block k = n // p, s_p(n) = s_p(k) + n - kp reaches p
-    # from n = kp + max(p - s_p(k), 0) to the block's end.  One digit sum at
-    # the first block; then s_p(k + 1) = s_p(k) + 1 - (p - 1)t, where t is
-    # the number of trailing base-p digits p - 1 of k, that is v_p(k + 1).
+    # from n = kp + max(p - s_p(k), 0) to the block's end.  Every block k >= 1
+    # ends in DD, so p leaves only at a block kp with s_p(k) < p, and enters
+    # again at kp + p - s_p(k).  One digit sum at the first block; then
+    # s_p(k) = s_p(k - 1) + 1 - (p - 1)v_p(k), by the step law.
     for p in primes_up_to(root):
         first = max(lo // p, 1)
         s = digit_sum(p, first)
-        for k in range(first, hi // p + 1):
-            base = k * p
-            start = max(base + max(p - s, 0), lo)
-            for row in found[start - lo : base + p - lo]:
-                row.append(p)
+        start = first * p + max(p - s, 0)
+        if start <= hi:
+            events.append((max(start - lo, 0) << 1 | 1) << shift | p)
+        for k in range(first + 1, hi // p + 1):
             s += 1
-            q = k + 1
+            q = k
             while q % p == 0:
                 q //= p
                 s -= p - 1
+            if s < p:
+                base = k * p
+                events.append((base - lo) << (shift + 1) | p)
+                if base + p - s <= hi:
+                    events.append(((base + p - s - lo) << 1 | 1) << shift | p)
     # p > sqrt(hi): n = kp + d has two digits, so p is in DD(n) for the k
-    # values n = (k+1)p - k .. (k+1)p - 1; k walks down so that each n gets
-    # its primes in ascending order.  For k = 1 the p-interval ends at
+    # values n = (k+1)p - k .. (k+1)p - 1.  For k = 1 the p-interval ends at
     # (hi + 1) // 2, the largest prime asked.
     flags = prime_flags((hi + 1) // 2)
-    for k in range(root, 0, -1):
+    for k in range(1, root + 1):
         first = max(root + 1, (lo + 1 + k) // (k + 1))
         last = (hi + k) // (k + 1)
         for p in compress(range(first, last + 1), flags[first : last + 1]):
-            end = (k + 1) * p - lo
-            for row in found[max(end - k, 0) : end]:
-                row.append(p)
-    return found
+            stop = (k + 1) * p - lo
+            events.append((max(stop - k, 0) << 1 | 1) << shift | p)
+            if stop <= hi - lo:
+                events.append(stop << (shift + 1) | p)
+    events.sort()
+    carried = SquarefreeProduct._carried
+    mask = (1 << shift) - 1
+    current: list[int] = []
+    value = 1
+    done = 0  # the n - lo yielded so far
+    for event in events:
+        p = event & mask
+        at = event >> shift
+        i = at >> 1
+        if i > done:
+            product = carried(tuple(current), value)
+            while done < i:
+                yield product
+                done += 1
+        # current[j - 1] is p exactly when p is in
+        j = bisect_right(current, p)
+        present = j and current[j - 1] == p
+        if at & 1:
+            if present:
+                raise TheoremViolationError(f"DD sweep: {p} enters DD({lo + i}) twice")
+            current.insert(j, p)
+            value *= p
+        else:
+            if not present:
+                raise TheoremViolationError(
+                    f"DD sweep: {p} leaves DD({lo + i}) but is not in DD({lo + i - 1})"
+                )
+            value, rest = divmod(value, p)
+            if rest:
+                raise TheoremViolationError(
+                    f"DD sweep: {p} leaves DD({lo + i}) but does not divide the "
+                    f"carried value of DD({lo + i - 1})"
+                )
+            del current[j - 1]
+    yield from repeat(carried(tuple(current), value), hi - lo + 1 - done)
 
 
 def _cofactors(d: int, lo: int, hi: int) -> range:
@@ -311,9 +380,11 @@ def _quotient_segment(lo: int, hi: int) -> list[int]:
     return found
 
 
-def _remember(memo: OrderedDict, n: int, primes) -> SquarefreeProduct:
+def _remember(memo: OrderedDict, n: int, scan: Callable) -> SquarefreeProduct:
+    # a miss: the memo holds only valid n, so a hit needs no index check;
     # every scan lists its primes in ascending order: no sort
-    value = memo[n] = SquarefreeProduct(tuple(primes))
+    _check_index(n)
+    value = memo[n] = SquarefreeProduct(scan(n))
     if len(memo) > MEMO_BOUND:
         memo.popitem(last=False)
     return value
@@ -339,7 +410,7 @@ def _fill(memo: OrderedDict, segment: Callable, lo: int, hi: int) -> None:
 
 def _products(rows) -> Iterator[SquarefreeProduct]:
     # built one at a time as _fill stores them, after its eviction; every
-    # scan lists its primes in ascending order: no sort
+    # row lists its primes in ascending order: no sort
     return map(SquarefreeProduct, map(tuple, rows))
 
 
@@ -350,7 +421,7 @@ def fill_nonconstant_memo(lo: int, hi: int) -> None:
     index not stored to the last one is scanned.  At most MEMO_BOUND
     indices stay, oldest out first.
     """
-    _fill(_nonconstant_memo, lambda a, b: _products(_nonconstant_segment(a, b)), lo, hi)
+    _fill(_nonconstant_memo, _nonconstant_segment, lo, hi)
 
 
 def fill_number_memo(lo: int, hi: int) -> None:
@@ -382,8 +453,7 @@ def number_denom(n: int) -> SquarefreeProduct:
     factorization of n/2.  The odd cases are 2 at n = 1 and 1 for n >= 3
     (the numbers vanish there).
     """
-    _check_index(n)
-    return _number_memo.get(n) or _remember(_number_memo, n, _number_primes(n))
+    return _number_memo.get(n) or _remember(_number_memo, n, _number_primes)
 
 
 def number_denom_direct(cache: BernoulliCache, n: int) -> int:
@@ -402,9 +472,8 @@ def nonconstant_denom(n: int) -> SquarefreeProduct:
     (Kellner 2017); it does exactly when it does not divide n.  The cost
     is O(sqrt(n)) steps after the sieve.
     """
-    _check_index(n)
     memo = _nonconstant_memo
-    return memo.get(n) or _remember(memo, n, _nonconstant_primes(n))
+    return memo.get(n) or _remember(memo, n, _nonconstant_primes)
 
 
 def nonconstant_denom_all_primes(n: int) -> SquarefreeProduct:
@@ -428,7 +497,7 @@ def nonconstant_denom_direct(cache: BernoulliCache, n: int) -> int:
 
 def full_denom(n: int) -> SquarefreeProduct:
     """Denominator of the full polynomial B_n(x); always even and squarefree."""
-    _check_index(n)
+    # both callees check n on a miss
     return nonconstant_denom(n).merge(number_denom(n))
 
 

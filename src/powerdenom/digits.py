@@ -2,8 +2,9 @@
 
 Everything here is exact integer arithmetic on Python's native bigints.
 A squarefree product (``SquarefreeProduct``) is a slotted object, immutable
-by convention, holding its ascending primes; the value is their product,
-computed once by the pass that checks the order.
+by convention, holding its ascending primes and their product: computed
+once by the pass that checks the order, or carried in by a producer that
+keeps the two in step itself.
 
 All functions are pure apart from the prime sieve, a module-level cache that
 only ever grows.  Its state is a flag table, one byte per integer up to
@@ -24,14 +25,18 @@ from math import isqrt
 class SquarefreeProduct:
     """A squarefree positive integer, built from its prime divisors ascending.
 
-    The primes are the one input; ``value``, their product, is computed once
-    by the same pass that checks that they strictly increase.  The empty
-    product is 1.  Instances are slotted and immutable by convention; two
-    are equal, and hash alike, exactly when their primes are.  Producers
-    that list their primes in ascending order call the constructor;
-    :meth:`of` sorts first, for unordered input.  Full primality of every
-    member is the producers' responsibility; the test suite re-verifies it
-    by trial division.
+    The constructor takes the primes alone; ``value``, their product, is
+    computed once by the same pass that checks that they strictly increase.
+    The empty product is 1.  Instances are slotted and immutable by
+    convention; two are equal, and hash alike, exactly when their primes
+    are, so equality says nothing about ``value``.  Producers that list
+    their primes in ascending order call the constructor; :meth:`of` sorts
+    first, for unordered input.  Two producers already hold the product and
+    pass it with the primes to the private ``_carried``, which checks
+    neither: :meth:`merge`, and the DD segment sweep in ``denom``, which
+    checks each prime entering or leaving its set instead.  Full primality
+    of every member is the producers' responsibility; the test suite
+    re-verifies it by trial division.
     """
 
     __slots__ = ("primes", "value")
@@ -49,6 +54,14 @@ class SquarefreeProduct:
             prod *= p
         self.primes = primes
         self.value = prod
+
+    @classmethod
+    def _carried(cls, primes: tuple[int, ...], value: int) -> "SquarefreeProduct":
+        # for producers that keep value == prod(primes), ascending, themselves
+        self = object.__new__(cls)
+        self.primes = primes
+        self.value = value
+        return self
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SquarefreeProduct):
@@ -73,19 +86,24 @@ class SquarefreeProduct:
         its primes are a subset of the other's; then that operand is the
         union and comes back unchanged.  Otherwise the union is ``self``'s
         primes and those of ``other`` that do not divide ``self.value``,
-        one remainder each, put in order by one sort.
+        one remainder each, put in order by one sort; its value is
+        ``self.value`` times the primes added, and no pass checks the order
+        again.
         """
         if other.value % self.value == 0:
             return other
-        if self.value % other.value == 0:
-            return self
         value = self.value
+        if value % other.value == 0:
+            return self
         primes = [*self.primes]
+        # a prime multiplied in changes no other prime's remainder to or
+        # from zero
         for p in other.primes:
             if value % p:
                 primes.append(p)
+                value *= p
         primes.sort()
-        return SquarefreeProduct(tuple(primes))
+        return SquarefreeProduct._carried(tuple(primes), value)
 
     def divides(self, n: int) -> bool:
         return n % self.value == 0

@@ -2,7 +2,7 @@
 
 import random
 from itertools import chain
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +30,7 @@ from powerdenom.denom import (
     parity_indices,
 )
 from powerdenom.digits import SquarefreeProduct, digit_sum, primes_up_to
+from powerdenom.errors import TheoremViolationError
 
 CACHE = BernoulliCache()
 
@@ -191,15 +192,41 @@ def _tilings(top, longest=2048):
     # a length-16 segment around each square p^2 <= top
     for p in primes_up_to(isqrt(top)):
         yield max(p * p - 8, 1), min(p * p + 7, top)
+    yield from ((lo, min(lo + 15, top)) for lo in _gap_starts(top, primes_up_to(isqrt(top))))
+
+
+def _gap_starts(top, primes, least=1, blocks=3, rng=None):
+    # for each p and a few blocks k >= p with s_p(k) < p, where p leaves DD
+    # at kp: lo at kp, inside the gap, and at the re-entry kp + p - s_p(k);
+    # kp >= p^2 keeps p among the segment's primes below its square root
+    rng = rng or random.Random(2017)
+    for p in primes:
+        ks = range(max(least // p, p), (top - p) // p + 1)
+        power = p  # s_p(p^e) = 1, the only gaps of p = 2
+        while power < ks.start:
+            power *= p
+        candidates = [power, *rng.sample(ks, min(len(ks), 40))]
+        gaps = [k for k in candidates if k in ks and digit_sum(p, k) < p]
+        for k in gaps[:blocks]:
+            yield from (k * p, k * p + p - digit_sum(p, k))
+
+
+def _assert_dd_entries(got, lo, hi, dd):
+    # equality and hashing read the primes alone, so the carried value is
+    # compared on its own
+    got = list(got)
+    assert len(got) == hi - lo + 1, (lo, hi)
+    for n, product in zip(range(lo, hi + 1), got):
+        want = dd(n)
+        assert (product.primes, product.value) == (want, prod(want)), (lo, hi, n)
 
 
 def _assert_segments_match_per_index_scans(segments, dd, d):
     for lo, hi in segments:
-        got_dd = denom._nonconstant_segment(lo, hi)
+        _assert_dd_entries(denom._nonconstant_segment(lo, hi), lo, hi, dd)
         got_d = denom._number_segment(lo, hi)
-        assert len(got_dd) == len(got_d) == hi - lo + 1, (lo, hi)
+        assert len(got_d) == hi - lo + 1, (lo, hi)
         for n in range(lo, hi + 1):
-            assert tuple(got_dd[n - lo]) == dd(n), (lo, hi, n)
             assert tuple(got_d[n - lo]) == d(n), (lo, hi, n)
 
 
@@ -216,13 +243,18 @@ def test_segment_scans_equal_the_per_index_scans_at_sampled_large_segments():
     for _ in range(20):
         lo = rng.randrange(10**5, 2 * 10**6)
         segments.append((lo, lo + rng.choice((1, 2, 15, 16, 64)) - 1))
+    # lo in a gap of a prime p <= sqrt(lo) and at its re-entry, for 2 and
+    # four seeded primes up to sqrt(10^5)
+    primes = [2, *sorted(rng.sample(primes_up_to(isqrt(10**5)), 4))]
+    for lo in _gap_starts(2 * 10**6, primes, least=10**5, blocks=2, rng=rng):
+        segments.append((lo, lo + 15))
     _assert_segments_match_per_index_scans(
         segments, denom._nonconstant_primes, denom._number_primes
     )
     for lo, hi in segments[:2]:
-        got = denom._nonconstant_segment(lo, hi)
+        got = list(denom._nonconstant_segment(lo, hi))
         for n in (lo, hi):
-            assert tuple(got[n - lo]) == nonconstant_denom_all_primes(n).primes, n
+            assert got[n - lo] == nonconstant_denom_all_primes(n), n
 
 
 def test_segment_digit_sums_carry_across_prime_powers():
@@ -234,8 +266,7 @@ def test_segment_digit_sums_carry_across_prime_powers():
             if power >= 10**5:
                 lo, hi = power - p, power + p - 1
                 got = denom._nonconstant_segment(lo, hi)
-                for n in range(lo, hi + 1):
-                    assert tuple(got[n - lo]) == denom._nonconstant_primes(n), (p, n)
+                _assert_dd_entries(got, lo, hi, denom._nonconstant_primes)
             power *= p
 
 
@@ -308,20 +339,25 @@ def test_filled_memos_hold_the_per_index_values(monkeypatch):
     for n, (dd, d) in zip(range(990, 1031), stored):
         # a hit returns the stored product itself
         assert nonconstant_denom(n) is dd and number_denom(n) is d, n
-        assert dd.primes == denom._nonconstant_primes(n), n
-        assert d.primes == denom._number_primes(n), n
+        want = denom._nonconstant_primes(n)
+        assert (dd.primes, dd.value) == (want, prod(want)), n
+        assert (d.primes, d.value) == (denom._number_primes(n), prod(d.primes)), n
 
 
 def test_a_fill_keeps_the_newest_indices_and_never_passes_the_bound(monkeypatch):
     bound = 8
     monkeypatch.setattr(denom, "MEMO_BOUND", bound)
     memo = denom._nonconstant_memo
+    carried = SquarefreeProduct._carried
+    built = []
 
-    def stored_within_the_bound(primes):
+    def stored_within_the_bound(primes, value):
+        # the sweep is lazy: each product is built as the fill stores it
         assert len(memo) < bound, len(memo)
-        return SquarefreeProduct(primes)
+        built.append(primes)
+        return carried(primes, value)
 
-    monkeypatch.setattr(denom, "SquarefreeProduct", stored_within_the_bound)
+    monkeypatch.setattr(SquarefreeProduct, "_carried", staticmethod(stored_within_the_bound))
     clear_formula_caches()
     nonconstant_denom(3)
     denom.fill_nonconstant_memo(1, 5)  # 3 is stored already and keeps its place
@@ -332,7 +368,39 @@ def test_a_fill_keeps_the_newest_indices_and_never_passes_the_bound(monkeypatch)
     assert list(memo) == list(range(33, 41))
     for n, value in memo.items():
         assert value.primes == denom._nonconstant_primes(n), n
+    assert built  # the fills built their products through the wrapper
     clear_formula_caches()
+
+
+def test_the_dd_sweep_checks_each_event(monkeypatch):
+    # each fault breaks the sweep's bookkeeping at the first event it
+    # reaches, and the error names that n and p
+    faults = (
+        # s_p(k) read as 0: p leaves at a block it never entered
+        (
+            "digit_sum",
+            lambda p, k: 0,
+            r"^DD sweep: 7 leaves DD\(1001\) but is not in DD\(1000\)$",
+        ),
+        # every prime <= sqrt(hi) listed twice: each enters twice
+        (
+            "primes_up_to",
+            lambda b: sorted(2 * primes_up_to(b)),
+            r"^DD sweep: 2 enters DD\(1000\) twice$",
+        ),
+        # a remainder where none is: the carried value and the primes disagree
+        (
+            "divmod",
+            lambda a, b: (a // b, 1),
+            r"^DD sweep: 167 leaves DD\(1002\) but does not divide the carried value of "
+            r"DD\(1001\)$",
+        ),
+    )
+    for name, fake, message in faults:
+        with monkeypatch.context() as patch:
+            patch.setattr(denom, name, fake, raising=False)
+            with pytest.raises(TheoremViolationError, match=message):
+                list(denom._nonconstant_segment(1000, 1100))
 
 
 def test_a_candidate_past_the_digit_bound_is_not_looked_up(monkeypatch):
@@ -407,8 +475,6 @@ def test_prime_set_quotients_equal_the_division_path():
 
 
 def test_quotients_by_division_check_divisibility(monkeypatch):
-    from powerdenom.errors import TheoremViolationError
-
     real = denom.nonconstant_denom
     # DD(8) = 3 does not divide a DD(7) of 10 in place of 6
     monkeypatch.setattr(

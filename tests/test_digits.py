@@ -250,6 +250,16 @@ def test_squarefree_product_merge_is_lcm():
     one = SquarefreeProduct.of([])
     assert one.merge(b) is b and b.merge(one) is b
     assert a.merge(a) is a
+    # the union's value is carried, not recomputed: check it against the
+    # primes on seeded operands drawn from the primes below 60
+    rng = random.Random(2017)
+    pool = primes_up_to(60)
+    for _ in range(200):
+        x = SquarefreeProduct.of(rng.sample(pool, rng.randrange(8)))
+        y = SquarefreeProduct.of(rng.sample(pool, rng.randrange(8)))
+        merged = x.merge(y)
+        assert merged.primes == tuple(sorted({*x.primes, *y.primes})), (x, y)
+        assert merged.value == math.prod(merged.primes), (x, y)
 
 
 @settings(max_examples=30)
