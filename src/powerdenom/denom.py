@@ -17,28 +17,31 @@ other; that parity is set here once (``*_QUOTIENT_PARITY``), and
 five sequences (D, DD, DB and the two quotients), each with its closed
 form, oracle and domain, are set in one table: ``cli.SEQUENCES``.
 
-The quotients are prime sets read off n+1 alone.  A prime p is in DD(n)
-exactly when s_p(n) >= p (Kellner-Sondow, "Power-sum denominators", 2017),
-and base-p digit sums satisfy s_p(n+1) = s_p(n) + 1 - t(p-1), where t
-counts the trailing base-p digits of n equal to p-1.  If p does not divide
-n+1, then t = 0 and p stays in the set from n to n+1; so only a prime
-p^e || n+1 can leave it, and then t = e.  Hence
+The two quotients DDQ(n) = DD(n)/DD(n+1) at odd n and DBQ(n) = DB(n)/DB(n+1)
+at even n are one prime set Q(n), read off n+1 alone.  A prime p is in
+DD(n) exactly when s_p(n) >= p (Kellner-Sondow, "Power-sum denominators",
+2017), and base-p digit sums satisfy s_p(n+1) = s_p(n) + 1 - t(p-1), where
+t counts the trailing base-p digits of n equal to p-1.  If p does not
+divide n+1, then t = 0 and p stays in the set from n to n+1; so only a
+prime p^e || n+1 can leave it, and then t = e.  At even n,
+DB(n) = lcm(DD(n+1), rad(n+1)) and DB(n+1) = DD(n+1), so DB gains the
+primes of n+1 missing from DD(n+1).  Hence
 
-  DDQ(n), n odd:   the p^e || n+1 with s_p(n+1) < p <= s_p(n+1) - 1 + e(p-1),
-                   the right side being s_p(n);
-  DBQ(n), n even:  the p | n+1 with s_p(n+1) < p, since
-                   DB(n) = lcm(DD(n+1), rad(n+1)) and DB(n+1) = DD(n+1).
+  Q(n):  the p^e || n+1 with s_p(n+1) < p, and at odd n also
+         p <= s_p(n+1) - 1 + e(p-1), the right side being s_p(n).
 
-A single quotient costs one factorization of n+1 (``digits.factorize``,
-trial division by the sieve's primes up to sqrt(n+1), a flag table of at
-most 10**4 bytes below ``limits.MAX_SEQ_N``) and one digit sum per prime
-factor.  The quotients by division,
-``nonconstant_quotient_by_division`` and ``full_denom_quotient_by_division``,
-stay beside ``full_denom_via_successor`` as references; they divide the
-closed forms at n and n+1 and raise TheoremViolationError when the
-division leaves a remainder.  That divisibility check runs wherever the
-two paths are compared: the T4 and T5 sweeps, the tests, and the
-benchmark's reference check of its b-file and sparse values.
+``nonconstant_quotient`` (odd n) and ``full_denom_quotient`` (even n) are
+its two views, each rejecting n of the other parity.  A single Q(n) costs
+one factorization of n+1 (``digits.factorize``, trial division by the
+sieve's primes up to sqrt(n+1), a flag table of at most 10**4 bytes below
+``limits.MAX_SEQ_N``) and one digit sum per prime factor.  The quotients
+by division, ``nonconstant_quotient_by_division`` and
+``full_denom_quotient_by_division``, stay beside
+``full_denom_via_successor`` as references; they divide the closed forms
+at n and n+1 and raise TheoremViolationError when the division leaves a
+remainder.  That divisibility check runs wherever the two paths are
+compared: the T4 and T5 sweeps, the tests, and the benchmark's reference
+check of its b-file and sparse values.
 
 Formula paths depend only on digit sums, sieves and trial division; the
 ``*_direct`` oracles take a BernoulliCache and use no digit sum, sieve or
@@ -92,8 +95,7 @@ sweeps n upward; D's lists each n's primes.
   D:                  for each d <= sqrt(hi), the even multiples n = d*j
                       with j >= d take d + 1 and j + 1 when prime.
 
-  Q:                  the quotients at both parities at once, Q(n) being
-                      DDQ(n) at odd n and DBQ(n) at even n.  For each
+  Q:                  Q(n) at both parities at once.  For each
                       p <= sqrt(hi + 1), the multiples k = j*p of p in
                       lo+1..hi+1 lose p^e from a running cofactor of k and
                       read s_p(k) = s_p(j), one digit sum per prime and then
@@ -128,10 +130,12 @@ segment fill writes: a quotient computed for one index alone is not
 stored.  ``fill_nonconstant_memo``, ``fill_number_memo`` and
 ``fill_quotient_memo`` store a segment at once through one ``_fill``,
 which scans only from the first index not yet stored to the last one and
-makes room with one eviction before it stores.  ``seq`` fills over long
-ranges in segments of at most half the bound for D, DD and DB, and of
-4095 values of n for a quotient's 2048 indices of one parity;
-``clear_formula_caches`` empties all three memos.
+makes room with one eviction before it stores.  Each segment function
+yields what its memo stores: D's and DD's SquarefreeProducts, built
+lazily one at a time as ``_fill`` stores them, and Q's ints.  ``seq``
+fills over long ranges in segments of at most half the bound for D, DD
+and DB, and of 4095 values of n for a quotient's 2048 indices of one
+parity; ``clear_formula_caches`` empties all three memos.
 """
 
 from __future__ import annotations
@@ -140,7 +144,7 @@ from bisect import bisect_right
 from collections import OrderedDict
 from collections.abc import Callable, Iterator
 from itertools import compress, repeat
-from math import isqrt, lcm, prod
+from math import isqrt, lcm
 
 from .bernoulli import BernoulliCache
 from .digits import (
@@ -324,8 +328,8 @@ def _cofactors(d: int, lo: int, hi: int) -> range:
     return range(j, hi // d + 1)
 
 
-def _number_segment(lo: int, hi: int) -> list[list[int]]:
-    """_number_primes(n) for n = lo..hi, as lists, from one scan."""
+def _number_segment(lo: int, hi: int) -> Iterator[SquarefreeProduct]:
+    """number_denom(n) for n = lo..hi from one scan, each built lazily."""
     found: list[list[int]] = [[] for _ in range(hi - lo + 1)]
     if lo == 1:
         found[0].append(2)
@@ -343,7 +347,7 @@ def _number_segment(lo: int, hi: int) -> list[list[int]]:
         for j in compress(js, flags[js.start + 1 : js.stop + 1 : js.step]):
             if j != d:
                 found[d * j - lo].append(j + 1)
-    return found
+    return map(SquarefreeProduct, map(tuple, found))
 
 
 def _quotient_segment(lo: int, hi: int) -> list[int]:
@@ -400,18 +404,14 @@ def _fill(memo: OrderedDict, segment: Callable, lo: int, hi: int) -> None:
     # only the span from the first missing index to the last one is scanned
     first = lo + new.index(True)
     last = hi - new[::-1].index(True)
+    # each segment yields what the memo stores; D's and DD's products are
+    # built lazily, so none is built before the eviction below
     values = segment(first, last)
     # room is made once, oldest out first, before anything is stored, so
     # the memo never holds more than MEMO_BOUND indices
     for _ in range(len(memo) + new.count(True) - MEMO_BOUND):
         memo.popitem(last=False)
     memo.update(compress(zip(range(first, last + 1), values), new[first - lo :]))
-
-
-def _products(rows) -> Iterator[SquarefreeProduct]:
-    # built one at a time as _fill stores them, after its eviction; every
-    # row lists its primes in ascending order: no sort
-    return map(SquarefreeProduct, map(tuple, rows))
 
 
 def fill_nonconstant_memo(lo: int, hi: int) -> None:
@@ -426,7 +426,7 @@ def fill_nonconstant_memo(lo: int, hi: int) -> None:
 
 def fill_number_memo(lo: int, hi: int) -> None:
     """Store number_denom(n) for n = lo..hi, as fill_nonconstant_memo does."""
-    _fill(_number_memo, lambda a, b: _products(_number_segment(a, b)), lo, hi)
+    _fill(_number_memo, _number_segment, lo, hi)
 
 
 def fill_quotient_memo(lo: int, hi: int) -> None:
@@ -542,14 +542,22 @@ def parity_indices(parity: int | None, lo: int, hi: int) -> range:
     return range(lo + (lo - parity) % 2, hi + 1, 2)
 
 
-def _check_nonconstant_quotient_index(n: int) -> None:
-    if n < 1 or n % 2 != NONCONSTANT_QUOTIENT_PARITY:
-        raise ValueError(f"quotient defined for odd n >= 1, got {n}")
+def _check_quotient_index(n: int, parity: int) -> None:
+    # an even n >= 1 is n >= 2
+    if n < 1 or n % 2 != parity:
+        domain = "odd n >= 1" if parity else "even n >= 2"
+        raise ValueError(f"quotient defined for {domain}, got {n}")
 
 
-def _check_full_quotient_index(n: int) -> None:
-    if n < 2 or n % 2 != FULL_QUOTIENT_PARITY:
-        raise ValueError(f"quotient defined for even n >= 2, got {n}")
+def _quotient(n: int) -> int:
+    # Q(n), as the module docstring states it, from one factorization of n + 1
+    k = n + 1
+    q = 1
+    for p, e in factorize(k):
+        s = digit_sum(p, k)
+        if s < p and (n % 2 == 0 or p <= s - 1 + e * (p - 1)):
+            q *= p
+    return q
 
 
 def nonconstant_quotient(n: int) -> int:
@@ -565,17 +573,9 @@ def nonconstant_quotient(n: int) -> int:
     divisibility check, is nonconstant_quotient_by_division; the T4 sweep
     compares the two at every odd n it covers.
     """
-    _check_nonconstant_quotient_index(n)
-    q = _quotient_memo.get(n)
-    if q is not None:
-        return q
-    k = n + 1
-    q = 1
-    for p, e in factorize(k):
-        s = digit_sum(p, k)
-        if s < p <= s - 1 + e * (p - 1):
-            q *= p
-    return q
+    _check_quotient_index(n, NONCONSTANT_QUOTIENT_PARITY)
+    # a stored quotient is at least 1, so a hit is never falsy
+    return _quotient_memo.get(n) or _quotient(n)
 
 
 def full_denom_quotient(n: int) -> int:
@@ -588,12 +588,8 @@ def full_denom_quotient(n: int) -> int:
     replaces, with its divisibility check, is full_denom_quotient_by_division;
     the T5 sweep compares the two at every even n it covers.
     """
-    _check_full_quotient_index(n)
-    q = _quotient_memo.get(n)
-    if q is not None:
-        return q
-    k = n + 1
-    return prod(p for p, _ in factorize(k) if digit_sum(p, k) < p)
+    _check_quotient_index(n, FULL_QUOTIENT_PARITY)
+    return _quotient_memo.get(n) or _quotient(n)
 
 
 def nonconstant_quotient_by_division(n: int) -> int:
@@ -603,7 +599,7 @@ def nonconstant_quotient_by_division(n: int) -> int:
     about n/2.  Raises TheoremViolationError if the value at n+1 does not
     divide the one at n, which the divisibility law for odd n forbids.
     """
-    _check_nonconstant_quotient_index(n)
+    _check_quotient_index(n, NONCONSTANT_QUOTIENT_PARITY)
     return _exact_quotient(nonconstant_denom, "nonconstant", n)
 
 
@@ -613,7 +609,7 @@ def full_denom_quotient_by_division(n: int) -> int:
     The reference for full_denom_quotient, checked for divisibility the same
     way as nonconstant_quotient_by_division.
     """
-    _check_full_quotient_index(n)
+    _check_quotient_index(n, FULL_QUOTIENT_PARITY)
     return _exact_quotient(full_denom, "full", n)
 
 

@@ -287,45 +287,28 @@ def _am_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
     return checked, failures
 
 
-@dataclass(frozen=True, slots=True)
-class _SweepDef:
-    defaults: Bounds  # a grid over (m, r, n) exactly when m_max is set
-    chunk: Callable[[int, int, Bounds], ChunkResult]
-    label: Callable[[Bounds], str]
-
-
-def _n_label(b: Bounds) -> str:
-    return f"n <= {b.max_n}"
-
-
-def _grid_label(b: Bounds) -> str:
-    return f"m <= {b.m_max}, r <= {b.r_max}, n <= {b.max_n}"
-
-
-def _signed_grid_label(b: Bounds) -> str:
-    return f"m <= {b.m_max}, |r| <= {b.r_max}, n <= {b.max_n}"
-
-
-_SWEEPS: dict[str, _SweepDef] = {
-    "T1-parity": _SweepDef(Bounds(4096), _parity_chunk, _n_label),
-    "T2-denominator": _SweepDef(
-        Bounds(60, m_max=30, r_max=3), _denominator_chunk, _grid_label
+# id -> (chunk, default bounds, report label formatted with the bounds as
+# b).  A sweep is a grid over (m, r, n) exactly when its defaults set m_max.
+_SWEEPS: dict[str, tuple[Callable[[int, int, Bounds], ChunkResult], Bounds, str]] = {
+    "T1-parity": (_parity_chunk, Bounds(4096), "n <= {b.max_n}"),
+    "T2-denominator": (
+        _denominator_chunk, Bounds(60, m_max=30, r_max=3),
+        "m <= {b.m_max}, r <= {b.r_max}, n <= {b.max_n}",
     ),
-    "T3-integrality": _SweepDef(
-        Bounds(60, m_max=60, r_max=3), _integrality_chunk, _grid_label
+    "T3-integrality": (
+        _integrality_chunk, Bounds(60, m_max=60, r_max=3),
+        "m <= {b.m_max}, r <= {b.r_max}, n <= {b.max_n}",
     ),
-    "C2-relations": _SweepDef(Bounds(2000), _relations_chunk, _n_label),
-    "T4-quotients": _SweepDef(Bounds(8191), _dd_quotient_chunk, _n_label),
-    "T5-quotients": _SweepDef(Bounds(8192), _db_quotient_chunk, _n_label),
-    "L1-congruence": _SweepDef(
-        Bounds(60, m_max=20, r_max=20),
-        _congruence_chunk,
-        lambda b: f"{_signed_grid_label(b)}, p <= 13",
+    "C2-relations": (_relations_chunk, Bounds(2000), "n <= {b.max_n}"),
+    "T4-quotients": (_dd_quotient_chunk, Bounds(8191), "n <= {b.max_n}"),
+    "T5-quotients": (_db_quotient_chunk, Bounds(8192), "n <= {b.max_n}"),
+    "L1-congruence": (
+        _congruence_chunk, Bounds(60, m_max=20, r_max=20),
+        "m <= {b.m_max}, |r| <= {b.r_max}, n <= {b.max_n}, p <= 13",
     ),
-    "AM-integrality": _SweepDef(
-        Bounds(80, m_max=40, r_max=40),
-        _am_chunk,
-        _signed_grid_label,
+    "AM-integrality": (
+        _am_chunk, Bounds(80, m_max=40, r_max=40),
+        "m <= {b.m_max}, |r| <= {b.r_max}, n <= {b.max_n}",
     ),
 }
 
@@ -343,7 +326,7 @@ def usable_cpus() -> int:
 def _chunk_entry(args: tuple[str, int, int, Bounds]) -> tuple[int, int, list[Failure]]:
     """(checked, failure count, the first failures) of one chunk."""
     theorem_id, lo, hi, bounds = args
-    checked, failures = _SWEEPS[theorem_id].chunk(lo, hi, bounds)
+    checked, failures = _SWEEPS[theorem_id][0](lo, hi, bounds)
     return checked, len(failures), failures[:MAX_REPORTED_FAILURES]
 
 
@@ -373,12 +356,12 @@ def run_sweep(
         raise ValueError(f"unknown sweep id {theorem_id!r} (known: {known})")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    sweep = _SWEEPS[theorem_id]
-    grid = sweep.defaults.m_max is not None
+    _, defaults, label = _SWEEPS[theorem_id]
+    grid = defaults.m_max is not None
     if not grid and (m_max is not None or r_max is not None):
         raise ValueError(f"{theorem_id} sweeps n only; it takes no m or r bound")
     given = {"max_n": max_n, "m_max": m_max, "r_max": r_max}
-    bounds = replace(sweep.defaults, **{k: v for k, v in given.items() if v is not None})
+    bounds = replace(defaults, **{k: v for k, v in given.items() if v is not None})
     axes = [("n", bounds.max_n, 1, MAX_TABLE_N if grid else MAX_SEQ_N)]
     if grid:
         axes += [("m", bounds.m_max, 1, MAX_GRID_M), ("r", bounds.r_max, 0, MAX_GRID_R)]
@@ -415,14 +398,13 @@ def run_sweep(
         with ProcessPoolExecutor(max_workers=min(jobs, len(spans))) as pool:
             parts = list(pool.map(_chunk_entry, args))
     elapsed = time.perf_counter() - start
+    label = label.format(b=bounds)
     checked = sum(c for c, _, _ in parts)
     if not checked:
-        raise ValueError(f"{theorem_id} has no case with {sweep.label(bounds)}")
+        raise ValueError(f"{theorem_id} has no case with {label}")
     count = sum(k for _, k, _ in parts)
     sample = [f for _, _, fs in parts for f in fs][:MAX_REPORTED_FAILURES]
-    return SweepReport(
-        theorem_id, sweep.label(bounds), checked, count, tuple(sample), elapsed
-    )
+    return SweepReport(theorem_id, label, checked, count, tuple(sample), elapsed)
 
 
 def _split_span(hi: int, parts: int) -> list[tuple[int, int]]:

@@ -135,11 +135,16 @@ def test_seq_quotients_at_huge_n_use_no_sieve(capsys, monkeypatch):
 
     for name in ("prime_flags", "primes_up_to", "nonconstant_denom"):
         monkeypatch.setattr(denom, name, refuse)
-    limit = digits._sieve_limit
+    # from a fresh interpreter's sieve, whatever earlier tests grew it to:
+    # factorize extends the prime list to sqrt(n + 1), a flag table of at
+    # most 10**4 bytes for n + 1 <= 10**8 + 1
+    monkeypatch.setattr(digits, "_sieve_limit", 0)
+    monkeypatch.setattr(digits, "_sieve_flags", memoryview(b""))
+    monkeypatch.setattr(digits, "_sieve_primes", [])
     for seq_id, n, want in (("DDQ", 99999999, 5), ("DBQ", 99999998, 73)):
         code, out, err = run_cli(capsys, "seq", seq_id, "--from", str(n), "--to", str(n))
         assert (code, out, err) == (0, f"{n} {want}\n", ""), seq_id
-    assert digits._sieve_limit == limit
+    assert digits._sieve_limit <= 10**4
 
 
 def test_seq_help_states_the_bound(capsys):
@@ -671,6 +676,41 @@ def test_run_sweep_refuses_a_grid_past_the_work_bound_before_any_work(monkeypatc
     monkeypatch.setattr(verify, "_chunk_entry", lambda args: (1, 0, []))
     for theorem_id in grids:
         assert verify.run_sweep(theorem_id, **edge, jobs=1).ok, theorem_id
+
+
+def test_each_sweep_labels_its_report_with_its_bounds(monkeypatch):
+    # the report's first line after the id, at the defaults and at one
+    # override, and the same label in the refusal of bounds that hold no
+    # case (the chunks are stubbed out: nothing runs)
+    cases = (
+        ("T1-parity", "n <= 4096", {"max_n": 7}, "n <= 7"),
+        ("T2-denominator", "m <= 30, r <= 3, n <= 60", {"m_max": 2}, "m <= 2, r <= 3, n <= 60"),
+        ("T3-integrality", "m <= 60, r <= 3, n <= 60", {"r_max": 0}, "m <= 60, r <= 0, n <= 60"),
+        ("C2-relations", "n <= 2000", {"max_n": 9}, "n <= 9"),
+        ("T4-quotients", "n <= 8191", {"max_n": 1}, "n <= 1"),
+        ("T5-quotients", "n <= 8192", {"max_n": 2}, "n <= 2"),
+        (
+            "L1-congruence",
+            "m <= 20, |r| <= 20, n <= 60, p <= 13",
+            {"max_n": 4, "r_max": 2},
+            "m <= 20, |r| <= 2, n <= 4, p <= 13",
+        ),
+        (
+            "AM-integrality",
+            "m <= 40, |r| <= 40, n <= 80",
+            {"max_n": 9, "m_max": 3, "r_max": 1},
+            "m <= 3, |r| <= 1, n <= 9",
+        ),
+    )
+    assert [case[0] for case in cases] == list(verify.available_sweeps())
+    for theorem_id, default, override, label in cases:
+        monkeypatch.setattr(verify, "_chunk_entry", lambda args: (1, 0, []))
+        assert verify.run_sweep(theorem_id, jobs=1).range_label == default
+        assert verify.run_sweep(theorem_id, **override, jobs=1).range_label == label
+        monkeypatch.setattr(verify, "_chunk_entry", lambda args: (0, 0, []))
+        message = f"^{re.escape(f'{theorem_id} has no case with {label}')}$"
+        with pytest.raises(ValueError, match=message):
+            verify.run_sweep(theorem_id, **override, jobs=1)
 
 
 def test_term_count_bound_is_refused_before_any_work(capsys, monkeypatch):

@@ -211,23 +211,20 @@ def _gap_starts(top, primes, least=1, blocks=3, rng=None):
             yield from (k * p, k * p + p - digit_sum(p, k))
 
 
-def _assert_dd_entries(got, lo, hi, dd):
-    # equality and hashing read the primes alone, so the carried value is
-    # compared on its own
+def _assert_entries(got, lo, hi, primes):
+    # equality and hashing read the primes alone, so the value, carried by
+    # the DD sweep and computed by the constructor for D, is compared on its own
     got = list(got)
     assert len(got) == hi - lo + 1, (lo, hi)
     for n, product in zip(range(lo, hi + 1), got):
-        want = dd(n)
+        want = primes(n)
         assert (product.primes, product.value) == (want, prod(want)), (lo, hi, n)
 
 
 def _assert_segments_match_per_index_scans(segments, dd, d):
     for lo, hi in segments:
-        _assert_dd_entries(denom._nonconstant_segment(lo, hi), lo, hi, dd)
-        got_d = denom._number_segment(lo, hi)
-        assert len(got_d) == hi - lo + 1, (lo, hi)
-        for n in range(lo, hi + 1):
-            assert tuple(got_d[n - lo]) == d(n), (lo, hi, n)
+        _assert_entries(denom._nonconstant_segment(lo, hi), lo, hi, dd)
+        _assert_entries(denom._number_segment(lo, hi), lo, hi, d)
 
 
 def test_segment_scans_equal_the_per_index_scans_to_20000():
@@ -266,7 +263,7 @@ def test_segment_digit_sums_carry_across_prime_powers():
             if power >= 10**5:
                 lo, hi = power - p, power + p - 1
                 got = denom._nonconstant_segment(lo, hi)
-                _assert_dd_entries(got, lo, hi, denom._nonconstant_primes)
+                _assert_entries(got, lo, hi, denom._nonconstant_primes)
             power *= p
 
 
@@ -369,6 +366,21 @@ def test_a_fill_keeps_the_newest_indices_and_never_passes_the_bound(monkeypatch)
     for n, value in memo.items():
         assert value.primes == denom._nonconstant_primes(n), n
     assert built  # the fills built their products through the wrapper
+
+    # D's products come from the constructor, as lazily
+    number_memo = denom._number_memo
+    built.clear()
+
+    def constructed_within_the_bound(primes):
+        assert len(number_memo) < bound, len(number_memo)
+        built.append(primes)
+        return SquarefreeProduct(primes)
+
+    monkeypatch.setattr(denom, "SquarefreeProduct", constructed_within_the_bound)
+    denom.fill_number_memo(1, 8)
+    denom.fill_number_memo(20, 40)  # the memo is full: all 8 go before a product is built
+    assert list(number_memo) == list(range(33, 41))
+    assert len(built) == 16
     clear_formula_caches()
 
 
@@ -449,16 +461,16 @@ def test_formula_prime_membership_matches_digit_condition():
 
 
 def test_quotients_reject_wrong_parity():
-    for quotient in (nonconstant_quotient, nonconstant_quotient_by_division):
-        with pytest.raises(ValueError):
-            quotient(2)
-        with pytest.raises(ValueError):
-            quotient(0)
-    for quotient in (full_denom_quotient, full_denom_quotient_by_division):
-        with pytest.raises(ValueError):
-            quotient(3)
-        with pytest.raises(ValueError):
-            quotient(0)
+    # the message word for word at n = 0, at negative n and at the other parity
+    cases = (
+        ((nonconstant_quotient, nonconstant_quotient_by_division), "odd n >= 1", 2),
+        ((full_denom_quotient, full_denom_quotient_by_division), "even n >= 2", 3),
+    )
+    for quotients, domain, other in cases:
+        for quotient in quotients:
+            for n in (0, -1, -2, other):
+                with pytest.raises(ValueError, match=f"^quotient defined for {domain}, got {n}$"):
+                    quotient(n)
 
 
 def test_prime_set_quotients_equal_the_division_path():
