@@ -5,13 +5,19 @@ lines, ``powersum`` prints one power sum polynomial with its denominator and
 integrality verdict, ``verify`` runs a theorem sweep and reports failures,
 ``bench`` compares the closed-form path against the rational oracle.
 
-Each command adds its arguments in one function (``_seq_arguments`` and so
-on).  ``main`` parses an argv that starts with a command name with that
-command's own parser, built the first time the command runs in the process,
-so a query is one argparse pass.  Any other argv (``--help``, no command, an
-unknown command) goes to ``build_parser``, the whole tree, which the same
-functions fill.  The one visible difference: unrecognized arguments are
-reported under the command's usage line, not under ``powerdenom``'s.
+``main`` reads the documented ``seq`` query, ``seq ID --from A --to B``
+with an optional ``--format bfile|csv`` and A, B plain ASCII digits,
+without argparse (``_documented_seq``): for such an argv it builds and runs
+no parser and does not import argparse, and it prints, refuses and exits as
+argparse's reading followed by ``seq`` would.  Every other argv goes to
+argparse.  Each command adds its arguments in one function
+(``_seq_arguments`` and so on).  ``main`` parses an argv that starts with a
+command name with that command's own parser, built the first time the
+command runs in the process, so a query is one argparse pass.  Any other
+argv (``--help``, no command, an unknown command) goes to ``build_parser``,
+the whole tree, which the same functions fill.  The one visible difference:
+unrecognized arguments are reported under the command's usage line, not
+under ``powerdenom``'s.
 
 ``run_bench`` returns the two timings as ints, and ``bench`` prints their
 ratio.  The input bounds (``MAX_TABLE_N`` and the rest) are defined in
@@ -28,7 +34,6 @@ Exit codes: 0 success, 1 a verification sweep found failures, 2 usage error,
 
 from __future__ import annotations
 
-import argparse
 import sys
 import time
 from collections.abc import Callable, Sequence
@@ -115,16 +120,23 @@ SEQUENCES: dict[str, tuple[Callable, Callable, int | None, tuple[Callable, ...]]
     ),
 }
 
-# The fewest indices for which ``seq`` fills the memos a segment at a time.
-# At n in [10^5, 10^6] the fills catch up with the per-index path near 8
-# indices for DD, 14 for DB and 30 for the quotients, while D's fill still
-# costs 6.7 times its per-index path at 32: a short segment's cost is its
-# loop over the primes or divisors up to sqrt(hi), not its events or rows.
-# A shorter range, such as a single-term query, keeps the per-index path.  Segments hold at most half the memo bound, so filling
-# one never evicts the values the segment is about to print: a quotient
-# segment of SEGMENT_TERMS indices of one parity spans 2*SEGMENT_TERMS - 1
-# = 4095 values of n, all of them stored, which is still within the bound.
-SEGMENT_MIN_TERMS = 16
+# memo fill -> the fewest indices of a range for which ``seq`` runs that fill
+# a segment at a time; a shorter range, such as a single-term query, reads
+# that memo's values from the per-index path, so a DB range of 10 to 319
+# indices fills DD's memo alone.  At n in [10^5, 10^6] each fill catches up
+# with the per-index path near its length here: a short segment's cost is
+# its loop over the primes or divisors up to sqrt(hi): about 2 ms for DD's
+# against 200 us per index, 0.2 ms for the quotients' against 10 us, and
+# 1 to 2 ms for D's against 7 us.
+SEGMENT_MIN_TERMS = {
+    fill_nonconstant_memo: 10,
+    fill_number_memo: 320,
+    fill_quotient_memo: 32,
+}
+# Segments hold at most half the memo bound, so filling one never evicts
+# the values the segment is about to print: a quotient segment of
+# SEGMENT_TERMS indices of one parity spans 2*SEGMENT_TERMS - 1 = 4095
+# values of n, all of them stored, which is still within the bound.
 SEGMENT_TERMS = MEMO_BOUND // 2
 
 
@@ -133,30 +145,28 @@ def indices(seq_id: str, lo: int, hi: int) -> range:
     return parity_indices(SEQUENCES[seq_id][2], lo, hi)
 
 
-def _cmd_seq(args: argparse.Namespace) -> int:
-    lo, hi = args.start, args.stop
+def _seq(seq_id: str, lo: int, hi: int, fmt: str) -> int:
     if lo < 1 or hi < lo:
         raise ValueError(f"need 1 <= from <= to, got {lo}..{hi}")
     if hi > MAX_SEQ_N:
         raise ValueError(f"seq takes n <= {MAX_SEQ_N}, got {hi}")
-    formula, _, parity, fills = SEQUENCES[args.seq_id]
-    ns = indices(args.seq_id, lo, hi)
-    sep = "," if args.format == "csv" else " "
+    formula, _, parity, fills = SEQUENCES[seq_id]
+    ns = indices(seq_id, lo, hi)
+    sep = "," if fmt == "csv" else " "
 
     def too_long(n: int) -> ValueError:
         # str() of an int past the interpreter's digit limit, which is
         # process-wide, as in ``powersum``
         return ValueError(
-            f"{args.seq_id}({n}) is longer than Python's "
+            f"{seq_id}({n}) is longer than Python's "
             f"{sys.get_int_max_str_digits()}-digit limit for int-to-str "
             "conversion; the lines before it are printed"
         )
 
     out = sys.stdout
-    if args.format == "csv":
+    if fmt == "csv":
         out.write("n,a_n\n")
-    if len(ns) < SEGMENT_MIN_TERMS:
-        fills = ()
+    fills = [fill for fill in fills if len(ns) >= SEGMENT_MIN_TERMS[fill]]
     for start in range(0, len(ns), SEGMENT_TERMS):
         segment = ns[start : start + SEGMENT_TERMS]
         # the first line is formatted before the fills, by the per-index
@@ -180,11 +190,15 @@ def _cmd_seq(args: argparse.Namespace) -> int:
     skipped = hi - lo + 1 - len(ns)
     if skipped:
         print(
-            f"note: {args.seq_id} is defined for {'odd' if parity else 'even'} n; "
+            f"note: {seq_id} is defined for {'odd' if parity else 'even'} n; "
             f"skipped {skipped} other indices",
             file=sys.stderr,
         )
     return 0
+
+
+def _cmd_seq(args: argparse.Namespace) -> int:
+    return _seq(args.seq_id, args.start, args.stop, args.format)
 
 
 def run_bench(sequence_id: str, lo: int, hi: int, reps: int = 3) -> tuple[int, int]:
@@ -375,6 +389,29 @@ def _seq_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _documented_seq(argv: list[str]) -> tuple[str, int, int, str] | None:
+    # (id, from, to, format) of the documented form ``seq ID --from A --to B``
+    # with an optional ``--format bfile|csv``, read without argparse; None for
+    # any other argv, which then goes to argparse as before.  A and B must be
+    # ASCII digits, not anything int() takes: argparse reads a value such as
+    # -1_0 as an option, so a query it would refuse is always left to it
+    if len(argv) == 6:
+        fmt = "bfile"
+    elif len(argv) == 8 and argv[6] == "--format" and argv[7] in ("bfile", "csv"):
+        fmt = argv[7]
+    else:
+        return None
+    command, seq_id, from_flag, lo, to_flag, hi = argv[:6]
+    if (command, from_flag, to_flag) != ("seq", "--from", "--to") or seq_id not in SEQUENCES:
+        return None
+    if not (lo.isascii() and lo.isdigit() and hi.isascii() and hi.isdigit()):
+        return None
+    try:
+        return seq_id, int(lo), int(hi), fmt
+    except ValueError:  # longer than the interpreter's int digit limit
+        return None
+
+
 def _powersum_arguments(parser: argparse.ArgumentParser) -> None:
     parser.description = "n = 0 is allowed here and prints the trivial sum x."
     parser.add_argument("--m", type=int, required=True, help="common difference, >= 1")
@@ -434,6 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     ``main`` parses with it only an argv that names no command, such as
     ``--help``, an empty one or an unknown command.
     """
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="powerdenom",
         description=(
@@ -452,6 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
 # arguments, not for the whole tree and a second pass at the top level.
 @cache
 def _command_parser(name: str) -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(prog=f"powerdenom {name}")
     _COMMANDS[name][1](parser)
     return parser
@@ -459,16 +500,21 @@ def _command_parser(name: str) -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
+    query = _documented_seq(argv)
+    if query is not None:
+        command, inputs = _seq, query
+    else:
+        try:
+            if argv and argv[0] in _COMMANDS:
+                args = _command_parser(argv[0]).parse_args(argv[1:])
+                args.command = argv[0]
+            else:
+                args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
+        command, inputs = _COMMANDS[args.command][2], (args,)
     try:
-        if argv and argv[0] in _COMMANDS:
-            args = _command_parser(argv[0]).parse_args(argv[1:])
-            args.command = argv[0]
-        else:
-            args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        return _COMMANDS[args.command][2](args)
+        return command(*inputs)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -106,7 +106,8 @@ sweeps n upward; D's lists each n's primes.
 
 A segment of R indices costs about R*log(hi) + sqrt(hi) steps, plus one per
 prime written for D and one per event for DD, where R per-n scans cost
-R*sqrt(hi).  The per-n scans stay: below about 16 indices they are the
+R*sqrt(hi).  The per-n scans stay: below about 10 indices for DD, 32 for
+the quotients and 320 for D (``cli.SEGMENT_MIN_TERMS``) they are the
 faster ones, and the tests hold the segment scans to their tuples and to
 the per-index quotients.
 

@@ -11,7 +11,9 @@ from math import lcm, prod
 from pathlib import Path
 from types import SimpleNamespace
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import powerdenom
 from powerdenom import cli, denom, digits, verify
@@ -249,6 +251,11 @@ def test_a_dbq_range_after_a_ddq_range_scans_only_the_missing_index(capsys, monk
 
 def test_short_seq_ranges_take_the_per_index_path(capsys, monkeypatch):
     scans = []
+    segments = {
+        denom.fill_nonconstant_memo: "_nonconstant_segment",
+        denom.fill_number_memo: "_number_segment",
+        denom.fill_quotient_memo: "_quotient_segment",
+    }
 
     def counted(name, real):
         def scan(lo, hi):
@@ -257,20 +264,24 @@ def test_short_seq_ranges_take_the_per_index_path(capsys, monkeypatch):
 
         return scan
 
-    for name in ("_nonconstant_segment", "_number_segment", "_quotient_segment"):
+    for name in segments.values():
         monkeypatch.setattr(denom, name, counted(name, getattr(denom, name)))
-    for seq_id in cli.SEQUENCES:
-        # one term, then the longest range below cli.SEGMENT_MIN_TERMS
-        ns = cli.indices(seq_id, 100000, 100000 + 2 * cli.SEGMENT_MIN_TERMS)
-        for lo, hi in ((ns[0], ns[0]), (ns[0], ns[cli.SEGMENT_MIN_TERMS - 2])):
+    edges = cli.SEGMENT_MIN_TERMS
+    # DB's D fill starts later than its DD fill, so a DB range between the
+    # two fills DD's memo alone
+    assert edges[denom.fill_nonconstant_memo] < edges[denom.fill_number_memo]
+    for seq_id, (*_, fills) in cli.SEQUENCES.items():
+        ns = cli.indices(seq_id, 100000, 100000 + 2 * max(edges.values()))
+        # one term, then each fill's edge R: R - 1 indices read that memo
+        # per index, R indices scan one segment into it
+        for terms in sorted({1, *(edges[fill] + d for fill in fills for d in (-1, 0))}):
             denom.clear_formula_caches()
-            code, out, _ = run_cli(capsys, "seq", seq_id, "--from", str(lo), "--to", str(hi))
-            terms = len(cli.indices(seq_id, lo, hi))
-            assert (code, len(out.splitlines()), scans) == (0, terms, []), seq_id
-    code, _, _ = run_cli(capsys, "seq", "DB", "--from", "100001", "--to", "100016")
-    assert (code, scans) == (0, ["_nonconstant_segment", "_number_segment"])
-    code, _, _ = run_cli(capsys, "seq", "DDQ", "--from", "100001", "--to", "100031")
-    assert (code, scans[2:]) == (0, ["_quotient_segment"])
+            scans.clear()
+            code, out, _ = run_cli(
+                capsys, "seq", seq_id, "--from", str(ns[0]), "--to", str(ns[terms - 1])
+            )
+            want = [segments[fill] for fill in fills if terms >= edges[fill]]
+            assert (code, len(out.splitlines()), scans) == (0, terms, want), (seq_id, terms)
 
 
 def test_seq_past_the_digit_limit_names_the_id_and_index(capsys):
@@ -298,7 +309,8 @@ def test_seq_range_past_the_digit_limit_stops_before_any_segment_scan(capsys, mo
     for name in ("_nonconstant_segment", "_number_segment"):
         monkeypatch.setattr(denom, name, refuse)
     denom.clear_formula_caches()
-    lo, hi = 999998, 999998 + cli.SEGMENT_MIN_TERMS - 1
+    # long enough for both of DB's fills
+    lo, hi = 999998, 999998 + max(cli.SEGMENT_MIN_TERMS.values()) - 1
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
@@ -750,7 +762,11 @@ def run_tree(capsys, *argv):
     except SystemExit as exc:
         code = exc.code
     else:
-        code = cli._COMMANDS[args.command][2](args)
+        try:
+            code = cli._COMMANDS[args.command][2](args)
+        except ValueError as exc:  # as main reports it
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -770,12 +786,81 @@ PARSE_CASES = [
     (),  # no command
     ("nope",),  # an unknown command
     ("nope", "--from", "1"),
+    # the documented seq form, which main reads without argparse
+    ("seq", "DD", "--from", "3", "--to", "5"),
+    ("seq", "DD", "--from", "3", "--to", "5", "--format", "csv"),
+    ("seq", "DD", "--from", "007", "--to", "9"),  # leading zeros are digits too
+    ("seq", "DD", "--from", "0", "--to", "5"),  # read, then refused by seq
+    # near misses, each left to argparse
+    ("seq", "DD", "--from", "+3", "--to", "5"),
+    ("seq", "DD", "--from", "-1", "--to", "5"),
+    ("seq", "DD", "--from", "-1_0", "--to", "5"),  # int() takes it, argparse reads an option
+    ("seq", "DD", "--from", "\u0663", "--to", "5"),  # ARABIC-INDIC DIGIT THREE
+    ("seq", "DD", "--from", "3_0", "--to", "35"),
+    ("seq", "DD", "--from", "", "--to", "5"),
+    ("seq", "DD", "--from", "3", "--to", "9" * 5000),  # past int()'s digit limit
+    ("seq", "DD", "--to", "5", "--from", "3"),
+    ("seq", "DD", "--from=3", "--to", "5"),
+    ("seq", "DD", "--from", "3", "--to", "5", "--format", "xml"),
+    ("seq", "DD", "--from", "3", "--to", "5", "--format"),
+    ("seq", "DD", "--from", "3", "--to", "5", "-h"),
 ]
 
 
-@pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "no argv")
+def _argv_id(argv):
+    # an empty token shown as '', one too long to read in a test id by its length
+    def show(token):
+        if not token:
+            return "''"
+        return token if len(token) <= 20 else f"<{len(token)} chars>"
+
+    return " ".join(map(show, argv)) or "no argv"
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=_argv_id)
 def test_each_command_parses_as_under_the_whole_tree(capsys, argv):
     assert run_cli(capsys, *argv) == run_tree(capsys, *argv)
+
+
+def _either(right, wrong):
+    # a documented token or a near miss, each drawn about half the time
+    return st.one_of(st.sampled_from(right), st.sampled_from(wrong))
+
+
+_SEQ_VALUES = st.one_of(
+    st.from_regex(r"[0-9]{1,30}", fullmatch=True),
+    st.sampled_from(["+3", "-1", "-1_0", "\u0663", "3_0", "", " 3", "3 ", "9" * 5000, "csv", "x"]),
+)
+
+
+def test_the_seq_reader_declines_or_reads_what_argparse_reads():
+    read = []
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _either(tuple(cli.SEQUENCES), ["DX", "dd", "-h"]),
+        _either(["--from"], ["--to", "--fr", "--from=3", "--format", "-h"]),
+        _SEQ_VALUES,
+        _either(["--to"], ["--from", "--t", "--format", "--help"]),
+        _SEQ_VALUES,
+        _either([(), ("--format", "csv"), ("--format", "bfile")],
+                [("--format", "xml"), ("--format",), ("--format=csv",), ("extra",), ("-h",),
+                 ("--format", "csv", "--format", "bfile")]),
+    )
+    def check(seq_id, from_flag, lo, to_flag, hi, tail):
+        argv = ["seq", seq_id, from_flag, lo, to_flag, hi, *tail]
+        query = cli._documented_seq(argv)
+        if query is None:  # left to argparse, as every argv was before
+            return
+        try:
+            args = cli._command_parser("seq").parse_args(argv[1:])
+        except SystemExit:
+            raise AssertionError(f"read {argv}, which argparse refuses") from None
+        assert query == (args.seq_id, args.start, args.stop, args.format), argv
+        read.append(argv)
+
+    check()
+    assert read  # the documented form itself was drawn
 
 
 def test_unrecognized_arguments_are_reported_under_the_command_usage(capsys):
@@ -794,7 +879,11 @@ def test_unrecognized_arguments_are_reported_under_the_command_usage(capsys):
 
 
 def test_a_seq_query_builds_only_the_seq_parser_once(capsys, monkeypatch):
-    built = []
+    # the documented form builds and runs no parser; any other seq argv
+    # builds the seq parser alone, once, and never the whole tree
+    import argparse
+
+    built, parsed = [], []
 
     def recording(name, add_arguments):
         def add(parser):
@@ -806,18 +895,31 @@ def test_a_seq_query_builds_only_the_seq_parser_once(capsys, monkeypatch):
     def refuse():
         raise AssertionError("built the whole command tree")
 
+    def counted(self, *args, **kwargs):
+        parsed.append(self.prog)
+        return parse_args(self, *args, **kwargs)
+
     for name, (help_line, add_arguments, command) in list(cli._COMMANDS.items()):
         monkeypatch.setitem(
             cli._COMMANDS, name, (help_line, recording(name, add_arguments), command)
         )
     monkeypatch.setattr(cli, "build_parser", refuse)
+    parse_args = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counted)
     cli._command_parser.cache_clear()
     try:
         for n in ("3", "5"):
             assert run_cli(capsys, "seq", "D", "--from", n, "--to", n)[:2] == (0, f"{n} 1\n")
+            assert run_cli(capsys, "seq", "D", "--from", n, "--to", n, "--format", "csv")[:2] == (
+                0, f"n,a_n\n{n},1\n"
+            )
+        assert (built, parsed) == ([], [])
+        for n in ("3", "5"):
+            assert run_cli(capsys, "seq", "D", "--to", n, "--from", n)[:2] == (0, f"{n} 1\n")
     finally:
         cli._command_parser.cache_clear()
     assert built == [("seq", "powerdenom seq")]
+    assert parsed == ["powerdenom seq"] * 2
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -890,11 +992,13 @@ def test_cli_import_loads_only_what_its_queries_run():
         "import powerdenom\n"
         "from powerdenom.cli import build_parser, main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    codes = [main(['seq', 'DD', '--from', '1', '--to', '40']),\n"
-        "             main(['powersum', '--m', '3', '--r', '1', '--n', '5', '--x', '4']),\n"
-        "             main(['bench', 'DB', '1..20', '--reps', '1'])]\n"
+        "    codes = [main(['seq', 'DD', '--from', '1', '--to', '40'])]\n"
+        "    read = 'argparse' in sys.modules\n"
+        "    codes += [main(['powersum', '--m', '3', '--r', '1', '--n', '5', '--x', '4']),\n"
+        "              main(['bench', 'DB', '1..20', '--reps', '1'])]\n"
         "heavy = ('dataclasses', 'inspect', 'typing', 'powerdenom.verify')\n"
-        "print(codes, *[name for name in heavy if name in sys.modules])\n"
+        "print(codes, read, 'argparse' in sys.modules,\n"
+        "      *[name for name in heavy if name in sys.modules])\n"
         "print(main(['verify', 'T1-parity', '--max', '64', '--jobs', '1']))\n"
         "try:\n"
         "    build_parser().parse_args(['verify', '--help'])\n"
@@ -903,7 +1007,9 @@ def test_cli_import_loads_only_what_its_queries_run():
     ))
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
-    assert lines[0] == "[0, 0, 0]"
+    # argparse is loaded by the first query that needs a parser, not by a
+    # documented seq query
+    assert lines[0] == "[0, 0, 0] False True"
     assert lines[1] == "T1-parity: n <= 64"
     assert lines[2].startswith("checked 64 cases in ") and lines[2].endswith(": PASS")
     assert lines[3] == "0"
