@@ -27,12 +27,12 @@ terms, the reduced numerators, reduced denominators and running lcm of
 
 as int lists.  Each A_k is an integer combination of B_0..B_k, so its
 denominator divides lcm(den B_0, ..., den B_k) and holds no power of q.
-The table of Bernoulli numbers is the row of 0 (q = 1), and it is read over
-one denominator in one way only: ``scaled_numbers(n)`` gives L and
-L*B_0..L*B_n with L the table's running lcm at n, which ``polynomial`` and
-``powersum.am_integer`` sum with binomials.  Every other row
-is filled upward by one of two routes, chosen by how many entries a
-request finds missing:
+The table of Bernoulli numbers is the row of 0 (q = 1).  Read over one
+denominator, ``scaled_numbers(n)`` gives L and L*B_0..L*B_n with L the
+table's running lcm at n; it is built on each call and not remembered,
+and only ``polynomial`` sums it with binomials.  Every other row is filled
+upward by one of two routes, chosen by how many entries a request finds
+missing:
 
 - at most ``HORNER_GAP`` missing: each new A_k by one Horner pass over the
   table, with a running binomial;
@@ -196,7 +196,6 @@ class BernoulliCache:
         # is the table, starting from B_0 = 1 and B_1 = -1/2
         self._table: Row = ([1, -1], [1, 2], [1, 2])
         self._rows: dict[tuple[int, int], Row] = {(0, 1): self._table}
-        self._scaled: dict[int, tuple[int, tuple[int, ...]]] = {}
         # the last coefficient_denominators answer only, one slot, no per-n
         # memo; it starts at n = 0, where B_0(x) = 1
         self._last_dens: tuple[int, tuple[int, ...]] = (0, (1,))
@@ -387,15 +386,11 @@ class BernoulliCache:
         """(L, (L*B_0, ..., L*B_n)) with L = lcm(den B_0, ..., den B_n).
 
         Read straight from the table, which keeps that running lcm, and
-        remembered per n.  Lets callers run binomial sums over B_k in pure
-        integer arithmetic; the result is exact because L clears every
-        denominator.
+        built on each call: nothing is remembered.  ``polynomial`` is its
+        only caller here; it runs binomial sums over B_k in pure integer
+        arithmetic, exact because L clears every denominator.
         """
-        hit = self._scaled.get(n)
-        if hit is None:
-            self.number(n)
-            nums, dens, lcms = self._table
-            scale = lcms[n]
-            scaled = tuple(a * (scale // d) for a, d in zip(nums[: n + 1], dens))
-            hit = self._scaled[n] = (scale, scaled)
-        return hit
+        self.number(n)
+        nums, dens, lcms = self._table
+        scale = lcms[n]
+        return scale, tuple(a * (scale // d) for a, d in zip(nums[: n + 1], dens))

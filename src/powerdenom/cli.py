@@ -120,14 +120,14 @@ SEQUENCES: dict[str, tuple[Callable, Callable, int | None, tuple[Callable, ...]]
     ),
 }
 
-# memo fill -> the fewest indices of a range for which ``seq`` runs that fill
-# a segment at a time; a shorter range, such as a single-term query, reads
-# that memo's values from the per-index path, so a DB range of 10 to 319
-# indices fills DD's memo alone.  At n in [10^5, 10^6] each fill catches up
-# with the per-index path near its length here: a short segment's cost is
-# its loop over the primes or divisors up to sqrt(hi): about 2 ms for DD's
-# against 200 us per index, 0.2 ms for the quotients' against 10 us, and
-# 1 to 2 ms for D's against 7 us.
+# memo fill -> the fewest indices of a segment for which ``seq`` runs that
+# fill; a shorter segment, such as a single-term query or the tail of a long
+# range, reads that memo's values from the per-index path, so a DB segment
+# of 10 to 319 indices fills DD's memo alone.  At n in [10^5, 10^6] each
+# fill catches up with the per-index path near its length here: a short
+# segment's cost is its loop over the primes or divisors up to sqrt(hi):
+# about 2 ms for DD's against 200 us per index, 0.2 ms for the quotients'
+# against 10 us, and 1 to 2 ms for D's against 7 us.
 SEGMENT_MIN_TERMS = {
     fill_nonconstant_memo: 10,
     fill_number_memo: 320,
@@ -166,7 +166,6 @@ def _seq(seq_id: str, lo: int, hi: int, fmt: str) -> int:
     out = sys.stdout
     if fmt == "csv":
         out.write("n,a_n\n")
-    fills = [fill for fill in fills if len(ns) >= SEGMENT_MIN_TERMS[fill]]
     for start in range(0, len(ns), SEGMENT_TERMS):
         segment = ns[start : start + SEGMENT_TERMS]
         # the first line is formatted before the fills, by the per-index
@@ -178,7 +177,8 @@ def _seq(seq_id: str, lo: int, hi: int, fmt: str) -> int:
         except ValueError:
             raise too_long(n) from None
         for fill in fills:
-            fill(n, segment[-1])
+            if len(segment) >= SEGMENT_MIN_TERMS[fill]:
+                fill(n, segment[-1])
         out.write(first)
         for n in segment[1:]:
             value = formula(n)

@@ -7,6 +7,10 @@ from gcds and the nonconstant denominator sequence alone, decides integrality
 of the whole coefficient vector from a single divisibility, and computes the
 scaled polynomial differences m^n(B_n(r/m) - B_n), which are always integers
 (Almkvist and Meurman's theorem) and carry a p-power divisibility tied to n.
+Both read one ``BernoulliCache`` row per point r/m: the polynomial the whole
+row to n, a scaled difference its entry n at |r|/m, with a negative start
+read from the same entry by the reflection
+B_n(-x) = (-1)^n (B_n(x) + n x^(n-1)).
 
 The integrality of the scaled differences is enforced at construction time
 and raises TheoremViolationError on failure: such a failure can only mean a
@@ -171,53 +175,37 @@ def is_integral(spec: ProgressionSpec) -> bool:
     return spec.m % full_denom(spec.n).value == 0
 
 
-# The other sign's value from the last am_integer pass, one slot:
-# (cache, m, r, n, value) with r the sign not yet returned.  It holds that
-# cache alive until the next call.
-_am_other: tuple[BernoulliCache, int, int, int, int] | None = None
-
-
 def am_integer(cache: BernoulliCache, m: int, r: int, n: int) -> AMInteger:
-    """m^n(B_n(r/m) - B_n) for any integer r, via the binomial sum.
+    """m^n(B_n(r/m) - B_n) for any integer r, read from the row of |r|/m.
 
-    The sum is sum_{k=0}^{n-1} C(n,k) B_k m^k r^(n-k) with all Bernoulli
-    numbers scaled to a common integer denominator, so it runs in integer
-    arithmetic and integrality is a single exact division at the end.
-    B_k = 0 at odd k >= 3, so the sum is E + O with E the even k, by Horner
-    in m^2 with a running binomial, and O the k = 1 term; at -r it is
-    (-1)^n (E - O).  One pass gives both signs: each is checked by its own
-    division, and the other is kept in a one-slot memo for the next call,
-    which callers walking +r then -r make.  A nonzero remainder would
+    With q the denominator of |r|/m in lowest terms and g = m / q =
+    gcd(r, m), entry n of that row, the one ``power_sum_poly`` fills, is
+    A_n = q^n B_n(|r|/m), so m^n B_n(|r|/m) = g^n A_n.  A_n and B_n, from
+    the table, both clear over the table's lcm L at n, so integrality is
+    one exact division by L.  At r < 0 the reflection
+    B_n(-x) = (-1)^n (B_n(x) + n x^(n-1)) turns g^n A_n into
+    (-1)^n (g^n A_n + n m |r|^(n-1)): an integer added to the same entry,
+    so a negative start fills no row of its own.  A nonzero remainder would
     contradict the theorem and raises, naming the (m, r, n) asked for.
     """
-    global _am_other
     if m < 1:
         raise ValueError(f"difference m must be >= 1, got {m}")
     if n < 1:
         raise ValueError(f"exponent n must be >= 1, got {n}")
-    slot = _am_other
-    if slot is not None and slot[0] is cache and slot[1:4] == (m, r, n):
-        _am_other = None
-        return AMInteger(m, r, n, slot[4])
-    scale, scaled = cache.scaled_numbers(n - 1)
-    m2, r2 = m * m, r * r
-    # C(n, k) and r^(n-k) at the largest even k < n, then two steps down
-    binom, rpow = (n, r) if n % 2 else (n * (n - 1) // 2, r2)
-    even = 0
-    for k in range((n - 1) & ~1, -1, -2):
-        even = even * m2 + binom * scaled[k] * rpow
-        rpow *= r2
-        binom = binom * k * (k - 1) // ((n - k + 1) * (n - k + 2))
-    odd = n * scaled[1] * m * r ** (n - 1) if n > 1 else 0
-    other = even - odd if n % 2 == 0 else odd - even
-    value, rem = divmod(even + odd, scale)
+    y = Fraction(abs(r), m)
+    values, dens, _ = cache.row(n, y)
+    tnums, tdens, tlcms = cache.row(n, 0)
+    scale = tlcms[n]
+    here = (m // y.denominator) ** n * values[n] * (scale // dens[n])
+    if r < 0:
+        here += n * m * (-r) ** (n - 1) * scale
+        if n % 2:
+            here = -here
+    value, rem = divmod(here - m**n * tnums[n] * (scale // tdens[n]), scale)
     if rem:
         raise TheoremViolationError(
             f"m^n(B_n(r/m) - B_n) non-integral at m={m}, r={r}, n={n}"
         )
-    other, rem = divmod(other, scale)
-    # a non-integral other sign is not kept: asking for it recomputes and raises
-    _am_other = None if rem else (cache, m, -r, n, other)
     return AMInteger(m, r, n, value)
 
 

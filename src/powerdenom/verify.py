@@ -246,44 +246,36 @@ def _db_quotient_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
 
 
 def _congruence_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
-    # +r then -r at each (p, e), as _am_chunk walks them, so that -r is
-    # am_integer's kept other sign; failures are sorted into (m, r, n, p, e)
-    # order.  e starts at 1: p^0 divides every value, so a case with e = 0
-    # would check nothing.
+    # e starts at 1: p^0 divides every value, so a case with e = 0 would
+    # check nothing
     cache = BernoulliCache()
     small_primes = primes_up_to(13)
     checked, failures = 0, []
     for m in range(lo, hi + 1):
         usable = [p for p in small_primes if m % p]
-        for r in range(b.r_max + 1):
+        for r in range(-b.r_max, b.r_max + 1):
             for n in range(1, b.max_n + 1):
                 for p in usable:
                     for e in range(1, p_valuation(p, n) + 1):
-                        for signed in (r, -r) if r else (0,):
-                            checked += 1
-                            if not am_congruence_check(cache, m, signed, n, p, e):
-                                failures.append(
-                                    ((m, signed, n, p, e), f"divisible by {p}^{e}", "not")
-                                )
-    failures.sort(key=lambda failure: failure[0])
+                        checked += 1
+                        if not am_congruence_check(cache, m, r, n, p, e):
+                            failures.append(
+                                ((m, r, n, p, e), f"divisible by {p}^{e}", "not")
+                            )
     return checked, failures
 
 
 def _am_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
-    # +r then -r, so that the second is am_integer's kept other sign; the
-    # failures are sorted back into (m, r, n) order
     cache = BernoulliCache()
     checked, failures = 0, []
     for m in range(lo, hi + 1):
-        for r in range(b.r_max + 1):
+        for r in range(-b.r_max, b.r_max + 1):
             for n in range(1, b.max_n + 1):
-                for signed in (r, -r) if r else (0,):
-                    checked += 1
-                    try:
-                        am_integer(cache, m, signed, n)
-                    except TheoremViolationError as exc:
-                        failures.append(((m, signed, n), "integer", str(exc)))
-    failures.sort(key=lambda failure: failure[0])
+                checked += 1
+                try:
+                    am_integer(cache, m, r, n)
+                except TheoremViolationError as exc:
+                    failures.append(((m, r, n), "integer", str(exc)))
     return checked, failures
 
 

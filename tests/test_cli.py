@@ -196,6 +196,27 @@ def test_seq_over_a_long_range_peaks_below_40_mb():
     assert int(vmhwm_kb) < 40 * 1024
 
 
+def test_am_sweep_to_a_high_n_peaks_below_40_mb():
+    # am_integer reads the rows and the table the cache keeps anyway, so a
+    # sweep to n = 900 holds no copy of the table per n
+    if not os.path.exists("/proc/self/status"):
+        pytest.skip("no /proc/self/status to read VmHWM from")
+    result = _python("-c", (
+        "import contextlib, io\n"
+        "from powerdenom.cli import main\n"
+        "argv = 'verify AM-integrality --max 900 --m-max 1 --r-max 0 --jobs 1'\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    code = main(argv.split())\n"
+        "print(code, out.getvalue().splitlines()[-1])\n"
+        "with open('/proc/self/status') as f:\n"
+        "    print(next(line.split()[1] for line in f if line.startswith('VmHWM:')))"
+    ))
+    assert result.returncode == 0, result.stderr
+    verdict, vmhwm_kb = result.stdout.splitlines()
+    assert verdict.startswith("0 checked 900 cases") and verdict.endswith(": PASS"), verdict
+    assert int(vmhwm_kb) < 40 * 1024
+
+
 def test_seq_over_a_long_range_keeps_each_memo_at_its_bound(capsys):
     bound = denom.MEMO_BOUND
     denom.clear_formula_caches()
@@ -282,6 +303,26 @@ def test_short_seq_ranges_take_the_per_index_path(capsys, monkeypatch):
             )
             want = [segments[fill] for fill in fills if terms >= edges[fill]]
             assert (code, len(out.splitlines()), scans) == (0, terms, want), (seq_id, terms)
+
+
+def test_a_short_tail_segment_of_a_long_range_takes_the_per_index_path(capsys, monkeypatch):
+    # one whole segment, scanned after its first index is read per index,
+    # then a tail of two indices, shorter than DD's fill edge and so read
+    # per index
+    scans = []
+    real = denom._nonconstant_segment
+
+    def spy(lo, hi):
+        scans.append((lo, hi))
+        return real(lo, hi)
+
+    monkeypatch.setattr(denom, "_nonconstant_segment", spy)
+    denom.clear_formula_caches()
+    lo, hi = 999000, 1001049
+    assert hi - lo + 1 == cli.SEGMENT_TERMS + 2
+    code, out, _ = run_cli(capsys, "seq", "DD", "--from", str(lo), "--to", str(hi))
+    assert (code, len(out.splitlines())) == (0, hi - lo + 1)
+    assert scans == [(lo + 1, lo + cli.SEGMENT_TERMS - 1)]
 
 
 def test_seq_past_the_digit_limit_names_the_id_and_index(capsys):

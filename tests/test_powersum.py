@@ -313,72 +313,44 @@ def test_am_integer_validation():
         am_integer(CACHE, 3, 1, 0)
 
 
-def _counted_scaled_numbers(monkeypatch, cache, bump=None):
-    """Count one cache's scaled_numbers calls; bump, if given, maps the
-    scaled tuple to a changed one, to force a theorem violation."""
-    calls = []
-    real = cache.scaled_numbers
-
-    def counted(n):
-        calls.append(n)
-        scale, scaled = real(n)
-        return scale, bump(scaled) if bump else scaled
-
-    monkeypatch.setattr(cache, "scaled_numbers", counted)
-    return calls
-
-
-def test_am_integer_both_signs_in_any_call_order(monkeypatch):
+def test_am_integer_both_signs_in_any_call_order():
     cases = [(m, r, n) for m in (1, 2, 7) for r in (0, 1, 5) for n in (1, 2, 3, 10, 31)]
     for first, second in ((1, -1), (-1, 1), (1, 1), (-1, -1)):
-        cache = BernoulliCache()
-        calls = _counted_scaled_numbers(monkeypatch, cache)
-        for m, r, n in cases:
-            for sign in (first, second):
-                got = am_integer(cache, m, sign * r, n)
-                assert got.value == _am_integer_by_comb_sum(CACHE, m, sign * r, n)
-                assert got == AMInteger(m, sign * r, n, got.value)
-        # the second sign is the kept one; the same call twice is not, but
-        # at r = 0 both signs are one call
-        kept = sum(1 for _, r, _ in cases if first != second or r == 0)
-        assert len(calls) == 2 * len(cases) - kept, (first, second)
+        # a fresh cache for each order, and the one all orders share
+        for cache in (BernoulliCache(), CACHE):
+            for m, r, n in cases:
+                for sign in (first, second):
+                    got = am_integer(cache, m, sign * r, n)
+                    assert got.value == _am_integer_by_comb_sum(CACHE, m, sign * r, n)
+                    assert got == AMInteger(m, sign * r, n, got.value)
 
 
-def test_am_integer_recomputes_for_a_fresh_cache(monkeypatch):
-    am_integer(CACHE, 3, 2, 9)
+def test_a_negative_start_fills_no_row_of_its_own():
+    # -r reads the row of |r|/m; the table is the row of 0
     cache = BernoulliCache()
-    calls = _counted_scaled_numbers(monkeypatch, cache)
-    assert am_integer(cache, 3, -2, 9).value == _am_integer_by_comb_sum(CACHE, 3, -2, 9)
-    assert calls == [8]
+    for m, r in ((3, -2), (4, -6), (5, 0)):
+        assert am_integer(cache, m, r, 9).value == _am_integer_by_comb_sum(CACHE, m, r, 9)
+    assert set(cache._rows) == {(0, 1), (2, 3), (3, 2)}
 
 
 def test_am_integer_names_the_sign_that_is_not_integral(monkeypatch):
-    # B_0 one unit off: at (2, +-1, 3) both sums miss by 1 against a scale of 6
-    def b0_off(scaled):
-        return (scaled[0] + 1, *scaled[1:])
-
+    # the numerator of entry n of the row of 1/3 one unit off: A_2 =
+    # 9 B_2(1/3) = -1/2 becomes 0, so both signs miss an integer by 1/2, and
+    # each names its own r
     for order in ((1, -1), (-1, 1)):
         cache = BernoulliCache()
-        _counted_scaled_numbers(monkeypatch, cache, b0_off)
-        for r in order:
-            with pytest.raises(TheoremViolationError, match=f"m=2, r={r}, n=3$"):
-                am_integer(cache, 2, r, 3)
+        real = cache.row
 
-    # B_0 one unit up and B_1 one unit down: at (1, 4, 4) the +r sum is
-    # unchanged and the -r sum is 512 off against a scale of 6
-    def b0_b1_off(scaled):
-        return (scaled[0] + 1, scaled[1] - 1, *scaled[2:])
+        def off_by_one(n, y, real=real):
+            nums, dens, lcms = real(n, y)
+            if y == 0:
+                return nums, dens, lcms
+            return [*nums[:n], nums[n] + 1, *nums[n + 1 :]], dens, lcms
 
-    want = _am_integer_by_comb_sum(CACHE, 1, 4, 4)
-    for order in ((4, -4), (-4, 4)):
-        cache = BernoulliCache()
-        _counted_scaled_numbers(monkeypatch, cache, b0_b1_off)
+        monkeypatch.setattr(cache, "row", off_by_one)
         for r in order:
-            if r > 0:
-                assert am_integer(cache, 1, r, 4).value == want
-            else:
-                with pytest.raises(TheoremViolationError, match="m=1, r=-4, n=4$"):
-                    am_integer(cache, 1, r, 4)
+            with pytest.raises(TheoremViolationError, match=f"m=3, r={r}, n=2$"):
+                am_integer(cache, 3, r, 2)
 
 
 def test_am_sweep_reports_failures_in_axis_order(monkeypatch):
