@@ -123,13 +123,13 @@ SEQUENCES: dict[str, tuple[Callable, Callable, int | None, tuple[Callable, ...]]
 # memo fill -> the fewest indices of a segment for which ``seq`` runs that
 # fill; a shorter segment, such as a single-term query or the tail of a long
 # range, reads that memo's values from the per-index path, so a DB segment
-# of 10 to 319 indices fills DD's memo alone.  At n in [10^5, 10^6] each
+# of 12 to 319 indices fills DD's memo alone.  At n in [10^5, 10^6] each
 # fill catches up with the per-index path near its length here: a short
 # segment's cost is its loop over the primes or divisors up to sqrt(hi):
-# about 2 ms for DD's against 200 us per index, 0.2 ms for the quotients'
-# against 10 us, and 1 to 2 ms for D's against 7 us.
+# about 1.6 to 2 ms for DD's against 150 to 170 us per index, 0.2 ms for
+# the quotients' against 10 us, and 1 to 2 ms for D's against 7 us.
 SEGMENT_MIN_TERMS = {
-    fill_nonconstant_memo: 10,
+    fill_nonconstant_memo: 12,
     fill_number_memo: 320,
     fill_quotient_memo: 32,
 }
@@ -191,7 +191,7 @@ def _seq(seq_id: str, lo: int, hi: int, fmt: str) -> int:
     if skipped:
         print(
             f"note: {seq_id} is defined for {'odd' if parity else 'even'} n; "
-            f"skipped {skipped} other indices",
+            f"skipped {skipped} other {'index' if skipped == 1 else 'indices'}",
             file=sys.stderr,
         )
     return 0

@@ -53,17 +53,25 @@ neither builds the polynomial.  The lcm runs over the distinct values only,
 most of which are 1.
 
 One index at a time, nonconstant_denom costs O(sqrt(n)) steps once the
-sieve is built.  It splits its primes at sqrt(n), as Kellner does in "On a
-product of certain primes" (J. Number Theory, 2017).  Above sqrt(n) each
-quotient a = n // p offers one candidate prime, kept when it is prime and
-does not divide n.  Below it only the primes p <= cbrt(n) take a digit
-sum: a prime in (cbrt(n), sqrt(n)] gives n three base-p digits, and then
-s_p(n) = n - (p-1)(n//p + n//p^2) (Legendre).  number_denom builds the
-divisors of n from ``digits.factorize`` and keeps the primes d + 1; only
-even d can give an odd prime, and those are twice the divisors of n/2.
-Both ask the sieve's flag table (``digits.prime_flags``) whether a
-candidate is prime, one index per candidate; nonconstant_denom lists
-primes up to sqrt(n), and factorize reads the same list up to sqrt(n).
+sieve is built.  It splits its primes near sqrt(n), as Kellner does in "On
+a product of certain primes" (J. Number Theory, 2017), into three ranges
+tested prime by prime and one walked by quotient.  Only the primes
+p <= cbrt(n) take a digit sum.  A prime in (cbrt(n), sqrt(n)] gives n
+three base-p digits, and then s_p(n) = n - (p-1)(n//p + n//p^2)
+(Legendre); a prime in (sqrt(n), 3 sqrt(n)] gives it two, and
+s_p(n) = n - (p-1)(n//p).  Above 3 sqrt(n) each quotient a = n // p
+offers one candidate prime, kept when it is prime and does not divide n.
+Near sqrt(n) nearly every integer is a candidate but only one in ln p is
+prime; the candidates thin out as n/p^2 and are the sparser from about
+3 sqrt(n) on.  At n = 2*10^5 the 445 quotients above sqrt(n) became 131
+primes and 147 quotients, at 10^7 3,159 became 729 and 1,051, and one
+term took 0.65-0.73 of the time of the split at sqrt(n) for n from 10^5
+to 10^7 (``BENCH_26.json``).  number_denom builds the divisors of n from
+``digits.factorize`` and keeps the primes d + 1; only even d can give an
+odd prime, and those are twice the divisors of n/2.  Both ask the
+sieve's flag table (``digits.prime_flags``) whether a candidate is prime,
+one index per candidate; nonconstant_denom lists primes up to
+3 sqrt(n), and factorize reads the same list up to sqrt(n).
 nonconstant_denom_all_primes and full_denom_split_product scan every prime
 on purpose: they are the independent references the fast forms are tested
 against.
@@ -106,7 +114,7 @@ sweeps n upward; D's lists each n's primes.
 
 A segment of R indices costs about R*log(hi) + sqrt(hi) steps, plus one per
 prime written for D and one per event for DD, where R per-n scans cost
-R*sqrt(hi).  The per-n scans stay: below about 10 indices for DD, 32 for
+R*sqrt(hi).  The per-n scans stay: below about 12 indices for DD, 32 for
 the quotients and 320 for D (``cli.SEGMENT_MIN_TERMS``) they are the
 faster ones, and the tests hold the segment scans to their tuples and to
 the per-index quotients.
@@ -187,26 +195,36 @@ def _nonconstant_primes(n: int) -> tuple[int, ...]:
     root = isqrt(n)
     cube = round(n ** (1 / 3))
     cube -= cube * cube * cube > n
-    # A prime p in (cbrt(n), sqrt(n)] gives n three base-p digits, so
+    # The primes up to top are tested one by one, the quotients a = n // p
+    # above it.  Near sqrt(n) about one integer in ln p is prime, but nearly
+    # every integer is a candidate; the candidates thin out as n/p^2, and the
+    # two densities meet at p ~ sqrt(n ln p), 2.6 to 3.1 times sqrt(n) for n
+    # from 10^5 to 10^7.
+    top = min(bound, 3 * root)
+    # A prime p in (sqrt(n), top] gives n two base-p digits, so
+    # s_p(n) = n - (p-1)(n//p), and one in (cbrt(n), sqrt(n)] three, so
     # s_p(n) = n - (p-1)(n//p + n//p^2) (Legendre); a digit sum only where
     # p^3 <= n.
     found = []
-    for p in primes_up_to(min(root, bound)):
-        if p <= cube:
-            if digit_sum(p, n) >= p:
+    for p in primes_up_to(top):
+        if p > root:
+            if n - (p - 1) * (n // p) >= p:
                 found.append(p)
-        elif n - (p - 1) * (n // p + n // (p * p)) >= p:
+        elif p > cube:
+            if n - (p - 1) * (n // p + n // (p * p)) >= p:
+                found.append(p)
+        elif digit_sum(p, n) >= p:
             found.append(p)
-    # A prime p > sqrt(n) has two digits: n = a*p + b with a = n // p <= root,
-    # so s_p(n) = a + b >= p exactly when n/(a+1) < p <= (n+a)/(a+1).  That
-    # interval is shorter than 1, so each a offers one candidate
-    # p = (n+a) // (a+1) = 1 + (n-1) // (a+1); descending a yields them in
-    # ascending order.  They pass root for a <= (n-1) // root - 1 and stay
-    # within the bound for a >= (n-1) // bound, so no flag past it is read.
-    # p*(a+1) >= n always, and a prime p > root meets it with equality
-    # exactly when p | n: one remainder decides p*(a+1) > n.
+    # Above top, n = a*p + b with a = n // p < p, so s_p(n) = a + b >= p
+    # exactly when n/(a+1) < p <= (n+a)/(a+1).  That interval is shorter
+    # than 1, so each a offers one candidate p = (n+a) // (a+1) =
+    # 1 + (n-1) // (a+1); descending a yields them in ascending order.  They
+    # pass top for a <= (n-1) // top - 1 and stay within the bound for
+    # a >= (n-1) // bound, so no flag past it is read.  p*(a+1) >= n
+    # always, and a prime p > root meets it with equality exactly when
+    # p | n: one remainder decides p*(a+1) > n.
     flags = prime_flags(bound)
-    for a in range(min(root, (n - 1) // root - 1), max((n - 1) // bound, 1) - 1, -1):
+    for a in range((n - 1) // top - 1, max((n - 1) // bound, 1) - 1, -1):
         p = (n + a) // (a + 1)
         if flags[p] and n % p:
             found.append(p)
@@ -468,10 +486,11 @@ def nonconstant_denom(n: int) -> SquarefreeProduct:
 
     Digit sums are taken only for p <= cbrt(n); up to sqrt(n), n has three
     base-p digits and Legendre's formula gives s_p(n) from n//p and n//p^2.
-    Above sqrt(n), n = a*p + b has two base-p digits, and for each
-    a <= sqrt(n) at most one prime, (n+a) // (a+1), can satisfy a + b >= p
-    (Kellner 2017); it does exactly when it does not divide n.  The cost
-    is O(sqrt(n)) steps after the sieve.
+    Above sqrt(n), n = a*p + b has two base-p digits, s_p(n) = a + b.  Up
+    to 3 sqrt(n) each prime is tested so; above it, for each a at most one
+    prime, (n+a) // (a+1), can satisfy a + b >= p (Kellner 2017), and it
+    does exactly when it does not divide n.  The cost is O(sqrt(n)) steps
+    after the sieve.
     """
     memo = _nonconstant_memo
     return memo.get(n) or _remember(memo, n, _nonconstant_primes)

@@ -112,9 +112,11 @@ class SquarefreeProduct:
 def digit_sum(base: int, n: int) -> int:
     """Sum of the base-``base`` digits of ``n`` (s_p(n) for a prime base).
 
-    Computed by repeated division without materializing the expansion; this
-    is the hot path of the closed-form denominator products.  Satisfies
-    s_b(n) == n (mod b-1).
+    Computed by repeated division without materializing the expansion.  The
+    closed forms take it only where no shortcut applies: for DD at n the
+    primes up to cbrt(n), for a quotient the prime factors of n + 1, and
+    once per prime in a segment scan; the all-primes references take it for
+    every prime.  Satisfies s_b(n) == n (mod b-1).
     """
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")

@@ -92,6 +92,22 @@ def test_seq_quotient_full_parity_range_has_no_note(capsys):
     assert err == ""
 
 
+@pytest.mark.parametrize(
+    "seq_id, lo, hi, out, note",
+    [
+        ("DDQ", 2, 2, "", "odd n; skipped 1 other index"),
+        ("DDQ", 2, 3, "3 2\n", "odd n; skipped 1 other index"),
+        ("DBQ", 1, 4, "2 3\n4 5\n", "even n; skipped 2 other indices"),
+    ],
+    ids=("DDQ-2-2", "DDQ-2-3", "DBQ-1-4"),
+)
+def test_seq_notes_the_skipped_indices_in_the_singular_and_plural(
+    capsys, seq_id, lo, hi, out, note
+):
+    got = run_cli(capsys, "seq", seq_id, "--from", str(lo), "--to", str(hi))
+    assert got == (0, out, f"note: {seq_id} is defined for {note}\n")
+
+
 def test_seq_round_trip(capsys):
     code, out, _ = run_cli(capsys, "seq", "DB", "--from", "3", "--to", "12")
     assert code == 0

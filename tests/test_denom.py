@@ -429,6 +429,22 @@ def test_a_candidate_past_the_digit_bound_is_not_looked_up(monkeypatch):
     assert fast == nonconstant_denom_all_primes(n).primes
 
 
+def test_a_prime_at_the_split_moves_from_the_quotient_walk_to_the_prime_list():
+    # the per-index scan tests the primes up to 3*isqrt(n) one by one and
+    # walks the quotients n // p above that; with k = ceil(p/3), p is a walk
+    # candidate at n = k^2 - 1 and in the prime list at n = k^2
+    clear_formula_caches()
+    rng = random.Random(2017)
+    for p in sorted(rng.sample([p for p in primes_up_to(3000) if p > 100], 25)):
+        k = -(-p // 3)
+        assert 3 * isqrt(k * k - 1) < p <= 3 * isqrt(k * k), p
+        for n in (k * k - 1, k * k):
+            got = nonconstant_denom(n).primes
+            assert got == next(denom._nonconstant_segment(n, n)).primes, (p, n)
+            if n <= 250000:
+                assert got == nonconstant_denom_all_primes(n).primes, (p, n)
+
+
 def test_number_denom_matches_sieve_filter():
     rng = random.Random(21)
     seeded = [2 * rng.randrange(5 * 10**4, 5 * 10**5) for _ in range(4)]
