@@ -55,25 +55,34 @@ most of which are 1.
 One index at a time, nonconstant_denom costs O(sqrt(n)) steps once the
 sieve is built.  It splits its primes near sqrt(n), as Kellner does in "On
 a product of certain primes" (J. Number Theory, 2017), into three ranges
-tested prime by prime and one walked by quotient.  Only the primes
-p <= cbrt(n) take a digit sum.  A prime in (cbrt(n), sqrt(n)] gives n
-three base-p digits, and then s_p(n) = n - (p-1)(n//p + n//p^2)
-(Legendre); a prime in (sqrt(n), 3 sqrt(n)] gives it two, and
-s_p(n) = n - (p-1)(n//p).  Above 3 sqrt(n) each quotient a = n // p
-offers one candidate prime, kept when it is prime and does not divide n.
-Near sqrt(n) nearly every integer is a candidate but only one in ln p is
-prime; the candidates thin out as n/p^2 and are the sparser from about
-3 sqrt(n) on.  At n = 2*10^5 the 445 quotients above sqrt(n) became 131
-primes and 147 quotients, at 10^7 3,159 became 729 and 1,051, and one
-term took 0.65-0.73 of the time of the split at sqrt(n) for n from 10^5
-to 10^7 (``BENCH_26.json``).  number_denom builds the divisors of n from
-``digits.factorize`` and keeps the primes d + 1; only even d can give an
-odd prime, and those are twice the divisors of n/2.  Both ask the
-sieve's flag table (``digits.prime_flags``) whether a candidate is prime,
-one index per candidate; nonconstant_denom lists primes up to
-3 sqrt(n), and factorize reads the same list up to sqrt(n).
-nonconstant_denom_all_primes and full_denom_split_product scan every prime
-on purpose: they are the independent references the fast forms are tested
+tested prime by prime and one walked by quotient, and takes no digit sum.
+The three ranges are index ranges of the sieve's own prime list
+(``digits.sieve_primes``, read in place), found by bisect, one loop each:
+for p <= cbrt(n), Legendre's s_p(n) = n - (p-1) * sum of n // p^i over
+every power of p; a prime in (cbrt(n), sqrt(n)] gives n three base-p
+digits, and then s_p(n) = n - (p-1)(n//p + n//p^2); a prime in
+(sqrt(n), 3 sqrt(n)] gives it two, and s_p(n) = n//p + n%p.  Above
+3 sqrt(n) each quotient a = n // p offers one candidate prime, kept when
+it is prime and does not divide n.  Near sqrt(n) nearly every integer is
+a candidate but only one in ln p is prime; the candidates thin out as
+n/p^2 and are the sparser from about 3 sqrt(n) on.  At n = 2*10^5 the 445
+quotients above sqrt(n) became 131 primes and 147 quotients, at 10^7
+3,159 became 729 and 1,051, and one term took 0.65-0.73 of the time of
+the split at sqrt(n) for n from 10^5 to 10^7 (``BENCH_26.json``).
+number_denom builds the divisors of n from ``digits.factorize`` and keeps
+the primes d + 1; only even d can give an odd prime, and those are twice
+the divisors of n/2.  Both ask the sieve's flag table
+(``digits.prime_flags``) whether a candidate is prime, one index per
+candidate, and neither asks it past about n/2: nonconstant_denom's bound
+is (n+1)/2, and every even divisor d < n of n is at most n/2, so
+number_denom reads flags to n/2 + 1 and trial-divides the one candidate
+past them, n + 1, by the listed primes up to sqrt(n + 1), unless the
+table already reaches it.  One D term at n = 99999998 so takes 71 MB
+where a table to n + 1 took 128 MB (``BENCH_27.json``).
+nonconstant_denom lists primes up to 3 sqrt(n), and factorize reads the
+same list up to sqrt(n).  nonconstant_denom_all_primes and
+full_denom_split_product scan every prime on purpose, with a digit sum
+each: they are the independent references the fast forms are tested
 against.
 
 A whole segment lo..hi of either sequence comes from one scan with the two
@@ -152,7 +161,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import OrderedDict
 from collections.abc import Callable, Iterator
-from itertools import compress, repeat
+from itertools import compress, islice, repeat
 from math import isqrt, lcm
 
 from .bernoulli import BernoulliCache
@@ -164,6 +173,7 @@ from .digits import (
     prime_flags,
     primes_up_to,
     radical,
+    sieve_primes,
 )
 from .errors import TheoremViolationError
 
@@ -201,19 +211,30 @@ def _nonconstant_primes(n: int) -> tuple[int, ...]:
     # two densities meet at p ~ sqrt(n ln p), 2.6 to 3.1 times sqrt(n) for n
     # from 10^5 to 10^7.
     top = min(bound, 3 * root)
-    # A prime p in (sqrt(n), top] gives n two base-p digits, so
-    # s_p(n) = n - (p-1)(n//p), and one in (cbrt(n), sqrt(n)] three, so
-    # s_p(n) = n - (p-1)(n//p + n//p^2) (Legendre); a digit sum only where
-    # p^3 <= n.
+    # The sieve's list, read in place: one loop per number of base-p digits
+    # of n, each over the index range that bisect finds, from one iterator.
+    primes = sieve_primes(top)
+    end = bisect_right(primes, top)
+    three = bisect_right(primes, cube, 0, end)
+    two = bisect_right(primes, root, three, end)
+    listed = iter(primes)
     found = []
-    for p in primes_up_to(top):
-        if p > root:
-            if n - (p - 1) * (n // p) >= p:
-                found.append(p)
-        elif p > cube:
-            if n - (p - 1) * (n // p + n // (p * p)) >= p:
-                found.append(p)
-        elif digit_sum(p, n) >= p:
+    # p <= cbrt(n): s_p(n) = n - (p-1) * sum of n // p^i over i >= 1 (Legendre)
+    for p in islice(listed, three):
+        q = total = n // p
+        while q >= p:
+            q //= p
+            total += q
+        if n - (p - 1) * total >= p:
+            found.append(p)
+    # p in (cbrt(n), sqrt(n)]: three digits, the sum stops at n // p^2
+    for p in islice(listed, two - three):
+        q = n // p
+        if n - (p - 1) * (q + q // p) >= p:
+            found.append(p)
+    # p in (sqrt(n), top]: two digits, n // p and n % p
+    for p in islice(listed, end - two):
+        if n % p + n // p >= p:
             found.append(p)
     # Above top, n = a*p + b with a = n // p < p, so s_p(n) = a + b >= p
     # exactly when n/(a+1) < p <= (n+a)/(a+1).  That interval is shorter
@@ -236,6 +257,9 @@ def _number_primes(n: int) -> tuple[int, ...]:
         return (2,)
     if n % 2:
         return ()
+    # every even divisor d < n is at most n/2, so the flag table to n/2 + 1
+    # reaches each d + 1 but n + 1; factorize reads it too
+    flags = prime_flags(n // 2 + 1)
     # d + 1 is an odd prime only for even d, and the even divisors of n are
     # twice those of n/2: start from 2 and multiply in n/2's prime powers
     divisors = [2]
@@ -245,12 +269,26 @@ def _number_primes(n: int) -> tuple[int, ...]:
                 d *= p
                 divisors.append(d)
     divisors.sort()
-    flags = prime_flags(n + 1)
+    divisors.pop()
     found = [2]
     for d in divisors:
         if flags[d + 1]:
             found.append(d + 1)
+    k = n + 1
+    if flags[k] if k < len(flags) else _unlisted_prime(k):
+        found.append(k)
     return tuple(found)
+
+
+def _unlisted_prime(k: int) -> bool:
+    # trial division by the sieve's primes up to sqrt(k), read in place,
+    # stopping at the first divisor
+    for p in sieve_primes(isqrt(k)):
+        if not k % p:
+            return False
+        if p * p > k:
+            break
+    return True
 
 
 def _nonconstant_segment(lo: int, hi: int) -> Iterator[SquarefreeProduct]:
@@ -469,8 +507,10 @@ def number_denom(n: int) -> SquarefreeProduct:
 
     For even n this is the product of all primes p with p-1 dividing n:
     2, and each prime d + 1 for the even divisors d of n, built from the
-    factorization of n/2.  The odd cases are 2 at n = 1 and 1 for n >= 3
-    (the numbers vanish there).
+    factorization of n/2.  The flag table is read to n/2 + 1; the one
+    candidate past it, n + 1, is trial-divided when the table stops short.
+    The odd cases are 2 at n = 1 and 1 for n >= 3 (the numbers vanish
+    there).
     """
     return _number_memo.get(n) or _remember(_number_memo, n, _number_primes)
 
@@ -484,9 +524,10 @@ def nonconstant_denom(n: int) -> SquarefreeProduct:
     """Denominator of B_n(x) - B_n: primes p <= (n+1)/2 (odd n) resp.
     (n+1)/3 (even n) whose base-p digit sum of n reaches p.
 
-    Digit sums are taken only for p <= cbrt(n); up to sqrt(n), n has three
-    base-p digits and Legendre's formula gives s_p(n) from n//p and n//p^2.
-    Above sqrt(n), n = a*p + b has two base-p digits, s_p(n) = a + b.  Up
+    No digit sum is taken: Legendre's formula gives s_p(n) from the
+    quotients n//p^i, every power of p for p <= cbrt(n), and up to sqrt(n),
+    where n has three base-p digits, n//p and n//p^2.  Above sqrt(n),
+    n = a*p + b has two base-p digits, s_p(n) = a + b.  Up
     to 3 sqrt(n) each prime is tested so; above it, for each a at most one
     prime, (n+a) // (a+1), can satisfy a + b >= p (Kellner 2017), and it
     does exactly when it does not divide n.  The cost is O(sqrt(n)) steps

@@ -9,10 +9,11 @@ keeps the two in step itself.
 All functions are pure apart from the prime sieve, a module-level cache that
 only ever grows.  Its state is a flag table, one byte per integer up to
 ``_sieve_limit``, set exactly at the primes: ``prime_flags`` hands it out
-read-only, so "is k prime?" costs one index.  ``primes_up_to`` lists primes
+read-only, so "is k prime?" costs one index.  ``sieve_primes`` lists primes
 from the flags lazily, only as far as the largest bound asked so far, and
-extends that list in place; ``factorize`` reads it in place for its trial
-divisors.  A table once handed out is never written again.
+extends that list in place; ``factorize`` and the per-index scans in
+``denom`` read it in place, and ``primes_up_to`` hands out a copy.  A table
+once handed out is never written again.
 """
 
 from __future__ import annotations
@@ -112,20 +113,23 @@ class SquarefreeProduct:
 def digit_sum(base: int, n: int) -> int:
     """Sum of the base-``base`` digits of ``n`` (s_p(n) for a prime base).
 
-    Computed by repeated division without materializing the expansion.  The
-    closed forms take it only where no shortcut applies: for DD at n the
-    primes up to cbrt(n), for a quotient the prime factors of n + 1, and
-    once per prime in a segment scan; the all-primes references take it for
-    every prime.  Satisfies s_b(n) == n (mod b-1).
+    Computed by repeated division without materializing the expansion, one
+    remainder and one quotient per digit; base 2 counts the one bits.  The
+    closed forms take it only where no shortcut applies: for a quotient the
+    prime factors of n + 1, and once per prime in a segment scan; one DD
+    term takes none.  The all-primes references take it for every prime.
+    Satisfies s_b(n) == n (mod b-1).
     """
     if base < 2:
         raise ValueError(f"base must be >= 2, got {base}")
     if n < 0:
         raise ValueError(f"cannot expand negative value {n}")
+    if base == 2:
+        return n.bit_count()
     total = 0
     while n:
-        n, d = divmod(n, base)
-        total += d
+        total += n % base
+        n //= base
     return total
 
 
@@ -161,9 +165,11 @@ def factorize(k: int) -> list[tuple[int, int]]:
     """Ascending (prime, exponent) pairs of ``k >= 1``, by trial division.
 
     The trial divisors are the sieve's primes, and the trials stop once p^2
-    passes the cofactor left, which is then 1 or a prime.  The prime list is
-    extended to sqrt(k) first if it stops short, so the flag table behind it
-    reaches max(sqrt(k), 256): at most 10**4 bytes for k <= 10**8 + 1.
+    passes the cofactor left, which is then 1 or a prime, or once the flag
+    table, as far as it already reaches, flags the cofactor prime.  The
+    prime list is extended to sqrt(k) first if it stops short, so the flag
+    table behind it reaches max(sqrt(k), 256): at most 10**4 bytes for
+    k <= 10**8 + 1.
     """
     if k < 1:
         raise ValueError(f"factorize requires k >= 1, got {k}")
@@ -171,17 +177,21 @@ def factorize(k: int) -> list[tuple[int, int]]:
     if not primes or primes[-1] ** 2 < k:
         primes_up_to(isqrt(k))
         primes = _sieve_primes
+    flags = _sieve_flags
     pairs = []
-    for p in primes:
-        if p * p > k:
-            break
-        if k % p == 0:
-            k //= p
-            e = 1
-            while k % p == 0:
+    if k >= len(flags) or not flags[k]:
+        for p in primes:
+            if p * p > k:
+                break
+            if k % p == 0:
                 k //= p
-                e += 1
-            pairs.append((p, e))
+                e = 1
+                while k % p == 0:
+                    k //= p
+                    e += 1
+                pairs.append((p, e))
+                if k < len(flags) and flags[k]:
+                    break
     if k > 1:
         pairs.append((k, 1))
     return pairs
@@ -225,15 +235,27 @@ def prime_flags(bound: int) -> memoryview:
     return _sieve_flags
 
 
-def primes_up_to(bound: int) -> list[int]:
-    """All primes <= bound, ascending, as a fresh list (Eratosthenes sieve)."""
-    if bound < 2:
-        return []
-    flags = prime_flags(bound)
+def sieve_primes(bound: int) -> list[int]:
+    """The sieve's own ascending prime list, listing every prime <= bound.
+
+    It may reach past ``bound``.  Callers read it in place, and never write
+    it: it is the list that later calls extend.
+    """
     primes = _sieve_primes
+    if primes and primes[-1] >= bound:
+        return primes
+    flags = prime_flags(bound)
     # resume after the last listed prime: the gap up to the old bound holds
     # no prime, so rescanning it costs little and needs no second bound
     start = primes[-1] + 1 if primes else 0
     if bound >= start:
         primes.extend(compress(range(start, bound + 1), flags[start : bound + 1]))
+    return primes
+
+
+def primes_up_to(bound: int) -> list[int]:
+    """All primes <= bound, ascending, as a fresh list (Eratosthenes sieve)."""
+    if bound < 2:
+        return []
+    primes = sieve_primes(bound)
     return primes[: bisect_right(primes, bound)]

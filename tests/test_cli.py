@@ -172,7 +172,7 @@ def test_seq_help_states_the_bound(capsys):
 
 
 def test_huge_n_query_needs_no_big_sieve():
-    # D at n sieves to n + 1 and DD to about n/2: the peak must stay well
+    # one term of D or DD at n sieves to about n/2: the peak must stay well
     # below what a list of every prime that far would take
     if not os.path.exists("/proc/self/status"):
         pytest.skip("no /proc/self/status to read VmHWM from")

@@ -415,13 +415,9 @@ def test_the_dd_sweep_checks_each_event(monkeypatch):
                 list(denom._nonconstant_segment(1000, 1100))
 
 
-def test_a_candidate_past_the_digit_bound_is_not_looked_up(monkeypatch):
+def test_a_candidate_past_the_digit_bound_is_not_looked_up(fresh_sieve):
     # for even n = 3q - 2 the candidate at a = 2 is q, one past the bound
     # (n + 1) // 3; from a fresh sieve the flag table ends at that bound
-    for name in ("_sieve_limit", "_sieve_flags", "_sieve_primes"):
-        monkeypatch.setattr(digits, name, getattr(digits, name))
-    digits._sieve_limit = 0
-    digits._sieve_primes = []
     clear_formula_caches()
     n = 3 * 10**6 - 2
     fast = nonconstant_denom(n).primes
@@ -455,6 +451,91 @@ def test_number_denom_matches_sieve_filter():
     for n in chain(range(2, 20001, 2), special, seeded):
         reference = tuple(p for p in primes_up_to(n + 1) if n % (p - 1) == 0)
         assert number_denom(n).primes == reference, n
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_d_from_a_fresh_sieve_matches_the_filter_at_every_even_n(fresh_sieve, monkeypatch):
+    # the (p - 1) | n filter over every prime p <= n + 1, one prime at a time
+    top = 30000
+    want = {n: [] for n in range(2, top + 1, 2)}
+    for p in primes_up_to(top + 1):
+        # the even multiples of p - 1, which is even but for p = 2
+        step = max(p - 1, 2)
+        for n in range(step, top + 1, step):
+            want[n].append(p)
+    fresh_sieve()
+    trials = _count_calls(monkeypatch, denom, "_unlisted_prime")
+    for n in range(2, top + 1, 2):
+        assert denom._number_primes(n) == tuple(want[n]), n
+    # the flag table to n/2 + 1 grows by doubling, so about half of these n
+    # find n + 1 past it and trial-divide it; it never reaches the top n + 1
+    assert len(trials) > top // 5
+    assert digits._sieve_limit < top
+
+
+@pytest.mark.parametrize(
+    "n",
+    [
+        # n + 1 a prime past the table
+        30012, 199998, 1000002,
+        # n + 1 a prime square: 11^2 and 13^2 inside the 256-byte table,
+        # 17^2, 19^2 and 1009^2 past it, where the last trial divisor is p
+        120, 168, 288, 360, 1009**2 - 1,
+        # n + 1 = 3q with q prime
+        3 * 100003 - 1, 3 * 1000003 - 1,
+    ],
+)
+def test_d_reads_or_trial_divides_n_plus_1(fresh_sieve, monkeypatch, n):
+    trials = _count_calls(monkeypatch, denom, "_unlisted_prime")
+    got = denom._number_primes(n)
+    assert digits._sieve_limit <= max(n // 2 + 1, 256)
+    assert len(trials) == (n + 1 >= len(digits._sieve_flags))
+    assert got == tuple(p for p in primes_up_to(n + 1) if n % (p - 1) == 0), n
+
+
+def test_one_d_term_sieves_to_half_of_n(fresh_sieve):
+    # every even divisor of n but n itself is at most n/2; n + 1 is
+    # trial-divided, so the flag table stops at n/2 + 1
+    clear_formula_caches()
+    n = 200002  # 2 * 11 * 9091, with n + 1 prime
+    got = number_denom(n).primes
+    assert digits._sieve_limit <= n // 2 + 1
+    assert got == (2, 3, 23, 200003)
+    clear_formula_caches()
+
+
+def test_one_dd_term_takes_no_digit_sum(monkeypatch):
+    ns = [1, 2, 7, 8, 9, 26, 27, 28, 1000, 10**5 - 1, 10**5, 2 * 10**5 + 1, 10**6]
+    want = [nonconstant_denom_all_primes(n).primes for n in ns]
+
+    def forbidden(*args):
+        raise AssertionError(f"digit_sum{args}")
+
+    monkeypatch.setattr(denom, "digit_sum", forbidden)
+    assert [denom._nonconstant_primes(n) for n in ns] == want
+
+
+def test_dd_from_a_fresh_sieve_where_its_prime_ranges_meet(fresh_sieve):
+    # the scan's three loops meet at cbrt(n) and sqrt(n): n = k^3 - 1, k^3
+    # and k^3 + 1 move a prime from four digits to three, n = k^2 - 1 and
+    # k^2 from three to two
+    cubes = (k**3 + d for k in range(1, 61) for d in (-1, 0, 1))
+    squares = (k * k + d for k in range(1, 401) for d in (-1, 0))
+    ns = sorted({n for n in chain(cubes, squares) if n >= 1})
+    got = {n: denom._nonconstant_primes(n) for n in ns}
+    for n in ns:
+        assert got[n] == nonconstant_denom_all_primes(n).primes, n
 
 
 def test_products_are_valid_squarefree():

@@ -20,6 +20,7 @@ from powerdenom.digits import (
     prime_flags,
     primes_up_to,
     radical,
+    sieve_primes,
 )
 
 PRIMES_50 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
@@ -121,6 +122,20 @@ def test_factorize_to_5000(fresh_sieve):
         factorize(0)
 
 
+def test_factorize_stops_where_the_flag_table_flags_the_cofactor_prime(fresh_sieve):
+    # from a table to sqrt(k) alone, and from one past every k, where each
+    # cofactor left prime ends the trials
+    ks = list(chain(range(1, 3001), (2 * 49999, 3**4 * 1201, 7 * 11 * 1291, 2**16, 313**2)))
+    small = [factorize(k) for k in ks]
+    assert digits._sieve_limit < 10**3
+    prime_flags(10**5)
+    for k, pairs in zip(ks, small):
+        assert factorize(k) == pairs, k
+        assert math.prod(p**e for p, e in pairs) == k
+        assert all(is_prime(p) for p, _ in pairs), k
+        assert [p for p, _ in pairs] == sorted({p for p, _ in pairs}), k
+
+
 @given(st.integers(min_value=1, max_value=10**6))
 def test_radical_divides_and_is_squarefree(k):
     r = radical(k)
@@ -152,21 +167,6 @@ FLAG_TOP = 200_000
 FLAG_BOUNDS = [1, 2, 3, 4, 97, 255, 256, 257, 1000, 4097, 30_030, 65_537, 123_457, FLAG_TOP]
 
 
-@pytest.fixture
-def fresh_sieve(monkeypatch):
-    """Empty sieve for the test; the whole cache comes back afterwards."""
-    for name in ("_sieve_limit", "_sieve_flags", "_sieve_primes"):
-        monkeypatch.setattr(digits, name, getattr(digits, name))
-
-    def reset():
-        # what perfbench does before a repetition: a fresh interpreter's state
-        digits._sieve_limit = 0
-        digits._sieve_primes = []
-
-    reset()
-    return reset
-
-
 @pytest.fixture(scope="module")
 def trial_flags():
     return bytes(is_prime(j) for j in range(FLAG_TOP + 1))
@@ -192,6 +192,16 @@ def test_reset_after_a_large_sieve_lists_afresh(fresh_sieve):
     fresh_sieve()
     assert primes_up_to(100) == [j for j in range(101) if is_prime(j)]
     assert primes_up_to(1000) == [j for j in range(1001) if is_prime(j)]
+
+
+def test_sieve_primes_hands_out_the_list_that_later_calls_extend(fresh_sieve):
+    listed = sieve_primes(100)
+    assert listed is digits._sieve_primes
+    assert listed == [j for j in range(101) if is_prime(j)]
+    # a bound the list already passes returns it as it is
+    assert sieve_primes(50) is listed and len(listed) == 25
+    assert sieve_primes(1000) is listed
+    assert listed == [j for j in range(1001) if is_prime(j)]
 
 
 def test_prime_flags_are_read_only():
