@@ -15,10 +15,13 @@ numbers" (2011).  T_k is the zigzag number A_(2k-1), the last entry of row
 from each other by prefix sums alone.  Each B_2k is reduced by one gcd, so
 its denominator comes from that gcd and never from von Staudt-Clausen.
 
-Integers are the only internal form of a rational here; a ``Fraction`` is
-built only where a method returns one.  Polynomials (``RationalPoly``) are
+Integers are the only internal form of a rational here.  A ``Fraction`` is
+built only where a method returns one: ``number``, ``value_at``, and
+``RationalPoly.coeffs`` and ``__call__``.  Polynomials (``RationalPoly``) are
 integer numerators over one common denominator, built from those integers
-in canonical form and evaluated; nothing else.  A point y is an int or a
+in canonical form and evaluated; nothing else.  A rational point is two
+ints: ``row(n, p, q)`` takes y = p/q in lowest terms, q >= 1, and only
+``value_at`` and a polynomial's ``__call__`` take y as an int or a
 ``Fraction``, read through ``y.numerator`` and ``y.denominator``.  Values
 at a rational point share one row format: per distinct y = p/q in lowest
 terms, the reduced numerators, reduced denominators and running lcm of
@@ -27,7 +30,8 @@ terms, the reduced numerators, reduced denominators and running lcm of
 
 as int lists.  Each A_k is an integer combination of B_0..B_k, so its
 denominator divides lcm(den B_0, ..., den B_k) and holds no power of q.
-The table of Bernoulli numbers is the row of 0 (q = 1).  Read over one
+The table of Bernoulli numbers is the row of 0 (q = 1), and every read of
+it, the table's own fill included, goes through ``row(n, 0)``.  Read over one
 denominator, ``scaled_numbers(n)`` gives L and L*B_0..L*B_n with L the
 table's running lcm at n; it is built on each call and not remembered,
 and only ``polynomial`` sums it with binomials.  Every other row is filled
@@ -229,11 +233,7 @@ class BernoulliCache:
 
     def number(self, n: int) -> Fraction:
         """B_n; zero for odd n >= 3."""
-        if n < 0:
-            raise ValueError(f"Bernoulli index must be >= 0, got {n}")
-        nums, dens, _ = self._table
-        if n >= len(nums):
-            self._extend(n)
+        nums, dens, _ = self.row(n, 0)
         return Fraction(nums[n], dens[n])
 
     def polynomial(self, n: int) -> RationalPoly:
@@ -264,8 +264,7 @@ class BernoulliCache:
         last_n, dens = self._last_dens
         if n == last_n:
             return dens
-        self.number(n)
-        den = self._table[1]
+        den = self.row(n, 0)[1]
         out = [1] * (n + 1)
         if n:
             out[n - 1] = 2 // math.gcd(2, n)
@@ -291,8 +290,9 @@ class BernoulliCache:
         self._last_dens = (n, dens)
         return dens
 
-    def row(self, n: int, y: Rat) -> Row:
-        """The row of y = p/q in lowest terms, filled to at least index n.
+    def row(self, n: int, p: int, q: int = 1) -> Row:
+        """The row of y = p/q, two ints in lowest terms with q >= 1, filled
+        to at least index n; ``row(n, 0)`` is the table.
 
         The cache's own lists (nums, dens, lcms): entry k is q^k B_k(y) =
         nums[k] / dens[k] in lowest terms, and lcms[k] = lcm(dens[0..k]).
@@ -300,13 +300,14 @@ class BernoulliCache:
         """
         if n < 0:
             raise ValueError(f"Bernoulli index must be >= 0, got {n}")
-        p, q = y.numerator, y.denominator
+        if q < 1:
+            raise ValueError(f"point denominator must be >= 1, got {q}")
         row = self._rows.get((p, q))
         if row is None:
             row = self._rows[(p, q)] = ([], [], [])
         if n >= len(row[0]):
             # fills the table, which is the whole fill of the row of 0
-            self.number(n)
+            self._extend(n)
             missing = n + 1 - len(row[0])
             if missing > HORNER_GAP:
                 self._shift_fill(row, n, p, q)
@@ -373,14 +374,16 @@ class BernoulliCache:
             _append(row, a, scale)
 
     def value_at(self, n: int, y: Rat) -> Fraction:
-        """B_n(y), read from the row of y = p/q as q^n B_n(y) over q^n.
+        """B_n(y) for an int or ``Fraction`` y, read from
+        ``row(n, y.numerator, y.denominator)`` as q^n B_n(y) over q^n.
 
         Values are kept as one row per distinct y in lowest terms, filled
         upward: asking for B_n(y) fills the entries k = 0..n, n + 1 of them,
         unless the row already holds them.  At y = 0 the row is the table.
         """
-        nums, dens, _ = self.row(n, y)
-        return Fraction(nums[n], dens[n] * y.denominator**n)
+        q = y.denominator
+        nums, dens, _ = self.row(n, y.numerator, q)
+        return Fraction(nums[n], dens[n] * q**n)
 
     def scaled_numbers(self, n: int) -> tuple[int, tuple[int, ...]]:
         """(L, (L*B_0, ..., L*B_n)) with L = lcm(den B_0, ..., den B_n).
@@ -390,7 +393,6 @@ class BernoulliCache:
         only caller here; it runs binomial sums over B_k in pure integer
         arithmetic, exact because L clears every denominator.
         """
-        self.number(n)
-        nums, dens, lcms = self._table
+        nums, dens, lcms = self.row(n, 0)
         scale = lcms[n]
         return scale, tuple(a * (scale // d) for a, d in zip(nums[: n + 1], dens))

@@ -54,14 +54,14 @@ most of which are 1.
 
 One index at a time, nonconstant_denom costs O(sqrt(n)) steps once the
 sieve is built.  It splits its primes near sqrt(n), as Kellner does in "On
-a product of certain primes" (J. Number Theory, 2017), into three ranges
+a product of certain primes" (J. Number Theory, 2017), into two ranges
 tested prime by prime and one walked by quotient, and takes no digit sum.
-The three ranges are index ranges of the sieve's own prime list
+The two ranges are index ranges of the sieve's own prime list
 (``digits.sieve_primes``, read in place), found by bisect, one loop each:
-for p <= cbrt(n), Legendre's s_p(n) = n - (p-1) * sum of n // p^i over
-every power of p; a prime in (cbrt(n), sqrt(n)] gives n three base-p
-digits, and then s_p(n) = n - (p-1)(n//p + n//p^2); a prime in
-(sqrt(n), 3 sqrt(n)] gives it two, and s_p(n) = n//p + n%p.  Above
+for p <= sqrt(n), Legendre's s_p(n) = n - (p-1) * sum of n // p^i over
+every power of p up to n, which for p in (cbrt(n), sqrt(n)], where n has
+three base-p digits, stops at n//p^2 by itself; a prime in
+(sqrt(n), 3 sqrt(n)] gives n two digits, and s_p(n) = n//p + n%p.  Above
 3 sqrt(n) each quotient a = n // p offers one candidate prime, kept when
 it is prime and does not divide n.  Near sqrt(n) nearly every integer is
 a candidate but only one in ln p is prime; the candidates thin out as
@@ -203,34 +203,28 @@ def _digit_bound(n: int) -> int:
 def _nonconstant_primes(n: int) -> tuple[int, ...]:
     bound = _digit_bound(n)
     root = isqrt(n)
-    cube = round(n ** (1 / 3))
-    cube -= cube * cube * cube > n
     # The primes up to top are tested one by one, the quotients a = n // p
     # above it.  Near sqrt(n) about one integer in ln p is prime, but nearly
     # every integer is a candidate; the candidates thin out as n/p^2, and the
     # two densities meet at p ~ sqrt(n ln p), 2.6 to 3.1 times sqrt(n) for n
     # from 10^5 to 10^7.
     top = min(bound, 3 * root)
-    # The sieve's list, read in place: one loop per number of base-p digits
-    # of n, each over the index range that bisect finds, from one iterator.
+    # The sieve's list, read in place: one loop for the primes at which n
+    # has three base-p digits or more, one for those at which it has two,
+    # each over the index range that bisect finds, from one iterator.
     primes = sieve_primes(top)
     end = bisect_right(primes, top)
-    three = bisect_right(primes, cube, 0, end)
-    two = bisect_right(primes, root, three, end)
+    two = bisect_right(primes, root, 0, end)
     listed = iter(primes)
     found = []
-    # p <= cbrt(n): s_p(n) = n - (p-1) * sum of n // p^i over i >= 1 (Legendre)
-    for p in islice(listed, three):
+    # p <= sqrt(n): s_p(n) = n - (p-1) * sum of n // p^i over i >= 1
+    # (Legendre); above cbrt(n) the sum stops at n // p^2 by itself
+    for p in islice(listed, two):
         q = total = n // p
         while q >= p:
             q //= p
             total += q
         if n - (p - 1) * total >= p:
-            found.append(p)
-    # p in (cbrt(n), sqrt(n)]: three digits, the sum stops at n // p^2
-    for p in islice(listed, two - three):
-        q = n // p
-        if n - (p - 1) * (q + q // p) >= p:
             found.append(p)
     # p in (sqrt(n), top]: two digits, n // p and n % p
     for p in islice(listed, end - two):
@@ -517,7 +511,7 @@ def number_denom(n: int) -> SquarefreeProduct:
 
 def number_denom_direct(cache: BernoulliCache, n: int) -> int:
     _check_index(n)
-    return cache.number(n).denominator
+    return cache.row(n, 0)[1][n]
 
 
 def nonconstant_denom(n: int) -> SquarefreeProduct:
@@ -525,9 +519,8 @@ def nonconstant_denom(n: int) -> SquarefreeProduct:
     (n+1)/3 (even n) whose base-p digit sum of n reaches p.
 
     No digit sum is taken: Legendre's formula gives s_p(n) from the
-    quotients n//p^i, every power of p for p <= cbrt(n), and up to sqrt(n),
-    where n has three base-p digits, n//p and n//p^2.  Above sqrt(n),
-    n = a*p + b has two base-p digits, s_p(n) = a + b.  Up
+    quotients n//p^i, every power of p up to n, for p <= sqrt(n).  Above
+    sqrt(n), n = a*p + b has two base-p digits, s_p(n) = a + b.  Up
     to 3 sqrt(n) each prime is tested so; above it, for each a at most one
     prime, (n+a) // (a+1), can satisfy a + b >= p (Kellner 2017), and it
     does exactly when it does not divide n.  The cost is O(sqrt(n)) steps

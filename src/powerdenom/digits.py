@@ -220,6 +220,11 @@ def prime_flags(bound: int) -> memoryview:
     global _sieve_limit, _sieve_flags
     if bound > _sieve_limit:
         limit = max(bound, 2 * _sieve_limit, 256)
+        # let go of the old table before the new one is allocated, so the
+        # two are not held at once; a view handed out earlier keeps its own
+        # table alive and readable.  A build that fails leaves the state of
+        # a fresh interpreter.
+        _sieve_flags, _sieve_limit = memoryview(b""), 0
         # odd k flagged from the start, so only odd multiples of odd primes
         # are crossed out and no zero run is longer than limit/6 bytes
         sieve = bytearray(b"\x00\x01") * (limit // 2 + 1)

@@ -10,7 +10,9 @@ scaled polynomial differences m^n(B_n(r/m) - B_n), which are always integers
 Both read one ``BernoulliCache`` row per point r/m: the polynomial the whole
 row to n, a scaled difference its entry n at |r|/m, with a negative start
 read from the same entry by the reflection
-B_n(-x) = (-1)^n (B_n(x) + n x^(n-1)).
+B_n(-x) = (-1)^n (B_n(x) + n x^(n-1)).  The point is handed to the cache as
+two ints in lowest terms, |r|/g and m/g with g = gcd(r, m); no ``Fraction``
+is built here.
 
 The integrality of the scaled differences is enforced at construction time
 and raises TheoremViolationError on failure: such a failure can only mean a
@@ -21,12 +23,10 @@ same m and n has integer coefficients is checked by the T2 sweep in
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 from .bernoulli import BernoulliCache, RationalPoly
 from .denom import full_denom, nonconstant_denom
-from .digits import is_prime, p_valuation
 from .errors import TheoremViolationError
 
 
@@ -117,18 +117,17 @@ def power_sum_poly(cache: BernoulliCache, spec: ProgressionSpec) -> RationalPoly
     """The power sum as a polynomial in the term count.
 
     Coefficient of x^j (1 <= j <= n+1) is m^n C(n+1, j) B_(n+1-j)(r/m)
-    divided by n+1; the constant term is zero.  With q the denominator of
-    r/m in lowest terms and g = m / q = gcd(r, m), the row of r/m holds
+    divided by n+1; the constant term is zero.  With g = gcd(r, m) and
+    q = m / g, the row of r/m, ``row(n, r // g, q)``, holds
     A_k = q^k B_k(r/m), so m^n B_k(r/m) = g^n q^(n-k) A_k.  The row's denominators divide
     lcm(den B_0, ..., den B_n) and hold no power of q, so the polynomial is
     built in one pass over the row, in integers over (n+1) L with L the
     row's lcm at n.
     """
     m, r, n = spec.m, spec.r, spec.n
-    y = Fraction(r, m)
-    q = y.denominator
-    g = m // q
-    values, dens, lcms = cache.row(n, y)
+    g = gcd(r, m)
+    q = m // g
+    values, dens, lcms = cache.row(n, r // g, q)
     scale = lcms[n]
     w = g**n  # g^n q^(j-1) = g^n q^(n-k)
     nums = [0]
@@ -178,8 +177,8 @@ def is_integral(spec: ProgressionSpec) -> bool:
 def am_integer(cache: BernoulliCache, m: int, r: int, n: int) -> AMInteger:
     """m^n(B_n(r/m) - B_n) for any integer r, read from the row of |r|/m.
 
-    With q the denominator of |r|/m in lowest terms and g = m / q =
-    gcd(r, m), entry n of that row, the one ``power_sum_poly`` fills, is
+    With g = gcd(r, m) and q = m / g, entry n of
+    ``row(n, |r| // g, q)``, the row ``power_sum_poly`` fills, is
     A_n = q^n B_n(|r|/m), so m^n B_n(|r|/m) = g^n A_n.  A_n and B_n, from
     the table, both clear over the table's lcm L at n, so integrality is
     one exact division by L.  At r < 0 the reflection
@@ -192,11 +191,12 @@ def am_integer(cache: BernoulliCache, m: int, r: int, n: int) -> AMInteger:
         raise ValueError(f"difference m must be >= 1, got {m}")
     if n < 1:
         raise ValueError(f"exponent n must be >= 1, got {n}")
-    y = Fraction(abs(r), m)
-    values, dens, _ = cache.row(n, y)
+    a = abs(r)
+    g = gcd(a, m)
+    values, dens, _ = cache.row(n, a // g, m // g)
     tnums, tdens, tlcms = cache.row(n, 0)
     scale = tlcms[n]
-    here = (m // y.denominator) ** n * values[n] * (scale // dens[n])
+    here = g**n * values[n] * (scale // dens[n])
     if r < 0:
         here += n * m * (-r) ** (n - 1) * scale
         if n % 2:
@@ -207,24 +207,3 @@ def am_integer(cache: BernoulliCache, m: int, r: int, n: int) -> AMInteger:
             f"m^n(B_n(r/m) - B_n) non-integral at m={m}, r={r}, n={n}"
         )
     return AMInteger(m, r, n, value)
-
-
-def am_congruence_check(
-    cache: BernoulliCache, m: int, r: int, n: int, p: int, e: int
-) -> bool:
-    """Whether p^e divides the scaled difference m^n(B_n(r/m) - B_n).
-
-    Preconditions (p prime not dividing m, 0 <= e <= v_p(n)) are those under
-    which divisibility is guaranteed; the check exists to falsify, so it
-    recomputes rather than returning a constant.  e = 0 needs no arithmetic.
-    """
-    if not is_prime(p):
-        raise ValueError(f"p must be prime, got {p}")
-    if m % p == 0:
-        raise ValueError(f"p = {p} must not divide m = {m}")
-    if e < 0 or e > p_valuation(p, n):
-        raise ValueError(f"need 0 <= e <= v_{p}({n}), got e = {e}")
-    if e == 0:
-        return True
-    return am_integer(cache, m, r, n).value % p**e == 0
-

@@ -56,7 +56,6 @@ from .limits import (
 )
 from .powersum import (
     ProgressionSpec,
-    am_congruence_check,
     am_integer,
     is_integral,
     power_sum_denominator,
@@ -246,22 +245,27 @@ def _db_quotient_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
 
 
 def _congruence_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
-    # e starts at 1: p^0 divides every value, so a case with e = 0 would
-    # check nothing
+    # p^e divides m^n(B_n(r/m) - B_n) for each prime p not dividing m and
+    # 1 <= e <= v_p(n); e starts at 1, since p^0 divides every value and a
+    # case with e = 0 would check nothing.  One am_integer per (m, r, n)
+    # that has such a p^e, tested against each of them.
     cache = BernoulliCache()
     small_primes = primes_up_to(13)
     checked, failures = 0, []
     for m in range(lo, hi + 1):
         usable = [p for p in small_primes if m % p]
+        powers = [
+            (n, [(p, e) for p in usable for e in range(1, p_valuation(p, n) + 1)])
+            for n in range(1, b.max_n + 1)
+        ]
+        powers = [(n, pe) for n, pe in powers if pe]
         for r in range(-b.r_max, b.r_max + 1):
-            for n in range(1, b.max_n + 1):
-                for p in usable:
-                    for e in range(1, p_valuation(p, n) + 1):
-                        checked += 1
-                        if not am_congruence_check(cache, m, r, n, p, e):
-                            failures.append(
-                                ((m, r, n, p, e), f"divisible by {p}^{e}", "not")
-                            )
+            for n, pe in powers:
+                value = am_integer(cache, m, r, n).value
+                for p, e in pe:
+                    checked += 1
+                    if value % p**e:
+                        failures.append(((m, r, n, p, e), f"divisible by {p}^{e}", "not"))
     return checked, failures
 
 

@@ -207,9 +207,9 @@ def test_value_rows_match_polynomials_in_any_order(order):
             assert cache.value_at(n, y) == values[n], (n, y)
             # the row holds q^k B_k(p/q) in lowest terms, so its lcm has no
             # power of q
-            q = F(y).denominator
+            p, q = F(y).numerator, F(y).denominator
             values = [q**k * v for k, v in enumerate(values)]
-            nums, dens, lcms = cache.row(n, y)
+            nums, dens, lcms = cache.row(n, p, q)
             assert nums[: n + 1] == [v.numerator for v in values], (n, y)
             assert dens[: n + 1] == [v.denominator for v in values], (n, y)
             assert lcms[n] == math.lcm(*(v.denominator for v in values)), (n, y)
@@ -248,9 +248,9 @@ def test_shift_extends_a_partial_row():
     y = F(-2, 7)
     cache = BernoulliCache()
     cache.value_at(3, y)
-    held = [list(part) for part in cache.row(3, y)]
+    held = [list(part) for part in cache.row(3, -2, 7)]
     cache.value_at(40, y)
-    row = cache.row(40, y)
+    row = cache.row(40, -2, 7)
     assert [part[:4] for part in row] == held
     assert row == _filled_row(BernoulliCache._horner_fill, 40, y)
 
@@ -265,7 +265,7 @@ def test_fresh_point_at_large_n_in_either_order(m):
         cache = BernoulliCache()
         for n in order:
             assert cache.value_at(n, y) == want[n], (order, n)
-        rows.append(cache.row(400, y))
+        rows.append(cache.row(400, 1, m))
     assert rows[0] == rows[1]
 
 
@@ -276,17 +276,27 @@ def test_value_rows_reject_negative_index():
         cache = BernoulliCache()
         if filled:
             cache.value_at(5, F(1, 3))
-        for ask in (cache.value_at, cache.row):
-            with pytest.raises(ValueError):
-                ask(-1, F(1, 3))
+        with pytest.raises(ValueError):
+            cache.value_at(-1, F(1, 3))
+        with pytest.raises(ValueError):
+            cache.row(-1, 1, 3)
+
+
+def test_a_point_needs_a_positive_denominator():
+    cache = BernoulliCache()
+    for q in (0, -3):
+        with pytest.raises(ValueError):
+            cache.row(5, 1, q)
+    assert set(cache._rows) == {(0, 1)}
 
 
 def test_a_point_is_read_by_numerator_and_denominator():
-    # the int 1 and Fraction(2, 2) are one point, with one row; so are
-    # Fraction(1, 3) and Fraction(2, 6)
+    # the int 1 and Fraction(2, 2) are one point, (1, 1), with one row; so
+    # are Fraction(1, 3) and Fraction(2, 6), (1, 3); value_at reads the row
+    # of y.numerator and y.denominator
     cache = BernoulliCache()
     for same in ((1, F(2, 2)), (F(1, 3), F(2, 6))):
-        rows = [cache.row(20, y) for y in same]
+        rows = [cache.row(20, F(y).numerator, F(y).denominator) for y in same]
         assert rows[0] is rows[1]
         for n in range(21):
             values = [cache.value_at(n, y) for y in same]

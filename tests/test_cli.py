@@ -1091,7 +1091,7 @@ MOVED = {
               "nonconstant_quotient_by_division"),
     "digits": ("SquarefreeProduct", "digit_sum", "is_prime", "p_valuation",
                "primes_up_to", "radical"),
-    "powersum": ("AMInteger", "am_congruence_check", "power_sum_naive"),
+    "powersum": ("AMInteger", "power_sum_naive"),
     "verify": ("SweepReport", "available_sweeps", "run_sweep"),
 }
 

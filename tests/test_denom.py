@@ -166,8 +166,9 @@ def _sqrt_boundary_indices():
 
 
 def _cube_boundary_indices():
-    # indices where a prime sits at or next to cbrt(n): from p^3 on, s_p(n)
-    # has four digits and is a digit sum, below it three (Legendre)
+    # indices where a prime sits at or next to cbrt(n): from p^3 on, n has
+    # four base-p digits, below it three, and Legendre's sum in the
+    # per-index scan takes one quotient more or less
     for p in primes_up_to(60):
         yield from (p**3 - 1, p**3, p**3 + 1)
 
@@ -527,9 +528,10 @@ def test_one_dd_term_takes_no_digit_sum(monkeypatch):
 
 
 def test_dd_from_a_fresh_sieve_where_its_prime_ranges_meet(fresh_sieve):
-    # the scan's three loops meet at cbrt(n) and sqrt(n): n = k^3 - 1, k^3
-    # and k^3 + 1 move a prime from four digits to three, n = k^2 - 1 and
-    # k^2 from three to two
+    # the scan's two loops meet at sqrt(n): n = k^2 - 1 and k^2 move a prime
+    # from three digits to two; n = k^3 - 1, k^3 and k^3 + 1 move one from
+    # four digits to three inside the Legendre loop, whose sum then takes
+    # one quotient fewer
     cubes = (k**3 + d for k in range(1, 61) for d in (-1, 0, 1))
     squares = (k * k + d for k in range(1, 401) for d in (-1, 0))
     ns = sorted({n for n in chain(cubes, squares) if n >= 1})

@@ -187,6 +187,25 @@ def test_flag_table_and_prime_list_match_trial_division(fresh_sieve, trial_flags
     assert prime_flags(FLAG_TOP)[: FLAG_TOP + 1] == trial_flags
 
 
+def test_a_growing_flag_table_lets_go_of_the_old_one_first(fresh_sieve, monkeypatch):
+    # the old table is no longer the module's when the new one is
+    # allocated, so the two are not held at once; a view handed out
+    # earlier still reads its own flags
+    old = prime_flags(1000)
+    before = bytes(old)
+    held_at_allocation = []
+
+    def spy(*args):
+        held_at_allocation.append(len(digits._sieve_flags))
+        return bytearray(*args)
+
+    monkeypatch.setattr(digits, "bytearray", spy, raising=False)
+    new = prime_flags(5000)
+    assert held_at_allocation == [0]
+    assert new is digits._sieve_flags and len(new) > 5000
+    assert bytes(old) == before and new[: len(old)] == before
+
+
 def test_reset_after_a_large_sieve_lists_afresh(fresh_sieve):
     primes_up_to(100_000)
     fresh_sieve()

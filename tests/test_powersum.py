@@ -9,15 +9,20 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from powerdenom import powersum, verify
+from powerdenom import verify
 from powerdenom.bernoulli import BernoulliCache, RationalPoly
-from powerdenom.denom import full_denom, nonconstant_denom
+from powerdenom.denom import (
+    full_denom,
+    full_denom_direct,
+    nonconstant_denom,
+    nonconstant_denom_direct,
+    number_denom_direct,
+)
 from powerdenom.digits import p_valuation, primes_up_to
 from powerdenom.errors import TheoremViolationError
 from powerdenom.powersum import (
     AMInteger,
     ProgressionSpec,
-    am_congruence_check,
     am_integer,
     is_integral,
     power_sum_denominator,
@@ -341,9 +346,9 @@ def test_am_integer_names_the_sign_that_is_not_integral(monkeypatch):
         cache = BernoulliCache()
         real = cache.row
 
-        def off_by_one(n, y, real=real):
-            nums, dens, lcms = real(n, y)
-            if y == 0:
+        def off_by_one(n, p, q=1, real=real):
+            nums, dens, lcms = real(n, p, q)
+            if p == 0:
                 return nums, dens, lcms
             return [*nums[:n], nums[n] + 1, *nums[n + 1 :]], dens, lcms
 
@@ -395,13 +400,13 @@ def test_t2_reports_a_numerator_changed_at_one_start(monkeypatch):
 
 
 def test_l1_reports_an_am_integer_wrong_only_at_negative_starts(monkeypatch):
-    real = powersum.am_integer
+    real = am_integer
 
     def off_below_zero(cache, m, r, n):
         got = real(cache, m, r, n)
         return got if r >= 0 else AMInteger(m, r, n, got.value + 1)
 
-    monkeypatch.setattr(powersum, "am_integer", off_below_zero)
+    monkeypatch.setattr(verify, "am_integer", off_below_zero)
     report = verify.run_sweep("L1-congruence", max_n=4, m_max=1, r_max=2)
     # p^e with e >= 1 divides the true value, so never the value plus one
     want = sorted(
@@ -443,20 +448,40 @@ def test_am_additive_relation():
 
 
 def test_am_congruence_examples():
-    assert am_congruence_check(CACHE, 3, 1, 4, 2, 2)
-    assert am_congruence_check(CACHE, 2, 1, 12, 3, 1)
-    assert am_congruence_check(CACHE, 9, 5, 8, 2, 0)
+    # p^e divides m^n(B_n(r/m) - B_n) for a prime p not dividing m and
+    # e <= v_p(n)
+    assert am_integer(CACHE, 3, 1, 4).value % 2**2 == 0
+    assert am_integer(CACHE, 2, 1, 12).value % 3**1 == 0
+    assert am_integer(CACHE, 9, 5, 8).value % 2**3 == 0
 
 
-def test_am_congruence_validation():
-    with pytest.raises(ValueError):
-        am_congruence_check(CACHE, 3, 1, 4, 4, 1)  # p not prime
-    with pytest.raises(ValueError):
-        am_congruence_check(CACHE, 6, 1, 4, 2, 1)  # p divides m
-    with pytest.raises(ValueError):
-        am_congruence_check(CACHE, 3, 1, 4, 2, 3)  # e exceeds v_2(4)
-    with pytest.raises(ValueError):
-        am_congruence_check(CACHE, 3, 1, 4, 2, -1)
+def test_no_fraction_is_built_below_the_api(monkeypatch):
+    # a rational point is two ints all the way down: on a fresh cache the
+    # power sum, am_integer at both signs, the coefficient denominators and
+    # the three oracles construct no Fraction, at a fresh point filled by a
+    # shift and at one grown entry by entry
+    built = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    cache = BernoulliCache()
+    power_sum_poly(cache, ProgressionSpec(6, 4, 30))
+    for n in range(1, 6):
+        power_sum_poly(cache, ProgressionSpec(10, 3, n))
+        for r in (7, -7):
+            am_integer(cache, 10, r, n)
+    am_integer(cache, 6, -4, 31)
+    cache.coefficient_denominators(40)
+    for oracle in (number_denom_direct, nonconstant_denom_direct, full_denom_direct):
+        oracle(cache, 50)
+    assert built == []
+    # the count sees a Fraction that the API returns
+    assert cache.value_at(2, F(1, 2)) == F(-1, 12)
+    assert built
 
 
 def test_triple_product_integrality():
