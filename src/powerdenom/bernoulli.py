@@ -63,7 +63,6 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
 
-Rat = int | Fraction
 # q^k B_k(p/q) for k = 0, 1, ... at y = p/q in lowest terms: reduced
 # numerators, reduced denominators, and lcms[k] = lcm(dens[0..k])
 Row = tuple[list[int], list[int], list[int]]
@@ -112,7 +111,7 @@ class RationalPoly:
     numerators ``nums`` (ascending: index i belongs to x^i) and a nonzero
     integer ``den``, stored in canonical form: den > 0,
     gcd(den, *nums) == 1 and no trailing zero numerators.  The zero
-    polynomial has ``nums == ()``, ``den == 1`` and degree -1.  Instances are
+    polynomial has ``nums == ()`` and ``den == 1``.  Instances are
     immutable by convention.  A polynomial is only built and evaluated; it
     has no ring arithmetic.
     """
@@ -144,19 +143,11 @@ class RationalPoly:
         return tuple(Fraction(c, den) for c in self.nums)
 
     @property
-    def degree(self) -> int:
-        return len(self.nums) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.nums
-
-    @property
     def denominator(self) -> int:
         """Smallest d >= 1 such that d * self has integer coefficients."""
         return self.den
 
-    def __call__(self, x: Rat) -> Fraction:
+    def __call__(self, x: int | Fraction) -> Fraction:
         """Homogeneous Horner at x = p/q: q^d f(p/q) in integers, then one
         Fraction over den * q^d."""
         nums = self.nums
@@ -373,7 +364,7 @@ class BernoulliCache:
         for a in reversed(scaled):
             _append(row, a, scale)
 
-    def value_at(self, n: int, y: Rat) -> Fraction:
+    def value_at(self, n: int, y: int | Fraction) -> Fraction:
         """B_n(y) for an int or ``Fraction`` y, read from
         ``row(n, y.numerator, y.denominator)`` as q^n B_n(y) over q^n.
 

@@ -77,10 +77,11 @@ from .powersum import (
 )
 
 # id -> (closed form, rational oracle, parity of the domain or None for all
-# n >= 1, the memo fills of the closed form).  The closed forms and oracles
-# look their functions up in this module at call time, so a rebound name (a
-# test's fake, a tracing wrapper) is the one called.  The fills only store
-# values the closed forms then read: D reads the number memo, DD the
+# n >= 1, the memo fills of the closed form), for the ids of the table of
+# sequences in README.md, which says what each one is.  The closed forms and
+# oracles look their functions up in this module at call time, so a rebound
+# name (a test's fake, a tracing wrapper) is the one called.  The fills only
+# store values the closed forms then read: D reads the number memo, DD the
 # nonconstant memo, DB both, and the quotients the quotient memo, which one
 # fill stores at both parities, so a DBQ range reuses a DDQ range's scan.
 # The quotient oracles divide exactly: a denominator at n+1 that does not
@@ -248,36 +249,23 @@ def _time_ns(path: Callable[[int], object], ns: range) -> int:
     return time.perf_counter_ns() - start
 
 
-def _format_int_poly(coeffs: Sequence[int]) -> str:
-    # ascending integer coefficients in, descending-power text out
-    terms = []
-    for e in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[e]
-        if not c:
-            continue
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        elif e == 1:
-            body = "x" if mag == 1 else f"{mag}x"
-        else:
-            body = f"x^{e}" if mag == 1 else f"{mag}x^{e}"
-        terms.append(("-" if c < 0 else "+", body))
-    if not terms:
-        return "0"
-    head_sign, head = terms[0]
-    text = ("-" if head_sign == "-" else "") + head
-    for sign, body in terms[1:]:
-        text += f" {sign} {body}"
-    return text
-
-
 def format_poly(f: RationalPoly) -> str:
-    """Human form: integer polynomial, divided by its denominator if any."""
-    if f.is_zero:
-        return "0"
-    body = _format_int_poly(f.nums)
-    return body if f.den == 1 else f"({body})/{f.den}"
+    """Human form of a power sum, highest power first: the integer
+    polynomial, divided by its denominator if that is not 1.
+
+    A power sum has degree n + 1 >= 1, a positive leading coefficient and
+    constant term 0, so every term printed is c x^e with e >= 1, and only
+    the terms after the first carry a sign; ``--n 0`` prints ``x``.
+    """
+    terms = []
+    for e in range(len(f.nums) - 1, 0, -1):
+        c = f.nums[e]
+        if c:
+            mag = "" if abs(c) == 1 else abs(c)
+            power = "x" if e == 1 else f"x^{e}"
+            terms.append(f"{'-' if c < 0 else '+'} {mag}{power}")
+    text = " ".join(terms).removeprefix("+ ")
+    return text if f.den == 1 else f"({text})/{f.den}"
 
 
 def _cmd_powersum(args: argparse.Namespace) -> int:

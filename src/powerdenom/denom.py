@@ -1,21 +1,17 @@
 """Denominator sequences of Bernoulli numbers and polynomials.
 
-Three squarefree sequences, each computed two independent ways (a closed-form
-digit-sum or prime product, and a direct rational oracle):
-
-  number_denom(n)       denominator of the nth Bernoulli number      (A027642)
-  nonconstant_denom(n)  denominator of B_n(x) with constant dropped  (A195441)
-  full_denom(n)         denominator of the full polynomial B_n(x)    (A144845)
-
-The full denominator comes in three equivalent closed forms (lcm of the other
-two sequences, a successor relation through the radical, and a two-factor
-prime product); all are exposed so their agreement can be asserted rather
-than assumed.  The quotient sequences nonconstant_quotient (A286516) and
-full_denom_quotient (A286517) are defined at one parity each and reject the
-other; that parity is set here once (``*_QUOTIENT_PARITY``), and
-``parity_indices`` lists the n of a domain.  The command line ids of the
-five sequences (D, DD, DB and the two quotients), each with its closed
-form, oracle and domain, are set in one table: ``cli.SEQUENCES``.
+The five sequences are described once, with their ids and OEIS numbers,
+in the table of sequences in README.md.  Here D, DD and DB are
+number_denom, nonconstant_denom and full_denom, each computed two
+independent ways (a closed-form digit-sum or prime product, and a direct
+rational oracle), and DDQ and DBQ are nonconstant_quotient and
+full_denom_quotient.  The full denominator comes in three equivalent
+closed forms (lcm of the other two sequences, a successor relation through
+the radical, and a two-factor prime product); all are exposed so their
+agreement can be asserted rather than assumed.  The quotients are defined
+at one parity each and reject the other; that parity is set here once
+(``*_QUOTIENT_PARITY``), and ``parity_indices`` lists the n of a domain.
+``cli.SEQUENCES`` maps each id to its closed form, oracle and domain.
 
 The two quotients DDQ(n) = DD(n)/DD(n+1) at odd n and DBQ(n) = DB(n)/DB(n+1)
 at even n are one prime set Q(n), read off n+1 alone.  A prime p is in

@@ -140,27 +140,17 @@ def power_sum_poly(cache: BernoulliCache, spec: ProgressionSpec) -> RationalPoly
     return RationalPoly(nums, (n + 1) * scale)
 
 
-def _power_gcd(a: int, m: int) -> int:
-    # gcd(a, m^e) for every e >= log2(a), via strip-and-repeat; avoids m^n
-    result = 1
-    g = gcd(a, m)
-    while g > 1:
-        result *= g
-        a //= g
-        g = gcd(a, g)
-    return result
-
-
 def power_sum_denominator(spec: ProgressionSpec) -> int:
     """Denominator of power_sum_poly without building the polynomial.
 
     Equals (n+1)/gcd(n+1, m^n) times the nonconstant denominator at n+1
     with every factor shared with m removed; independent of r.  The power
-    gcd collapses to strip-and-repeat because any prime power dividing n+1
-    has exponent below n.
+    gcd is one modular power, and m^n is never built: a prime power p^e
+    dividing n+1 has e <= n and e below the bit length b of n+1, so
+    gcd(n+1, m^n) = gcd(n+1, m^b) = gcd(n+1, m^b mod (n+1)).
     """
     n1 = spec.n + 1
-    left = n1 // _power_gcd(n1, spec.m)
+    left = n1 // gcd(n1, pow(spec.m, n1.bit_length(), n1))
     dd = nonconstant_denom(n1).value
     return left * (dd // gcd(dd, spec.m))
 

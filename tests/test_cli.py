@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: formats, exit codes, cross-checks."""
 
 import concurrent.futures
+import hashlib
 import importlib
 import os
 import re
@@ -434,6 +435,67 @@ def test_powersum_rejects_negative_x_before_any_output(capsys):
     assert "need x >= 0" in err
 
 
+PINNED_POWERSUM = Path(__file__).with_name("powersum_stdout.txt")
+
+
+def test_powersum_prints_the_pinned_text(capsys):
+    # each block opens with "$ powerdenom powersum ARGS"; the lines after it
+    # are that command's whole stdout
+    blocks = {}
+    for line in PINNED_POWERSUM.read_text().splitlines(keepends=True):
+        if line.startswith("$ "):
+            argv = tuple(line.split()[2:])
+            blocks[argv] = ""
+        else:
+            blocks[argv] += line
+    assert len(blocks) == 13
+    for argv, text in blocks.items():
+        assert run_cli(capsys, *argv) == (0, text, ""), argv
+
+
+def test_powersum_at_a_million_prints_the_pinned_text(capsys):
+    code, out, err = run_cli(capsys, "powersum", "--m", "1000000", "--r", "1",
+                             "--n", "200")
+    assert (code, err) == (0, "")
+    # 537,749 bytes: pinned by their digest and the short lines
+    lines = out.splitlines()
+    assert lines[0] == "power sum: m=1000000 r=1 n=200"
+    assert lines[3:] == ["denominator: 41423007175011", "integral: no"]
+    digest = "e127955f0de4c1cf7786089c8b422864a2af3f54a3570fdf71004878b6c20db0"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("bench", "DD", "1..x"), "range must look like LO..HI, got '1..x'"),
+    (("powersum", "--n", "0", "--m", "0", "--r", "1"), "need m >= 1 and r >= 0"),
+])
+def test_refused_command_lines_print_nothing(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_unknown_ids_are_refused():
+    known = ", ".join(verify.available_sweeps())
+    message = f"unknown sweep id 'T9' (known: {known})"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        verify.run_sweep("T9", jobs=1)
+    message = "unknown bench id 'DQ' (known: D, DD, DB, DDQ, DBQ)"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cli.run_bench("DQ", 1, 5)
+
+
+def test_powersum_naive_sum_disagreeing_exits_3_naming_x(capsys, monkeypatch):
+    real = cli.power_sum_naive
+    monkeypatch.setattr(cli, "power_sum_naive", lambda spec, x: real(spec, x) + 1)
+    code, out, err = run_cli(capsys, "powersum", "--m", "3", "--r", "1", "--n", "5",
+                             "--x", "4")
+    assert (code, out) == (3, "")
+    # the polynomial gives 1 + 4^5 + 7^5 + 10^5; the patched naive sum one more
+    assert err == (
+        "internal invariant violated: polynomial and naive sum disagree at "
+        "x=4: 117832 vs 117833\n"
+    )
+
+
 def test_verify_pass_and_report(capsys):
     code, out, _ = run_cli(capsys, "verify", "T1-parity", "--max", "256",
                            "--jobs", "1")
@@ -535,6 +597,121 @@ def test_quotient_sweeps_report_a_failed_division(capsys, monkeypatch):
     assert code == 1
     assert "checked 32 cases" in out and "FAIL (1 failures)" in out
     assert "  input=(10,) expected=exact division actual=full denominator" in out
+
+
+def _value_at(n0, value):
+    # the closed form with .value replaced at n0 alone
+    return lambda real: lambda n: SimpleNamespace(value=value) if n == n0 else real(n)
+
+
+def _quotient_at(n0, q):
+    # the quotient at n0 is q, and exact division agrees with it everywhere,
+    # so only the structure checks after that comparison can fail
+    return lambda real: lambda n, quotient, by_division: (
+        q if n == n0 else quotient(n), None
+    )
+
+
+def _dividing_nothing(real):
+    # rad(n+1) whose divisibility test is always false
+    def radical(k):
+        rad = real(k)
+        return SimpleNamespace(primes=rad.primes, value=rad.value, divides=lambda n: False)
+
+    return radical
+
+
+# (sweep, bounds, the name in verify's namespace the branch reads, its fake
+# made from the real binding, the failures the report must hold)
+SWEEP_FAILURE_BRANCHES = [
+    pytest.param(
+        "T2-denominator", {"max_n": 1, "m_max": 1, "r_max": 1}, "power_sum_denominator",
+        lambda real: lambda spec: 3 * real(spec) if spec.r else real(spec),
+        [((1, 1, 1), "6", "2")], id="T2-denominator-mismatch",
+    ),
+    pytest.param(
+        # the spec at r = 1 has difference m + 1: its denominator is right
+        # for it, and not the one of r = 0
+        "T2-denominator", {"max_n": 1, "m_max": 1, "r_max": 1}, "ProgressionSpec",
+        lambda real: lambda m, r, n: real(m + r, r, n),
+        [((1, 1, 1), "same for every r (2)", "1")], id="T2-same-for-every-r",
+    ),
+    pytest.param(
+        "T2-denominator", {"max_n": 2, "m_max": 1, "r_max": 0}, "nonconstant_denom",
+        lambda real: lambda n: SimpleNamespace(value=1),
+        [((1, 0, 2), "divisor of 3", "6")], id="T2-envelope",
+    ),
+    pytest.param(
+        "T3-integrality", {"max_n": 1, "m_max": 1, "r_max": 0}, "is_integral",
+        lambda real: lambda spec: True,
+        [((1, 0, 1), "integral=True", "integral=False")], id="T3-flag",
+    ),
+    pytest.param(
+        "C2-relations", {"max_n": 6}, "nonconstant_denom", _value_at(5, 18),
+        [((5,), "lcm(2, 6)", "18")], id="C2-odd-lcm",
+    ),
+    pytest.param(
+        # at n = 1 the odd lcm law is not checked
+        "C2-relations", {"max_n": 2}, "nonconstant_denom", _value_at(2, 3),
+        [((1,), "multiple of 3", "1")], id="C2-odd-multiple",
+    ),
+    pytest.param(
+        "C2-relations", {"max_n": 2}, "full_denom", _value_at(2, 30),
+        [((2,), "lcm(2, 3)", "30")], id="C2-even-lcm",
+    ),
+    pytest.param(
+        # a successor that does not divide DB(n) breaks the lcm law as well
+        "C2-relations", {"max_n": 3}, "full_denom", _value_at(3, 10),
+        [((2,), "lcm(10, 3)", "6"), ((2,), "multiple of 10", "6")], id="C2-even-multiple",
+    ),
+    pytest.param(
+        "C2-relations", {"max_n": 4}, "radical", _dividing_nothing,
+        [((3,), "divisible by rad(n+1)=2", "2")], id="C2-radical",
+    ),
+    pytest.param(
+        "C2-relations", {"max_n": 1}, "full_denom", _value_at(1, 1),
+        [((1,), "even full denominator", "1")], id="C2-even-full",
+    ),
+    pytest.param(
+        "T4-quotients", {"max_n": 3}, "_quotient_against_division", _quotient_at(3, 4),
+        [((3,), "2 at n = 2^k - 1", "4")], id="T4-two",
+    ),
+    pytest.param(
+        "T4-quotients", {"max_n": 1}, "_quotient_against_division", _quotient_at(1, 2),
+        [((1,), "odd quotient", "2")], id="T4-odd",
+    ),
+    pytest.param(
+        "T4-quotients", {"max_n": 5}, "_quotient_against_division", _quotient_at(5, 9),
+        [((5,), "in {1, 3}", "9")], id="T4-one-or-p",
+    ),
+    pytest.param(
+        "T4-quotients", {"max_n": 5}, "_quotient_against_division", _quotient_at(5, 1),
+        [((5,), "3 when 2^l < p", "1")], id="T4-p-above-power-of-two",
+    ),
+    pytest.param(
+        # 105 = 3 * 5 * 7: no structure check after the parity
+        "T5-quotients", {"max_n": 104}, "_quotient_against_division", _quotient_at(104, 2),
+        [((104,), "odd quotient", "2")], id="T5-odd",
+    ),
+    pytest.param(
+        "T5-quotients", {"max_n": 2}, "_quotient_against_division", _quotient_at(2, 1),
+        [((2,), "3 at n = 3^k - 1", "1")], id="T5-prime-power",
+    ),
+    pytest.param(
+        "T5-quotients", {"max_n": 14}, "_quotient_against_division", _quotient_at(14, 7),
+        [((14,), "in {1, 3, 5, 15}", "7")], id="T5-two-primes",
+    ),
+]
+
+
+@pytest.mark.parametrize("theorem_id, bounds, name, fake, failures", SWEEP_FAILURE_BRANCHES)
+def test_each_sweep_failure_branch_reports(monkeypatch, theorem_id, bounds, name, fake,
+                                           failures):
+    # a sweep that cannot report a failure checks nothing
+    monkeypatch.setattr(verify, name, fake(getattr(verify, name)))
+    report = verify.run_sweep(theorem_id, **bounds, jobs=1)
+    assert report.failure_count == len(failures)
+    assert report.failures == tuple(failures)
 
 
 def test_verify_jobs_are_clamped_to_usable_cpus(capsys, monkeypatch):

@@ -64,13 +64,6 @@ def test_number_denom_spot_values():
         assert number_denom(n).value == 1
 
 
-def test_oracle_equivalence_to_300():
-    for n in range(1, 301):
-        assert nonconstant_denom(n).value == nonconstant_denom_direct(CACHE, n), n
-        assert number_denom(n).value == number_denom_direct(CACHE, n), n
-        assert full_denom(n).value == full_denom_direct(CACHE, n), n
-
-
 def test_oracle_equivalence_to_600_and_sampled_to_2000():
     # a fresh cache, so the table grows through this test's own request order
     cache = BernoulliCache()

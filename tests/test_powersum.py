@@ -111,7 +111,7 @@ def test_am_integer_is_a_value():
 def test_poly_shape():
     for m, r, n in ((1, 0, 1), (4, 3, 7), (9, 2, 12)):
         f = power_sum_poly(CACHE, ProgressionSpec(m, r, n))
-        assert f.degree == n + 1
+        assert len(f.nums) == n + 2
         assert f.coeffs[0] == 0
 
 
