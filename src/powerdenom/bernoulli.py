@@ -11,9 +11,11 @@ from the tangent numbers T_k (1, 2, 16, 272, ...) as
 
 after Brent and Harvey, "Fast computation of Bernoulli, Tangent and Secant
 numbers" (2011).  T_k is the zigzag number A_(2k-1), the last entry of row
-2k-1 of the Seidel-Entringer (boustrophedon) triangle, whose rows are built
-from each other by prefix sums alone.  Each B_2k is reduced by one gcd, so
-its denominator comes from that gcd and never from von Staudt-Clausen.
+2k-1 of the Seidel-Entringer-Arnold (boustrophedon) triangle.  Row 0 is
+[1], and row r is 0 followed by the prefix sums of row r-1 read backward,
+so the last entry of row r is the sum of row r-1.  Each B_2k is reduced by
+one gcd, so its denominator comes from that gcd and never from von
+Staudt-Clausen.
 
 Integers are the only internal form of a rational here.  A ``Fraction`` is
 built only where a method returns one: ``number``, ``value_at``, and
@@ -73,25 +75,6 @@ Row = tuple[list[int], list[int], list[int]]
 # and q = 3 or 10^6, so below this gap Horner is the cheaper fill.  Rows that
 # grow one entry per request, as the sweeps and grids ask, stay on Horner.
 HORNER_GAP = 8
-
-
-# Seidel-Entringer rows are summed this many entries at a time, so that at
-# most one block of new sums is held beside the old row.  Filling the table
-# to n = 1500 peaks at 24 MB with one accumulate over each whole row, 21 MB
-# with this block and 19 MB with an in-place loop, which is the slowest of
-# the three below n = 1000.  Rows to n = 512 are one block.
-SEIDEL_BLOCK = 1024
-
-
-def _prefix_sums(row: list[int]) -> None:
-    """Replace each entry of row by the sum of it and all before it."""
-    carry = 0
-    for lo in range(0, len(row), SEIDEL_BLOCK):
-        block = row[lo : lo + SEIDEL_BLOCK]
-        block[0] += carry
-        block = list(accumulate(block))
-        row[lo : lo + SEIDEL_BLOCK] = block
-        carry = block[-1]
 
 
 def _append(row: Row, num: int, den: int) -> None:
@@ -177,15 +160,17 @@ class BernoulliCache:
     """Growable rows of values q^k B_k(p/q), one format for every y = p/q;
     the row of y = 0 is the table of Bernoulli numbers.
 
-    Requesting index n fills every index <= n, so a row only grows, and so
-    does the boustrophedon row the table is read from, whatever the order of
-    the requests.  Single writer: concurrent readers of already-filled
-    entries are fine, but parallel sweeps should hold one cache per worker.
+    Requesting index n fills every index <= n, so a row only grows, and the
+    boustrophedon row the table is read from only moves down the triangle,
+    whatever the order of the requests.  Single writer: concurrent readers
+    of already-filled entries are fine, but parallel sweeps should hold one
+    cache per worker.
     """
 
     def __init__(self) -> None:
-        # Seidel-Entringer row r (r + 1 entries), stored reversed for odd r:
-        # the last entry of an odd row, a tangent number, sits at index 0
+        # Seidel-Entringer row len(table) - 2 (r + 1 entries for row r): the
+        # fill of entry m builds row m - 1 from it, one new list per row, and
+        # the last entry of an odd row is a tangent number
         self._seidel: list[int] = [1]
         # one row per y = p/q in lowest terms, keyed (p, q); the row of 0
         # is the table, starting from B_0 = 1 and B_1 = -1/2
@@ -195,32 +180,19 @@ class BernoulliCache:
         # memo; it starts at n = 0, where B_0(x) = 1
         self._last_dens: tuple[int, tuple[int, ...]] = (0, (1,))
 
-    def _tangent(self, k: int) -> int:
-        """T_k = A_(2k-1), advancing the kept row to 2k-1; k = 1, 2, ... in turn."""
-        row = self._seidel
-        while len(row) < 2 * k:
-            r = len(row)  # index of the row being built
-            if r % 2:
-                # row r-1 is in natural order: suffix sums, then E(r, 0) = 0
-                row.reverse()
-                _prefix_sums(row)
-                row.reverse()
-                row.append(0)
-            else:
-                # row r-1 is reversed: prefix sums, with E(r, 0) = 0 in front
-                _prefix_sums(row)
-                row.insert(0, 0)
-        return row[0]
-
     def _extend(self, n: int) -> None:
         table = self._table
         for m in range(len(table[0]), n + 1):
+            # row m - 1 is 0 and the prefix sums of row m - 2 read backward,
+            # stored on the cache at once, so the old row is freed with it
+            self._seidel = row = [0, *accumulate(reversed(self._seidel))]
             if m % 2:
                 _append(table, 0, 1)
             else:
+                # T_k, k = m/2, is the last entry of row 2k - 1
                 k = m // 2
                 four = 1 << m  # 4^k
-                _append(table, (m if k % 2 else -m) * self._tangent(k), four * (four - 1))
+                _append(table, (m if k % 2 else -m) * row[-1], four * (four - 1))
 
     def number(self, n: int) -> Fraction:
         """B_n; zero for odd n >= 3."""

@@ -24,7 +24,7 @@ ratio.  The input bounds (``MAX_TABLE_N`` and the rest) are defined in
 ``limits`` and imported here; ``seq``, ``powersum`` and ``bench`` check
 theirs, and ``verify`` leaves its bounds to ``run_sweep``.  The ``verify``
 module is imported only by the functions of that command, so a query by
-any other command never loads it or its dataclasses.  Integers are the
+any other command never loads it.  Integers are the
 only internal form of a rational; the DDQ and DBQ oracles alone build a
 ``Fraction``, so that an inexact quotient compares unequal to the formula.
 
@@ -275,6 +275,17 @@ def _cmd_powersum(args: argparse.Namespace) -> int:
         raise ValueError(f"need x >= 0, got {args.x}")
     if args.x is not None and args.x > MAX_POWERSUM_X:
         raise ValueError(f"powersum takes x <= {MAX_POWERSUM_X}, got {args.x}")
+    limit = sys.get_int_max_str_digits()
+
+    def too_long() -> ValueError:
+        # str() of an int past the interpreter's digit limit; raising that
+        # limit would change it for every other user of this process
+        return ValueError(
+            f"powersum output for m={args.m} r={args.r} n={args.n} holds an "
+            f"integer longer than Python's {limit}-digit limit for int-to-str "
+            "conversion"
+        )
+
     if args.n == 0:
         # trivial sum of x ones; every theorem starts at n = 1
         if args.m < 1 or args.r < 0:
@@ -283,6 +294,17 @@ def _cmd_powersum(args: argparse.Namespace) -> int:
         integral = True
     else:
         spec = ProgressionSpec(args.m, args.r, args.n)
+        # some printed int is at least top^n / (n + 1): the leading numerator
+        # is den m^n / (n + 1), the numerators sum to den S(1) = den r^n, and
+        # S(x) >= ((x - 1) m + r)^n.  With b the bit length of top, the output
+        # is refused before any work once top^n >= 2^(n (b - 1)) >= 2^bits >
+        # (n + 1) 10^limit, so m^n is never built.  A limit of 0 is none
+        top = max(args.m, args.r)
+        if args.x:
+            top = max(top, (args.x - 1) * args.m + args.r)
+        bits = (args.n + 1).bit_length() + (10**limit).bit_length()
+        if limit and args.n * (top.bit_length() - 1) >= bits:
+            raise too_long()
         poly = power_sum_poly(BernoulliCache(), spec)
         integral = is_integral(spec)
     if args.x is not None:
@@ -310,13 +332,7 @@ def _cmd_powersum(args: argparse.Namespace) -> int:
                 "cross-check: match",
             ]
     except ValueError:
-        # str() of an int past the interpreter's digit limit; raising that
-        # limit would change it for every other user of this process
-        raise ValueError(
-            f"powersum output for m={args.m} r={args.r} n={args.n} holds an "
-            f"integer longer than Python's {sys.get_int_max_str_digits()}-digit "
-            "limit for int-to-str conversion"
-        ) from None
+        raise too_long() from None
     print("\n".join(lines))
     return 0
 

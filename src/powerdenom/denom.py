@@ -292,7 +292,10 @@ def _nonconstant_segment(lo: int, hi: int) -> Iterator[SquarefreeProduct]:
     """
     root = isqrt(hi)
     # an event is ((n - lo) << 1 | entering) << shift | p, so one sort puts
-    # the events in order of n, the leaves at n before the entries
+    # the events in order of n, the leaves at n before the entries.  Events
+    # as (n - lo, entering, p) tuples were slower: the fill over 1..2000 took
+    # 3.54-3.68 ms against 3.25-3.33 ms at the minimum, with collector passes
+    # in the median
     shift = ((hi + 1) // 2).bit_length()
     events: list[int] = []
     # p <= sqrt(hi): in block k = n // p, s_p(n) = s_p(k) + n - kp reaches p

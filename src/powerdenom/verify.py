@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import os
 import time
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass, replace
 from itertools import zip_longest
 from math import lcm
 
@@ -70,21 +70,15 @@ ChunkResult = tuple[int, list[Failure]]
 MAX_REPORTED_FAILURES = 20
 
 
-@dataclass(frozen=True, slots=True)
-class Bounds:
-    max_n: int
-    m_max: int | None = None
-    r_max: int | None = None
+# a sweep's bounds: the largest n, and for a grid the largest m and r
+Bounds = namedtuple("Bounds", "max_n m_max r_max", defaults=(None, None))
 
 
-@dataclass(frozen=True, slots=True)
-class SweepReport:
-    theorem_id: str
-    range_label: str
-    checked: int
-    failure_count: int
-    failures: tuple[Failure, ...]  # the first MAX_REPORTED_FAILURES, in axis order
-    elapsed: float
+class SweepReport(namedtuple(
+    "SweepReport", "theorem_id range_label checked failure_count failures elapsed"
+)):
+    # failures: the first MAX_REPORTED_FAILURES, in axis order
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -357,7 +351,7 @@ def run_sweep(
     if not grid and (m_max is not None or r_max is not None):
         raise ValueError(f"{theorem_id} sweeps n only; it takes no m or r bound")
     given = {"max_n": max_n, "m_max": m_max, "r_max": r_max}
-    bounds = replace(defaults, **{k: v for k, v in given.items() if v is not None})
+    bounds = defaults._replace(**{k: v for k, v in given.items() if v is not None})
     axes = [("n", bounds.max_n, 1, MAX_TABLE_N if grid else MAX_SEQ_N)]
     if grid:
         axes += [("m", bounds.m_max, 1, MAX_GRID_M), ("r", bounds.r_max, 0, MAX_GRID_R)]

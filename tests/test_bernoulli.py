@@ -1,5 +1,6 @@
 """Bernoulli numbers, polynomials, and the RationalPoly container."""
 
+import functools
 import math
 import random
 from fractions import Fraction
@@ -9,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from powerdenom import bernoulli
 from powerdenom.bernoulli import BernoulliCache, RationalPoly
 from powerdenom.digits import p_valuation, primes_up_to
 
@@ -73,12 +73,20 @@ def test_table_matches_recurrence_in_one_call():
     assert _numbers(BernoulliCache(), 400) == REFERENCE
 
 
-@pytest.mark.parametrize("block", [1, 2, 7, 64])
-def test_table_matches_recurrence_summed_in_blocks(monkeypatch, block):
-    # rows longer than one block, as the table makes past n = 512 at the
-    # default block, summed across block boundaries of every parity
-    monkeypatch.setattr(bernoulli, "SEIDEL_BLOCK", block)
-    assert _numbers(BernoulliCache(), 400) == REFERENCE
+@functools.cache
+def _table_to_1500() -> BernoulliCache:
+    """One cache filled to n = 1500, shared by the tests that read that far."""
+    cache = BernoulliCache()
+    cache.row(1500, 0)
+    return cache
+
+
+def test_long_table_rows_satisfy_the_defining_recurrence():
+    # far past the reference's n = 400, with Seidel rows either side of
+    # 1024 entries and at the table's top
+    for n in (1023, 1024, 1025, 1026, 1499, 1500):
+        _, scaled = _table_to_1500().scaled_numbers(n - 1)
+        assert sum(comb(n, k) * b for k, b in enumerate(scaled)) == 0, n
 
 
 def test_table_matches_recurrence_in_ascending_steps():
@@ -89,7 +97,7 @@ def test_table_matches_recurrence_in_ascending_steps():
 
 
 def test_table_matches_recurrence_in_shuffled_order():
-    # the boustrophedon row only grows; any request order gives one table
+    # the boustrophedon row only moves down; any request order gives one table
     order = list(range(401))
     random.Random(2017).shuffle(order)
     cache = BernoulliCache()
@@ -155,7 +163,7 @@ def _denominators_at_every_index(dens, n):
 
 def test_coefficient_denominators_match_the_every_index_loop_to_1500():
     # n descending, so every call misses the one-slot memo; both parities
-    cache = BernoulliCache()
+    cache = _table_to_1500()
     numbers = _numbers(cache, 1500)
     for k in range(3, 1501, 2):
         assert (numbers[k].numerator, numbers[k].denominator) == (0, 1), k

@@ -527,6 +527,16 @@ def test_verify_parallel_matches_inline(capsys):
     assert "checked 128 cases" in out_par
 
 
+def test_am_grid_over_two_workers_matches_inline(monkeypatch):
+    # the pool path, with Bounds pickled to each worker, even on one CPU
+    monkeypatch.setattr(verify, "usable_cpus", lambda: 2)
+    bounds = {"max_n": 12, "m_max": 6, "r_max": 4}
+    inline = verify.run_sweep("AM-integrality", jobs=1, **bounds)
+    pooled = verify.run_sweep("AM-integrality", jobs=2, **bounds)
+    assert inline.ok and inline.checked == 6 * 9 * 12
+    assert pooled._replace(elapsed=0) == inline._replace(elapsed=0)
+
+
 def test_verify_usage_errors(capsys):
     code, _, _ = run_cli(capsys, "verify", "T9-unknown")
     assert code == 2
@@ -1181,6 +1191,49 @@ def test_powersum_past_the_digit_limit_prints_nothing(capsys):
     assert f"{sys.get_int_max_str_digits()}-digit limit" in err
 
 
+# powersum inputs whose output holds an int past the default digit limit:
+# r^n, m^n and S(x) >= ((x - 1) m + r)^n are each too long, and the last is
+# just past where the refusal starts at n = 50
+TOO_LONG_POWERSUMS = (
+    ("--m", "1", "--r", str(10**50), "--n", "1500"),
+    ("--m", str(10**200 + 7), "--r", "1", "--n", "600"),
+    ("--m", "1000000", "--r", "1", "--n", "1500"),
+    ("--m", "2", "--r", "1", "--n", "1500", "--x", "10000"),
+    ("--m", "1", "--r", str(2**286), "--n", "50"),
+)
+
+
+def test_powersum_past_the_digit_limit_is_refused_before_any_work(capsys, monkeypatch):
+    # some printed int is at least max(m, r, (x - 1) m + r)^n / (n + 1), so
+    # these exit before the polynomial is built (64 s at r = 10^50 when it
+    # was built first); just below the last one, the output still prints
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run_cli(capsys, "powersum", "--m", "1", "--r", str(2**285),
+                                 "--n", "50")
+        assert (code, err) == (0, "")
+        assert max(map(len, re.findall(r"\d+", out))) > 4280
+
+        def refuse(*args):
+            raise AssertionError(f"work started for {args[1:]}")
+
+        monkeypatch.setattr(BernoulliCache, "_extend", refuse)
+        monkeypatch.setattr(cli, "power_sum_naive", refuse)
+        for args in TOO_LONG_POWERSUMS:
+            m, r, n = args[1:6:2]
+            assert run_cli(capsys, "powersum", *args) == (2, "", (
+                f"error: powersum output for m={m} r={r} n={n} holds an integer "
+                "longer than Python's 4300-digit limit for int-to-str conversion\n"
+            )), args
+        # a limit of 0 is no limit, and the work starts
+        sys.set_int_max_str_digits(0)
+        with pytest.raises(AssertionError, match="work started"):
+            main(["powersum", *TOO_LONG_POWERSUMS[0]])
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _python(*argv: str) -> subprocess.CompletedProcess:
     src = str(Path(powerdenom.__file__).parents[1])
     path = os.environ.get("PYTHONPATH")
@@ -1234,6 +1287,7 @@ def test_cli_import_loads_only_what_its_queries_run():
         "print(codes, read, 'argparse' in sys.modules,\n"
         "      *[name for name in heavy if name in sys.modules])\n"
         "print(main(['verify', 'T1-parity', '--max', '64', '--jobs', '1']))\n"
+        "print('dataclasses' in sys.modules)\n"
         "try:\n"
         "    build_parser().parse_args(['verify', '--help'])\n"
         "except SystemExit as exc:\n"
@@ -1247,8 +1301,10 @@ def test_cli_import_loads_only_what_its_queries_run():
     assert lines[1] == "T1-parity: n <= 64"
     assert lines[2].startswith("checked 64 cases in ") and lines[2].endswith(": PASS")
     assert lines[3] == "0"
-    assert lines[4].startswith("usage: powerdenom verify ") and lines[-1] == "0"
-    usage = "\n".join(lines[4:])
+    # verify's records are named tuples: no command loads dataclasses
+    assert lines[4] == "False"
+    assert lines[5].startswith("usage: powerdenom verify ") and lines[-1] == "0"
+    usage = "\n".join(lines[5:])
     for theorem_id in verify.available_sweeps():
         assert theorem_id in usage, theorem_id
     assert len(verify.available_sweeps()) == 8
