@@ -65,6 +65,8 @@ from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
 
+from .value import Value
+
 # q^k B_k(p/q) for k = 0, 1, ... at y = p/q in lowest terms: reduced
 # numerators, reduced denominators, and lcms[k] = lcm(dens[0..k])
 Row = tuple[list[int], list[int], list[int]]
@@ -87,16 +89,16 @@ def _append(row: Row, num: int, den: int) -> None:
     lcms.append(math.lcm(lcms[-1], den) if lcms else den)
 
 
-class RationalPoly:
+class RationalPoly(Value):
     """Dense univariate polynomial with rational coefficients.
 
     ``RationalPoly(nums, den)`` is sum(nums[i] x^i) / den for integer
     numerators ``nums`` (ascending: index i belongs to x^i) and a nonzero
     integer ``den``, stored in canonical form: den > 0,
     gcd(den, *nums) == 1 and no trailing zero numerators.  The zero
-    polynomial has ``nums == ()`` and ``den == 1``.  Instances are
-    immutable by convention.  A polynomial is only built and evaluated; it
-    has no ring arithmetic.
+    polynomial has ``nums == ()`` and ``den == 1``.  A ``Value``, so equal
+    polynomials have equal fields.  A polynomial is only built and
+    evaluated; it has no ring arithmetic.
     """
 
     __slots__ = ("nums", "den")
@@ -143,17 +145,6 @@ class RationalPoly:
             qpow *= q
             acc = acc * p + c * qpow
         return Fraction(acc, self.den * qpow)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, RationalPoly):
-            return NotImplemented
-        return self.den == other.den and self.nums == other.nums
-
-    def __hash__(self) -> int:
-        return hash((self.nums, self.den))
-
-    def __repr__(self) -> str:
-        return f"RationalPoly({list(self.nums)!r}, {self.den})"
 
 
 class BernoulliCache:

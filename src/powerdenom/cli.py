@@ -312,8 +312,8 @@ def _cmd_powersum(args: argparse.Namespace) -> int:
         naive = args.x if args.n == 0 else power_sum_naive(spec, args.x)
         if via_poly != naive:
             raise TheoremViolationError(
-                f"polynomial and naive sum disagree at x={args.x}: "
-                f"{via_poly} vs {naive}"
+                f"polynomial and naive sum disagree at m={args.m}, r={args.r}, "
+                f"n={args.n}, x={args.x}: {via_poly} vs {naive}"
             )
     # every line is formatted before any is written, so a failure leaves
     # stdout empty

@@ -1,10 +1,9 @@
 """Base-p digit arithmetic, p-adic valuations, factorization and prime enumeration.
 
 Everything here is exact integer arithmetic on Python's native bigints.
-A squarefree product (``SquarefreeProduct``) is a slotted object, immutable
-by convention, holding its ascending primes and their product: computed
-once by the pass that checks the order, or carried in by a producer that
-keeps the two in step itself.
+A squarefree product (``SquarefreeProduct``) is a ``Value`` holding its
+ascending primes and their product: computed once by the pass that checks
+the order, or carried in by a producer that keeps the two in step itself.
 
 All functions are pure apart from the prime sieve, a module-level cache that
 only ever grows.  Its state is a flag table, one byte per integer up to
@@ -22,22 +21,23 @@ from bisect import bisect_right
 from itertools import compress
 from math import isqrt
 
+from .value import Value
 
-class SquarefreeProduct:
+
+class SquarefreeProduct(Value, key=("primes",)):
     """A squarefree positive integer, built from its prime divisors ascending.
 
     The constructor takes the primes alone; ``value``, their product, is
     computed once by the same pass that checks that they strictly increase.
-    The empty product is 1.  Instances are slotted and immutable by
-    convention; two are equal, and hash alike, exactly when their primes
-    are, so equality says nothing about ``value``.  Producers that list
-    their primes in ascending order call the constructor; :meth:`of` sorts
-    first, for unordered input.  Two producers already hold the product and
-    pass it with the primes to the private ``_carried``, which checks
-    neither: :meth:`merge`, and the DD segment sweep in ``denom``, which
-    checks each prime entering or leaving its set instead.  Full primality
-    of every member is the producers' responsibility; the test suite
-    re-verifies it by trial division.
+    The empty product is 1.  A ``Value`` keyed by its primes alone, so
+    equality says nothing about ``value``.  Producers that list their primes
+    in ascending order call the constructor; :meth:`of` sorts first, for
+    unordered input.  Two producers already hold the product and pass it
+    with the primes to the private ``_carried``, which checks neither:
+    :meth:`merge`, and the DD segment sweep in ``denom``, which checks each
+    prime entering or leaving its set instead.  Full primality of every
+    member is the producers' responsibility; the test suite re-verifies it
+    by trial division.
     """
 
     __slots__ = ("primes", "value")
@@ -63,17 +63,6 @@ class SquarefreeProduct:
         self.primes = primes
         self.value = value
         return self
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SquarefreeProduct):
-            return NotImplemented
-        return self.primes == other.primes
-
-    def __hash__(self) -> int:
-        return hash(self.primes)
-
-    def __repr__(self) -> str:
-        return f"SquarefreeProduct(primes={self.primes!r}, value={self.value!r})"
 
     @classmethod
     def of(cls, primes) -> "SquarefreeProduct":
@@ -173,10 +162,7 @@ def factorize(k: int) -> list[tuple[int, int]]:
     """
     if k < 1:
         raise ValueError(f"factorize requires k >= 1, got {k}")
-    primes = _sieve_primes
-    if not primes or primes[-1] ** 2 < k:
-        primes_up_to(isqrt(k))
-        primes = _sieve_primes
+    primes = sieve_primes(isqrt(k))
     flags = _sieve_flags
     pairs = []
     if k >= len(flags) or not flags[k]:

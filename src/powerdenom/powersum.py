@@ -28,14 +28,12 @@ from math import gcd
 from .bernoulli import BernoulliCache, RationalPoly
 from .denom import full_denom, nonconstant_denom
 from .errors import TheoremViolationError
+from .value import Value
 
 
-class ProgressionSpec:
-    """Progression with difference m >= 1 and start r >= 0, raised to n >= 1.
-
-    Slotted and immutable by convention; two are equal, and hash alike,
-    exactly when their m, r and n are.
-    """
+class ProgressionSpec(Value):
+    """Progression with difference m >= 1 and start r >= 0, raised to n >= 1;
+    a ``Value``."""
 
     __slots__ = ("m", "r", "n")
 
@@ -54,28 +52,10 @@ class ProgressionSpec:
         self.r = r
         self.n = n
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.m, self.r, self.n) == (other.m, other.r, other.n)
 
-    def __hash__(self) -> int:
-        return hash((self.m, self.r, self.n))
-
-    def __repr__(self) -> str:
-        return f"ProgressionSpec(m={self.m!r}, r={self.r!r}, n={self.n!r})"
-
-    def __reduce__(self) -> tuple:
-        # through the constructor: protocols 0 and 1 cannot pickle bare slots
-        return ProgressionSpec, (self.m, self.r, self.n)
-
-
-class AMInteger:
-    """The integer m^n(B_n(r/m) - B_n); build through am_integer only.
-
-    Slotted and immutable by convention; equal, and hashed alike, by all
-    four fields.
-    """
+class AMInteger(Value):
+    """The integer m^n(B_n(r/m) - B_n), a ``Value``; build through
+    am_integer only."""
 
     __slots__ = ("m", "r", "n", "value")
 
@@ -89,20 +69,6 @@ class AMInteger:
         self.r = r
         self.n = n
         self.value = value
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.m, self.r, self.n, self.value) == (other.m, other.r, other.n, other.value)
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.r, self.n, self.value))
-
-    def __repr__(self) -> str:
-        return f"AMInteger(m={self.m!r}, r={self.r!r}, n={self.n!r}, value={self.value!r})"
-
-    def __reduce__(self) -> tuple:
-        return AMInteger, (self.m, self.r, self.n, self.value)
 
 
 def power_sum_naive(spec: ProgressionSpec, x: int) -> int:

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: formats, exit codes, cross-checks."""
 
+import ast
 import concurrent.futures
 import hashlib
 import importlib
@@ -492,8 +493,30 @@ def test_powersum_naive_sum_disagreeing_exits_3_naming_x(capsys, monkeypatch):
     # the polynomial gives 1 + 4^5 + 7^5 + 10^5; the patched naive sum one more
     assert err == (
         "internal invariant violated: polynomial and naive sum disagree at "
-        "x=4: 117832 vs 117833\n"
+        "m=3, r=1, n=5, x=4: 117832 vs 117833\n"
     )
+
+
+def test_every_theorem_violation_formats_its_input():
+    # exit 3 names the input: each raise in the package passes one f-string
+    # with at least one formatted value
+    raises = 0
+    for path in sorted(Path(powerdenom.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(node, ast.Raise) or node.exc is None:
+                continue
+            exc = node.exc
+            func = exc.func if isinstance(exc, ast.Call) else exc
+            if getattr(func, "id", getattr(func, "attr", None)) != "TheoremViolationError":
+                continue
+            raises += 1
+            where = f"{path.name}:{node.lineno}"
+            assert isinstance(exc, ast.Call) and len(exc.args) == 1, where
+            message = exc.args[0]
+            assert isinstance(message, ast.JoinedStr), where
+            assert any(isinstance(part, ast.FormattedValue) for part in message.values), where
+    # two in cli, four in denom, one in powersum
+    assert raises >= 7
 
 
 def test_verify_pass_and_report(capsys):

@@ -533,6 +533,26 @@ def test_dd_from_a_fresh_sieve_where_its_prime_ranges_meet(fresh_sieve):
         assert got[n] == nonconstant_denom_all_primes(n).primes, n
 
 
+@pytest.mark.parametrize("lo, hi", [(1000, 1100), (1000, 1010), (1, 5000)])
+def test_segments_from_a_fresh_sieve_equal_those_after_a_grown_one(fresh_sieve, lo, hi):
+    # from a fresh sieve each scan gets a flag table and a prime list that
+    # end about where it asked, so a scan that asks for too few reads short
+    # tables here; after the sieve is grown past hi it reads full ones
+    scans = {
+        "DD": lambda: [sp.primes for sp in denom._nonconstant_segment(lo, hi)],
+        "D": lambda: [sp.primes for sp in denom._number_segment(lo, hi)],
+        "Q": lambda: denom._quotient_segment(lo, hi),
+    }
+    cold = {}
+    for name, scan in scans.items():
+        fresh_sieve()
+        cold[name] = scan()
+    digits.prime_flags(4 * hi)
+    digits.sieve_primes(4 * hi)
+    for name, scan in scans.items():
+        assert cold[name] == scan(), name
+
+
 def test_products_are_valid_squarefree():
     for n in range(1, 120):
         for sp in (nonconstant_denom(n), number_denom(n), full_denom(n)):

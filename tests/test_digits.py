@@ -164,7 +164,8 @@ def test_sieve_prefix_stability():
 
 
 FLAG_TOP = 200_000
-FLAG_BOUNDS = [1, 2, 3, 4, 97, 255, 256, 257, 1000, 4097, 30_030, 65_537, 123_457, FLAG_TOP]
+FLAG_BOUNDS = [1, 2, 3, 4, 5, 20, 97, 255, 256, 257, 600, 1000, 4097, 30_030, 65_537,
+               123_457, FLAG_TOP]
 
 
 @pytest.fixture(scope="module")
@@ -172,14 +173,23 @@ def trial_flags():
     return bytes(is_prime(j) for j in range(FLAG_TOP + 1))
 
 
-@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", *range(1, 7)])
 def test_flag_table_and_prime_list_match_trial_division(fresh_sieve, trial_flags, order):
+    # from a fresh sieve; an int order is a seed for 12 bounds drawn with
+    # repeats.  Each extension of the prime list resumes where the last one
+    # stopped: one that resumed a step late would drop 3 after the bound 2
     bounds = sorted(FLAG_BOUNDS, reverse=order == "descending")
     if order == "shuffled":
         random.Random(2017).shuffle(bounds)
+    if isinstance(order, int):
+        rng = random.Random(order)
+        bounds = [rng.choice(FLAG_BOUNDS) for _ in range(12)]
     trial_primes = [j for j in range(FLAG_TOP + 1) if trial_flags[j]]
     for b in bounds:
         assert primes_up_to(b) == trial_primes[: bisect_right(trial_primes, b)], b
+        listed = sieve_primes(b)
+        assert listed == trial_primes[: len(listed)], b
+        assert len(listed) >= bisect_right(trial_primes, b), b
         flags = prime_flags(b)
         assert len(flags) > b
         top = min(len(flags), FLAG_TOP + 1)
