@@ -99,12 +99,15 @@ sweeps n upward; D's lists each n's primes.
                       is in DD(n) exactly for n in [(k+1)p - k, (k+1)p - 1];
                       for each k the primes in the matching p-interval come
                       from one slice of the flag table.
-  DD, the sweep:      each run gives an enter event at its first n, or at
-                      lo for a run that contains lo, and a leave event one
-                      past its last n; one sort orders them by n.  From n
-                      to n + 1 about two primes enter or leave, so the sweep
-                      keeps DD's primes in a sorted list and their product
-                      in an int, and updates both at each event.
+  DD, the sweep:      each run lists its prime among the entries at its
+                      first n, or at lo for a run that contains lo, and
+                      among the leaves one past its last n: two lists per n,
+                      indexed by n - lo.  From n to n + 1 about two primes
+                      enter or leave, so the sweep walks n upward, keeps
+                      DD's primes in a sorted list and their product in an
+                      int, takes out the leaves at n and then puts in the
+                      entries, and builds a product only at an n that has
+                      either.
   D:                  for each d <= sqrt(hi), the even multiples n = d*j
                       with j >= d take d + 1 and j + 1 when prime.
 
@@ -118,11 +121,11 @@ sweeps n upward; D's lists each n's primes.
                       stay independent of the DD scans.
 
 A segment of R indices costs about R*log(hi) + sqrt(hi) steps, plus one per
-prime written for D and one per event for DD, where R per-n scans cost
-R*sqrt(hi).  The per-n scans stay: below about 12 indices for DD, 32 for
-the quotients and 320 for D (``cli.SEGMENT_MIN_TERMS``) they are the
-faster ones, and the tests hold the segment scans to their tuples and to
-the per-index quotients.
+prime written for D and one per prime entering or leaving for DD, where R
+per-n scans cost R*sqrt(hi).  The per-n scans stay: below about 12 indices
+for DD, 32 for the quotients and 320 for D (``cli.SEGMENT_MIN_TERMS``) they
+are the faster ones, and the tests hold the segment scans to their tuples
+and to the per-index quotients.
 
 Every other scan here, per index or per segment, lists its primes in
 ascending order, and so do the two full-scan references and
@@ -131,10 +134,10 @@ constructor straight from those primes, with no sort and one product.  Two
 producers carry the value instead, through the private constructor
 ``SquarefreeProduct._carried``: ``merge``, which appends the primes one
 operand lacks to the other's and sorts, and the DD sweep, which yields its
-current primes with their product.  The sweep checks each event in place
-of each product: a prime that enters while in DD, or leaves while not in
-it or without dividing the product, raises TheoremViolationError naming n
-and p.
+current primes with their product.  The sweep checks each entry and leave
+in place of each product: a prime that enters while in DD, or leaves while
+not in it or without dividing the product, raises TheoremViolationError
+naming n and p.
 
 Both closed forms keep their values in a memo of at most ``MEMO_BOUND``
 indices, oldest out first; a hit returns the stored SquarefreeProduct
@@ -157,7 +160,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections import OrderedDict
 from collections.abc import Callable, Iterator
-from itertools import compress, islice, repeat
+from itertools import compress, islice
 from math import isqrt, lcm
 
 from .bernoulli import BernoulliCache
@@ -284,20 +287,17 @@ def _unlisted_prime(k: int) -> bool:
 def _nonconstant_segment(lo: int, hi: int) -> Iterator[SquarefreeProduct]:
     """nonconstant_denom(n) for n = lo..hi, yielded lazily from one sweep.
 
-    Each run of n at which a prime is in DD(n) becomes an enter event at its
-    first n, or at lo for a run that contains lo, and a leave event one past
-    its last.  From lo on, the sweep carries DD's primes and their product
-    from n - 1 to n through the events at n, and checks each event against
-    them.
+    Each run of n at which a prime is in DD(n) lists the prime among the
+    entries at its first n, or at lo for a run that contains lo, and among
+    the leaves one past its last.  From lo on, the sweep carries DD's primes
+    and their product from n - 1 to n through the leaves and then the
+    entries at n, and checks each against them.
     """
     root = isqrt(hi)
-    # an event is ((n - lo) << 1 | entering) << shift | p, so one sort puts
-    # the events in order of n, the leaves at n before the entries.  Events
-    # as (n - lo, entering, p) tuples were slower: the fill over 1..2000 took
-    # 3.54-3.68 ms against 3.25-3.33 ms at the minimum, with collector passes
-    # in the median
-    shift = ((hi + 1) // 2).bit_length()
-    events: list[int] = []
+    size = hi - lo + 1
+    # enters[i] and leaves[i]: the primes entering and leaving DD at n = lo + i
+    enters: list[list[int]] = [[] for _ in range(size)]
+    leaves: list[list[int]] = [[] for _ in range(size)]
     # p <= sqrt(hi): in block k = n // p, s_p(n) = s_p(k) + n - kp reaches p
     # from n = kp + max(p - s_p(k), 0) to the block's end.  Every block k >= 1
     # ends in DD, so p leaves only at a block kp with s_p(k) < p, and enters
@@ -308,7 +308,7 @@ def _nonconstant_segment(lo: int, hi: int) -> Iterator[SquarefreeProduct]:
         s = digit_sum(p, first)
         start = first * p + max(p - s, 0)
         if start <= hi:
-            events.append((max(start - lo, 0) << 1 | 1) << shift | p)
+            enters[max(start - lo, 0)].append(p)
         for k in range(first + 1, hi // p + 1):
             s += 1
             q = k
@@ -316,10 +316,10 @@ def _nonconstant_segment(lo: int, hi: int) -> Iterator[SquarefreeProduct]:
                 q //= p
                 s -= p - 1
             if s < p:
-                base = k * p
-                events.append((base - lo) << (shift + 1) | p)
-                if base + p - s <= hi:
-                    events.append(((base + p - s - lo) << 1 | 1) << shift | p)
+                i = k * p - lo
+                leaves[i].append(p)
+                if i + p - s < size:
+                    enters[i + p - s].append(p)
     # p > sqrt(hi): n = kp + d has two digits, so p is in DD(n) for the k
     # values n = (k+1)p - k .. (k+1)p - 1.  For k = 1 the p-interval ends at
     # (hi + 1) // 2, the largest prime asked.
@@ -329,45 +329,38 @@ def _nonconstant_segment(lo: int, hi: int) -> Iterator[SquarefreeProduct]:
         last = (hi + k) // (k + 1)
         for p in compress(range(first, last + 1), flags[first : last + 1]):
             stop = (k + 1) * p - lo
-            events.append((max(stop - k, 0) << 1 | 1) << shift | p)
-            if stop <= hi - lo:
-                events.append(stop << (shift + 1) | p)
-    events.sort()
+            enters[max(stop - k, 0)].append(p)
+            if stop < size:
+                leaves[stop].append(p)
     carried = SquarefreeProduct._carried
-    mask = (1 << shift) - 1
     current: list[int] = []
     value = 1
-    done = 0  # the n - lo yielded so far
-    for event in events:
-        p = event & mask
-        at = event >> shift
-        i = at >> 1
-        if i > done:
+    # DD(lo) may be 1, with no prime entering at lo
+    product = carried((), 1)
+    for n, left, entered in zip(range(lo, hi + 1), leaves, enters):
+        if left or entered:
+            for p in left:
+                # current[j - 1] is p exactly when p is in
+                j = bisect_right(current, p)
+                if not (j and current[j - 1] == p):
+                    raise TheoremViolationError(
+                        f"DD sweep: {p} leaves DD({n}) but is not in DD({n - 1})"
+                    )
+                value, rest = divmod(value, p)
+                if rest:
+                    raise TheoremViolationError(
+                        f"DD sweep: {p} leaves DD({n}) but does not divide the "
+                        f"carried value of DD({n - 1})"
+                    )
+                del current[j - 1]
+            for p in entered:
+                j = bisect_right(current, p)
+                if j and current[j - 1] == p:
+                    raise TheoremViolationError(f"DD sweep: {p} enters DD({n}) twice")
+                current.insert(j, p)
+                value *= p
             product = carried(tuple(current), value)
-            while done < i:
-                yield product
-                done += 1
-        # current[j - 1] is p exactly when p is in
-        j = bisect_right(current, p)
-        present = j and current[j - 1] == p
-        if at & 1:
-            if present:
-                raise TheoremViolationError(f"DD sweep: {p} enters DD({lo + i}) twice")
-            current.insert(j, p)
-            value *= p
-        else:
-            if not present:
-                raise TheoremViolationError(
-                    f"DD sweep: {p} leaves DD({lo + i}) but is not in DD({lo + i - 1})"
-                )
-            value, rest = divmod(value, p)
-            if rest:
-                raise TheoremViolationError(
-                    f"DD sweep: {p} leaves DD({lo + i}) but does not divide the "
-                    f"carried value of DD({lo + i - 1})"
-                )
-            del current[j - 1]
-    yield from repeat(carried(tuple(current), value), hi - lo + 1 - done)
+        yield product
 
 
 def _cofactors(d: int, lo: int, hi: int) -> range:

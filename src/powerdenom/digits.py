@@ -204,7 +204,7 @@ def prime_flags(bound: int) -> memoryview:
     Writing to it raises TypeError.
     """
     global _sieve_limit, _sieve_flags
-    if bound > _sieve_limit:
+    if bound > _sieve_limit or not _sieve_flags:
         limit = max(bound, 2 * _sieve_limit, 256)
         # let go of the old table before the new one is allocated, so the
         # two are not held at once; a view handed out earlier keeps its own

@@ -1257,6 +1257,35 @@ def test_powersum_past_the_digit_limit_is_refused_before_any_work(capsys, monkey
         sys.set_int_max_str_digits(limit)
 
 
+def test_powersum_past_the_digit_limit_after_the_bit_length_check_prints_nothing(
+    capsys, monkeypatch
+):
+    # 100 * 21 bits stay below the early refusal's 2134 at a limit of 640,
+    # yet the polynomial holds an int of about 660 digits: the refusal comes
+    # from str() of the built output, and the limit is left as it was
+    built = []
+    real = cli.power_sum_poly
+
+    def spy(*args):
+        built.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(cli, "power_sum_poly", spy)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert run_cli(capsys, "powersum", "--m", "4194303", "--r", "1", "--n", "100") == (
+            2, "", (
+                "error: powersum output for m=4194303 r=1 n=100 holds an integer "
+                "longer than Python's 640-digit limit for int-to-str conversion\n"
+            ),
+        )
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [(s.m, s.r, s.n) for s in built] == [(4194303, 1, 100)]
+
+
 def _python(*argv: str) -> subprocess.CompletedProcess:
     src = str(Path(powerdenom.__file__).parents[1])
     path = os.environ.get("PYTHONPATH")

@@ -401,6 +401,13 @@ def test_the_dd_sweep_checks_each_event(monkeypatch):
             r"^DD sweep: 167 leaves DD\(1002\) but does not divide the carried value of "
             r"DD\(1001\)$",
         ),
+        # 2 listed again after the other primes <= sqrt(hi): it enters again
+        # while larger primes are held, so the largest held is not 2
+        (
+            "primes_up_to",
+            lambda b: primes_up_to(b) + [2],
+            r"^DD sweep: 2 enters DD\(1000\) twice$",
+        ),
     )
     for name, fake, message in faults:
         with monkeypatch.context() as patch:

@@ -164,7 +164,7 @@ def test_sieve_prefix_stability():
 
 
 FLAG_TOP = 200_000
-FLAG_BOUNDS = [1, 2, 3, 4, 5, 20, 97, 255, 256, 257, 600, 1000, 4097, 30_030, 65_537,
+FLAG_BOUNDS = [0, 1, 2, 3, 4, 5, 20, 97, 255, 256, 257, 600, 1000, 4097, 30_030, 65_537,
                123_457, FLAG_TOP]
 
 
@@ -175,9 +175,11 @@ def trial_flags():
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled", *range(1, 7)])
 def test_flag_table_and_prime_list_match_trial_division(fresh_sieve, trial_flags, order):
-    # from a fresh sieve; an int order is a seed for 12 bounds drawn with
-    # repeats.  Each extension of the prime list resumes where the last one
-    # stopped: one that resumed a step late would drop 3 after the bound 2
+    # from a fresh sieve whose flag table is empty too; an int order is a
+    # seed for 12 bounds drawn with repeats.  Each extension of the prime
+    # list resumes where the last one stopped: one that resumed a step late
+    # would drop 3 after the bound 2
+    digits._sieve_flags = memoryview(b"")
     bounds = sorted(FLAG_BOUNDS, reverse=order == "descending")
     if order == "shuffled":
         random.Random(2017).shuffle(bounds)
