@@ -19,11 +19,12 @@ Staudt-Clausen.
 
 Integers are the only internal form of a rational here.  A ``Fraction`` is
 built only where a method returns one: ``number``, ``value_at``, and
-``RationalPoly.coeffs`` and ``__call__``.  Polynomials (``RationalPoly``) are
-integer numerators over one common denominator, built from those integers
-in canonical form and evaluated; nothing else.  A rational point is two
-ints: ``row(n, p, q)`` takes y = p/q in lowest terms, q >= 1, and only
-``value_at`` and a polynomial's ``__call__`` take y as an int or a
+``RationalPoly.coeffs`` and ``__call__``, which alone import ``fractions``,
+so importing this module does not load it.  Polynomials (``RationalPoly``)
+are integer numerators over one common denominator, built from those
+integers in canonical form and evaluated; nothing else.  A rational point
+is two ints: ``row(n, p, q)`` takes y = p/q in lowest terms, q >= 1, and
+only ``value_at`` and a polynomial's ``__call__`` take y as an int or a
 ``Fraction``, read through ``y.numerator`` and ``y.denominator``.  Values
 at a rational point share one row format: per distinct y = p/q in lowest
 terms, the reduced numerators, reduced denominators and running lcm of
@@ -47,10 +48,13 @@ missing:
   B_n(x + y) = sum_j C(n, j) B_(n-j)(y) x^j).
 
 Rows that grow one entry per request stay on Horner; a fresh point at a
-large index costs one shift.  ``coefficient_denominators`` gives the
-reduced denominators of B_n(x)'s coefficients without building the
-polynomial, working only at the even indices of B_k, with one binomial
-for both ends of the row when n is even.
+large index costs one shift.  ``polynomial_denominators`` gives the
+denominators of B_n(x) - B_n and of B_n(x) without building the
+polynomial: one pass over the even indices of B_k, with one binomial for
+both ends of the row when n is even, puts the reduced denominator of
+each nonconstant coefficient into one set of distinct values.  The lcm of
+that set is the first, and the constant term B_n adds its own for the
+second.
 
 This module is the certain oracle: exact integers throughout, no
 approximations anywhere.  The closed-form denominator products elsewhere
@@ -61,7 +65,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
 
@@ -124,6 +127,8 @@ class RationalPoly(Value):
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
+        from fractions import Fraction
+
         den = self.den
         return tuple(Fraction(c, den) for c in self.nums)
 
@@ -135,6 +140,8 @@ class RationalPoly(Value):
     def __call__(self, x: int | Fraction) -> Fraction:
         """Homogeneous Horner at x = p/q: q^d f(p/q) in integers, then one
         Fraction over den * q^d."""
+        from fractions import Fraction
+
         nums = self.nums
         if not nums:
             return Fraction(0)
@@ -167,9 +174,9 @@ class BernoulliCache:
         # is the table, starting from B_0 = 1 and B_1 = -1/2
         self._table: Row = ([1, -1], [1, 2], [1, 2])
         self._rows: dict[tuple[int, int], Row] = {(0, 1): self._table}
-        # the last coefficient_denominators answer only, one slot, no per-n
+        # the last polynomial_denominators answer only, one slot, no per-n
         # memo; it starts at n = 0, where B_0(x) = 1
-        self._last_dens: tuple[int, tuple[int, ...]] = (0, (1,))
+        self._last_dens: tuple[int, tuple[int, int]] = (0, (1, 1))
 
     def _extend(self, n: int) -> None:
         table = self._table
@@ -187,6 +194,8 @@ class BernoulliCache:
 
     def number(self, n: int) -> Fraction:
         """B_n; zero for odd n >= 3."""
+        from fractions import Fraction
+
         nums, dens, _ = self.row(n, 0)
         return Fraction(nums[n], dens[n])
 
@@ -204,45 +213,54 @@ class BernoulliCache:
             binom = binom * (n - k) // (k + 1)
         return RationalPoly(nums, scale)
 
-    def coefficient_denominators(self, n: int) -> tuple[int, ...]:
-        """The reduced denominator of C(n, j) B_(n-j), the x^j coefficient of
-        B_n(x), for j = 0..n.
+    def polynomial_denominators(self, n: int) -> tuple[int, int]:
+        """(DD, DB): the denominators of B_n(x) - B_n and of B_n(x) in lowest
+        terms, read without building the polynomial.
 
-        The lcm of these is the denominator of B_n(x) in lowest terms, so
-        denominators are read without building the polynomial.  Only the
-        entries at even k = n - j need work: B_k = 0 at odd k >= 3, and the
-        k = 1 entry is 2 / gcd(2, n).  The binomial steps by two, and for
-        even n the one C(n, j) = C(n, n - j) serves both ends, so only
-        j <= n/2 are stepped.  Only the last n asked for is remembered.
+        Each is the lcm of the reduced denominators of the x^j coefficients
+        C(n, j) B_(n-j), over j >= 1 for DD and over every j for DB.  Only
+        even k = n - j need work: B_k = 0 at odd k >= 3, and the k = 1 term
+        is -n/2.  Each reduced denominator goes into a set of distinct
+        values as it is made, most of them 1, and one lcm reads the set.
+        The binomial steps by two, and for even n the one
+        C(n, j) = C(n, n - j) serves both ends, so only j <= n/2 are
+        stepped; DB is then lcm(DD, den B_n), and at odd n >= 3, where
+        B_n = 0, it is DD.  Only the last n asked for is remembered.
         """
-        last_n, dens = self._last_dens
+        last_n, pair = self._last_dens
         if n == last_n:
-            return dens
+            return pair
         den = self.row(n, 0)[1]
-        out = [1] * (n + 1)
-        if n:
-            out[n - 1] = 2 // math.gcd(2, n)
+        gcd = math.gcd
         # B_k is stored in lowest terms, so the numerator shares no factor
         # with den[k] and only the binomial can cancel
         if n % 2:
-            # k = n - j even at odd j; k = 0 (j = n) has den[0] == 1
+            # k = 1 at j = n - 1: -n/2 with n odd; k = n - j even at odd j,
+            # and k = 0 (j = n) has den[0] == 1
+            seen = {2}
             binom = n  # C(n, 1)
             for j in range(1, n - 1, 2):
                 d = den[n - j]
-                out[j] = d // math.gcd(d, binom)
-                binom = binom * (n - j) * (n - j - 1) // ((j + 1) * (j + 2))
+                seen.add(d // gcd(d, binom))
+                binom = binom * ((n - j) * (n - j - 1)) // ((j + 1) * (j + 2))
+            full = math.lcm(*seen)
+            # at n = 1 the term of B_1 is the constant term
+            pair = (full if n > 1 else 1, full)
         else:
-            # j and n - j both even: one binomial for the pair
-            binom = 1
-            for j in range(0, n // 2 + 1, 2):
+            # j and n - j both even: one binomial for the pair, from j = 2;
+            # j = 0 pairs the constant term B_n with the leading 1
+            seen = set()
+            binom = n * (n - 1) // 2  # C(n, 2)
+            for j in range(2, n // 2 + 1, 2):
                 d = den[n - j]
-                out[j] = d // math.gcd(d, binom)
+                seen.add(d // gcd(d, binom))
                 d = den[j]
-                out[n - j] = d // math.gcd(d, binom)
-                binom = binom * (n - j) * (n - j - 1) // ((j + 1) * (j + 2))
-        dens = tuple(out)
-        self._last_dens = (n, dens)
-        return dens
+                seen.add(d // gcd(d, binom))
+                binom = binom * ((n - j) * (n - j - 1)) // ((j + 1) * (j + 2))
+            nonconstant = math.lcm(*seen)
+            pair = (nonconstant, math.lcm(nonconstant, den[n]))
+        self._last_dens = (n, pair)
+        return pair
 
     def row(self, n: int, p: int, q: int = 1) -> Row:
         """The row of y = p/q, two ints in lowest terms with q >= 1, filled
@@ -335,6 +353,8 @@ class BernoulliCache:
         upward: asking for B_n(y) fills the entries k = 0..n, n + 1 of them,
         unless the row already holds them.  At y = 0 the row is the table.
         """
+        from fractions import Fraction
+
         q = y.denominator
         nums, dens, _ = self.row(n, y.numerator, q)
         return Fraction(nums[n], dens[n] * q**n)

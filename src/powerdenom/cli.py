@@ -26,7 +26,10 @@ theirs, and ``verify`` leaves its bounds to ``run_sweep``.  The ``verify``
 module is imported only by the functions of that command, so a query by
 any other command never loads it.  Integers are the
 only internal form of a rational; the DDQ and DBQ oracles alone build a
-``Fraction``, so that an inexact quotient compares unequal to the formula.
+``Fraction`` here, in ``_direct_quotient``, so that an inexact quotient
+compares unequal to the formula.  It imports ``fractions`` itself, as
+``bernoulli`` does where a method returns a ``Fraction``, so a ``seq``
+query never loads it.
 
 Exit codes: 0 success, 1 a verification sweep found failures, 2 usage error,
 3 an internal identity was violated (a bug, never bad input).
@@ -37,7 +40,6 @@ from __future__ import annotations
 import sys
 import time
 from collections.abc import Callable, Sequence
-from fractions import Fraction
 from functools import cache, partial
 
 from .bernoulli import BernoulliCache, RationalPoly
@@ -61,6 +63,7 @@ from .denom import (
 )
 from .errors import TheoremViolationError
 from .limits import (
+    MAX_BENCH_REPS,
     MAX_GRID_CASES,
     MAX_GRID_M,
     MAX_GRID_R,
@@ -75,6 +78,16 @@ from .powersum import (
     power_sum_naive,
     power_sum_poly,
 )
+
+
+def _direct_quotient(
+    direct: Callable[[BernoulliCache, int], int], cache: BernoulliCache, n: int
+) -> Fraction:
+    # direct(n) / direct(n + 1) as an exact Fraction, not a floored int
+    from fractions import Fraction
+
+    return Fraction(direct(cache, n), direct(cache, n + 1))
+
 
 # id -> (closed form, rational oracle, parity of the domain or None for all
 # n >= 1, the memo fills of the closed form), for the ids of the table of
@@ -107,15 +120,13 @@ SEQUENCES: dict[str, tuple[Callable, Callable, int | None, tuple[Callable, ...]]
     ),
     "DDQ": (
         lambda n: nonconstant_quotient(n),
-        lambda c, n: Fraction(
-            nonconstant_denom_direct(c, n), nonconstant_denom_direct(c, n + 1)
-        ),
+        lambda c, n: _direct_quotient(nonconstant_denom_direct, c, n),
         NONCONSTANT_QUOTIENT_PARITY,
         (fill_quotient_memo,),
     ),
     "DBQ": (
         lambda n: full_denom_quotient(n),
-        lambda c, n: Fraction(full_denom_direct(c, n), full_denom_direct(c, n + 1)),
+        lambda c, n: _direct_quotient(full_denom_direct, c, n),
         FULL_QUOTIENT_PARITY,
         (fill_quotient_memo,),
     ),
@@ -220,8 +231,8 @@ def run_bench(sequence_id: str, lo: int, hi: int, reps: int = 3) -> tuple[int, i
         raise ValueError(f"need 1 <= lo <= hi, got {lo}..{hi}")
     if hi > MAX_TABLE_N:
         raise ValueError(f"bench takes n <= {MAX_TABLE_N}, got {hi}")
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    if not 1 <= reps <= MAX_BENCH_REPS:
+        raise ValueError(f"reps must be 1..{MAX_BENCH_REPS}, got {reps}")
     formula, oracle, _, _ = SEQUENCES[sequence_id]
     ns = indices(sequence_id, lo, hi)
     if not ns:
@@ -452,7 +463,10 @@ def _bench_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "span", metavar="LO..HI", help=f"index range, e.g. 1..200; HI <= {MAX_TABLE_N}"
     )
-    parser.add_argument("--reps", type=int, default=3, help="repetitions, best-of")
+    parser.add_argument(
+        "--reps", type=int, default=3,
+        help=f"repetitions, best-of, at most {MAX_BENCH_REPS} (default: 3)",
+    )
 
 
 # command -> (its line in ``powerdenom --help``, the function that adds its

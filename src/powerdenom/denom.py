@@ -41,12 +41,13 @@ check of its b-file and sparse values.
 
 Formula paths depend only on digit sums, sieves and trial division; the
 ``*_direct`` oracles take a BernoulliCache and use no digit sum, sieve or
-primality test.  D is the reduced denominator of the table's B_n.  DB and
-DD are the lcm of the reduced denominators of B_n(x)'s coefficients
-(``BernoulliCache.coefficient_denominators``), with the constant term left
-out for DD: a polynomial's denominator in lowest terms is that lcm, so
-neither builds the polynomial.  The lcm runs over the distinct values only,
-most of which are 1.
+primality test.  D is the reduced denominator of the table's B_n.  DD and
+DB are the two values of ``BernoulliCache.polynomial_denominators(n)``: the
+lcm of the reduced denominators of B_n(x)'s coefficients, with the constant
+term left out for DD.  A polynomial's denominator in lowest terms is that
+lcm, so neither builds the polynomial.  One pass over the coefficients
+collects the distinct denominators of the nonconstant ones in a set, most
+of them 1: DD is its lcm, and DB that lcm with the constant term's.
 
 One index at a time, nonconstant_denom costs O(sqrt(n)) steps once the
 sieve is built.  It splits its primes near sqrt(n), as Kellner does in "On
@@ -161,7 +162,7 @@ from bisect import bisect_right
 from collections import OrderedDict
 from collections.abc import Callable, Iterator
 from itertools import compress, islice
-from math import isqrt, lcm
+from math import isqrt
 
 from .bernoulli import BernoulliCache
 from .digits import (
@@ -538,7 +539,7 @@ def nonconstant_denom_all_primes(n: int) -> SquarefreeProduct:
 
 def nonconstant_denom_direct(cache: BernoulliCache, n: int) -> int:
     _check_index(n)
-    return lcm(*set(cache.coefficient_denominators(n)[1:]))
+    return cache.polynomial_denominators(n)[0]
 
 
 def full_denom(n: int) -> SquarefreeProduct:
@@ -572,7 +573,7 @@ def full_denom_split_product(n: int) -> SquarefreeProduct:
 
 def full_denom_direct(cache: BernoulliCache, n: int) -> int:
     _check_index(n)
-    return lcm(*set(cache.coefficient_denominators(n)))
+    return cache.polynomial_denominators(n)[1]
 
 
 # The parity of the n at which each quotient is defined: its divisibility

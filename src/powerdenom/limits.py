@@ -12,6 +12,15 @@ any Bernoulli number or sieve is computed.  ``cli`` re-exports them.
 # 1.8-2.0 s and 48 MB in a fresh interpreter (Python 3.11, 2 CPUs).
 MAX_TABLE_N = 1500
 
+# The most repetitions ``run_bench`` accepts.  Each repetition times both
+# paths over the whole span from a fresh cache and empty memos, so time
+# grows with it at every span: ``bench DB 1..1500`` takes 1.9 s at
+# ``--reps 1``, 5.4 s at 5 and 20.8 s at 20, and DD, DDQ and DBQ over the
+# same span 19.8-23.3 s at 20, start-up and the check before timing
+# included (Python 3.11, 2 CPUs), so the largest span stays under about
+# 30 s.
+MAX_BENCH_REPS = 20
+
 # The largest m_max and r_max that a grid sweep accepts.  Each chunk's cache
 # keeps one row per distinct r/m, so time and memory grow with both.  At
 # each bound, with the other bounds at their defaults and ``--jobs 1``

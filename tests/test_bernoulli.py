@@ -137,15 +137,17 @@ def test_polynomial_coefficients_match_recurrence_in_shuffled_order():
 
 
 def test_coefficient_denominators_are_the_reduced_coefficient_denominators():
-    # against Fractions from the recurrence, one coefficient at a time, with
-    # n descending so every answer misses the one-slot memo
+    # the pair (DD, DB) against the lcm, over j >= 1 and over every j, of the
+    # denominators of Fractions from the recurrence, one coefficient at a
+    # time, with n descending so every answer misses the one-slot memo
     cache = BernoulliCache()
     for n in range(200, -1, -1):
-        want = tuple((comb(n, j) * REFERENCE[n - j]).denominator for j in range(n + 1))
-        assert cache.coefficient_denominators(n) == want, n
-    assert cache.coefficient_denominators(0) == (1,)
+        dens = [(comb(n, j) * REFERENCE[n - j]).denominator for j in range(n + 1)]
+        want = (math.lcm(*dens[1:]), math.lcm(*dens))
+        assert cache.polynomial_denominators(n) == want, n
+    assert cache.polynomial_denominators(0) == (1, 1)
     with pytest.raises(ValueError):
-        cache.coefficient_denominators(-1)
+        cache.polynomial_denominators(-1)
 
 
 def _denominators_at_every_index(dens, n):
@@ -170,7 +172,36 @@ def test_coefficient_denominators_match_the_every_index_loop_to_1500():
     dens = [b.denominator for b in numbers]
     for n in range(1500, -1, -1):
         want = _denominators_at_every_index(dens, n)
-        assert cache.coefficient_denominators(n) == want, n
+        pair = (math.lcm(*want[1:]), math.lcm(*want))
+        assert cache.polynomial_denominators(n) == pair, n
+
+
+def test_polynomial_denominators_are_those_of_the_built_polynomial():
+    # a second route through the same table: B_n(x) built, and its
+    # constant term dropped, in a seeded order on a fresh cache
+    order = list(range(401))
+    random.Random(2017).shuffle(order)
+    cache = BernoulliCache()
+    for n in order:
+        poly = cache.polynomial(n)
+        want = (RationalPoly((0, *poly.nums[1:]), poly.den).den, poly.den)
+        assert cache.polynomial_denominators(n) == want, n
+
+
+def test_polynomial_denominators_remember_the_last_pair(monkeypatch):
+    cache = BernoulliCache()
+    # a fresh cache holds n = 0, where B_0(x) = 1, and a second call at the
+    # same n reads no table
+    monkeypatch.setattr(cache, "row", None)
+    assert cache.polynomial_denominators(0) == (1, 1)
+    monkeypatch.undo()
+    for n in (7, 8):
+        pair = cache.polynomial_denominators(n)
+        monkeypatch.setattr(cache, "row", None)
+        assert cache.polynomial_denominators(n) is pair
+        monkeypatch.undo()
+    assert cache.polynomial_denominators(7) == (6, 6)
+    assert cache.polynomial_denominators(8) == (3, 30)
 
 
 def test_value_at_fixed_points():

@@ -1009,6 +1009,28 @@ def test_term_count_bound_is_refused_before_any_work(capsys, monkeypatch):
     assert f"x <= {cli.MAX_POWERSUM_X}" in " ".join(out.split())
 
 
+def test_bench_repetition_bound_is_refused_before_any_work(capsys, monkeypatch):
+    # the bound itself runs
+    code, out, _ = run_cli(capsys, "bench", "DD", "1..3", "--reps", str(cli.MAX_BENCH_REPS))
+    assert code == 0 and out.startswith("id,lo,hi,")
+
+    def refuse(*args):
+        raise AssertionError(f"work started for {args[1:]}")
+
+    monkeypatch.setattr(BernoulliCache, "_extend", refuse)
+    for name in ("number_denom", "nonconstant_denom", "full_denom"):
+        monkeypatch.setattr(cli, name, refuse)
+    past = str(cli.MAX_BENCH_REPS + 1)
+    for span in ("1..3", f"1..{cli.MAX_TABLE_N}"):
+        argv = ("bench", "DB", span, "--reps", past)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert f"reps must be 1..{cli.MAX_BENCH_REPS}, got {past}" in err, argv
+    code, out, _ = run_cli(capsys, "bench", "--help")
+    assert code == 0
+    assert f"at most {cli.MAX_BENCH_REPS}" in " ".join(out.split())
+
+
 def test_bench_quotient_oracle_divides_exactly(capsys, monkeypatch):
     real = cli.full_denom_direct
 
@@ -1333,10 +1355,12 @@ def test_cli_import_loads_only_what_its_queries_run():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(['seq', 'DD', '--from', '1', '--to', '40'])]\n"
         "    read = 'argparse' in sys.modules\n"
+        "    exact = [name for name in ('fractions', 'decimal', 'numbers', 're') "
+        "if name in sys.modules]\n"
         "    codes += [main(['powersum', '--m', '3', '--r', '1', '--n', '5', '--x', '4']),\n"
         "              main(['bench', 'DB', '1..20', '--reps', '1'])]\n"
         "heavy = ('dataclasses', 'inspect', 'typing', 'powerdenom.verify')\n"
-        "print(codes, read, 'argparse' in sys.modules,\n"
+        "print(codes, read, exact, 'argparse' in sys.modules,\n"
         "      *[name for name in heavy if name in sys.modules])\n"
         "print(main(['verify', 'T1-parity', '--max', '64', '--jobs', '1']))\n"
         "print('dataclasses' in sys.modules)\n"
@@ -1348,8 +1372,9 @@ def test_cli_import_loads_only_what_its_queries_run():
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     # argparse is loaded by the first query that needs a parser, not by a
-    # documented seq query
-    assert lines[0] == "[0, 0, 0] False True"
+    # documented seq query, and fractions (with decimal, numbers and re
+    # behind it) only where a Fraction is built, which that query never does
+    assert lines[0] == "[0, 0, 0] False [] True"
     assert lines[1] == "T1-parity: n <= 64"
     assert lines[2].startswith("checked 64 cases in ") and lines[2].endswith(": PASS")
     assert lines[3] == "0"

@@ -457,7 +457,7 @@ def test_am_congruence_examples():
 
 def test_no_fraction_is_built_below_the_api(monkeypatch):
     # a rational point is two ints all the way down: on a fresh cache the
-    # power sum, am_integer at both signs, the coefficient denominators and
+    # power sum, am_integer at both signs, the polynomial denominators and
     # the three oracles construct no Fraction, at a fresh point filled by a
     # shift and at one grown entry by entry
     built = []
@@ -475,7 +475,7 @@ def test_no_fraction_is_built_below_the_api(monkeypatch):
         for r in (7, -7):
             am_integer(cache, 10, r, n)
     am_integer(cache, 6, -4, 31)
-    cache.coefficient_denominators(40)
+    cache.polynomial_denominators(40)
     for oracle in (number_denom_direct, nonconstant_denom_direct, full_denom_direct):
         oracle(cache, 50)
     assert built == []
