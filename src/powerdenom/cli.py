@@ -42,7 +42,7 @@ import time
 from collections.abc import Callable, Sequence
 from functools import cache, partial
 
-from .bernoulli import BernoulliCache, RationalPoly
+from .bernoulli import BernoulliCache
 from .denom import (
     FULL_QUOTIENT_PARITY,
     MEMO_BOUND,
@@ -297,30 +297,23 @@ def _cmd_powersum(args: argparse.Namespace) -> int:
             "conversion"
         )
 
-    if args.n == 0:
-        # trivial sum of x ones; every theorem starts at n = 1
-        if args.m < 1 or args.r < 0:
-            raise ValueError("need m >= 1 and r >= 0")
-        poly = RationalPoly((0, 1))
-        integral = True
-    else:
-        spec = ProgressionSpec(args.m, args.r, args.n)
-        # some printed int is at least top^n / (n + 1): the leading numerator
-        # is den m^n / (n + 1), the numerators sum to den S(1) = den r^n, and
-        # S(x) >= ((x - 1) m + r)^n.  With b the bit length of top, the output
-        # is refused before any work once top^n >= 2^(n (b - 1)) >= 2^bits >
-        # (n + 1) 10^limit, so m^n is never built.  A limit of 0 is none
-        top = max(args.m, args.r)
-        if args.x:
-            top = max(top, (args.x - 1) * args.m + args.r)
-        bits = (args.n + 1).bit_length() + (10**limit).bit_length()
-        if limit and args.n * (top.bit_length() - 1) >= bits:
-            raise too_long()
-        poly = power_sum_poly(BernoulliCache(), spec)
-        integral = is_integral(spec)
+    spec = ProgressionSpec(args.m, args.r, args.n)
+    # some printed int is at least top^n / (n + 1): the leading numerator is
+    # den m^n / (n + 1), the numerators sum to den S(1) = den r^n, and S(x) >=
+    # ((x - 1) m + r)^n.  With b the bit length of top, the output is refused
+    # before any work once top^n >= 2^(n (b - 1)) >= 2^bits > (n + 1) 10^limit,
+    # so m^n is never built.  Nor is 10^limit, which would take seconds at a
+    # raised limit: it has at most limit * 3.322 + 1 bits, as log2(10) < 3.322,
+    # and exactly that many at the default 4300.  A limit of 0 is none
+    top = max(args.m, args.r, ((args.x or 1) - 1) * args.m + args.r)
+    bits = (args.n + 1).bit_length() + limit * 3322 // 1000 + 1
+    if limit and args.n * (top.bit_length() - 1) >= bits:
+        raise too_long()
+    poly = power_sum_poly(BernoulliCache(), spec)
+    integral = is_integral(spec)
     if args.x is not None:
         via_poly = poly(args.x)
-        naive = args.x if args.n == 0 else power_sum_naive(spec, args.x)
+        naive = power_sum_naive(spec, args.x)
         if via_poly != naive:
             raise TheoremViolationError(
                 f"polynomial and naive sum disagree at m={args.m}, r={args.r}, "

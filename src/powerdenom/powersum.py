@@ -1,7 +1,8 @@
 """Power sums over arithmetic progressions, exactly.
 
 For a progression r, r+m, r+2m, ... the sum of nth powers of the first x
-terms is a polynomial in x of degree n+1 with zero constant term.  This
+terms is a polynomial in x of degree n+1 with zero constant term, for every
+n >= 0: x itself at n = 0.  This
 module builds that polynomial over exact rationals, predicts its denominator
 from gcds and the nonconstant denominator sequence alone, decides integrality
 of the whole coefficient vector from a single divisibility, and computes the
@@ -32,8 +33,8 @@ from .value import Value
 
 
 class ProgressionSpec(Value):
-    """Progression with difference m >= 1 and start r >= 0, raised to n >= 1;
-    a ``Value``."""
+    """Progression with difference m >= 1 and start r >= 0, raised to n >= 0;
+    a ``Value``.  At n = 0 the power sum is x, with denominator 1."""
 
     __slots__ = ("m", "r", "n")
 
@@ -46,8 +47,8 @@ class ProgressionSpec(Value):
             raise ValueError(f"difference m must be >= 1, got {m}")
         if r < 0:
             raise ValueError(f"start r must be >= 0, got {r}")
-        if n < 1:
-            raise ValueError(f"exponent n must be >= 1, got {n}")
+        if n < 0:
+            raise ValueError(f"exponent n must be >= 0, got {n}")
         self.m = m
         self.r = r
         self.n = n
@@ -125,9 +126,10 @@ def is_integral(spec: ProgressionSpec) -> bool:
     """Whether the power sum polynomial has integer coefficients.
 
     Holds exactly when the full Bernoulli polynomial denominator at n
-    divides m; no polynomial is built.
+    divides m; no polynomial is built.  At n = 0 the sum is x, integral for
+    every m; the denominator sequences start at n = 1.
     """
-    return spec.m % full_denom(spec.n).value == 0
+    return not spec.n or spec.m % full_denom(spec.n).value == 0
 
 
 def am_integer(cache: BernoulliCache, m: int, r: int, n: int) -> AMInteger:

@@ -468,7 +468,8 @@ def test_powersum_at_a_million_prints_the_pinned_text(capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (("bench", "DD", "1..x"), "range must look like LO..HI, got '1..x'"),
-    (("powersum", "--n", "0", "--m", "0", "--r", "1"), "need m >= 1 and r >= 0"),
+    (("powersum", "--n", "0", "--m", "0", "--r", "1"), "difference m must be >= 1, got 0"),
+    (("powersum", "--n", "0", "--m", "1", "--r", "-1"), "start r must be >= 0, got -1"),
 ])
 def test_refused_command_lines_print_nothing(capsys, argv, message):
     assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
@@ -1308,12 +1309,12 @@ def test_powersum_past_the_digit_limit_after_the_bit_length_check_prints_nothing
     assert [(s.m, s.r, s.n) for s in built] == [(4194303, 1, 100)]
 
 
-def _python(*argv: str) -> subprocess.CompletedProcess:
+def _python(*argv: str, timeout: float = 60, **extra: str) -> subprocess.CompletedProcess:
     src = str(Path(powerdenom.__file__).parents[1])
     path = os.environ.get("PYTHONPATH")
-    env = {**os.environ, "PYTHONPATH": src + (os.pathsep + path if path else "")}
+    env = {**os.environ, **extra, "PYTHONPATH": src + (os.pathsep + path if path else "")}
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=timeout,
     )
 
 
@@ -1332,6 +1333,17 @@ def test_python_m_powerdenom_cli():
     result = _run_module("powerdenom.cli", "-W", "error")
     assert result.returncode == 0
     assert result.stdout == "1 2\n2 6\n3 1\n"
+
+
+def test_powersum_at_a_raised_digit_limit_starts_at_once():
+    # the early refusal counts the bits of 10^limit without building it,
+    # which takes minutes at a limit of 10^8
+    argv = ("--m", "30", "--r", "1", "--n", "4", "--x", "20")
+    result = _python("-m", "powerdenom", "powersum", *argv, timeout=10,
+                     PYTHONINTMAXSTRDIGITS="100000000")
+    pinned = PINNED_POWERSUM.read_text().split(f"$ powerdenom powersum {' '.join(argv)}\n")
+    assert (result.returncode, result.stderr) == (0, "")
+    assert result.stdout == pinned[1].split("$ ")[0]
 
 
 def test_cli_import_loads_no_process_pool():

@@ -72,7 +72,20 @@ def test_progression_spec_validation():
     with pytest.raises(ValueError):
         ProgressionSpec(1, -1, 1)
     with pytest.raises(ValueError):
-        ProgressionSpec(1, 0, 0)
+        ProgressionSpec(1, 0, -1)
+
+
+def test_the_zero_exponent_takes_the_general_path():
+    # S(x) = x at n = 0 for every progression: the polynomial, its predicted
+    # denominator, the integrality verdict and the naive sum, from one cache
+    cache = BernoulliCache()
+    for m in range(1, 31):
+        for r in range(31):
+            spec = ProgressionSpec(m, r, 0)
+            assert power_sum_poly(cache, spec) == RationalPoly((0, 1)), spec
+            assert power_sum_denominator(spec) == 1, spec
+            assert is_integral(spec), spec
+            assert [power_sum_naive(spec, x) for x in range(6)] == list(range(6)), spec
 
 
 def test_progression_spec_is_a_value():
@@ -87,7 +100,7 @@ def test_progression_spec_is_a_value():
     for args, message in (
         ((0, 0, 1), "difference m must be >= 1, got 0"),
         ((1, -1, 1), "start r must be >= 0, got -1"),
-        ((1, 0, 0), "exponent n must be >= 1, got 0"),
+        ((1, 0, -1), "exponent n must be >= 0, got -1"),
     ):
         with pytest.raises(ValueError, match=f"^{message}$"):
             ProgressionSpec(*args)
