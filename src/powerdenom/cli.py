@@ -41,6 +41,7 @@ import sys
 import time
 from collections.abc import Callable, Sequence
 from functools import cache, partial
+from math import lcm
 
 from .bernoulli import BernoulliCache
 from .denom import (
@@ -51,7 +52,6 @@ from .denom import (
     fill_nonconstant_memo,
     fill_number_memo,
     fill_quotient_memo,
-    full_denom,
     full_denom_direct,
     full_denom_quotient,
     nonconstant_denom,
@@ -95,8 +95,11 @@ def _direct_quotient(
 # oracles look their functions up in this module at call time, so a rebound
 # name (a test's fake, a tracing wrapper) is the one called.  The fills only
 # store values the closed forms then read: D reads the number memo, DD the
-# nonconstant memo, DB both, and the quotients the quotient memo, which one
-# fill stores at both parities, so a DBQ range reuses a DDQ range's scan.
+# nonconstant memo, and the quotients the quotient memo, which one fill
+# stores at both parities, so a DBQ range reuses a DDQ range's scan.  DB
+# reads both DD's and D's memo and prints the lcm of the two values, which
+# builds no prime set; ``denom.full_denom``, their prime-set union, is the
+# reference it is tested against.
 # The quotient oracles divide exactly: a denominator at n+1 that does not
 # divide the one at n shows up as a disagreement, not as a floored integer.
 SEQUENCES: dict[str, tuple[Callable, Callable, int | None, tuple[Callable, ...]]] = {
@@ -113,7 +116,7 @@ SEQUENCES: dict[str, tuple[Callable, Callable, int | None, tuple[Callable, ...]]
         (fill_nonconstant_memo,),
     ),
     "DB": (
-        lambda n: full_denom(n).value,
+        lambda n: lcm(nonconstant_denom(n).value, number_denom(n).value),
         lambda c, n: full_denom_direct(c, n),
         None,
         (fill_nonconstant_memo, fill_number_memo),
@@ -421,7 +424,7 @@ def _documented_seq(argv: list[str]) -> tuple[str, int, int, str] | None:
 
 
 def _powersum_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.description = "n = 0 is allowed here and prints the trivial sum x."
+    parser.description = "n = 0 is allowed and prints the trivial sum x."
     parser.add_argument("--m", type=int, required=True, help="common difference, >= 1")
     parser.add_argument("--r", type=int, required=True, help="first term, >= 0")
     parser.add_argument(

@@ -8,7 +8,11 @@ rational oracle), and DDQ and DBQ are nonconstant_quotient and
 full_denom_quotient.  The full denominator comes in three equivalent
 closed forms (lcm of the other two sequences, a successor relation through
 the radical, and a two-factor prime product); all are exposed so their
-agreement can be asserted rather than assumed.  The quotients are defined
+agreement can be asserted rather than assumed.  ``full_denom`` gives the
+lcm with its primes, the union of DD's and D's prime sets
+(``SquarefreeProduct.merge``), for callers that read the primes; ``seq DB``
+prints ``math.lcm`` of the two values instead, and ``full_denom`` is the
+reference it is checked against.  The quotients are defined
 at one parity each and reject the other; that parity is set here once
 (``*_QUOTIENT_PARITY``), and ``parity_indices`` lists the n of a domain.
 ``cli.SEQUENCES`` maps each id to its closed form, oracle and domain.

@@ -120,6 +120,33 @@ def test_seq_round_trip(capsys):
         assert full_denom(int(n_text)).value == int(value_text)
 
 
+def test_seq_db_prints_the_lcm_of_dd_and_d_without_a_prime_set_union(capsys, monkeypatch):
+    # DB's closed form takes the lcm of DD's and D's values and builds no
+    # SquarefreeProduct: over two segments, each one's first line read per
+    # index, at the composite n where merging prime sets was slowest, at one
+    # odd n, and in bench.  full_denom, which merges, is the reference.
+    def refuse(*args):
+        raise AssertionError("DB merged prime sets")
+
+    hi, singles = 3000, (1260, 1680, 1800, 1001)
+    assert cli.SEGMENT_TERMS < hi
+    with monkeypatch.context() as barred:
+        barred.setattr(digits.SquarefreeProduct, "merge", refuse)
+        barred.setattr(cli, "full_denom", refuse, raising=False)
+        denom.clear_formula_caches()
+        ranged = run_cli(capsys, "seq", "DB", "--from", "1", "--to", str(hi))
+        single = []
+        for n in singles:
+            denom.clear_formula_caches()
+            single.append(run_cli(capsys, "seq", "DB", "--from", str(n), "--to", str(n)))
+        assert run_cli(capsys, "bench", "DB", "1..300", "--reps", "1")[0] == 0
+    denom.clear_formula_caches()
+    want = {n: denom.full_denom(n).value for n in range(1, hi + 1)}
+    assert ranged == (0, bfile(want.items()), "")
+    assert ranged[1].startswith(bfile(enumerate(FULL_1_18, start=1)))
+    assert single == [(0, bfile([(n, want[n])]), "") for n in singles]
+
+
 def test_seq_usage_errors(capsys):
     code, _, err = run_cli(capsys, "seq", "D", "--from", "5", "--to", "2")
     assert code == 2
@@ -1019,7 +1046,7 @@ def test_bench_repetition_bound_is_refused_before_any_work(capsys, monkeypatch):
         raise AssertionError(f"work started for {args[1:]}")
 
     monkeypatch.setattr(BernoulliCache, "_extend", refuse)
-    for name in ("number_denom", "nonconstant_denom", "full_denom"):
+    for name in ("number_denom", "nonconstant_denom"):
         monkeypatch.setattr(cli, name, refuse)
     past = str(cli.MAX_BENCH_REPS + 1)
     for span in ("1..3", f"1..{cli.MAX_TABLE_N}"):
