@@ -76,9 +76,9 @@ the divisors of n/2.  Both ask the sieve's flag table
 (``digits.prime_flags``) whether a candidate is prime, one index per
 candidate, and neither asks it past about n/2: nonconstant_denom's bound
 is (n+1)/2, and every even divisor d < n of n is at most n/2, so
-number_denom reads flags to n/2 + 1 and trial-divides the one candidate
-past them, n + 1, by the listed primes up to sqrt(n + 1), unless the
-table already reaches it.  One D term at n = 99999998 so takes 71 MB
+number_denom reads flags to n/2 + 1, and the one candidate past them,
+n + 1, is prime when ``factorize`` returns it as its only factor, unless
+the table already reaches it.  One D term at n = 99999998 so takes 71 MB
 where a table to n + 1 took 128 MB (``BENCH_27.json``).
 nonconstant_denom lists primes up to 3 sqrt(n), and factorize reads the
 same list up to sqrt(n).  nonconstant_denom_all_primes and
@@ -267,26 +267,13 @@ def _number_primes(n: int) -> tuple[int, ...]:
                 d *= p
                 divisors.append(d)
     divisors.sort()
-    divisors.pop()
     found = [2]
+    # one flag per candidate inside the table; only n + 1 can lie past it
     for d in divisors:
-        if flags[d + 1]:
-            found.append(d + 1)
-    k = n + 1
-    if flags[k] if k < len(flags) else _unlisted_prime(k):
-        found.append(k)
+        k = d + 1
+        if flags[k] if k < len(flags) else factorize(k) == [(k, 1)]:
+            found.append(k)
     return tuple(found)
-
-
-def _unlisted_prime(k: int) -> bool:
-    # trial division by the sieve's primes up to sqrt(k), read in place,
-    # stopping at the first divisor
-    for p in sieve_primes(isqrt(k)):
-        if not k % p:
-            return False
-        if p * p > k:
-            break
-    return True
 
 
 def _nonconstant_segment(lo: int, hi: int) -> Iterator[SquarefreeProduct]:
@@ -499,7 +486,8 @@ def number_denom(n: int) -> SquarefreeProduct:
     For even n this is the product of all primes p with p-1 dividing n:
     2, and each prime d + 1 for the even divisors d of n, built from the
     factorization of n/2.  The flag table is read to n/2 + 1; the one
-    candidate past it, n + 1, is trial-divided when the table stops short.
+    candidate past it, n + 1, goes to ``factorize`` when the table stops
+    short.
     The odd cases are 2 at n = 1 and 1 for n >= 3 (the numbers vanish
     there).
     """

@@ -54,11 +54,11 @@ MAX_GRID_WORK = 4 * 10**9
 # The largest index n that ``seq --to`` and the max_n of a sweep over n
 # alone (T1, C2, T4, T5) accept.  The bound comes from D, DD and DB, the ids
 # that use the sieve: one term of D or DD at n needs a flag table of about
-# n/2 bytes (D trial-divides n + 1), and a D range one to hi + 1.  One
-# ``seq D`` term at 99999998 takes about 0.3 s and 71 MB in a fresh
-# interpreter, where a table to n + 1 took about 1.0 s and 128 MB (Python
-# 3.11, 2 CPUs).  DDQ and DBQ need only the primes up to sqrt(n + 1), at
-# most 10**4: one index factors n + 1 by them (``digits.factorize``, a
+# n/2 bytes (D tests n + 1 through ``digits.factorize``), and a D range one
+# to hi + 1.  One ``seq D`` term at 99999998 takes about 0.3 s and 71 MB in
+# a fresh interpreter, where a table to n + 1 took about 1.0 s and 128 MB
+# (Python 3.11, 2 CPUs).  DDQ and DBQ need only the primes up to
+# sqrt(n + 1), at most 10**4: one index factors n + 1 by them (``digits.factorize``, a
 # flag table of at most 10**4 bytes), and a range reads them in its
 # segment scan over 4095 values of n.  One ``seq DDQ`` or ``seq DBQ`` term
 # near 10**8 takes 0.06-0.09 s and 14.4 MB in a fresh interpreter,

@@ -476,12 +476,15 @@ def test_d_from_a_fresh_sieve_matches_the_filter_at_every_even_n(fresh_sieve, mo
         for n in range(step, top + 1, step):
             want[n].append(p)
     fresh_sieve()
-    trials = _count_calls(monkeypatch, denom, "_unlisted_prime")
+    calls = _count_calls(monkeypatch, denom, "factorize")
+    trials = 0
     for n in range(2, top + 1, 2):
+        calls.clear()
         assert denom._number_primes(n) == tuple(want[n]), n
+        trials += calls.count((n + 1,))
     # the flag table to n/2 + 1 grows by doubling, so about half of these n
-    # find n + 1 past it and trial-divide it; it never reaches the top n + 1
-    assert len(trials) > top // 5
+    # find n + 1 past it and factorize it; it never reaches the top n + 1
+    assert trials > top // 5
     assert digits._sieve_limit < top
 
 
@@ -498,16 +501,31 @@ def test_d_from_a_fresh_sieve_matches_the_filter_at_every_even_n(fresh_sieve, mo
     ],
 )
 def test_d_reads_or_trial_divides_n_plus_1(fresh_sieve, monkeypatch, n):
-    trials = _count_calls(monkeypatch, denom, "_unlisted_prime")
+    calls = _count_calls(monkeypatch, denom, "factorize")
     got = denom._number_primes(n)
     assert digits._sieve_limit <= max(n // 2 + 1, 256)
-    assert len(trials) == (n + 1 >= len(digits._sieve_flags))
+    # n/2 for the divisors, and n + 1 only when it lies past the table
+    past = n + 1 >= len(digits._sieve_flags)
+    assert calls == [(n // 2,)] + [(n + 1,)] * past
     assert got == tuple(p for p in primes_up_to(n + 1) if n % (p - 1) == 0), n
 
 
+def test_d_reads_n_plus_1_from_a_table_that_reaches_it(fresh_sieve, monkeypatch):
+    # a candidate inside the table costs one index, n + 1 included: with
+    # the table built past every n + 1 here, factorize sees only n/2
+    ns = [120, 288, 360, 30012, 199998, 1000002, 1009**2 - 1, 3 * 100003 - 1]
+    digits.prime_flags(max(ns) + 2)
+    calls = _count_calls(monkeypatch, denom, "factorize")
+    for n in ns:
+        calls.clear()
+        got = denom._number_primes(n)
+        assert calls == [(n // 2,)], n
+        assert got == tuple(p for p in primes_up_to(n + 1) if n % (p - 1) == 0), n
+
+
 def test_one_d_term_sieves_to_half_of_n(fresh_sieve):
-    # every even divisor of n but n itself is at most n/2; n + 1 is
-    # trial-divided, so the flag table stops at n/2 + 1
+    # every even divisor of n but n itself is at most n/2; n + 1 goes to
+    # factorize, so the flag table stops at n/2 + 1
     clear_formula_caches()
     n = 200002  # 2 * 11 * 9091, with n + 1 prime
     got = number_denom(n).primes
