@@ -97,9 +97,10 @@ def _direct_quotient(
 # store values the closed forms then read: D reads the number memo, DD the
 # nonconstant memo, and the quotients the quotient memo, which one fill
 # stores at both parities, so a DBQ range reuses a DDQ range's scan.  DB
-# reads both DD's and D's memo and prints the lcm of the two values, which
+# reads D's memo and then DD's and prints the lcm of the two values, which
 # builds no prime set; ``denom.full_denom``, their prime-set union, is the
-# reference it is tested against.
+# reference it is tested against.  D asks the sieve for the larger flag
+# table, so DD's reads fall inside it and one DB term or range builds one.
 # The quotient oracles divide exactly: a denominator at n+1 that does not
 # divide the one at n shows up as a disagreement, not as a floored integer.
 SEQUENCES: dict[str, tuple[Callable, Callable, int | None, tuple[Callable, ...]]] = {
@@ -116,10 +117,10 @@ SEQUENCES: dict[str, tuple[Callable, Callable, int | None, tuple[Callable, ...]]
         (fill_nonconstant_memo,),
     ),
     "DB": (
-        lambda n: lcm(nonconstant_denom(n).value, number_denom(n).value),
+        lambda n: lcm(number_denom(n).value, nonconstant_denom(n).value),
         lambda c, n: full_denom_direct(c, n),
         None,
-        (fill_nonconstant_memo, fill_number_memo),
+        (fill_number_memo, fill_nonconstant_memo),
     ),
     "DDQ": (
         lambda n: nonconstant_quotient(n),
@@ -138,7 +139,8 @@ SEQUENCES: dict[str, tuple[Callable, Callable, int | None, tuple[Callable, ...]]
 # memo fill -> the fewest indices of a segment for which ``seq`` runs that
 # fill; a shorter segment, such as a single-term query or the tail of a long
 # range, reads that memo's values from the per-index path, so a DB segment
-# of 12 to 319 indices fills DD's memo alone.  At n in [10^5, 10^6] each
+# of 12 to 319 indices fills DD's memo alone, and reads each D per index
+# inside the flag table that fill built.  At n in [10^5, 10^6] each
 # fill catches up with the per-index path near its length here: a short
 # segment's cost is its loop over the primes or divisors up to sqrt(hi):
 # about 1.6 to 2 ms for DD's against 150 to 170 us per index, 0.2 ms for
@@ -155,52 +157,34 @@ SEGMENT_MIN_TERMS = {
 SEGMENT_TERMS = MEMO_BOUND // 2
 
 
-def indices(seq_id: str, lo: int, hi: int) -> range:
-    """The n in lo..hi (lo >= 1) at which ``seq_id`` is defined."""
-    return parity_indices(SEQUENCES[seq_id][2], lo, hi)
-
-
 def _seq(seq_id: str, lo: int, hi: int, fmt: str) -> int:
     if lo < 1 or hi < lo:
         raise ValueError(f"need 1 <= from <= to, got {lo}..{hi}")
     if hi > MAX_SEQ_N:
         raise ValueError(f"seq takes n <= {MAX_SEQ_N}, got {hi}")
     formula, _, parity, fills = SEQUENCES[seq_id]
-    ns = indices(seq_id, lo, hi)
+    ns = parity_indices(parity, lo, hi)
     sep = "," if fmt == "csv" else " "
-
-    def too_long(n: int) -> ValueError:
-        # str() of an int past the interpreter's digit limit, which is
-        # process-wide, as in ``powersum``
-        return ValueError(
-            f"{seq_id}({n}) is longer than Python's "
-            f"{sys.get_int_max_str_digits()}-digit limit for int-to-str "
-            "conversion; the lines before it are printed"
-        )
-
     out = sys.stdout
     if fmt == "csv":
         out.write("n,a_n\n")
     for start in range(0, len(ns), SEGMENT_TERMS):
         segment = ns[start : start + SEGMENT_TERMS]
-        # the first line is formatted before the fills, by the per-index
-        # path, so a first value past the digit limit stops before any scan
-        n = segment[0]
-        value = formula(n)
-        try:
-            first = f"{n}{sep}{value}\n"
-        except ValueError:
-            raise too_long(n) from None
         for fill in fills:
             if len(segment) >= SEGMENT_MIN_TERMS[fill]:
-                fill(n, segment[-1])
-        out.write(first)
-        for n in segment[1:]:
+                fill(segment[0], segment[-1])
+        for n in segment:
             value = formula(n)
             try:
                 line = f"{n}{sep}{value}\n"
             except ValueError:
-                raise too_long(n) from None
+                # str() of an int past the interpreter's digit limit, which
+                # is process-wide, as in ``powersum``
+                raise ValueError(
+                    f"{seq_id}({n}) is longer than Python's "
+                    f"{sys.get_int_max_str_digits()}-digit limit for int-to-str "
+                    "conversion; the lines before it are printed"
+                ) from None
             out.write(line)
     skipped = hi - lo + 1 - len(ns)
     if skipped:
@@ -236,8 +220,8 @@ def run_bench(sequence_id: str, lo: int, hi: int, reps: int = 3) -> tuple[int, i
         raise ValueError(f"bench takes n <= {MAX_TABLE_N}, got {hi}")
     if not 1 <= reps <= MAX_BENCH_REPS:
         raise ValueError(f"reps must be 1..{MAX_BENCH_REPS}, got {reps}")
-    formula, oracle, _, _ = SEQUENCES[sequence_id]
-    ns = indices(sequence_id, lo, hi)
+    formula, oracle, parity, _ = SEQUENCES[sequence_id]
+    ns = parity_indices(parity, lo, hi)
     if not ns:
         raise ValueError(f"{sequence_id} is defined at no n in {lo}..{hi}")
 

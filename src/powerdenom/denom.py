@@ -314,8 +314,10 @@ def _nonconstant_segment(lo: int, hi: int) -> Iterator[SquarefreeProduct]:
                     enters[i + p - s].append(p)
     # p > sqrt(hi): n = kp + d has two digits, so p is in DD(n) for the k
     # values n = (k+1)p - k .. (k+1)p - 1.  For k = 1 the p-interval ends at
-    # (hi + 1) // 2, the largest prime asked.
-    flags = prime_flags((hi + 1) // 2)
+    # (hi + 1) // 2, the largest prime asked.  The table reaches hi // 2 + 1,
+    # one more when hi is even, so that a D term read per index at n <= hi,
+    # which asks for n // 2 + 1, stays inside the table built here.
+    flags = prime_flags(hi // 2 + 1)
     for k in range(1, root + 1):
         first = max(root + 1, (lo + 1 + k) // (k + 1))
         last = (hi + k) // (k + 1)
@@ -536,8 +538,10 @@ def nonconstant_denom_direct(cache: BernoulliCache, n: int) -> int:
 
 def full_denom(n: int) -> SquarefreeProduct:
     """Denominator of the full polynomial B_n(x); always even and squarefree."""
-    # both callees check n on a miss
-    return nonconstant_denom(n).merge(number_denom(n))
+    # both callees check n on a miss.  D is asked first: at even n its flag
+    # table, to n/2 + 1, holds DD's, to (n+1)/3, so one table is built
+    number = number_denom(n)
+    return nonconstant_denom(n).merge(number)
 
 
 def full_denom_via_successor(n: int) -> SquarefreeProduct:

@@ -53,11 +53,13 @@ MAX_GRID_WORK = 4 * 10**9
 
 # The largest index n that ``seq --to`` and the max_n of a sweep over n
 # alone (T1, C2, T4, T5) accept.  The bound comes from D, DD and DB, the ids
-# that use the sieve: one term of D or DD at n needs a flag table of about
-# n/2 bytes (D tests n + 1 through ``digits.factorize``), and a D range one
-# to hi + 1.  One ``seq D`` term at 99999998 takes about 0.3 s and 71 MB in
-# a fresh interpreter, where a table to n + 1 took about 1.0 s and 128 MB
-# (Python 3.11, 2 CPUs).  DDQ and DBQ need only the primes up to
+# that use the sieve: one term of D, DD or DB at n needs a flag table of
+# about n/2 bytes (D tests n + 1 through ``digits.factorize``, and DB reads
+# D first, whose table holds DD's), a DD range one to hi/2 + 1 and a D
+# range one to hi + 1; ``seq`` fills a segment before it reads any term per
+# index, so a query builds one table that large.  One ``seq D`` term at
+# 99999998 takes about 0.3 s and 71 MB in a fresh interpreter, where a
+# table to n + 1 took about 1.0 s and 128 MB (Python 3.11, 2 CPUs).  DDQ and DBQ need only the primes up to
 # sqrt(n + 1), at most 10**4: one index factors n + 1 by them (``digits.factorize``, a
 # flag table of at most 10**4 bytes), and a range reads them in its
 # segment scan over 4095 values of n.  One ``seq DDQ`` or ``seq DBQ`` term
@@ -66,7 +68,8 @@ MAX_GRID_WORK = 4 * 10**9
 # ids.  Below
 # it, DD and DB outgrow Python's int-to-str digit limit (4300 digits by
 # default; DD(10**8 - 1) has 6839): ``seq`` then stops with exit 2 at the
-# first n it cannot print, naming the id, n and the limit.
+# first n it cannot print, naming the id, n and the limit, after the scan
+# of the segment that holds n.
 MAX_SEQ_N = 10**8
 
 # The largest term count x that ``powersum --x`` accepts.  The brute-force

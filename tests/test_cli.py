@@ -122,9 +122,9 @@ def test_seq_round_trip(capsys):
 
 def test_seq_db_prints_the_lcm_of_dd_and_d_without_a_prime_set_union(capsys, monkeypatch):
     # DB's closed form takes the lcm of DD's and D's values and builds no
-    # SquarefreeProduct: over two segments, each one's first line read per
-    # index, at the composite n where merging prime sets was slowest, at one
-    # odd n, and in bench.  full_denom, which merges, is the reference.
+    # SquarefreeProduct: over two segments, each filled before it is
+    # printed, at the composite n where merging prime sets was slowest, at
+    # one odd n, and in bench.  full_denom, which merges, is the reference.
     def refuse(*args):
         raise AssertionError("DB merged prime sets")
 
@@ -292,7 +292,7 @@ def test_seq_quotients_over_a_long_range_keep_their_memo_at_its_bound(capsys, mo
         # 3 * bound indices of one parity: six segments
         code, out, _ = run_cli(capsys, "seq", seq_id, "--from", "1", "--to", str(6 * bound))
         assert code == 0
-        ns = cli.indices(seq_id, 1, 6 * bound)
+        ns = denom.parity_indices(cli.SEQUENCES[seq_id][2], 1, 6 * bound)
         assert len(ns) == 3 * bound
         assert out == bfile((n, want[n]) for n in ns), seq_id
         assert len(denom._quotient_memo) <= bound
@@ -336,8 +336,8 @@ def test_short_seq_ranges_take_the_per_index_path(capsys, monkeypatch):
     # DB's D fill starts later than its DD fill, so a DB range between the
     # two fills DD's memo alone
     assert edges[denom.fill_nonconstant_memo] < edges[denom.fill_number_memo]
-    for seq_id, (*_, fills) in cli.SEQUENCES.items():
-        ns = cli.indices(seq_id, 100000, 100000 + 2 * max(edges.values()))
+    for seq_id, (_, _, parity, fills) in cli.SEQUENCES.items():
+        ns = denom.parity_indices(parity, 100000, 100000 + 2 * max(edges.values()))
         # one term, then each fill's edge R: R - 1 indices read that memo
         # per index, R indices scan one segment into it
         for terms in sorted({1, *(edges[fill] + d for fill in fills for d in (-1, 0))}):
@@ -351,9 +351,8 @@ def test_short_seq_ranges_take_the_per_index_path(capsys, monkeypatch):
 
 
 def test_a_short_tail_segment_of_a_long_range_takes_the_per_index_path(capsys, monkeypatch):
-    # one whole segment, scanned after its first index is read per index,
-    # then a tail of two indices, shorter than DD's fill edge and so read
-    # per index
+    # one whole segment, scanned before any of it is printed, then a tail
+    # of two indices, shorter than DD's fill edge and so read per index
     scans = []
     real = denom._nonconstant_segment
 
@@ -367,7 +366,7 @@ def test_a_short_tail_segment_of_a_long_range_takes_the_per_index_path(capsys, m
     assert hi - lo + 1 == cli.SEGMENT_TERMS + 2
     code, out, _ = run_cli(capsys, "seq", "DD", "--from", str(lo), "--to", str(hi))
     assert (code, len(out.splitlines())) == (0, hi - lo + 1)
-    assert scans == [(lo + 1, lo + cli.SEGMENT_TERMS - 1)]
+    assert scans == [(lo, lo + cli.SEGMENT_TERMS - 1)]
 
 
 def test_seq_past_the_digit_limit_names_the_id_and_index(capsys):
@@ -388,12 +387,9 @@ def test_seq_past_the_digit_limit_names_the_id_and_index(capsys):
         sys.set_int_max_str_digits(limit)
 
 
-def test_seq_range_past_the_digit_limit_stops_before_any_segment_scan(capsys, monkeypatch):
-    def refuse(lo, hi):
-        raise AssertionError(f"segment scan of {lo}..{hi}")
-
-    for name in ("_nonconstant_segment", "_number_segment"):
-        monkeypatch.setattr(denom, name, refuse)
+def test_seq_range_whose_first_value_is_past_the_digit_limit_prints_nothing(capsys):
+    # the segment is filled before its first line is formatted, so the
+    # range stops after one segment scan, with nothing printed
     denom.clear_formula_caches()
     # long enough for both of DB's fills
     lo, hi = 999998, 999998 + max(cli.SEGMENT_MIN_TERMS.values()) - 1
@@ -406,6 +402,43 @@ def test_seq_range_past_the_digit_limit_stops_before_any_segment_scan(capsys, mo
         sys.set_int_max_str_digits(limit)
     assert (code, out) == (2, "")
     assert f"DB({lo})" in err and "640-digit limit" in err
+
+
+@pytest.mark.parametrize(
+    "seq_id, lo, hi, size",
+    [
+        ("DD", 1000001, 1000400, 1000400 // 2 + 1),
+        # DD's memo filled, D read per index inside DD's table
+        ("DB", 1000000, 1000100, 1000100 // 2 + 1),
+        ("D", 1000000, 1000400, 1000400 + 1),
+        # D's fill first, DD's inside its table
+        ("DB", 1000000, 1000400, 1000400 + 1),
+        # D per index first, DD's per-index table inside it
+        ("DB", 1000000, 1000000, 1000000 // 2 + 1),
+    ],
+)
+def test_a_seq_query_builds_one_large_flag_table(
+    capsys, monkeypatch, fresh_sieve, seq_id, lo, hi, size
+):
+    # a range's fills run before any of its terms is read per index, and DB
+    # reads D before DD, so no smaller table is built first and then grown;
+    # each table the sieve builds is noted by its limit
+    builds = []
+    real = digits.prime_flags
+
+    def noted(bound):
+        before = digits._sieve_limit
+        flags = real(bound)
+        if digits._sieve_limit != before:
+            builds.append(digits._sieve_limit)
+        return flags
+
+    for module in (digits, denom):
+        monkeypatch.setattr(module, "prime_flags", noted)
+    denom.clear_formula_caches()
+    code, out, _ = run_cli(capsys, "seq", seq_id, "--from", str(lo), "--to", str(hi))
+    assert (code, len(out.splitlines())) == (0, hi - lo + 1)
+    assert [limit for limit in builds if limit > 10**4] == [size]
 
 
 def test_powersum_integral_case(capsys):
