@@ -144,7 +144,9 @@ SEQUENCES: dict[str, tuple[Callable, Callable, int | None, tuple[Callable, ...]]
 # fill catches up with the per-index path near its length here: a short
 # segment's cost is its loop over the primes or divisors up to sqrt(hi):
 # about 1.6 to 2 ms for DD's against 150 to 170 us per index, 0.2 ms for
-# the quotients' against 10 us, and 1 to 2 ms for D's against 7 us.
+# the quotients' against 10 us, and 0.8 to 1.5 ms for D's against 3 to
+# 5 us per index, the mean of an even n's divisor scan and an odd n's
+# shared constant; D's fill caught up between 320 and 384 indices.
 SEGMENT_MIN_TERMS = {
     fill_nonconstant_memo: 12,
     fill_number_memo: 320,

@@ -70,11 +70,12 @@ n/p^2 and are the sparser from about 3 sqrt(n) on.  At n = 2*10^5 the 445
 quotients above sqrt(n) became 131 primes and 147 quotients, at 10^7
 3,159 became 729 and 1,051, and one term took 0.65-0.73 of the time of
 the split at sqrt(n) for n from 10^5 to 10^7 (``BENCH_26.json``).
-number_denom builds the divisors of n from ``digits.factorize`` and keeps
-the primes d + 1; only even d can give an odd prime, and those are twice
-the divisors of n/2.  Both ask the sieve's flag table
-(``digits.prime_flags``) whether a candidate is prime, one index per
-candidate, and neither asks it past about n/2: nonconstant_denom's bound
+number_denom is 1 at every odd n >= 3, where B_n = 0, and returns one
+shared empty product there; at even n it builds the divisors of n from
+``digits.factorize`` and keeps the primes d + 1; only even d can give an
+odd prime, and those are twice the divisors of n/2.  Both ask the sieve's
+flag table (``digits.prime_flags``) whether a candidate is prime, one index
+per candidate, and neither asks it past about n/2: nonconstant_denom's bound
 is (n+1)/2, and every even divisor d < n of n is at most n/2, so
 number_denom reads flags to n/2 + 1, and the one candidate past them,
 n + 1, is prime when ``factorize`` returns it as its only factor, unless
@@ -113,8 +114,9 @@ sweeps n upward; D's lists each n's primes.
                       int, takes out the leaves at n and then puts in the
                       entries, and builds a product only at an n that has
                       either.
-  D:                  for each d <= sqrt(hi), the even multiples n = d*j
-                      with j >= d take d + 1 and j + 1 when prime.
+  D:                  one row per even n of lo..hi, none for odd n; for
+                      each d <= sqrt(hi), the even multiples n = d*j with
+                      j >= d take d + 1 and j + 1 when prime.
 
   Q:                  Q(n) at both parities at once.  For each
                       p <= sqrt(hi + 1), the multiples k = j*p of p in
@@ -146,18 +148,22 @@ naming n and p.
 
 Both closed forms keep their values in a memo of at most ``MEMO_BOUND``
 indices, oldest out first; a hit returns the stored SquarefreeProduct
-before any check of n, since the memo holds only valid n.
-The quotients share a third memo, of ints keyed by n, which only the
-segment fill writes: a quotient computed for one index alone is not
-stored.  ``fill_nonconstant_memo``, ``fill_number_memo`` and
-``fill_quotient_memo`` store a segment at once through one ``_fill``,
-which scans only from the first index not yet stored to the last one and
-makes room with one eviction before it stores.  Each segment function
-yields what its memo stores: D's and DD's SquarefreeProducts, built
-lazily one at a time as ``_fill`` stores them, and Q's ints.  ``seq``
-fills over long ranges in segments of at most half the bound for D, DD
-and DB, and of 4095 values of n for a quotient's 2048 indices of one
-parity; ``clear_formula_caches`` empties all three memos.
+before any check of n, since the memo holds only valid n.  D's memo holds
+n = 1 and even n only: number_denom answers every odd n >= 3 with its
+shared empty product before it reads the memo, so the same bound spans
+2*MEMO_BOUND values of n.  The quotients share a third memo, of ints
+keyed by n, which only the segment fill writes: a quotient computed for
+one index alone is not stored.  ``fill_nonconstant_memo``,
+``fill_number_memo`` and ``fill_quotient_memo`` store a segment at once
+through one ``_fill``, which walks its indices with a stride (1 for DD
+and Q, 2 for D, whose fill rounds lo up to even), scans only from the
+first index not yet stored to the last one and makes room with one
+eviction before it stores.  Each segment function yields what its memo
+stores, one value per index of the stride: D's and DD's
+SquarefreeProducts, built lazily one at a time as ``_fill`` stores them,
+and Q's ints.  ``seq`` fills over long ranges in segments of at most half
+the bound for D, DD and DB, and of 4095 values of n for a quotient's 2048
+indices of one parity; ``clear_formula_caches`` empties all three memos.
 """
 
 from __future__ import annotations
@@ -192,6 +198,9 @@ _number_memo: OrderedDict[int, SquarefreeProduct] = OrderedDict()
 # nonconstant_quotient at odd n, full_denom_quotient at even n: the two
 # domains are complementary, so one memo keyed by n holds both
 _quotient_memo: OrderedDict[int, int] = OrderedDict()
+# D(n) = 1 at every odd n >= 3, where B_n = 0: one product that number_denom
+# returns for all of them, so D's memo holds only n = 1 and even n
+_VANISHING = SquarefreeProduct(())
 
 
 def _check_index(n: int) -> None:
@@ -268,10 +277,11 @@ def _number_primes(n: int) -> tuple[int, ...]:
                 divisors.append(d)
     divisors.sort()
     found = [2]
+    size = len(flags)
     # one flag per candidate inside the table; only n + 1 can lie past it
     for d in divisors:
         k = d + 1
-        if flags[k] if k < len(flags) else factorize(k) == [(k, 1)]:
+        if flags[k] if k < size else factorize(k) == [(k, 1)]:
             found.append(k)
     return tuple(found)
 
@@ -366,10 +376,11 @@ def _cofactors(d: int, lo: int, hi: int) -> range:
 
 
 def _number_segment(lo: int, hi: int) -> Iterator[SquarefreeProduct]:
-    """number_denom(n) for n = lo..hi from one scan, each built lazily."""
-    found: list[list[int]] = [[] for _ in range(hi - lo + 1)]
-    if lo == 1:
-        found[0].append(2)
+    """number_denom(n) for the even n of lo..hi from one scan, each built lazily."""
+    lo += lo % 2
+    # found[i] lists the primes of n = lo + 2i; d*j is even, and so is d times
+    # the step of its cofactors, so row indices halve exactly
+    found: list[list[int]] = [[] for _ in range(lo, hi + 1, 2)]
     root = isqrt(hi)
     flags = prime_flags(hi + 1)
     # d ascending gives each n its primes d + 1 <= sqrt(n) + 1 in ascending
@@ -377,13 +388,13 @@ def _number_segment(lo: int, hi: int) -> Iterator[SquarefreeProduct]:
     for d in range(1, root + 1):
         if flags[d + 1]:
             js = _cofactors(d, lo, hi)
-            for row in found[d * js.start - lo :: d * js.step]:
+            for row in found[(d * js.start - lo) // 2 :: d * js.step // 2]:
                 row.append(d + 1)
     for d in range(root, 0, -1):
         js = _cofactors(d, lo, hi)
         for j in compress(js, flags[js.start + 1 : js.stop + 1 : js.step]):
             if j != d:
-                found[d * j - lo].append(j + 1)
+                found[(d * j - lo) // 2].append(j + 1)
     return map(SquarefreeProduct, map(tuple, found))
 
 
@@ -431,24 +442,26 @@ def _remember(memo: OrderedDict, n: int, scan: Callable) -> SquarefreeProduct:
     return value
 
 
-def _fill(memo: OrderedDict, segment: Callable, lo: int, hi: int) -> None:
+def _fill(memo: OrderedDict, segment: Callable, lo: int, hi: int, step: int) -> None:
     _check_index(lo)
-    # of a span longer than the memo only the last MEMO_BOUND indices would stay
-    lo = max(lo, hi - MEMO_BOUND + 1)
-    new = [n not in memo for n in range(lo, hi + 1)]
+    # the indices lo, lo + step, ... up to hi; of more than the memo holds
+    # only the last MEMO_BOUND would stay
+    ns = range(lo, hi + 1, step)[-MEMO_BOUND:]
+    new = [n not in memo for n in ns]
     if True not in new:
         return
     # only the span from the first missing index to the last one is scanned
-    first = lo + new.index(True)
-    last = hi - new[::-1].index(True)
-    # each segment yields what the memo stores; D's and DD's products are
-    # built lazily, so none is built before the eviction below
-    values = segment(first, last)
+    first = new.index(True)
+    ns = ns[first : len(new) - new[::-1].index(True)]
+    # each segment yields what the memo stores, one value per index of ns;
+    # D's and DD's products are built lazily, so none is built before the
+    # eviction below
+    values = segment(ns[0], ns[-1])
     # room is made once, oldest out first, before anything is stored, so
     # the memo never holds more than MEMO_BOUND indices
     for _ in range(len(memo) + new.count(True) - MEMO_BOUND):
         memo.popitem(last=False)
-    memo.update(compress(zip(range(first, last + 1), values), new[first - lo :]))
+    memo.update(compress(zip(ns, values), new[first:]))
 
 
 def fill_nonconstant_memo(lo: int, hi: int) -> None:
@@ -458,12 +471,18 @@ def fill_nonconstant_memo(lo: int, hi: int) -> None:
     index not stored to the last one is scanned.  At most MEMO_BOUND
     indices stay, oldest out first.
     """
-    _fill(_nonconstant_memo, _nonconstant_segment, lo, hi)
+    _fill(_nonconstant_memo, _nonconstant_segment, lo, hi, 1)
 
 
 def fill_number_memo(lo: int, hi: int) -> None:
-    """Store number_denom(n) for n = lo..hi, as fill_nonconstant_memo does."""
-    _fill(_number_memo, _number_segment, lo, hi)
+    """Store number_denom(n) for the even n in lo..hi, as fill_nonconstant_memo
+    does for every n.
+
+    number_denom answers every odd n >= 3 without the memo, so only even n
+    are scanned and stored, lo rounded up to even; the memo's MEMO_BOUND
+    indices then span 2*MEMO_BOUND values of n.
+    """
+    _fill(_number_memo, _number_segment, lo + lo % 2, hi, 2)
 
 
 def fill_quotient_memo(lo: int, hi: int) -> None:
@@ -472,7 +491,7 @@ def fill_quotient_memo(lo: int, hi: int) -> None:
     That is nonconstant_quotient(n) at odd n and full_denom_quotient(n) at
     even n, both parities from one scan of n + 1 (``_quotient_segment``).
     """
-    _fill(_quotient_memo, _quotient_segment, lo, hi)
+    _fill(_quotient_memo, _quotient_segment, lo, hi, 1)
 
 
 def clear_formula_caches() -> None:
@@ -490,9 +509,12 @@ def number_denom(n: int) -> SquarefreeProduct:
     factorization of n/2.  The flag table is read to n/2 + 1; the one
     candidate past it, n + 1, goes to ``factorize`` when the table stops
     short.
-    The odd cases are 2 at n = 1 and 1 for n >= 3 (the numbers vanish
-    there).
+    The odd cases are 2 at n = 1, read and stored as an even n is, and 1
+    for n >= 3, where the numbers vanish: one shared empty product,
+    returned before the memo is read, so no odd n >= 3 is ever stored.
     """
+    if n % 2 and n > 1:
+        return _VANISHING
     return _number_memo.get(n) or _remember(_number_memo, n, _number_primes)
 
 

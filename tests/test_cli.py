@@ -275,6 +275,18 @@ def test_seq_over_a_long_range_keeps_each_memo_at_its_bound(capsys):
     assert out == bfile(want)
 
 
+def test_seq_d_over_an_odd_to_odd_range_stores_the_even_n_alone(capsys):
+    # two segments whose edges are odd: each fill rounds its first index up
+    # to even, and the odd n print the shared D = 1 without a memo entry
+    lo, hi = 999001, 1003095
+    denom.clear_formula_caches()
+    code, out, _ = run_cli(capsys, "seq", "D", "--from", str(lo), "--to", str(hi))
+    assert code == 0
+    assert list(denom._number_memo) == list(range(lo + 1, hi, 2))
+    assert out == bfile((n, prod(denom._number_primes(n))) for n in range(lo, hi + 1))
+    denom.clear_formula_caches()
+
+
 def test_seq_quotients_over_a_long_range_keep_their_memo_at_its_bound(capsys, monkeypatch):
     bound = denom.MEMO_BOUND
 

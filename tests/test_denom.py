@@ -205,26 +205,28 @@ def _gap_starts(top, primes, least=1, blocks=3, rng=None):
             yield from (k * p, k * p + p - digit_sum(p, k))
 
 
-def _assert_entries(got, lo, hi, primes):
+def _assert_entries(got, ns, primes):
     # equality and hashing read the primes alone, so the value, carried by
     # the DD sweep and computed by the constructor for D, is compared on its own
     got = list(got)
-    assert len(got) == hi - lo + 1, (lo, hi)
-    for n, product in zip(range(lo, hi + 1), got):
+    assert len(got) == len(ns), ns
+    for n, product in zip(ns, got):
         want = primes(n)
-        assert (product.primes, product.value) == (want, prod(want)), (lo, hi, n)
+        assert (product.primes, product.value) == (want, prod(want)), (ns, n)
 
 
 def _assert_segments_match_per_index_scans(segments, dd, d):
+    # DD's scan yields every n of lo..hi, D's the even n alone: D's memo
+    # holds no odd n >= 3, where number_denom returns one shared product
     for lo, hi in segments:
-        _assert_entries(denom._nonconstant_segment(lo, hi), lo, hi, dd)
-        _assert_entries(denom._number_segment(lo, hi), lo, hi, d)
+        _assert_entries(denom._nonconstant_segment(lo, hi), range(lo, hi + 1), dd)
+        _assert_entries(denom._number_segment(lo, hi), range(lo + lo % 2, hi + 1, 2), d)
 
 
 def test_segment_scans_equal_the_per_index_scans_to_20000():
     top = 20000
     dd = [None] + [denom._nonconstant_primes(n) for n in range(1, top + 1)]
-    d = [None] + [denom._number_primes(n) for n in range(1, top + 1)]
+    d = {n: denom._number_primes(n) for n in range(2, top + 1, 2)}
     _assert_segments_match_per_index_scans(_tilings(top), dd.__getitem__, d.__getitem__)
 
 
@@ -257,7 +259,7 @@ def test_segment_digit_sums_carry_across_prime_powers():
             if power >= 10**5:
                 lo, hi = power - p, power + p - 1
                 got = denom._nonconstant_segment(lo, hi)
-                _assert_entries(got, lo, hi, denom._nonconstant_primes)
+                _assert_entries(got, range(lo, hi + 1), denom._nonconstant_primes)
             power *= p
 
 
@@ -371,10 +373,13 @@ def test_a_fill_keeps_the_newest_indices_and_never_passes_the_bound(monkeypatch)
         return SquarefreeProduct(primes)
 
     monkeypatch.setattr(denom, "SquarefreeProduct", constructed_within_the_bound)
-    denom.fill_number_memo(1, 8)
-    denom.fill_number_memo(20, 40)  # the memo is full: all 8 go before a product is built
-    assert list(number_memo) == list(range(33, 41))
+    # D's fills store the even n alone, so 8 indices span 16 values of n
+    denom.fill_number_memo(1, 17)  # 2, 4, ..., 16
+    denom.fill_number_memo(21, 41)  # the memo is full: all 8 go before a product is built
+    assert list(number_memo) == list(range(26, 41, 2))
     assert len(built) == 16
+    for n, value in number_memo.items():
+        assert value.primes == denom._number_primes(n), n
     clear_formula_caches()
 
 
@@ -440,6 +445,27 @@ def test_a_prime_at_the_split_moves_from_the_quotient_walk_to_the_prime_list():
             assert got == next(denom._nonconstant_segment(n, n)).primes, (p, n)
             if n <= 250000:
                 assert got == nonconstant_denom_all_primes(n).primes, (p, n)
+
+
+def test_d_at_every_odd_n_is_one_shared_product_that_is_never_stored(monkeypatch):
+    # B_n = 0 at odd n >= 3: D reads no memo there, builds nothing, stores nothing
+    clear_formula_caches()
+    for n in (1, 2, 5000):
+        number_denom(n)
+    stored = list(denom._number_memo.items())
+
+    def forbidden(*args):
+        raise AssertionError(f"built {args}")
+
+    for name in ("SquarefreeProduct", "_number_primes", "_number_segment", "factorize",
+                 "prime_flags"):
+        monkeypatch.setattr(denom, name, forbidden)
+    shared = number_denom(3)
+    assert (shared.primes, shared.value) == ((), 1)
+    for n in range(3, 5002, 2):
+        assert number_denom(n) is shared, n
+    assert list(denom._number_memo.items()) == stored
+    clear_formula_caches()
 
 
 def test_number_denom_matches_sieve_filter():
