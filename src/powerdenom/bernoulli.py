@@ -39,12 +39,15 @@ denominator, ``scaled_numbers(n)`` gives L and L*B_0..L*B_n with L the
 table's running lcm at n; it is built on each call and not remembered,
 and only ``polynomial`` sums it with binomials.  Every other row is filled
 upward by one of two routes, chosen by how many entries a request finds
-missing:
+missing.  Both read index k's terms C(k, i) L_k B_i at even i, with
+L_k = lcm(den B_0..B_k), which are the same integers at every point: built
+once per index and shared by every row, for k up to ``_TERMS_MAX``.
 
 - at most ``HORNER_GAP`` missing: each new A_k by one Horner pass over the
-  table, with a running binomial;
+  terms of k, one power of q^2 and one multiply-add per term;
 - more: the whole row from one Taylor shift of q^n B_n(u/q) by p, whose
-  u^j coefficient is C(n, j) A_(n-j) (the Appell identity
+  coefficients are the terms of n and the term of B_1, and whose u^j
+  coefficient is C(n, j) A_(n-j) (the Appell identity
   B_n(x + y) = sum_j C(n, j) B_(n-j)(y) x^j).
 
 Rows that grow one entry per request stay on Horner; a fresh point at a
@@ -75,11 +78,24 @@ from .value import Value
 Row = tuple[list[int], list[int], list[int]]
 
 # A row missing at most this many entries is extended by Horner, one pass per
-# entry; a longer gap is filled by one Taylor shift of the whole row.  One
-# shift costs as much as Horner over 10 to 20 entries, for n from 60 to 600
-# and q = 3 or 10^6, so below this gap Horner is the cheaper fill.  Rows that
-# grow one entry per request, as the sweeps and grids ask, stay on Horner.
-HORNER_GAP = 8
+# entry; a longer gap is filled by one Taylor shift, one prefix-sum pass per
+# missing entry.  Timed at n = 60, 120, 300 and 600 and p/q = 1/3, 2/3,
+# 1/10^6 and (10^6 - 1)/10^6, with every index's terms kept and with none, a
+# shift of one entry costs 0.7 to 3.7 Horner entries.  At a gap of 3 Horner
+# is faster in 7 of those 32 cases, by up to 3.8 ms; from a gap of 4 the
+# shift is faster in 30 of them, Horner's lead in the other two under
+# 0.03 ms, and at a gap of 8 in all 32, up to 5.9 times.  A fresh row to
+# n = 4..12 fills faster by Horner, by 0.1 to 5.5 us.  Rows that grow one
+# entry per request, as the sweeps and grids ask, stay on Horner.
+HORNER_GAP = 3
+
+# The terms C(k, i) L B_i of index k (``BernoulliCache._terms``) are kept for
+# k <= this and built on each use past it, since kept for every k <= K they
+# grow roughly as K^3 log K: 0.05 MiB at K = 60, 0.28 at 128, 1.81 at 256,
+# 2.84 at 300 and 12.6 at 500 (tracemalloc), then about 103 MiB at 1000 and
+# 358 MiB at 1500 (getsizeof of the lists and their ints), where sweeps
+# reach n = 1500.
+_TERMS_MAX = 256
 
 
 def _append(row: Row, num: int, den: int) -> None:
@@ -174,6 +190,8 @@ class BernoulliCache:
         # is the table, starting from B_0 = 1 and B_1 = -1/2
         self._table: Row = ([1, -1], [1, 2], [1, 2])
         self._rows: dict[tuple[int, int], Row] = {(0, 1): self._table}
+        # _terms(k) per index k <= _TERMS_MAX, shared by every row's fill
+        self._held_terms: dict[int, list[int]] = {}
         # the last polynomial_denominators answer only, one slot, no per-n
         # memo; it starts at n = 0, where B_0(x) = 1
         self._last_dens: tuple[int, tuple[int, int]] = (0, (1, 1))
@@ -290,22 +308,20 @@ class BernoulliCache:
     def _horner_fill(self, row: Row, n: int, p: int, q: int) -> None:
         """Append q^k B_k(p/q) for each missing k <= n, one pass per entry.
 
-        q^k B_k(p/q) = sum_i C(k, i) B_i p^(k-i) q^i over the table's
-        L*B_i, L = lcm(den B_0..B_k): the even i by Horner in p^2 with a
-        running binomial, since B_i = 0 at odd i >= 3, then the term of
-        B_1 = -1/2; one gcd reduces the sum.
+        q^k B_k(p/q) = sum_i C(k, i) B_i p^(k-i) q^i over L = lcm(den
+        B_0..B_k): the even i by Horner in p^2 over the index's terms
+        C(k, i) L B_i (``_terms``), since B_i = 0 at odd i >= 3, then the
+        term of B_1 = -1/2; one gcd reduces the sum.
         """
-        tnums, tdens, tlcms = self._table
+        tlcms = self._table[2]
         p2, q2 = p * p, q * q
         for k in range(len(row[0]), n + 1):
             scale = tlcms[k]
-            acc = scale  # B_0 = 1
+            acc, *terms = self._terms(k)
             qpow = 1
-            binom = 1
-            for i in range(2, k + 1, 2):
+            for t in terms:
                 qpow *= q2
-                binom = binom * (k - i + 2) * (k - i + 1) // ((i - 1) * i)
-                acc = acc * p2 + binom * tnums[i] * (scale // tdens[i]) * qpow
+                acc = acc * p2 + t * qpow
             if k % 2:
                 acc *= p
             if k:
@@ -316,26 +332,27 @@ class BernoulliCache:
         """Append q^k B_k(p/q) for each missing k <= n, from one Taylor shift.
 
         H(u) = L q^n B_n(u/q) = sum_i C(n, i) L B_i q^i u^(n-i), with
-        L = lcm(den B_0..B_n), has integer coefficients, and by the Appell
-        identity its shift H(u + p) has the u^j coefficient
-        L C(n, j) q^(n-j) B_(n-j)(p/q).  The shift runs as G(v + 1) with
-        G(v) = H(p v), by repeated prefix sums over the coefficients: after
-        pass j the last one is final, p^j times the u^j coefficient of
-        H(u + p).  Dividing it by p^j C(n, j) and reducing over L gives the
-        entry at k = n - j; passes stop once every missing entry is made.
+        L = lcm(den B_0..B_n), has integer coefficients, built from the
+        index's terms C(n, i) L B_i at even i (``_terms``), -n L/2 at i = 1
+        and 0 at odd i >= 3.  By the Appell identity its shift H(u + p) has the u^j
+        coefficient L C(n, j) q^(n-j) B_(n-j)(p/q).  The shift runs as
+        G(v + 1) with G(v) = H(p v), by repeated prefix sums over the
+        coefficients: after pass j the last one is final, p^j times the u^j
+        coefficient of H(u + p).  Dividing it by p^j C(n, j) and reducing
+        over L gives the entry at k = n - j; passes stop once every missing
+        entry is made.
         """
-        tnums, tdens, tlcms = self._table
-        scale = tlcms[n]
+        scale = self._table[2][n]
         ppows = list(accumulate(repeat(p, n), mul, initial=1))
         # coefficients of G, highest power of v first: C(n, i) L B_i q^i p^(n-i)
-        coeffs = []
+        coeffs = [0] * (n + 1)
+        q2 = q * q
         qpow = 1
-        binom = 1
-        for i in range(n + 1):
-            b = tnums[i]
-            coeffs.append(binom * b * (scale // tdens[i]) * qpow * ppows[n - i] if b else 0)
-            qpow *= q
-            binom = binom * (n - i) // (i + 1)
+        for i, t in zip(range(0, n + 1, 2), self._terms(n)):
+            coeffs[i] = t * qpow * ppows[n - i]
+            qpow *= q2
+        if n:
+            coeffs[1] = -n * (scale // 2) * q * ppows[n - 1]
         scaled = []  # L q^k B_k(p/q) at k = n - j, for j = 0, 1, ...
         binom = 1
         for j in range(n + 1 - len(row[0])):
@@ -344,6 +361,29 @@ class BernoulliCache:
             binom = binom * (n - j) // (j + 1)
         for a in reversed(scaled):
             _append(row, a, scale)
+
+    def _terms(self, k: int) -> list[int]:
+        """C(k, i) L B_i for i = 0, 2, 4, ..., k, with L = lcm(den B_0..B_k):
+        the integers every point's entry k is summed from.
+
+        Read from the table, which must reach k, with a running binomial
+        that steps i by two.  The list is kept for k <= ``_TERMS_MAX`` and
+        handed to every later caller, who must not change it; past that it
+        is built on each call.  Table entries never change, so a kept list
+        never goes stale.
+        """
+        terms = self._held_terms.get(k)
+        if terms is None:
+            tnums, tdens, tlcms = self._table
+            scale = tlcms[k]
+            terms = [scale]  # B_0 = 1
+            binom = 1
+            for i in range(2, k + 1, 2):
+                binom = binom * (k - i + 2) * (k - i + 1) // ((i - 1) * i)
+                terms.append(binom * tnums[i] * (scale // tdens[i]))
+            if k <= _TERMS_MAX:
+                self._held_terms[k] = terms
+        return terms
 
     def value_at(self, n: int, y: int | Fraction) -> Fraction:
         """B_n(y) for an int or ``Fraction`` y, read from

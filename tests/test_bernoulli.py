@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from powerdenom import bernoulli
 from powerdenom.bernoulli import BernoulliCache, RationalPoly
 from powerdenom.digits import p_valuation, primes_up_to
 
@@ -292,6 +293,23 @@ def test_shift_extends_a_partial_row():
     row = cache.row(40, -2, 7)
     assert [part[:4] for part in row] == held
     assert row == _filled_row(BernoulliCache._horner_fill, 40, y)
+
+
+def test_rows_past_the_kept_terms_match_the_shift_and_the_polynomials(monkeypatch):
+    # with terms kept only to index 4, rows grown one Horner entry at a time
+    # to 40 build every later index's terms on each use; the cache keeps none
+    # of them
+    monkeypatch.setattr(bernoulli, "_TERMS_MAX", 4)
+    reference = BernoulliCache()
+    cache = BernoulliCache()
+    points = (F(1, 3), F(-2, 7), F(5, 2), F(-7, 10**6))
+    for n in range(41):
+        for y in points:
+            assert cache.value_at(n, y) == reference.polynomial(n)(y), (n, y)
+    for y in points:
+        row = cache.row(40, y.numerator, y.denominator)
+        assert row == _filled_row(BernoulliCache._shift_fill, 40, y), y
+    assert set(cache._held_terms) == set(range(5))
 
 
 @pytest.mark.parametrize("m", [3, 10**6])

@@ -205,6 +205,28 @@ def test_grid_order_never_shifts(monkeypatch):
     assert calls["_horner_fill"] > 0
 
 
+def test_grid_order_builds_each_index_terms_once(monkeypatch):
+    # every row of a grid fill reads index k's terms C(k, i) L B_i from one
+    # list, built by the first row that reaches k
+    built = {}  # k -> ids of the lists _terms handed out for k
+    terms = BernoulliCache._terms
+
+    def recorded(self, k):
+        held = terms(self, k)
+        built.setdefault(k, set()).add(id(held))
+        return held
+
+    monkeypatch.setattr(BernoulliCache, "_terms", recorded)
+    cache = BernoulliCache()
+    for m in range(1, 7):
+        for r in range(4):
+            for n in range(1, 61):
+                power_sum_poly(cache, ProgressionSpec(m, r, n))
+    assert set(built) == set(range(61))
+    assert all(len(ids) == 1 for ids in built.values())
+    assert set(cache._held_terms) == set(range(61))
+
+
 @settings(max_examples=60)
 @given(
     st.integers(min_value=1, max_value=12),
