@@ -67,20 +67,23 @@ three base-p digits, stops at n//p^2 by itself; a prime in
 it is prime and does not divide n.  Near sqrt(n) nearly every integer is
 a candidate but only one in ln p is prime; the candidates thin out as
 n/p^2 and are the sparser from about 3 sqrt(n) on.  At n = 2*10^5 the 445
-quotients above sqrt(n) became 131 primes and 147 quotients, at 10^7
-3,159 became 729 and 1,051, and one term took 0.65-0.73 of the time of
-the split at sqrt(n) for n from 10^5 to 10^7 (``BENCH_26.json``).
-number_denom is 1 at every odd n >= 3, where B_n = 0, and returns one
-shared empty product there; at even n it builds the divisors of n from
-``digits.factorize`` and keeps the primes d + 1; only even d can give an
-odd prime, and those are twice the divisors of n/2.  Both ask the sieve's
-flag table (``digits.prime_flags``) whether a candidate is prime, one index
-per candidate, and neither asks it past about n/2: nonconstant_denom's bound
+quotients above sqrt(n) became 131 primes and 147 quotients, and at 10^7
+3,159 became 729 and 1,051 (``BENCH_26.json``).
+
+D is constant at odd n, by von Staudt-Clausen: 2 at n = 1, where
+B_1 = -1/2, and 1 at every odd n >= 3, where B_n = 0.  number_denom returns
+one of two shared products there before it reads its memo, so D's
+per-index scan, its segment scan and its memo take even n >= 2 only.  At
+even n the scan builds the divisors of n from ``digits.factorize`` and
+keeps the primes d + 1; only even d can give an odd prime, and those are
+twice the divisors of n/2.  Both closed forms ask the sieve's flag table
+(``digits.prime_flags``) whether a candidate is prime, one index per
+candidate, and neither asks it past about n/2: nonconstant_denom's bound
 is (n+1)/2, and every even divisor d < n of n is at most n/2, so
 number_denom reads flags to n/2 + 1, and the one candidate past them,
 n + 1, is prime when ``factorize`` returns it as its only factor, unless
-the table already reaches it.  One D term at n = 99999998 so takes 71 MB
-where a table to n + 1 took 128 MB (``BENCH_27.json``).
+the table already reaches it.  One D term at n = 99999998 so takes about
+71 MB (``BENCH_27.json``).
 nonconstant_denom lists primes up to 3 sqrt(n), and factorize reads the
 same list up to sqrt(n).  nonconstant_denom_all_primes and
 full_denom_split_product scan every prime on purpose, with a digit sum
@@ -114,7 +117,7 @@ sweeps n upward; D's lists each n's primes.
                       int, takes out the leaves at n and then puts in the
                       entries, and builds a product only at an n that has
                       either.
-  D:                  one row per even n of lo..hi, none for odd n; for
+  D:                  one row per n = lo, lo + 2, ..., hi, lo even; for
                       each d <= sqrt(hi), the even multiples n = d*j with
                       j >= d take d + 1 and j + 1 when prime.
 
@@ -149,11 +152,10 @@ naming n and p.
 Both closed forms keep their values in a memo of at most ``MEMO_BOUND``
 indices, oldest out first; a hit returns the stored SquarefreeProduct
 before any check of n, since the memo holds only valid n.  D's memo holds
-n = 1 and even n only: number_denom answers every odd n >= 3 with its
-shared empty product before it reads the memo, so the same bound spans
-2*MEMO_BOUND values of n.  The quotients share a third memo, of ints
-keyed by n, which only the segment fill writes: a quotient computed for
-one index alone is not stored.  ``fill_nonconstant_memo``,
+even n alone, so the same bound spans 2*MEMO_BOUND values of n.  The
+quotients share a third memo, of ints keyed by n, which only the segment
+fill writes: a quotient computed for one index alone is not stored.
+``fill_nonconstant_memo``,
 ``fill_number_memo`` and ``fill_quotient_memo`` store a segment at once
 through one ``_fill``, which walks its indices with a stride (1 for DD
 and Q, 2 for D, whose fill rounds lo up to even), scans only from the
@@ -198,9 +200,10 @@ _number_memo: OrderedDict[int, SquarefreeProduct] = OrderedDict()
 # nonconstant_quotient at odd n, full_denom_quotient at even n: the two
 # domains are complementary, so one memo keyed by n holds both
 _quotient_memo: OrderedDict[int, int] = OrderedDict()
-# D(n) = 1 at every odd n >= 3, where B_n = 0: one product that number_denom
-# returns for all of them, so D's memo holds only n = 1 and even n
+# D at odd n: 1 at every n >= 3, where B_n = 0, and 2 at n = 1, where
+# B_1 = -1/2; number_denom returns these two products for every odd n
 _VANISHING = SquarefreeProduct(())
+_HALF = SquarefreeProduct((2,))
 
 
 def _check_index(n: int) -> None:
@@ -260,11 +263,8 @@ def _nonconstant_primes(n: int) -> tuple[int, ...]:
 
 
 def _number_primes(n: int) -> tuple[int, ...]:
-    if n == 1:
-        return (2,)
-    if n % 2:
-        return ()
-    # every even divisor d < n is at most n/2, so the flag table to n/2 + 1
+    # even n >= 2 alone: number_denom answers every odd n itself.  Every
+    # even divisor d < n is at most n/2, so the flag table to n/2 + 1
     # reaches each d + 1 but n + 1; factorize reads it too
     flags = prime_flags(n // 2 + 1)
     # d + 1 is an odd prime only for even d, and the even divisors of n are
@@ -376,8 +376,8 @@ def _cofactors(d: int, lo: int, hi: int) -> range:
 
 
 def _number_segment(lo: int, hi: int) -> Iterator[SquarefreeProduct]:
-    """number_denom(n) for the even n of lo..hi from one scan, each built lazily."""
-    lo += lo % 2
+    """number_denom(n) for n = lo, lo + 2, ..., hi, lo even, from one scan,
+    each built lazily."""
     # found[i] lists the primes of n = lo + 2i; d*j is even, and so is d times
     # the step of its cofactors, so row indices halve exactly
     found: list[list[int]] = [[] for _ in range(lo, hi + 1, 2)]
@@ -478,9 +478,8 @@ def fill_number_memo(lo: int, hi: int) -> None:
     """Store number_denom(n) for the even n in lo..hi, as fill_nonconstant_memo
     does for every n.
 
-    number_denom answers every odd n >= 3 without the memo, so only even n
-    are scanned and stored, lo rounded up to even; the memo's MEMO_BOUND
-    indices then span 2*MEMO_BOUND values of n.
+    lo is rounded up to even; the memo's MEMO_BOUND indices span
+    2*MEMO_BOUND values of n.
     """
     _fill(_number_memo, _number_segment, lo + lo % 2, hi, 2)
 
@@ -508,13 +507,11 @@ def number_denom(n: int) -> SquarefreeProduct:
     2, and each prime d + 1 for the even divisors d of n, built from the
     factorization of n/2.  The flag table is read to n/2 + 1; the one
     candidate past it, n + 1, goes to ``factorize`` when the table stops
-    short.
-    The odd cases are 2 at n = 1, read and stored as an even n is, and 1
-    for n >= 3, where the numbers vanish: one shared empty product,
-    returned before the memo is read, so no odd n >= 3 is ever stored.
+    short.  At odd n >= 1 it is one of two shared products, 2 at n = 1 and
+    1 at n >= 3, returned before the memo is read.
     """
-    if n % 2 and n > 1:
-        return _VANISHING
+    if n % 2 and n > 0:
+        return _VANISHING if n > 1 else _HALF
     return _number_memo.get(n) or _remember(_number_memo, n, _number_primes)
 
 

@@ -40,6 +40,14 @@ def bfile(pairs):
     return "".join(f"{n} {v}\n" for n, v in pairs)
 
 
+def _number_value(n):
+    # D(1) = 2, where B_1 = -1/2, and D(n) = 1 at odd n >= 3, where B_n = 0;
+    # the per-index scan takes even n alone
+    if n % 2:
+        return 2 if n == 1 else 1
+    return prod(denom._number_primes(n))
+
+
 def csv(pairs):
     return "n,a_n\n" + "".join(f"{n},{v}\n" for n, v in pairs)
 
@@ -269,7 +277,7 @@ def test_seq_over_a_long_range_keeps_each_memo_at_its_bound(capsys):
     assert code == 0
     assert len(denom._nonconstant_memo) == len(denom._number_memo) == bound
     want = [
-        (n, lcm(prod(denom._nonconstant_primes(n)), prod(denom._number_primes(n))))
+        (n, lcm(prod(denom._nonconstant_primes(n)), _number_value(n)))
         for n in range(1, 3 * bound + 1)
     ]
     assert out == bfile(want)
@@ -283,7 +291,17 @@ def test_seq_d_over_an_odd_to_odd_range_stores_the_even_n_alone(capsys):
     code, out, _ = run_cli(capsys, "seq", "D", "--from", str(lo), "--to", str(hi))
     assert code == 0
     assert list(denom._number_memo) == list(range(lo + 1, hi, 2))
-    assert out == bfile((n, prod(denom._number_primes(n))) for n in range(lo, hi + 1))
+    assert out == bfile((n, _number_value(n)) for n in range(lo, hi + 1))
+    denom.clear_formula_caches()
+
+
+def test_seq_d_from_1_stores_the_even_n_alone(capsys):
+    # D(1) = 2 is a shared product, as D = 1 at odd n >= 3 is: no odd n is stored
+    denom.clear_formula_caches()
+    code, out, _ = run_cli(capsys, "seq", "D", "--from", "1", "--to", "2000")
+    assert code == 0
+    assert list(denom._number_memo) == list(range(2, 2001, 2))
+    assert out == bfile((n, _number_value(n)) for n in range(1, 2001))
     denom.clear_formula_caches()
 
 

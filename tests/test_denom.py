@@ -216,11 +216,12 @@ def _assert_entries(got, ns, primes):
 
 
 def _assert_segments_match_per_index_scans(segments, dd, d):
-    # DD's scan yields every n of lo..hi, D's the even n alone: D's memo
-    # holds no odd n >= 3, where number_denom returns one shared product
+    # DD's scan yields every n of lo..hi, D's the even n alone, from lo
+    # rounded up to even: number_denom answers every odd n itself
     for lo, hi in segments:
         _assert_entries(denom._nonconstant_segment(lo, hi), range(lo, hi + 1), dd)
-        _assert_entries(denom._number_segment(lo, hi), range(lo + lo % 2, hi + 1, 2), d)
+        even = lo + lo % 2
+        _assert_entries(denom._number_segment(even, hi), range(even, hi + 1, 2), d)
 
 
 def test_segment_scans_equal_the_per_index_scans_to_20000():
@@ -334,7 +335,9 @@ def test_filled_memos_hold_the_per_index_values(monkeypatch):
         assert nonconstant_denom(n) is dd and number_denom(n) is d, n
         want = denom._nonconstant_primes(n)
         assert (dd.primes, dd.value) == (want, prod(want)), n
-        assert (d.primes, d.value) == (denom._number_primes(n), prod(d.primes)), n
+        # D(n) = 1 at odd n >= 3; the per-index scan takes even n alone
+        want = () if n % 2 else denom._number_primes(n)
+        assert (d.primes, d.value) == (want, prod(want)), n
 
 
 def test_a_fill_keeps_the_newest_indices_and_never_passes_the_bound(monkeypatch):
@@ -448,9 +451,10 @@ def test_a_prime_at_the_split_moves_from_the_quotient_walk_to_the_prime_list():
 
 
 def test_d_at_every_odd_n_is_one_shared_product_that_is_never_stored(monkeypatch):
-    # B_n = 0 at odd n >= 3: D reads no memo there, builds nothing, stores nothing
+    # B_1 = -1/2 and B_n = 0 at odd n >= 3: D reads no memo at odd n, builds
+    # nothing, stores nothing
     clear_formula_caches()
-    for n in (1, 2, 5000):
+    for n in (2, 5000):
         number_denom(n)
     stored = list(denom._number_memo.items())
 
@@ -460,6 +464,9 @@ def test_d_at_every_odd_n_is_one_shared_product_that_is_never_stored(monkeypatch
     for name in ("SquarefreeProduct", "_number_primes", "_number_segment", "factorize",
                  "prime_flags"):
         monkeypatch.setattr(denom, name, forbidden)
+    one = number_denom(1)
+    assert (one.primes, one.value) == ((2,), 2)
+    assert number_denom(1) is one
     shared = number_denom(3)
     assert (shared.primes, shared.value) == ((), 1)
     for n in range(3, 5002, 2):
@@ -591,7 +598,7 @@ def test_segments_from_a_fresh_sieve_equal_those_after_a_grown_one(fresh_sieve, 
     # tables here; after the sieve is grown past hi it reads full ones
     scans = {
         "DD": lambda: [sp.primes for sp in denom._nonconstant_segment(lo, hi)],
-        "D": lambda: [sp.primes for sp in denom._number_segment(lo, hi)],
+        "D": lambda: [sp.primes for sp in denom._number_segment(lo + lo % 2, hi)],
         "Q": lambda: denom._quotient_segment(lo, hi),
     }
     cold = {}
@@ -661,12 +668,16 @@ def test_quotients_by_division_check_divisibility(monkeypatch):
 
 
 def test_sequences_reject_nonpositive_index():
-    for fn in (nonconstant_denom, nonconstant_denom_all_primes, number_denom,
-               full_denom, full_denom_via_successor, full_denom_split_product):
-        with pytest.raises(ValueError):
-            fn(0)
-    with pytest.raises(ValueError):
-        nonconstant_denom_direct(CACHE, -3)
+    # odd n < 0 too: -1 % 2 == 1, so D's odd branch must not answer them
+    for n in (0, -1, -2, -3):
+        message = f"^sequence index must be >= 1, got {n}$"
+        for fn in (nonconstant_denom, nonconstant_denom_all_primes, number_denom,
+                   full_denom, full_denom_via_successor, full_denom_split_product):
+            with pytest.raises(ValueError, match=message):
+                fn(n)
+        for direct in (number_denom_direct, nonconstant_denom_direct, full_denom_direct):
+            with pytest.raises(ValueError, match=message):
+                direct(CACHE, n)
 
 
 def _first_index_digit_sum_reaches(p, q):
