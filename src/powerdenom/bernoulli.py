@@ -21,13 +21,17 @@ Integers are the only internal form of a rational here.  A ``Fraction`` is
 built only where a method returns one: ``number``, ``value_at``, and
 ``RationalPoly.coeffs`` and ``__call__``, which alone import ``fractions``,
 so importing this module does not load it.  Polynomials (``RationalPoly``)
-are integer numerators over one common denominator, built from those
-integers in canonical form and evaluated; nothing else.  A rational point
-is two ints: ``row(n, p, q)`` takes y = p/q in lowest terms, q >= 1, and
-only ``value_at`` and a polynomial's ``__call__`` take y as an int or a
-``Fraction``, read through ``y.numerator`` and ``y.denominator``.  Values
-at a rational point share one row format: per distinct y = p/q in lowest
-terms, the reduced numerators, reduced denominators and running lcm of
+are integer numerators over one common denominator in canonical form,
+built and evaluated; nothing else.  The constructor makes the form
+canonical by a content gcd; ``powersum.power_sum_poly`` builds it canonical
+already, over the lcm of its reduced coefficient denominators, and hands it
+to the private ``RationalPoly._canonical``, which checks nothing.  A
+rational point is two ints: ``row(n, p, q)`` takes y = p/q in lowest
+terms, q >= 1, and only ``value_at`` and a polynomial's ``__call__`` take
+y as an int or a ``Fraction``, read through ``y.numerator`` and
+``y.denominator``.  Values at a rational point share one row format: per
+distinct y = p/q in lowest terms, the reduced numerators, reduced
+denominators and running lcm of
 
     A_k = q^k B_k(p/q) = sum_i C(k, i) B_i p^(k-i) q^i,   k = 0, 1, ...,
 
@@ -140,6 +144,23 @@ class RationalPoly(Value):
             den //= g
         self.nums = tuple(nums)
         self.den = den
+
+    @classmethod
+    def _canonical(cls, nums: tuple[int, ...], den: int) -> "RationalPoly":
+        """A polynomial from a tuple ``nums`` and a ``den`` already in
+        canonical form, with none of the constructor's copy, trim, sign and
+        gcd passes.
+
+        Only for a producer whose construction makes the form canonical:
+        ``powersum.power_sum_poly`` alone.  Its den is the lcm of its
+        reduced coefficient denominators, so each prime power of den comes
+        from a coefficient whose reduced numerator is prime to it, and its
+        leading numerator is nonzero.  Anything else calls the constructor.
+        """
+        self = object.__new__(cls)
+        self.nums = nums
+        self.den = den
+        return self
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

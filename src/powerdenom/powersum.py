@@ -13,7 +13,11 @@ row to n, a scaled difference its entry n at |r|/m, with a negative start
 read from the same entry by the reflection
 B_n(-x) = (-1)^n (B_n(x) + n x^(n-1)).  The point is handed to the cache as
 two ints in lowest terms, |r|/g and m/g with g = gcd(r, m); no ``Fraction``
-is built here.
+is built here.  The polynomial is put over its own denominator: each
+coefficient is reduced by one gcd against j times its row entry's
+denominator, and the lcm of those reduced denominators is the polynomial's,
+so no common denominator of the whole row is formed and no content gcd is
+taken.
 
 The integrality of the scaled differences is enforced at construction time
 and raises TheoremViolationError on failure: such a failure can only mean a
@@ -24,7 +28,7 @@ same m and n has integer coefficients is checked by the T2 sweep in
 
 from __future__ import annotations
 
-from math import gcd
+from math import gcd, lcm
 
 from .bernoulli import BernoulliCache, RationalPoly
 from .denom import full_denom, nonconstant_denom
@@ -83,28 +87,39 @@ def power_sum_naive(spec: ProgressionSpec, x: int) -> int:
 def power_sum_poly(cache: BernoulliCache, spec: ProgressionSpec) -> RationalPoly:
     """The power sum as a polynomial in the term count.
 
-    Coefficient of x^j (1 <= j <= n+1) is m^n C(n+1, j) B_(n+1-j)(r/m)
-    divided by n+1; the constant term is zero.  With g = gcd(r, m) and
-    q = m / g, the row of r/m, ``row(n, r // g, q)``, holds
-    A_k = q^k B_k(r/m), so m^n B_k(r/m) = g^n q^(n-k) A_k.  The row's denominators divide
-    lcm(den B_0, ..., den B_n) and hold no power of q, so the polynomial is
-    built in one pass over the row, in integers over (n+1) L with L the
-    row's lcm at n.
+    Coefficient of x^j (1 <= j <= n+1) is m^n C(n+1, j) B_k(r/m) / (n+1)
+    with k = n+1-j; the constant term is zero.  With g = gcd(r, m) and
+    q = m / g, entry k of the row of r/m, ``row(n, r // g, q)``, is
+    A_k / d_k = q^k B_k(r/m) in lowest terms, so m^n B_k(r/m) =
+    g^n q^(j-1) A_k / d_k, and since C(n+1, j) / (n+1) = C(n, j-1) / j the
+    coefficient is c_j A_k / (j d_k) with c_j = g^n q^(j-1) C(n, j-1), one
+    multiply and one exact divide from c_(j-1).  Each coefficient is
+    reduced by one gcd against its own small denominator j d_k; the
+    polynomial's denominator is the lcm of the reduced denominators, and
+    each reduced numerator is scaled to it once.  That is the canonical
+    form (``RationalPoly._canonical``): each prime power of the lcm comes
+    from a coefficient whose reduced numerator is prime to it, and the
+    x^(n+1) numerator, from m^n / (n+1), is never 0.
     """
     m, r, n = spec.m, spec.r, spec.n
     g = gcd(r, m)
     q = m // g
-    values, dens, lcms = cache.row(n, r // g, q)
-    scale = lcms[n]
-    w = g**n  # g^n q^(j-1) = g^n q^(n-k)
+    values, dens, _ = cache.row(n, r // g, q)
+    c = g**n  # c_j, from c_1 = g^n
     nums = [0]
-    binom = 1
+    reduced = [1]
+    k = n
     for j in range(1, n + 2):
-        k = n + 1 - j
-        binom = binom * (k + 1) // j  # C(n+1, j)
-        nums.append(binom * w * values[k] * (scale // dens[k]))
-        w *= q
-    return RationalPoly(nums, (n + 1) * scale)
+        a = c * values[k]
+        d = j * dens[k]
+        h = gcd(a, d)
+        nums.append(a // h)
+        reduced.append(d // h)
+        c = c * (q * k) // j
+        k -= 1
+    den = lcm(*reduced)
+    nums = [a * (den // d) for a, d in zip(nums, reduced)]
+    return RationalPoly._canonical(tuple(nums), den)
 
 
 def power_sum_denominator(spec: ProgressionSpec) -> int:

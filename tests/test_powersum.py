@@ -3,7 +3,7 @@
 import pickle
 import random
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -169,6 +169,34 @@ def test_poly_matches_value_at_route_on_t2_grid():
     # one row per r/m in lowest terms: (1, 2) serves m, r = 2, 1 and 4, 2 and 6, 3
     points = {Fraction(r, m) for m in range(1, 31) for r in range(4)}
     assert set(cache._rows) == {(y.numerator, y.denominator) for y in points}
+
+
+def test_poly_is_canonical_on_t2_grid():
+    # power_sum_poly builds its fields through RationalPoly._canonical, which
+    # checks nothing: the form must be canonical by construction
+    for m in range(1, 31):
+        for r in range(4):
+            for n in range(61):
+                f = power_sum_poly(CACHE, ProgressionSpec(m, r, n))
+                assert type(f.nums) is tuple and len(f.nums) == n + 2, (m, r, n)
+                assert f.den >= 1 and f.nums[-1] != 0, (m, r, n)
+                assert gcd(f.den, *f.nums) == 1, (m, r, n)
+
+
+def test_poly_matches_value_at_route_past_the_grid(monkeypatch):
+    # seeded points at n = 200..600, each from a fresh cache, so the row of
+    # r/m comes from one Taylor shift; the reference reads its own cache
+    rng = random.Random(4217)
+    points = [
+        ProgressionSpec(rng.randint(2, 30), rng.randint(1, 9), rng.randint(200, 600))
+        for _ in range(4)
+    ]
+    reference = BernoulliCache()
+    wants = [_power_sum_poly_by_value_at(reference, spec) for spec in points]
+    calls = _count_fills(monkeypatch)
+    for spec, want in zip(points, wants):
+        assert power_sum_poly(BernoulliCache(), spec) == want, spec
+    assert calls == {"_horner_fill": 0, "_shift_fill": len(points)}
 
 
 def _count_fills(monkeypatch):
