@@ -315,6 +315,8 @@ class BernoulliCache:
             raise ValueError(f"point denominator must be >= 1, got {q}")
         row = self._rows.get((p, q))
         if row is None:
+            if math.gcd(p, q) != 1:
+                raise ValueError(f"point {p}/{q} is not in lowest terms")
             row = self._rows[(p, q)] = ([], [], [])
         if n >= len(row[0]):
             # fills the table, which is the whole fill of the row of 0

@@ -5,19 +5,14 @@ lines, ``powersum`` prints one power sum polynomial with its denominator and
 integrality verdict, ``verify`` runs a theorem sweep and reports failures,
 ``bench`` compares the closed-form path against the rational oracle.
 
-``main`` reads the documented ``seq`` query, ``seq ID --from A --to B``
-with an optional ``--format bfile|csv`` and A, B plain ASCII digits,
-without argparse (``_documented_seq``): for such an argv it builds and runs
-no parser and does not import argparse, and it prints, refuses and exits as
-argparse's reading followed by ``seq`` would.  Every other argv goes to
-argparse.  Each command adds its arguments in one function
-(``_seq_arguments`` and so on).  ``main`` parses an argv that starts with a
-command name with that command's own parser, built the first time the
-command runs in the process, so a query is one argparse pass.  Any other
-argv (``--help``, no command, an unknown command) goes to ``build_parser``,
-the whole tree, which the same functions fill.  The one visible difference:
-unrecognized arguments are reported under the command's usage line, not
-under ``powerdenom``'s.
+``main`` reads an argv by one of two routes.  The documented ``seq`` query,
+``seq ID --from A --to B`` with an optional ``--format bfile|csv`` and A, B
+plain ASCII digits, is read without argparse (``_documented_seq``): for such
+an argv it builds and runs no parser and does not import argparse, and it
+prints, refuses and exits as argparse's reading followed by ``seq`` would.
+Every other argv is parsed by ``build_parser(command)``, the command tree
+with arguments added to the subparser of the command the argv starts with
+alone, by that command's one function (``_seq_arguments`` and so on).
 
 ``run_bench`` returns the two timings as ints, and ``bench`` prints their
 ratio.  The input bounds (``MAX_TABLE_N`` and the rest) are defined in
@@ -465,11 +460,16 @@ _COMMANDS: dict[str, tuple[str, Callable[[argparse.ArgumentParser], None], Calla
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The whole command tree: every command as a subparser of ``powerdenom``.
+@cache
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command tree: every command a subparser of ``powerdenom``, with
+    arguments added to ``command``'s alone, the others left bare.
 
-    ``main`` parses with it only an argv that names no command, such as
-    ``--help``, an empty one or an unknown command.
+    ``main`` passes the command its argv starts with, or None when it starts
+    with none (``--help``, an empty argv, an unknown word), so an argv is
+    parsed by one parser that holds its command's arguments, and
+    ``powerdenom --help`` needs no ``verify``.  Built once per command in a
+    process.
     """
     import argparse
 
@@ -482,19 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_arguments, _) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_line))
-    return parser
-
-
-# The parser of one command alone, built the first time that command runs
-# in this process: a query then pays for one argparse pass over its own
-# arguments, not for the whole tree and a second pass at the top level.
-@cache
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    import argparse
-
-    parser = argparse.ArgumentParser(prog=f"powerdenom {name}")
-    _COMMANDS[name][1](parser)
+        subparser = sub.add_parser(name, help=help_line)
+        if name == command:
+            add_arguments(subparser)
     return parser
 
 
@@ -504,12 +494,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if query is not None:
         command, inputs = _seq, query
     else:
+        named = argv[0] if argv and argv[0] in _COMMANDS else None
         try:
-            if argv and argv[0] in _COMMANDS:
-                args = _command_parser(argv[0]).parse_args(argv[1:])
-                args.command = argv[0]
-            else:
-                args = build_parser().parse_args(argv)
+            args = build_parser(named).parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
         command, inputs = _COMMANDS[args.command][2], (args,)

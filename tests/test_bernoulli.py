@@ -347,6 +347,20 @@ def test_a_point_needs_a_positive_denominator():
     assert set(cache._rows) == {(0, 1)}
 
 
+def test_a_point_must_be_in_lowest_terms():
+    # 0/3 reached the Taylor shift's division by p, and 2/4 kept a second
+    # row for 1/2; each is refused before a row is made
+    cache = BernoulliCache()
+    half = [list(part) for part in cache.row(6, 1, 2)]
+    table = [list(part) for part in cache.row(6, 0)]
+    for n, p, q in ((3, 0, 3), (6, 2, 4)):
+        with pytest.raises(ValueError, match=rf"^point {p}/{q} is not in lowest terms$"):
+            cache.row(n, p, q)
+    assert set(cache._rows) == {(0, 1), (1, 2)}
+    assert [list(part) for part in cache.row(6, 1, 2)] == half
+    assert [list(part) for part in cache.row(6, 0)] == table
+
+
 def test_a_point_is_read_by_numerator_and_denominator():
     # the int 1 and Fraction(2, 2) are one point, (1, 1), with one row; so
     # are Fraction(1, 3) and Fraction(2, 6), (1, 3); value_at reads the row

@@ -857,7 +857,8 @@ def test_verify_jobs_are_clamped_to_usable_cpus(capsys, monkeypatch):
     # run_sweep imports the pool on its parallel path, so it finds the fake
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(verify.os, "sched_getaffinity", lambda pid: {0, 1, 2})
-    assert cli.build_parser().parse_args(["verify", "T1-parity"]).jobs == 3
+    # a tree built now, not the cached one: the default is read when it is built
+    assert cli.build_parser.__wrapped__("verify").parse_args(["verify", "T1-parity"]).jobs == 3
     code, out, _ = run_cli(capsys, "verify", "T1-parity", "--max", "64", "--jobs", "5000")
     assert code == 0
     assert "checked 64 cases" in out
@@ -1136,9 +1137,10 @@ def test_bench_quotient_oracle_divides_exactly(capsys, monkeypatch):
 
 
 def run_tree(capsys, *argv):
-    """What main gives when the whole command tree parses ``argv``."""
+    """What main gives when the command tree parses ``argv``."""
+    command = argv[0] if argv and argv[0] in cli._COMMANDS else None
     try:
-        args = cli.build_parser().parse_args(list(argv))
+        args = cli.build_parser(command).parse_args(list(argv))
     except SystemExit as exc:
         code = exc.code
     else:
@@ -1163,6 +1165,9 @@ PARSE_CASES = [
     ("seq", "D", "--from", "one", "--to", "2"),  # a bad int
     ("bench", "DD", "1..3", "--reps", "z"),
     ("seq", "D", "--fr", "1", "--to", "3"),  # an abbreviated option
+    ("seq", "D", "--from", "1", "--to", "3", "--bogus"),  # unrecognized arguments
+    ("seq", "D", "--from", "1", "--to", "3", "extra"),
+    ("--bogus", "seq", "D"),  # an option before the command
     (),  # no command
     ("nope",),  # an unknown command
     ("nope", "--from", "1"),
@@ -1233,7 +1238,7 @@ def test_the_seq_reader_declines_or_reads_what_argparse_reads():
         if query is None:  # left to argparse, as every argv was before
             return
         try:
-            args = cli._command_parser("seq").parse_args(argv[1:])
+            args = cli.build_parser("seq").parse_args(argv)
         except SystemExit:
             raise AssertionError(f"read {argv}, which argparse refuses") from None
         assert query == (args.seq_id, args.start, args.stop, args.format), argv
@@ -1243,24 +1248,24 @@ def test_the_seq_reader_declines_or_reads_what_argparse_reads():
     assert read  # the documented form itself was drawn
 
 
-def test_unrecognized_arguments_are_reported_under_the_command_usage(capsys):
-    # the one difference from the whole tree, which reports them under the
-    # usage line of powerdenom itself
-    for argv in (("seq", "D", "--from", "1", "--to", "3", "--bogus"),
-                 ("seq", "D", "--from", "1", "--to", "3", "extra")):
+def test_unrecognized_arguments_are_reported_under_the_tree_usage(capsys):
+    # one parser reads every argv but the documented seq form, so argparse
+    # reports them under the usage line of powerdenom itself; an option
+    # before the command leaves the command's subparser bare
+    for argv, unread in (
+        (("seq", "D", "--from", "1", "--to", "3", "--bogus"), "--bogus"),
+        (("seq", "D", "--from", "1", "--to", "3", "extra"), "extra"),
+        (("--bogus", "seq", "D"), "--bogus D"),
+    ):
         code, out, err = run_cli(capsys, *argv)
-        tree_code, tree_out, tree_err = run_tree(capsys, *argv)
-        assert (code, out) == (tree_code, tree_out) == (2, "")
-        assert err.startswith("usage: powerdenom seq [-h]")
-        assert tree_err.startswith("usage: powerdenom [-h]")
-        message = f"error: unrecognized arguments: {argv[-1]}"
-        assert err.splitlines()[-1] == f"powerdenom seq: {message}"
-        assert tree_err.splitlines()[-1] == f"powerdenom: {message}"
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("usage: powerdenom [-h]"), argv
+        assert err.splitlines()[-1] == f"powerdenom: error: unrecognized arguments: {unread}"
 
 
 def test_a_seq_query_builds_only_the_seq_parser_once(capsys, monkeypatch):
     # the documented form builds and runs no parser; any other seq argv
-    # builds the seq parser alone, once, and never the whole tree
+    # builds one tree, once, with seq's arguments alone added
     import argparse
 
     built, parsed = [], []
@@ -1272,9 +1277,6 @@ def test_a_seq_query_builds_only_the_seq_parser_once(capsys, monkeypatch):
 
         return add
 
-    def refuse():
-        raise AssertionError("built the whole command tree")
-
     def counted(self, *args, **kwargs):
         parsed.append(self.prog)
         return parse_args(self, *args, **kwargs)
@@ -1283,10 +1285,9 @@ def test_a_seq_query_builds_only_the_seq_parser_once(capsys, monkeypatch):
         monkeypatch.setitem(
             cli._COMMANDS, name, (help_line, recording(name, add_arguments), command)
         )
-    monkeypatch.setattr(cli, "build_parser", refuse)
     parse_args = argparse.ArgumentParser.parse_args
     monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counted)
-    cli._command_parser.cache_clear()
+    cli.build_parser.cache_clear()
     try:
         for n in ("3", "5"):
             assert run_cli(capsys, "seq", "D", "--from", n, "--to", n)[:2] == (0, f"{n} 1\n")
@@ -1296,10 +1297,11 @@ def test_a_seq_query_builds_only_the_seq_parser_once(capsys, monkeypatch):
         assert (built, parsed) == ([], [])
         for n in ("3", "5"):
             assert run_cli(capsys, "seq", "D", "--to", n, "--from", n)[:2] == (0, f"{n} 1\n")
+        assert cli.build_parser.cache_info().currsize == 1
     finally:
-        cli._command_parser.cache_clear()
+        cli.build_parser.cache_clear()
     assert built == [("seq", "powerdenom seq")]
-    assert parsed == ["powerdenom seq"] * 2
+    assert parsed == ["powerdenom"] * 2
 
 
 def test_missing_subcommand_is_usage_error(capsys):
@@ -1453,30 +1455,29 @@ def test_cli_import_loads_only_what_its_queries_run():
     result = _python("-S", "-W", "error", "-c", (
         "import contextlib, io, sys\n"
         "import powerdenom\n"
-        "from powerdenom.cli import build_parser, main\n"
+        "from powerdenom.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(['seq', 'DD', '--from', '1', '--to', '40'])]\n"
         "    read = 'argparse' in sys.modules\n"
         "    exact = [name for name in ('fractions', 'decimal', 'numbers', 're') "
         "if name in sys.modules]\n"
-        "    codes += [main(['powersum', '--m', '3', '--r', '1', '--n', '5', '--x', '4']),\n"
+        "    codes += [main(['--help']),\n"
+        "              main(['powersum', '--m', '3', '--r', '1', '--n', '5', '--x', '4']),\n"
         "              main(['bench', 'DB', '1..20', '--reps', '1'])]\n"
         "heavy = ('dataclasses', 'inspect', 'typing', 'powerdenom.verify')\n"
         "print(codes, read, exact, 'argparse' in sys.modules,\n"
         "      *[name for name in heavy if name in sys.modules])\n"
         "print(main(['verify', 'T1-parity', '--max', '64', '--jobs', '1']))\n"
         "print('dataclasses' in sys.modules)\n"
-        "try:\n"
-        "    build_parser().parse_args(['verify', '--help'])\n"
-        "except SystemExit as exc:\n"
-        "    print(exc.code)"
+        "print(main(['verify', '--help']))"
     ))
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
     # argparse is loaded by the first query that needs a parser, not by a
     # documented seq query, and fractions (with decimal, numbers and re
-    # behind it) only where a Fraction is built, which that query never does
-    assert lines[0] == "[0, 0, 0] False [] True"
+    # behind it) only where a Fraction is built, which that query never does;
+    # --help lists the commands alone, so it needs no verify for their ids
+    assert lines[0] == "[0, 0, 0, 0] False [] True"
     assert lines[1] == "T1-parity: n <= 64"
     assert lines[2].startswith("checked 64 cases in ") and lines[2].endswith(": PASS")
     assert lines[3] == "0"
