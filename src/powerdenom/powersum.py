@@ -8,16 +8,19 @@ from gcds and the nonconstant denominator sequence alone, decides integrality
 of the whole coefficient vector from a single divisibility, and computes the
 scaled polynomial differences m^n(B_n(r/m) - B_n), which are always integers
 (Almkvist and Meurman's theorem) and carry a p-power divisibility tied to n.
-Both read one ``BernoulliCache`` row per point r/m: the polynomial the whole
-row to n, a scaled difference its entry n at |r|/m, with a negative start
-read from the same entry by the reflection
-B_n(-x) = (-1)^n (B_n(x) + n x^(n-1)).  The point is handed to the cache as
-two ints in lowest terms, |r|/g and m/g with g = gcd(r, m); no ``Fraction``
-is built here.  The polynomial is put over its own denominator: each
-coefficient is reduced by one gcd against j times its row entry's
-denominator, and the lcm of those reduced denominators is the polynomial's,
-so no common denominator of the whole row is formed and no content gcd is
-taken.
+A scaled difference reads entry n of one ``BernoulliCache`` row at |r|/m,
+with a negative start read from the same entry by the reflection
+B_n(-x) = (-1)^n (B_n(x) + n x^(n-1)).  The polynomial S_n takes one of two
+routes, and one slot on the cache, the coefficients of the last polynomial
+built on it, alone chooses.  When the slot holds S_(n-1) at the same m and
+r, S_n = c x + m n times the integral of S_(n-1) from 0 (Appell's identity
+B'_(n+1) = (n+1) B_n), with c fixed by S_n(1) = r^n, so no Bernoulli number
+is read; otherwise it reads the row of r/m to n.  The point is handed to
+the cache as two ints in lowest terms, |r|/g and m/g with g = gcd(r, m); no
+``Fraction`` is built here.  Either way the polynomial is put over its own
+denominator: each coefficient is reduced by one gcd against its own small
+denominator, and the lcm of those denominators is the polynomial's, so no
+common denominator of the whole row is formed and no content gcd is taken.
 
 The integrality of the scaled differences is enforced at construction time
 and raises TheoremViolationError on failure: such a failure can only mean a
@@ -85,41 +88,76 @@ def power_sum_naive(spec: ProgressionSpec, x: int) -> int:
 
 
 def power_sum_poly(cache: BernoulliCache, spec: ProgressionSpec) -> RationalPoly:
-    """The power sum as a polynomial in the term count.
+    """The power sum as a polynomial in the term count, by one of two routes.
 
-    Coefficient of x^j (1 <= j <= n+1) is m^n C(n+1, j) B_k(r/m) / (n+1)
-    with k = n+1-j; the constant term is zero.  With g = gcd(r, m) and
-    q = m / g, entry k of the row of r/m, ``row(n, r // g, q)``, is
+    The cache keeps one slot, the coefficients of the last polynomial built
+    on it as pairs num/den, and the slot alone chooses the route.  When it
+    holds (m, r, n - 1), S_n is carried from S_(n-1).  Appell's identity
+    B'_(n+1) = (n+1) B_n gives S_n'(x) = m n S_(n-1)(x) + m^n B_n(r/m), and
+    S_n(0) = 0, so for j >= 2 the x^j coefficient of S_n is m n / j times
+    the x^(j-1) coefficient of S_(n-1), a_(j-1) m n / (e_(j-1) j), reduced
+    by one full gcd.  The x coefficient follows from S_n(1) = r^n: over the
+    lcm of the others' denominators it is r^n less their numerators, so no
+    Bernoulli number is read.
+
+    Otherwise the row of r/m is read.  The coefficient of x^j
+    (1 <= j <= n+1) is m^n C(n+1, j) B_k(r/m) / (n+1) with k = n+1-j.
+    With g = gcd(r, m) and q = m / g, entry k of ``row(n, r // g, q)`` is
     A_k / d_k = q^k B_k(r/m) in lowest terms, so m^n B_k(r/m) =
     g^n q^(j-1) A_k / d_k, and since C(n+1, j) / (n+1) = C(n, j-1) / j the
     coefficient is c_j A_k / (j d_k) with c_j = g^n q^(j-1) C(n, j-1), one
-    multiply and one exact divide from c_(j-1).  Each coefficient is
-    reduced by one gcd against its own small denominator j d_k; the
-    polynomial's denominator is the lcm of the reduced denominators, and
-    each reduced numerator is scaled to it once.  That is the canonical
-    form (``RationalPoly._canonical``): each prime power of the lcm comes
-    from a coefficient whose reduced numerator is prime to it, and the
-    x^(n+1) numerator, from m^n / (n+1), is never 0.
+    multiply and one exact divide from c_(j-1).  Its gcd is taken against
+    c_j alone, so a prime p of both A_k and j stays in the pair, but the
+    lcm of the denominators is the same as in lowest terms: p does not
+    divide d_k, and it does not divide m, since v_p(c_j) >= n >= v_p(j)
+    when p | g and v_p(c_j) >= j - 1 >= v_p(j) when p | q.  Then
+    v_p(j) - v_p(c_j) = v_p(n+1) - v_p(C(n+1, j)) <= v_p(n+1), and the
+    x^(n+1) coefficient m^n / (n+1), where A_0 = 1, puts p^v_p(n+1) into
+    the lcm already.
+
+    Either way the polynomial's denominator is that lcm, each numerator is
+    scaled to it once, giving the coefficient times the lcm, and the form
+    is canonical (``RationalPoly._canonical``).  The pairs go into the
+    slot; since they are not always in lowest terms, the carried step's
+    gcd is a full one.
     """
     m, r, n = spec.m, spec.r, spec.n
-    g = gcd(r, m)
-    q = m // g
-    values, dens, _ = cache.row(n, r // g, q)
-    c = g**n  # c_j, from c_1 = g^n
-    nums = [0]
-    reduced = [1]
-    k = n
-    for j in range(1, n + 2):
-        a = c * values[k]
-        d = j * dens[k]
-        h = gcd(a, d)
-        nums.append(a // h)
-        reduced.append(d // h)
-        c = c * (q * k) // j
-        k -= 1
-    den = lcm(*reduced)
-    nums = [a * (den // d) for a, d in zip(nums, reduced)]
-    return RationalPoly._canonical(tuple(nums), den)
+    last = cache._last_power_sum
+    if last and last[0] == (m, r, n - 1):
+        _, tops, bottoms = last
+        mn = m * n
+        nums = [0, 0]
+        reduced = [1, 1]
+        for j in range(2, n + 2):
+            a = tops[j - 1] * mn
+            d = bottoms[j - 1] * j
+            h = gcd(a, d)
+            nums.append(a // h)
+            reduced.append(d // h)
+        den = lcm(*reduced)
+        scaled = [a * (den // d) for a, d in zip(nums, reduced)]
+        # S_n(1) = r^n: the x numerator over den is what the others leave
+        scaled[1] = nums[1] = r**n * den - sum(scaled)
+        reduced[1] = den
+    else:
+        g = gcd(r, m)
+        q = m // g
+        values, dens, _ = cache.row(n, r // g, q)
+        c = g**n  # c_j, from c_1 = g^n
+        nums = [0]
+        reduced = [1]
+        k = n
+        for j in range(1, n + 2):
+            d = j * dens[k]
+            h = gcd(c, d)
+            nums.append(c // h * values[k])
+            reduced.append(d // h)
+            c = c * (q * k) // j
+            k -= 1
+        den = lcm(*reduced)
+        scaled = [a * (den // d) for a, d in zip(nums, reduced)]
+    cache._last_power_sum = ((m, r, n), nums, reduced)
+    return RationalPoly._canonical(tuple(scaled), den)
 
 
 def power_sum_denominator(spec: ProgressionSpec) -> int:

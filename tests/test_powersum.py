@@ -171,16 +171,25 @@ def test_poly_matches_value_at_route_on_t2_grid():
     assert set(cache._rows) == {(y.numerator, y.denominator) for y in points}
 
 
-def test_poly_is_canonical_on_t2_grid():
+def _assert_canonical(f, spec):
     # power_sum_poly builds its fields through RationalPoly._canonical, which
     # checks nothing: the form must be canonical by construction
+    assert type(f.nums) is tuple and len(f.nums) == spec.n + 2, spec
+    assert f.den >= 1 and f.nums[-1] != 0, spec
+    assert gcd(f.den, *f.nums) == 1, spec
+
+
+def test_poly_is_canonical_on_t2_grid(monkeypatch):
+    # r innermost, as T2 asks, so every call reads the row: the row route's
+    # gcd against c_j alone must still give the lowest-terms lcm
+    cache = BernoulliCache()
+    rows = _count_rows(monkeypatch)
     for m in range(1, 31):
-        for r in range(4):
-            for n in range(61):
-                f = power_sum_poly(CACHE, ProgressionSpec(m, r, n))
-                assert type(f.nums) is tuple and len(f.nums) == n + 2, (m, r, n)
-                assert f.den >= 1 and f.nums[-1] != 0, (m, r, n)
-                assert gcd(f.den, *f.nums) == 1, (m, r, n)
+        for n in range(61):
+            for r in range(4):
+                spec = ProgressionSpec(m, r, n)
+                _assert_canonical(power_sum_poly(cache, spec), spec)
+    assert len(rows) == 30 * 61 * 4
 
 
 def test_poly_matches_value_at_route_past_the_grid(monkeypatch):
@@ -195,8 +204,97 @@ def test_poly_matches_value_at_route_past_the_grid(monkeypatch):
     wants = [_power_sum_poly_by_value_at(reference, spec) for spec in points]
     calls = _count_fills(monkeypatch)
     for spec, want in zip(points, wants):
-        assert power_sum_poly(BernoulliCache(), spec) == want, spec
+        got = power_sum_poly(BernoulliCache(), spec)
+        assert got == want, spec
+        _assert_canonical(got, spec)
     assert calls == {"_horner_fill": 0, "_shift_fill": len(points)}
+
+
+def test_carried_polynomials_equal_the_row_route_on_t2_grid():
+    # each (m, r) at n = 0..60 in order on one cache, so every n >= 1 is
+    # carried from n - 1; the reference varies r innermost, as T2 does, so
+    # its slot never holds (m, r, n - 1) and every call reads the row
+    carried = BernoulliCache()
+    chains = {}
+    for m in range(1, 31):
+        for r in range(4):
+            for n in range(61):
+                chains[m, r, n] = power_sum_poly(carried, ProgressionSpec(m, r, n))
+    by_row = BernoulliCache()
+    for m in range(1, 31):
+        for n in range(61):
+            for r in range(4):
+                spec = ProgressionSpec(m, r, n)
+                want = power_sum_poly(by_row, spec)
+                got = chains[m, r, n]
+                assert got.nums == want.nums and got.den == want.den, spec
+                _assert_canonical(got, spec)
+                # one step carried from the row route's pairs, which are not
+                # always in lowest terms; the next r reads its row again
+                if n < 60:
+                    step = power_sum_poly(by_row, ProgressionSpec(m, r, n + 1))
+                    assert step == chains[m, r, n + 1], (m, r, n + 1)
+
+
+def test_a_chain_from_x_reads_the_row_only_at_n_0(monkeypatch):
+    # S_0 = x from the row route, then n = 1..200 carried, each step from
+    # S_(n-1) and S_n(1) = r^n alone: no Bernoulli number past B_0
+    rng = random.Random(4401)
+    points = [(rng.randint(2, 30), rng.randint(1, 9)) for _ in range(2)]
+    rows = _count_rows(monkeypatch)
+    chains = {}
+    for m, r in points:
+        cache = BernoulliCache()
+        chains[m, r] = [power_sum_poly(cache, ProgressionSpec(m, r, n)) for n in range(201)]
+    assert rows == [0, 0]
+    for (m, r), chain in chains.items():
+        assert chain[0] == RationalPoly((0, 1))
+        for n in range(25, 201, 25):
+            spec = ProgressionSpec(m, r, n)
+            assert chain[n] == power_sum_poly(BernoulliCache(), spec), spec
+
+
+def _count_rows(monkeypatch):
+    """The index n of every BernoulliCache.row call, in call order."""
+    asked = []
+    row = BernoulliCache.row
+
+    def counted(self, n, *args):
+        asked.append(n)
+        return row(self, n, *args)
+
+    monkeypatch.setattr(BernoulliCache, "row", counted)
+    return asked
+
+
+def test_grid_order_reads_one_row_per_pair(monkeypatch):
+    # the grid benchmark's order on a fresh cache: only each (m, r)'s first
+    # n reads a row
+    rows = _count_rows(monkeypatch)
+    cache = BernoulliCache()
+    for m in range(1, 21):
+        for r in range(4):
+            for n in range(1, 61):
+                power_sum_poly(cache, ProgressionSpec(m, r, n))
+    assert rows == [1] * 80
+
+
+@pytest.mark.parametrize(
+    "before,reads",
+    [((7, 3, 9), 0), ((7, 3, 8), 1), ((7, 2, 9), 1), ((6, 3, 9), 1), ((7, 3, 10), 1)],
+)
+def test_the_slot_alone_chooses_the_route(monkeypatch, before, reads):
+    # only (m, r, n - 1) in the slot carries; n - 2, another r, another m
+    # and the same n read the row, and so does a fresh cache
+    cache = BernoulliCache()
+    assert cache._last_power_sum is None
+    power_sum_poly(cache, ProgressionSpec(*before))
+    want = power_sum_poly(BernoulliCache(), ProgressionSpec(7, 3, 10))
+    rows = _count_rows(monkeypatch)
+    assert power_sum_poly(cache, ProgressionSpec(7, 3, 10)) == want
+    assert len(rows) == reads
+    power_sum_poly(BernoulliCache(), ProgressionSpec(7, 3, 10))
+    assert len(rows) == reads + 1
 
 
 def _count_fills(monkeypatch):
@@ -222,13 +320,14 @@ def test_a_fresh_point_is_one_shift(monkeypatch):
 
 def test_grid_order_never_shifts(monkeypatch):
     # each (m, r) at n = 1..60 in turn, as the sweeps and the grid benchmark
-    # ask: every row grows by one entry per request
+    # ask: every row grows by one entry per request.  am_integer reads the
+    # row at every n; power_sum_poly in this order reads it only at n = 1
     calls = _count_fills(monkeypatch)
     cache = BernoulliCache()
     for m in range(1, 21):
         for r in range(4):
             for n in range(1, 61):
-                power_sum_poly(cache, ProgressionSpec(m, r, n))
+                am_integer(cache, m, r, n)
     assert calls["_shift_fill"] == 0
     assert calls["_horner_fill"] > 0
 
@@ -249,7 +348,7 @@ def test_grid_order_builds_each_index_terms_once(monkeypatch):
     for m in range(1, 7):
         for r in range(4):
             for n in range(1, 61):
-                power_sum_poly(cache, ProgressionSpec(m, r, n))
+                am_integer(cache, m, r, n)
     assert set(built) == set(range(61))
     assert all(len(ids) == 1 for ids in built.values())
     assert set(cache._held_terms) == set(range(61))
