@@ -224,8 +224,10 @@ class BernoulliCache:
         self._last_dens: tuple[int, tuple[int, int]] = (0, (1, 1))
         # the last power-sum polynomial only, one slot: (m, r, n) and the
         # numerators and denominators of its coefficients, not always in
-        # lowest terms.  Read and written by powersum.power_sum_poly alone,
-        # which carries S_(n-1) to S_n from it; None until its first call
+        # lowest terms.  Written by powersum.power_sum_poly alone, which
+        # carries S_(n-1) to S_n from it, and read by it and by
+        # powersum.am_integer, which takes m^n B_n(r/m), the x coefficient
+        # of S_n, from it; None until power_sum_poly's first call
         self._last_power_sum: tuple[tuple[int, int, int], list[int], list[int]] | None = None
 
     def _extend(self, n: int) -> None:

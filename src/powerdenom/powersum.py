@@ -8,19 +8,22 @@ from gcds and the nonconstant denominator sequence alone, decides integrality
 of the whole coefficient vector from a single divisibility, and computes the
 scaled polynomial differences m^n(B_n(r/m) - B_n), which are always integers
 (Almkvist and Meurman's theorem) and carry a p-power divisibility tied to n.
-A scaled difference reads entry n of one ``BernoulliCache`` row at |r|/m,
-with a negative start read from the same entry by the reflection
-B_n(-x) = (-1)^n (B_n(x) + n x^(n-1)).  The polynomial S_n takes one of two
-routes, and one slot on the cache, the coefficients of the last polynomial
-built on it, alone chooses.  When the slot holds S_(n-1) at the same m and
-r, S_n = c x + m n times the integral of S_(n-1) from 0 (Appell's identity
-B'_(n+1) = (n+1) B_n), with c fixed by S_n(1) = r^n, so no Bernoulli number
-is read; otherwise it reads the row of r/m to n.  The point is handed to
-the cache as two ints in lowest terms, |r|/g and m/g with g = gcd(r, m); no
-``Fraction`` is built here.  Either way the polynomial is put over its own
-denominator: each coefficient is reduced by one gcd against its own small
-denominator, and the lcm of those denominators is the polynomial's, so no
-common denominator of the whole row is formed and no content gcd is taken.
+One slot on the cache, the coefficients of the last polynomial built on it,
+has one writer, ``power_sum_poly``, and two readers, and alone chooses each
+reader's route.  The polynomial S_n is carried when the slot holds S_(n-1)
+at the same m and r: S_n = c x + m n times the integral of S_(n-1) from 0
+(Appell's identity B'_(n+1) = (n+1) B_n), with c fixed by S_n(1) = r^n, so
+no Bernoulli number is read; otherwise it reads the row of r/m to n.  The
+point is handed to the cache as two ints in lowest terms, |r|/g and m/g
+with g = gcd(r, m); no ``Fraction`` is built here.  Either way the
+polynomial is put over its own denominator: each coefficient is reduced by
+one gcd against its own small denominator, and the lcm of those
+denominators is the polynomial's, so no common denominator of the whole
+row is formed and no content gcd is taken.  A scaled difference needs
+m^n B_n(|r|/m), which is S_n'(0): when the slot holds S_n at m and |r| it
+reads the x coefficient there, and otherwise entry n of the row of |r|/m.
+A negative start is read from the same number by the reflection
+B_n(-x) = (-1)^n (B_n(x) + n x^(n-1)).
 
 The integrality of the scaled differences is enforced at construction time
 and raises TheoremViolationError on failure: such a failure can only mean a
@@ -186,33 +189,50 @@ def is_integral(spec: ProgressionSpec) -> bool:
 
 
 def am_integer(cache: BernoulliCache, m: int, r: int, n: int) -> AMInteger:
-    """m^n(B_n(r/m) - B_n) for any integer r, read from the row of |r|/m.
+    """m^n(B_n(r/m) - B_n) for any integer r, from m^n B_n(|r|/m) and B_n.
 
-    With g = gcd(r, m) and q = m / g, entry n of
-    ``row(n, |r| // g, q)``, the row ``power_sum_poly`` fills, is
-    A_n = q^n B_n(|r|/m), so m^n B_n(|r|/m) = g^n A_n.  A_n and B_n, from
-    the table, both clear over the table's lcm L at n, so integrality is
-    one exact division by L.  At r < 0 the reflection
-    B_n(-x) = (-1)^n (B_n(x) + n x^(n-1)) turns g^n A_n into
-    (-1)^n (g^n A_n + n m |r|^(n-1)): an integer added to the same entry,
-    so a negative start fills no row of its own.  A nonzero remainder would
-    contradict the theorem and raises, naming the (m, r, n) asked for.
+    m^n B_n(|r|/m) comes from one of two sources, and the cache's power-sum
+    slot alone chooses.  Appell's identity gives S_n'(0) = m^n B_n(r/m) for
+    the power sum S_n of ``power_sum_poly``, so when the slot holds
+    (m, |r|, n) the x coefficient of S_n, num / den, is that number and no
+    row is read.  Otherwise, with g = gcd(|r|, m) and q = m / g, entry n of
+    ``row(n, |r| // g, q)``, the row ``power_sum_poly`` reads, is
+    A_n = q^n B_n(|r|/m), so m^n B_n(|r|/m) = g^n A_n over that entry's
+    denominator.  Either way B_n comes from the table, and integrality is
+    one exact division by scale, a common multiple of den and B_n's
+    denominator.  The table's running lcm at n is not always one on the
+    slot route: when S_n was carried from S_(n-1), den is the polynomial's
+    whole denominator, which can hold primes the table lacks (at
+    (m, r, n) = (1, 0, 5) the x pair is 0/12, while the table's lcm at 5
+    is 30), and the pair is not always in lowest terms; the division is
+    exact either way.  At r < 0 the reflection
+    B_n(-x) = (-1)^n (B_n(x) + n x^(n-1)) turns m^n B_n(|r|/m) into
+    (-1)^n (m^n B_n(|r|/m) + n m |r|^(n-1)): an integer added to the same
+    number, so a negative start fills no row of its own.  A nonzero
+    remainder would contradict the theorem and raises, naming the (m, r, n)
+    asked for.
     """
     if m < 1:
         raise ValueError(f"difference m must be >= 1, got {m}")
     if n < 1:
         raise ValueError(f"exponent n must be >= 1, got {n}")
     a = abs(r)
-    g = gcd(a, m)
-    values, dens, _ = cache.row(n, a // g, m // g)
-    tnums, tdens, tlcms = cache.row(n, 0)
-    scale = tlcms[n]
-    here = g**n * values[n] * (scale // dens[n])
+    last = cache._last_power_sum
+    if last and last[0] == (m, a, n):
+        num, den = last[1][1], last[2][1]
+    else:
+        g = gcd(a, m)
+        values, dens, _ = cache.row(n, a // g, m // g)
+        num, den = g**n * values[n], dens[n]
+    tnums, tdens, _ = cache.row(n, 0)
+    tden = tdens[n]
+    scale = lcm(den, tden)
+    here = num * (scale // den)
     if r < 0:
-        here += n * m * (-r) ** (n - 1) * scale
+        here += n * m * a ** (n - 1) * scale
         if n % 2:
             here = -here
-    value, rem = divmod(here - m**n * tnums[n] * (scale // tdens[n]), scale)
+    value, rem = divmod(here - m**n * tnums[n] * (scale // tden), scale)
     if rem:
         raise TheoremViolationError(
             f"m^n(B_n(r/m) - B_n) non-integral at m={m}, r={r}, n={n}"

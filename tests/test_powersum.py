@@ -297,6 +297,97 @@ def test_the_slot_alone_chooses_the_route(monkeypatch, before, reads):
     assert len(rows) == reads + 1
 
 
+def test_am_integer_on_the_slot_equals_the_row_route_on_t2_grid():
+    # each (m, r) at n = 1..60 in T3's order on one cache, every polynomial
+    # followed by am_integer at both signs, which then reads the x
+    # coefficient from the slot; the row route runs on a cache that only
+    # am_integer touches, so its slot stays empty
+    cache, by_row = BernoulliCache(), BernoulliCache()
+    for m in range(1, 31):
+        for r in range(4):
+            for n in range(1, 61):
+                power_sum_poly(cache, ProgressionSpec(m, r, n))
+                for s in (r, -r):
+                    got = am_integer(cache, m, s, n).value
+                    assert got == am_integer(by_row, m, s, n).value, (m, s, n)
+                    assert got == _am_integer_by_comb_sum(CACHE, m, s, n), (m, s, n)
+    assert by_row._last_power_sum is None
+
+
+def _points_read(monkeypatch):
+    """The point (p, q) of every BernoulliCache.row call, in call order."""
+    asked = []
+    row = BernoulliCache.row
+
+    def recorded(self, n, p, q=1):
+        asked.append((p, q))
+        return row(self, n, p, q)
+
+    monkeypatch.setattr(BernoulliCache, "row", recorded)
+    return asked
+
+
+def test_am_integer_on_a_chain_past_the_kept_terms(monkeypatch):
+    # a carried chain from S_0 = x to n = 200, as in
+    # test_a_chain_from_x_reads_the_row_only_at_n_0: at every 25th n,
+    # am_integer at both signs reads the carried x coefficient and the
+    # table, and equals the row route on a fresh cache
+    rng = random.Random(4501)
+    points = [(rng.randint(2, 30), rng.randint(1, 9)) for _ in range(2)]
+    for m, r in points:
+        cache = BernoulliCache()
+        power_sum_poly(cache, ProgressionSpec(m, r, 0))
+        read = _points_read(monkeypatch)
+        for n in range(1, 201):
+            power_sum_poly(cache, ProgressionSpec(m, r, n))
+            if n % 25 == 0:
+                for s in (r, -r):
+                    got = am_integer(cache, m, s, n)
+                    assert set(read) <= {(0, 1)}, (m, s, n)
+                    assert got == am_integer(BernoulliCache(), m, s, n), (m, s, n)
+                    read.clear()
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize(
+    "asked,reads_row",
+    [((7, 3, 10), False), ((7, 3, 9), True), ((7, 3, 11), True), ((7, 2, 10), True),
+     ((6, 3, 10), True)],
+)
+def test_the_slot_alone_chooses_the_am_integer_route(monkeypatch, asked, reads_row):
+    # after power_sum_poly(7, 3, 10) only (7, +-3, 10) reads the slot, and
+    # the table alone; n - 1, n + 1, another |r| and another m read the row
+    # of |r|/m, and so does a fresh cache
+    m, r, n = asked
+    cache = BernoulliCache()
+    power_sum_poly(cache, ProgressionSpec(7, 3, 10))
+    point = (r // gcd(r, m), m // gcd(r, m))
+    for s in (r, -r):
+        want = am_integer(BernoulliCache(), m, s, n)
+        read = _points_read(monkeypatch)
+        assert am_integer(cache, m, s, n) == want
+        assert read == ([point, (0, 1)] if reads_row else [(0, 1)]), s
+        am_integer(BernoulliCache(), m, s, n)
+        assert read[-2:] == [point, (0, 1)]
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("carried", [False, True])
+def test_am_integer_names_the_sign_that_is_not_integral_on_the_slot(carried):
+    # the slot's x numerator one unit off: 9 B_2(1/3) = -1/2, read from the
+    # row or carried from S_1, becomes 0, so both signs miss an integer by
+    # 1/2, and each names its own r
+    cache = BernoulliCache()
+    for n in range(0 if carried else 2, 3):
+        power_sum_poly(cache, ProgressionSpec(3, 1, n))
+    spec, nums, dens = cache._last_power_sum
+    assert spec == (3, 1, 2) and dens[1] > 1
+    nums[1] += 1
+    for r in (1, -1):
+        with pytest.raises(TheoremViolationError, match=f"m=3, r={r}, n=2$"):
+            am_integer(cache, 3, r, 2)
+
+
 def _count_fills(monkeypatch):
     """Count the calls of the two row fills of every BernoulliCache."""
     calls = {"_horner_fill": 0, "_shift_fill": 0}
