@@ -31,22 +31,24 @@ rational point is two ints: ``row(n, p, q)`` takes y = p/q in lowest
 terms, q >= 1, and only ``value_at`` and a polynomial's ``__call__`` take
 y as an int or a ``Fraction``, read through ``y.numerator`` and
 ``y.denominator``.  Values at a rational point share one row format: per
-distinct y = p/q in lowest terms, the reduced numerators, reduced
-denominators and running lcm of
+distinct y = p/q in lowest terms, the reduced numerators and reduced
+denominators of
 
     A_k = q^k B_k(p/q) = sum_i C(k, i) B_i p^(k-i) q^i,   k = 0, 1, ...,
 
 as int lists.  Each A_k is an integer combination of B_0..B_k, so its
 denominator divides lcm(den B_0, ..., den B_k) and holds no power of q.
 The table of Bernoulli numbers is the row of 0 (q = 1), and every read of
-it, the table's own fill included, goes through ``row(n, 0)``.  Read over one
-denominator, ``scaled_numbers(n)`` gives L and L*B_0..L*B_n with L the
-table's running lcm at n; it is built on each call and not remembered,
-and only ``polynomial`` sums it with binomials.  Every other row is filled
-upward by one of two routes, chosen by how many entries a request finds
-missing.  Both read index k's terms C(k, i) L_k B_i at even i, with
-L_k = lcm(den B_0..B_k), which are the same integers at every point: built
-once per index and shared by every row, for k up to ``_TERMS_MAX``.
+it, the table's own fill included, goes through ``row(n, 0)``.  The
+table's running lcm L_k = lcm(den B_0..B_k) is one list on the cache,
+filled with the table; no other row keeps one.  Read over one
+denominator, ``scaled_numbers(n)`` gives L_n and L_n*B_0..L_n*B_n; it is
+built on each call and not remembered, and only ``polynomial`` sums it
+with binomials.  Every other row is filled upward by one of two routes,
+chosen by how many entries a request finds missing.  Both read index k's
+terms C(k, i) L_k B_i at even i, which are the same integers at every
+point: built once per index and shared by every row, for k up to
+``_TERMS_MAX``.
 
 - at most ``HORNER_GAP`` missing: each new A_k by one Horner pass over the
   terms of k, one power of q^2 and one multiply-add per term;
@@ -79,8 +81,8 @@ from operator import mul
 from .value import Value
 
 # q^k B_k(p/q) for k = 0, 1, ... at y = p/q in lowest terms: reduced
-# numerators, reduced denominators, and lcms[k] = lcm(dens[0..k])
-Row = tuple[list[int], list[int], list[int]]
+# numerators and reduced denominators
+Row = tuple[list[int], list[int]]
 
 # A row missing at most this many entries is extended by Horner, one pass per
 # entry; a longer gap is filled by one Taylor shift, one prefix-sum pass per
@@ -104,13 +106,11 @@ _TERMS_MAX = 256
 
 
 def _append(row: Row, num: int, den: int) -> None:
-    """Append num/den to a row in lowest terms, with its running lcm."""
-    nums, dens, lcms = row
+    """Append num/den to a row in lowest terms."""
+    nums, dens = row
     g = math.gcd(num, den)
-    den //= g
     nums.append(num // g)
-    dens.append(den)
-    lcms.append(math.lcm(lcms[-1], den) if lcms else den)
+    dens.append(den // g)
 
 
 class RationalPoly(Value):
@@ -215,8 +215,11 @@ class BernoulliCache:
         self._seidel: list[int] = [1]
         # one row per y = p/q in lowest terms, keyed (p, q); the row of 0
         # is the table, starting from B_0 = 1 and B_1 = -1/2
-        self._table: Row = ([1, -1], [1, 2], [1, 2])
+        self._table: Row = ([1, -1], [1, 2])
         self._rows: dict[tuple[int, int], Row] = {(0, 1): self._table}
+        # the table's running lcm, _scales[k] = lcm(den B_0..B_k), filled
+        # by _extend alone
+        self._scales: list[int] = [1, 2]
         # _terms(k) per index k <= _TERMS_MAX, shared by every row's fill
         self._held_terms: dict[int, list[int]] = {}
         # the last polynomial_denominators answer only, one slot, no per-n
@@ -231,7 +234,7 @@ class BernoulliCache:
         self._last_power_sum: tuple[tuple[int, int, int], list[int], list[int]] | None = None
 
     def _extend(self, n: int) -> None:
-        table = self._table
+        table, scales = self._table, self._scales
         for m in range(len(table[0]), n + 1):
             # row m - 1 is 0 and the prefix sums of row m - 2 read backward,
             # stored on the cache at once, so the old row is freed with it
@@ -243,12 +246,13 @@ class BernoulliCache:
                 k = m // 2
                 four = 1 << m  # 4^k
                 _append(table, (m if k % 2 else -m) * row[-1], four * (four - 1))
+            scales.append(math.lcm(scales[-1], table[1][-1]))
 
     def number(self, n: int) -> Fraction:
         """B_n; zero for odd n >= 3."""
         from fractions import Fraction
 
-        nums, dens, _ = self.row(n, 0)
+        nums, dens = self.row(n, 0)
         return Fraction(nums[n], dens[n])
 
     def polynomial(self, n: int) -> RationalPoly:
@@ -318,9 +322,9 @@ class BernoulliCache:
         """The row of y = p/q, two ints in lowest terms with q >= 1, filled
         to at least index n; ``row(n, 0)`` is the table.
 
-        The cache's own lists (nums, dens, lcms): entry k is q^k B_k(y) =
-        nums[k] / dens[k] in lowest terms, and lcms[k] = lcm(dens[0..k]).
-        Callers read them and must not change them.
+        The cache's own lists (nums, dens): entry k is q^k B_k(y) =
+        nums[k] / dens[k] in lowest terms.  Callers read them and must not
+        change them.
         """
         if n < 0:
             raise ValueError(f"Bernoulli index must be >= 0, got {n}")
@@ -330,7 +334,7 @@ class BernoulliCache:
         if row is None:
             if math.gcd(p, q) != 1:
                 raise ValueError(f"point {p}/{q} is not in lowest terms")
-            row = self._rows[(p, q)] = ([], [], [])
+            row = self._rows[(p, q)] = ([], [])
         if n >= len(row[0]):
             # fills the table, which is the whole fill of the row of 0
             self._extend(n)
@@ -349,10 +353,10 @@ class BernoulliCache:
         C(k, i) L B_i (``_terms``), since B_i = 0 at odd i >= 3, then the
         term of B_1 = -1/2; one gcd reduces the sum.
         """
-        tlcms = self._table[2]
+        scales = self._scales
         p2, q2 = p * p, q * q
         for k in range(len(row[0]), n + 1):
-            scale = tlcms[k]
+            scale = scales[k]
             acc, *terms = self._terms(k)
             qpow = 1
             for t in terms:
@@ -378,7 +382,7 @@ class BernoulliCache:
         over L gives the entry at k = n - j; passes stop once every missing
         entry is made.
         """
-        scale = self._table[2][n]
+        scale = self._scales[n]
         ppows = list(accumulate(repeat(p, n), mul, initial=1))
         # coefficients of G, highest power of v first: C(n, i) L B_i q^i p^(n-i)
         coeffs = [0] * (n + 1)
@@ -410,8 +414,8 @@ class BernoulliCache:
         """
         terms = self._held_terms.get(k)
         if terms is None:
-            tnums, tdens, tlcms = self._table
-            scale = tlcms[k]
+            tnums, tdens = self._table
+            scale = self._scales[k]
             terms = [scale]  # B_0 = 1
             binom = 1
             for i in range(2, k + 1, 2):
@@ -432,17 +436,17 @@ class BernoulliCache:
         from fractions import Fraction
 
         q = y.denominator
-        nums, dens, _ = self.row(n, y.numerator, q)
+        nums, dens = self.row(n, y.numerator, q)
         return Fraction(nums[n], dens[n] * q**n)
 
     def scaled_numbers(self, n: int) -> tuple[int, tuple[int, ...]]:
         """(L, (L*B_0, ..., L*B_n)) with L = lcm(den B_0, ..., den B_n).
 
-        Read straight from the table, which keeps that running lcm, and
-        built on each call: nothing is remembered.  ``polynomial`` is its
-        only caller here; it runs binomial sums over B_k in pure integer
+        Read straight from the table and its running lcm, and built on
+        each call: nothing is remembered.  ``polynomial`` is its only
+        caller here; it runs binomial sums over B_k in pure integer
         arithmetic, exact because L clears every denominator.
         """
-        nums, dens, lcms = self.row(n, 0)
-        scale = lcms[n]
+        nums, dens = self.row(n, 0)
+        scale = self._scales[n]
         return scale, tuple(a * (scale // d) for a, d in zip(nums[: n + 1], dens))

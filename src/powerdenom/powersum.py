@@ -145,7 +145,7 @@ def power_sum_poly(cache: BernoulliCache, spec: ProgressionSpec) -> RationalPoly
     else:
         g = gcd(r, m)
         q = m // g
-        values, dens, _ = cache.row(n, r // g, q)
+        values, dens = cache.row(n, r // g, q)
         c = g**n  # c_j, from c_1 = g^n
         nums = [0]
         reduced = [1]
@@ -222,9 +222,9 @@ def am_integer(cache: BernoulliCache, m: int, r: int, n: int) -> AMInteger:
         num, den = last[1][1], last[2][1]
     else:
         g = gcd(a, m)
-        values, dens, _ = cache.row(n, a // g, m // g)
+        values, dens = cache.row(n, a // g, m // g)
         num, den = g**n * values[n], dens[n]
-    tnums, tdens, _ = cache.row(n, 0)
+    tnums, tdens = cache.row(n, 0)
     tden = tdens[n]
     scale = lcm(den, tden)
     here = num * (scale // den)

@@ -245,14 +245,12 @@ def test_value_rows_match_polynomials_in_any_order(order):
         for y in ROW_POINTS:
             values = want[F(y)][: n + 1]
             assert cache.value_at(n, y) == values[n], (n, y)
-            # the row holds q^k B_k(p/q) in lowest terms, so its lcm has no
-            # power of q
+            # the row holds q^k B_k(p/q) in lowest terms
             p, q = F(y).numerator, F(y).denominator
             values = [q**k * v for k, v in enumerate(values)]
-            nums, dens, lcms = cache.row(n, p, q)
+            nums, dens = cache.row(n, p, q)
             assert nums[: n + 1] == [v.numerator for v in values], (n, y)
             assert dens[: n + 1] == [v.denominator for v in values], (n, y)
-            assert lcms[n] == math.lcm(*(v.denominator for v in values)), (n, y)
     # one row per distinct point in lowest terms
     assert set(cache._rows) == {
         (0, 1), (1, 1), (-2, 1), (1, 2), (-1, 3), (5, 7), (2, 1), (-7, 10**6), (10**6 + 1, 3)
@@ -263,7 +261,7 @@ def _filled_row(fill, d, y):
     """The row of y filled to index d by one route alone, from empty."""
     cache = BernoulliCache()
     cache.number(d)
-    row = ([], [], [])
+    row = ([], [])
     fill(cache, row, d, y.numerator, y.denominator)
     return row
 

@@ -366,6 +366,22 @@ def test_a_fill_keeps_the_newest_indices_and_never_passes_the_bound(monkeypatch)
         assert value.primes == denom._nonconstant_primes(n), n
     assert built  # the fills built their products through the wrapper
 
+    # one miss past the bound: the memo holds the bound, and only the first
+    # index asked is gone
+    clear_formula_caches()
+    for n in range(1, bound + 2):
+        nonconstant_denom(n)
+    assert list(memo) == list(range(2, bound + 2))
+
+    # a fill whose one missing index comes first: the span scanned ends
+    # there, one short of hi, and both indices are stored
+    clear_formula_caches()
+    nonconstant_denom(1001)
+    denom.fill_nonconstant_memo(1000, 1001)
+    assert set(memo) == {1000, 1001}
+    for n, value in memo.items():
+        assert value.primes == denom._nonconstant_primes(n), n
+
     # D's products come from the constructor, as lazily
     number_memo = denom._number_memo
     built.clear()

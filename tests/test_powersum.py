@@ -600,10 +600,10 @@ def test_am_integer_names_the_sign_that_is_not_integral(monkeypatch):
         real = cache.row
 
         def off_by_one(n, p, q=1, real=real):
-            nums, dens, lcms = real(n, p, q)
+            nums, dens = real(n, p, q)
             if p == 0:
-                return nums, dens, lcms
-            return [*nums[:n], nums[n] + 1, *nums[n + 1 :]], dens, lcms
+                return nums, dens
+            return [*nums[:n], nums[n] + 1, *nums[n + 1 :]], dens
 
         monkeypatch.setattr(cache, "row", off_by_one)
         for r in order:
