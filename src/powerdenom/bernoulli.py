@@ -44,27 +44,23 @@ table's running lcm L_k = lcm(den B_0..B_k) is one list on the cache,
 filled with the table; no other row keeps one.  Read over one
 denominator, ``scaled_numbers(n)`` gives L_n and L_n*B_0..L_n*B_n; it is
 built on each call and not remembered, and only ``polynomial`` sums it
-with binomials.  Every other row is filled upward by one of two routes,
-chosen by how many entries a request finds missing.  Both read index k's
-terms C(k, i) L_k B_i at even i, which are the same integers at every
-point: built once per index and shared by every row, for k up to
-``_TERMS_MAX``.
-
-- at most ``HORNER_GAP`` missing: each new A_k by one Horner pass over the
-  terms of k, one power of q^2 and one multiply-add per term;
-- more: the whole row from one Taylor shift of q^n B_n(u/q) by p, whose
-  coefficients are the terms of n and the term of B_1, and whose u^j
-  coefficient is C(n, j) A_(n-j) (the Appell identity
-  B_n(x + y) = sum_j C(n, j) B_(n-j)(y) x^j).
-
-Rows that grow one entry per request stay on Horner; a fresh point at a
-large index costs one shift.  ``polynomial_denominators`` gives the
-denominators of B_n(x) - B_n and of B_n(x) without building the
-polynomial: one pass over the even indices of B_k, with one binomial for
-both ends of the row when n is even, puts the reduced denominator of
-each nonconstant coefficient into one set of distinct values.  The lcm of
-that set is the first, and the constant term B_n adds its own for the
-second.
+with binomials.  Every other row is filled upward by one route: a request
+for index n that finds entries missing makes all of them, and no entry
+past n, from one Taylor shift of q^n B_n(u/q) by p.  The shift's
+coefficients are index n's terms C(n, i) L_n B_i at even i and the term of
+B_1, and its u^j coefficient is C(n, j) A_(n-j) (the Appell identity
+B_n(x + y) = sum_j C(n, j) B_(n-j)(y) x^j).  An index's terms are the same
+integers at every point: built once per index and shared by every row, for
+indices up to ``_TERMS_MAX``.  The shift costs one prefix-sum pass over
+n + 1 coefficients per missing entry, so a row asked for one more entry at
+a time pays a whole shift each time; a caller that walks n upward at one
+point should first ask for the row at its top index, as the AM and L1
+sweeps do.  ``polynomial_denominators`` gives the denominators of
+B_n(x) - B_n and of B_n(x) without building the polynomial: one pass over
+the even indices of B_k, with one binomial for both ends of the row when n
+is even, puts the reduced denominator of each nonconstant coefficient into
+one set of distinct values.  The lcm of that set is the first, and the
+constant term B_n adds its own for the second.
 
 This module is the certain oracle: exact integers throughout, no
 approximations anywhere.  The closed-form denominator products elsewhere
@@ -83,18 +79,6 @@ from .value import Value
 # q^k B_k(p/q) for k = 0, 1, ... at y = p/q in lowest terms: reduced
 # numerators and reduced denominators
 Row = tuple[list[int], list[int]]
-
-# A row missing at most this many entries is extended by Horner, one pass per
-# entry; a longer gap is filled by one Taylor shift, one prefix-sum pass per
-# missing entry.  Timed at n = 60, 120, 300 and 600 and p/q = 1/3, 2/3,
-# 1/10^6 and (10^6 - 1)/10^6, with every index's terms kept and with none, a
-# shift of one entry costs 0.7 to 3.7 Horner entries.  At a gap of 3 Horner
-# is faster in 7 of those 32 cases, by up to 3.8 ms; from a gap of 4 the
-# shift is faster in 30 of them, Horner's lead in the other two under
-# 0.03 ms, and at a gap of 8 in all 32, up to 5.9 times.  A fresh row to
-# n = 4..12 fills faster by Horner, by 0.1 to 5.5 us.  Rows that grow one
-# entry per request, as the sweeps and grids ask, stay on Horner.
-HORNER_GAP = 3
 
 # The terms C(k, i) L B_i of index k (``BernoulliCache._terms``) are kept for
 # k <= this and built on each use past it, since kept for every k <= K they
@@ -324,7 +308,9 @@ class BernoulliCache:
 
         The cache's own lists (nums, dens): entry k is q^k B_k(y) =
         nums[k] / dens[k] in lowest terms.  Callers read them and must not
-        change them.
+        change them.  A row short of n is filled to n, and no further, by one
+        Taylor shift (``_shift_fill``) whatever the gap, so a caller that
+        walks n upward at one point should ask for its top index first.
         """
         if n < 0:
             raise ValueError(f"Bernoulli index must be >= 0, got {n}")
@@ -336,37 +322,12 @@ class BernoulliCache:
                 raise ValueError(f"point {p}/{q} is not in lowest terms")
             row = self._rows[(p, q)] = ([], [])
         if n >= len(row[0]):
-            # fills the table, which is the whole fill of the row of 0
+            # fills the table, which is the whole fill of the row of 0 (the
+            # one row with p == 0)
             self._extend(n)
-            missing = n + 1 - len(row[0])
-            if missing > HORNER_GAP:
+            if p:
                 self._shift_fill(row, n, p, q)
-            elif missing > 0:
-                self._horner_fill(row, n, p, q)
         return row
-
-    def _horner_fill(self, row: Row, n: int, p: int, q: int) -> None:
-        """Append q^k B_k(p/q) for each missing k <= n, one pass per entry.
-
-        q^k B_k(p/q) = sum_i C(k, i) B_i p^(k-i) q^i over L = lcm(den
-        B_0..B_k): the even i by Horner in p^2 over the index's terms
-        C(k, i) L B_i (``_terms``), since B_i = 0 at odd i >= 3, then the
-        term of B_1 = -1/2; one gcd reduces the sum.
-        """
-        scales = self._scales
-        p2, q2 = p * p, q * q
-        for k in range(len(row[0]), n + 1):
-            scale = scales[k]
-            acc, *terms = self._terms(k)
-            qpow = 1
-            for t in terms:
-                qpow *= q2
-                acc = acc * p2 + t * qpow
-            if k % 2:
-                acc *= p
-            if k:
-                acc -= k * (scale // 2) * p ** (k - 1) * q
-            _append(row, acc, scale)
 
     def _shift_fill(self, row: Row, n: int, p: int, q: int) -> None:
         """Append q^k B_k(p/q) for each missing k <= n, from one Taylor shift.
@@ -374,8 +335,8 @@ class BernoulliCache:
         H(u) = L q^n B_n(u/q) = sum_i C(n, i) L B_i q^i u^(n-i), with
         L = lcm(den B_0..B_n), has integer coefficients, built from the
         index's terms C(n, i) L B_i at even i (``_terms``), -n L/2 at i = 1
-        and 0 at odd i >= 3.  By the Appell identity its shift H(u + p) has the u^j
-        coefficient L C(n, j) q^(n-j) B_(n-j)(p/q).  The shift runs as
+        and 0 at odd i >= 3.  By the Appell identity its shift H(u + p) has
+        the u^j coefficient L C(n, j) q^(n-j) B_(n-j)(p/q).  The shift runs as
         G(v + 1) with G(v) = H(p v), by repeated prefix sums over the
         coefficients: after pass j the last one is final, p^j times the u^j
         coefficient of H(u + p).  Dividing it by p^j C(n, j) and reducing
@@ -404,7 +365,7 @@ class BernoulliCache:
 
     def _terms(self, k: int) -> list[int]:
         """C(k, i) L B_i for i = 0, 2, 4, ..., k, with L = lcm(den B_0..B_k):
-        the integers every point's entry k is summed from.
+        the integers every point's shift from index k starts from.
 
         Read from the table, which must reach k, with a running binomial
         that steps i by two.  The list is kept for k <= ``_TERMS_MAX`` and

@@ -30,7 +30,7 @@ import time
 from collections import namedtuple
 from collections.abc import Callable
 from itertools import zip_longest
-from math import lcm
+from math import gcd, lcm
 
 from .bernoulli import BernoulliCache
 from .denom import (
@@ -97,13 +97,16 @@ def _parity_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
 
 
 def _denominator_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
+    # n innermost for each (m, r), so power_sum_poly reads the row of r/m at
+    # n = 1 alone and carries every later polynomial from the one before; the
+    # first r's denominator and numerators are kept per n for the others
     cache = BernoulliCache()
+    envelopes = [(n + 1) * nonconstant_denom(n + 1).value for n in range(b.max_n + 1)]
     checked, failures = 0, []
     for m in range(lo, hi + 1):
-        for n in range(1, b.max_n + 1):
-            envelope = (n + 1) * nonconstant_denom(n + 1).value
-            seen = None
-            for r in range(b.r_max + 1):
+        first = {}  # n -> (denominator, numerators)
+        for r in range(b.r_max + 1):
+            for n in range(1, b.max_n + 1):
                 checked += 1
                 spec = ProgressionSpec(m, r, n)
                 formula = power_sum_denominator(spec)
@@ -111,21 +114,23 @@ def _denominator_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
                 if formula != poly.denominator:
                     failures.append(((m, r, n), str(formula), str(poly.denominator)))
                     continue
+                seen = first.get(n)
                 if seen is None:
-                    seen, first = formula, poly.nums
-                elif formula != seen:
+                    first[n] = (formula, poly.nums)
+                elif formula != seen[0]:
                     failures.append(
-                        ((m, r, n), f"same for every r ({seen})", str(formula))
+                        ((m, r, n), f"same for every r ({seen[0]})", str(formula))
                     )
                 # one denominator d for every r: the difference from the first
                 # r is in Z[x] exactly when d divides each numerator difference
                 elif any(
-                    (a - z) % seen for a, z in zip_longest(poly.nums, first, fillvalue=0)
+                    (a - z) % formula
+                    for a, z in zip_longest(poly.nums, seen[1], fillvalue=0)
                 ):
                     failures.append(((m, r, n), "difference in Z[x]", "not"))
-                if envelope % formula:
+                if envelopes[n] % formula:
                     failures.append(
-                        ((m, r, n), f"divisor of {envelope}", str(formula))
+                        ((m, r, n), f"divisor of {envelopes[n]}", str(formula))
                     )
     return checked, failures
 
@@ -253,7 +258,12 @@ def _congruence_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
             for n in range(1, b.max_n + 1)
         ]
         powers = [(n, pe) for n, pe in powers if pe]
+        if not powers:
+            continue
         for r in range(-b.r_max, b.r_max + 1):
+            g = gcd(r, m)
+            # the row am_integer reads at every n, filled to the top at once
+            cache.row(powers[-1][0], abs(r) // g, m // g)
             for n, pe in powers:
                 value = am_integer(cache, m, r, n).value
                 for p, e in pe:
@@ -268,6 +278,10 @@ def _am_chunk(lo: int, hi: int, b: Bounds) -> ChunkResult:
     checked, failures = 0, []
     for m in range(lo, hi + 1):
         for r in range(-b.r_max, b.r_max + 1):
+            g = gcd(r, m)
+            # the row am_integer reads at every n, filled to the top at once;
+            # at r = 0 it is the table
+            cache.row(b.max_n, abs(r) // g, m // g)
             for n in range(1, b.max_n + 1):
                 checked += 1
                 try:

@@ -257,28 +257,30 @@ def test_value_rows_match_polynomials_in_any_order(order):
     }
 
 
-def _filled_row(fill, d, y):
-    """The row of y filled to index d by one route alone, from empty."""
-    cache = BernoulliCache()
-    cache.number(d)
-    row = ([], [])
-    fill(cache, row, d, y.numerator, y.denominator)
-    return row
+def _polynomial_row(reference, d, y):
+    """The row of y to index d from B_k(x) evaluated at y: q^k B_k(y) for
+    k = 0..d in lowest terms, independent of the cache's row fill."""
+    q = y.denominator
+    values = [q**k * reference.polynomial(k)(y) for k in range(d + 1)]
+    return [v.numerator for v in values], [v.denominator for v in values]
 
 
-def test_shift_rows_equal_horner_rows():
+def test_shift_rows_equal_polynomial_values():
     # every distinct r/m of the T2 grid at d = 61, then seeded points with
-    # denominators up to 10^6 and numerators of either sign
+    # denominators up to 10^6 and numerators of either sign, each row filled
+    # from empty by one shift
     points = [(F(r, m), 61) for r in range(4) for m in range(1, 31)]
     rng = random.Random(2017)
     for _ in range(200):
         q = rng.randrange(1, 10 ** rng.randrange(1, 7))
         points.append((F(rng.randrange(-1000, 1001), q), rng.randrange(62)))
+    reference = BernoulliCache()
     for y, d in dict.fromkeys(points):
         if y == 0:
-            continue  # the row of 0 is the table, never filled by either route
-        shifted = _filled_row(BernoulliCache._shift_fill, d, y)
-        assert shifted == _filled_row(BernoulliCache._horner_fill, d, y), (y, d)
+            continue  # the row of 0 is the table, never shifted
+        cache = BernoulliCache()
+        shifted = cache.row(d, y.numerator, y.denominator)
+        assert shifted == _polynomial_row(reference, d, y), (y, d)
 
 
 def test_shift_extends_a_partial_row():
@@ -290,13 +292,13 @@ def test_shift_extends_a_partial_row():
     cache.value_at(40, y)
     row = cache.row(40, -2, 7)
     assert [part[:4] for part in row] == held
-    assert row == _filled_row(BernoulliCache._horner_fill, 40, y)
+    assert row == _polynomial_row(BernoulliCache(), 40, y)
 
 
 def test_rows_past_the_kept_terms_match_the_shift_and_the_polynomials(monkeypatch):
-    # with terms kept only to index 4, rows grown one Horner entry at a time
-    # to 40 build every later index's terms on each use; the cache keeps none
-    # of them
+    # with terms kept only to index 4, rows grown one entry at a time to 40
+    # shift from every later index, building its terms on each use; the
+    # cache keeps none of them
     monkeypatch.setattr(bernoulli, "_TERMS_MAX", 4)
     reference = BernoulliCache()
     cache = BernoulliCache()
@@ -306,7 +308,9 @@ def test_rows_past_the_kept_terms_match_the_shift_and_the_polynomials(monkeypatc
             assert cache.value_at(n, y) == reference.polynomial(n)(y), (n, y)
     for y in points:
         row = cache.row(40, y.numerator, y.denominator)
-        assert row == _filled_row(BernoulliCache._shift_fill, 40, y), y
+        assert row == _polynomial_row(reference, 40, y), y
+        # the same row from one shift to 40 on a fresh cache
+        assert row == BernoulliCache().row(40, y.numerator, y.denominator), y
     assert set(cache._held_terms) == set(range(5))
 
 

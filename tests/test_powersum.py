@@ -180,7 +180,7 @@ def _assert_canonical(f, spec):
 
 
 def test_poly_is_canonical_on_t2_grid(monkeypatch):
-    # r innermost, as T2 asks, so every call reads the row: the row route's
+    # r innermost, so every call reads the row: the row route's
     # gcd against c_j alone must still give the lowest-terms lcm
     cache = BernoulliCache()
     rows = _count_rows(monkeypatch)
@@ -202,17 +202,17 @@ def test_poly_matches_value_at_route_past_the_grid(monkeypatch):
     ]
     reference = BernoulliCache()
     wants = [_power_sum_poly_by_value_at(reference, spec) for spec in points]
-    calls = _count_fills(monkeypatch)
+    shifts = _recorded_shifts(monkeypatch)
     for spec, want in zip(points, wants):
         got = power_sum_poly(BernoulliCache(), spec)
         assert got == want, spec
         _assert_canonical(got, spec)
-    assert calls == {"_horner_fill": 0, "_shift_fill": len(points)}
+    assert [n for n, _, _ in shifts] == [spec.n for spec in points]
 
 
 def test_carried_polynomials_equal_the_row_route_on_t2_grid():
     # each (m, r) at n = 0..60 in order on one cache, so every n >= 1 is
-    # carried from n - 1; the reference varies r innermost, as T2 does, so
+    # carried from n - 1; the reference varies r innermost, so
     # its slot never holds (m, r, n - 1) and every call reads the row
     carried = BernoulliCache()
     chains = {}
@@ -388,44 +388,85 @@ def test_am_integer_names_the_sign_that_is_not_integral_on_the_slot(carried):
             am_integer(cache, 3, r, 2)
 
 
-def _count_fills(monkeypatch):
-    """Count the calls of the two row fills of every BernoulliCache."""
-    calls = {"_horner_fill": 0, "_shift_fill": 0}
-    for name in calls:
-        fill = getattr(BernoulliCache, name)
+def _recorded_shifts(monkeypatch):
+    """The (n, p, q) of every BernoulliCache._shift_fill call, in call order."""
+    shifts = []
+    fill = BernoulliCache._shift_fill
 
-        def counted(self, *args, name=name, fill=fill):
-            calls[name] += 1
-            return fill(self, *args)
+    def recorded(self, row, n, p, q):
+        shifts.append((n, p, q))
+        return fill(self, row, n, p, q)
 
-        monkeypatch.setattr(BernoulliCache, name, counted)
-    return calls
+    monkeypatch.setattr(BernoulliCache, "_shift_fill", recorded)
+    return shifts
 
 
 def test_a_fresh_point_is_one_shift(monkeypatch):
-    calls = _count_fills(monkeypatch)
+    shifts = _recorded_shifts(monkeypatch)
     cache = BernoulliCache()
     assert cache.value_at(400, Fraction(1, 3)) == CACHE.polynomial(400)(Fraction(1, 3))
-    assert calls == {"_horner_fill": 0, "_shift_fill": 1}
+    assert shifts == [(400, 1, 3)]
 
 
-def test_grid_order_never_shifts(monkeypatch):
-    # each (m, r) at n = 1..60 in turn, as the sweeps and the grid benchmark
-    # ask: every row grows by one entry per request.  am_integer reads the
-    # row at every n; power_sum_poly in this order reads it only at n = 1
-    calls = _count_fills(monkeypatch)
-    cache = BernoulliCache()
-    for m in range(1, 21):
-        for r in range(4):
-            for n in range(1, 61):
-                am_integer(cache, m, r, n)
-    assert calls["_shift_fill"] == 0
-    assert calls["_horner_fill"] > 0
+def _reduced_points(m_max, r_max):
+    """Each distinct nonzero |r|/m in lowest terms with m <= m_max and
+    |r| <= r_max, as (p, q)."""
+    return {
+        (r // gcd(r, m), m // gcd(r, m))
+        for m in range(1, m_max + 1)
+        for r in range(1, r_max + 1)
+    }
+
+
+@pytest.mark.parametrize("theorem_id", ["AM-integrality", "L1-congruence"])
+def test_am_and_l1_sweeps_fill_each_point_once_before_their_n_loop(monkeypatch,
+                                                                   theorem_id):
+    # one shift per distinct reduced |r|/m, to the top n, made before the
+    # first am_integer at that (m, r); none inside am_integer at any n
+    shifts = _recorded_shifts(monkeypatch)
+    inside = []
+    real = verify.am_integer
+
+    def watched(cache, m, r, n):
+        held = len(shifts)
+        got = real(cache, m, r, n)
+        inside.extend(shifts[held:])
+        return got
+
+    monkeypatch.setattr(verify, "am_integer", watched)
+    report = verify.run_sweep(theorem_id, max_n=12, m_max=8, r_max=5, jobs=1)
+    assert report.ok
+    assert inside == []
+    assert sorted((p, q) for _, p, q in shifts) == sorted(_reduced_points(8, 5))
+    # L1's top n is the largest n <= 12 with a p^e for some p <= 13 prime to
+    # m: 12 at every m here, 11 at m = 6 alone, whose points 1/6 and 5/6 are
+    # met first there
+    tops = {(p, q): n for n, p, q in shifts}
+    want = {point: 12 for point in tops}
+    if theorem_id == "L1-congruence":
+        want[1, 6] = want[5, 6] = 11
+    assert tops == want
+
+
+@pytest.mark.parametrize("theorem_id", ["T2-denominator", "T3-integrality"])
+def test_t2_and_t3_sweeps_read_rows_only_at_n_1(monkeypatch, theorem_id):
+    # n innermost for each (m, r): the first n reads the row of r/m, two
+    # entries, and every later polynomial is carried from the one before
+    rows = _count_rows(monkeypatch)
+    shifts = _recorded_shifts(monkeypatch)
+    report = verify.run_sweep(theorem_id, max_n=12, m_max=8, r_max=3, jobs=1)
+    assert report.ok
+    assert rows == [1] * (8 * 4)
+    assert [n for n, _, _ in shifts] == [1] * len(shifts)
+    assert sorted((p, q) for _, p, q in shifts) == sorted(_reduced_points(8, 3))
 
 
 def test_grid_order_builds_each_index_terms_once(monkeypatch):
-    # every row of a grid fill reads index k's terms C(k, i) L B_i from one
-    # list, built by the first row that reaches k
+    # am_integer alone, each (m, r) at n = 1..60 in turn with no row asked
+    # for at its top first, so every row grows by one shift per request; the
+    # shift from index k reads its terms C(k, i) L B_i from one list, built
+    # by the first row that reaches k.  A first request at n = 1 shifts from
+    # index 1, so index 0's terms are never read
     built = {}  # k -> ids of the lists _terms handed out for k
     terms = BernoulliCache._terms
 
@@ -440,9 +481,9 @@ def test_grid_order_builds_each_index_terms_once(monkeypatch):
         for r in range(4):
             for n in range(1, 61):
                 am_integer(cache, m, r, n)
-    assert set(built) == set(range(61))
+    assert set(built) == set(range(1, 61))
     assert all(len(ids) == 1 for ids in built.values())
-    assert set(cache._held_terms) == set(range(61))
+    assert set(cache._held_terms) == set(range(1, 61))
 
 
 @settings(max_examples=60)
@@ -626,6 +667,22 @@ def test_am_sweep_reports_failures_in_axis_order(monkeypatch):
     assert report.failure_count == len(bad)
     assert [f[0] for f in report.failures] == sorted(bad)
     assert report.failures[0][2] == "forced at m=1, r=-2, n=5"
+
+
+def test_t2_sweep_reports_failures_in_axis_order(monkeypatch):
+    # T2 walks n innermost for each (m, r): its sample is in (m, r, n) order
+    real = verify.power_sum_denominator
+    bad = {(1, 2, 3), (1, 1, 5), (1, 0, 6), (2, 3, 1), (2, 0, 4), (3, 1, 2)}
+
+    def wrong(spec):
+        d = real(spec)
+        return 3 * d if (spec.m, spec.r, spec.n) in bad else d
+
+    monkeypatch.setattr(verify, "power_sum_denominator", wrong)
+    report = verify.run_sweep("T2-denominator", max_n=6, m_max=3, r_max=3, jobs=1)
+    assert report.checked == 3 * 4 * 6
+    assert report.failure_count == len(bad)
+    assert [f[0] for f in report.failures] == sorted(bad)
 
 
 def test_t2_reports_a_numerator_changed_at_one_start(monkeypatch):
