@@ -24,9 +24,8 @@ so importing this module does not load it.  Polynomials (``RationalPoly``)
 are integer numerators over one common denominator in canonical form,
 built and evaluated; nothing else.  The constructor makes the form
 canonical by a content gcd; ``powersum.power_sum_poly`` builds it canonical
-already, over the lcm of its reduced coefficient denominators, whether it
-reads a row or carries the previous polynomial, and hands it to the
-private ``RationalPoly._canonical``, which checks nothing.  A
+already, over the lcm of its reduced coefficient denominators, and hands
+it to the private ``RationalPoly._canonical``, which checks nothing.  A
 rational point is two ints: ``row(n, p, q)`` takes y = p/q in lowest
 terms, q >= 1, and only ``value_at`` and a polynomial's ``__call__`` take
 y as an int or a ``Fraction``, read through ``y.numerator`` and
@@ -138,14 +137,12 @@ class RationalPoly(Value):
 
         Only for a producer whose construction makes the form canonical:
         ``powersum.power_sum_poly`` alone, whose leading numerator, from
-        m^n / (n+1), is never 0.  On its row route den is the lcm of the
-        coefficients' reduced denominators, so each prime power of den
-        comes from a coefficient whose reduced numerator is prime to it.  On
-        its carried route den is the lcm of the x^j denominators for j >= 2
-        alone, each pair reduced by a full gcd, so each prime power of den
-        comes from some j >= 2 in the same way; the x coefficient, r^n less
-        the others, has a denominator that divides den, so its numerator
-        over den is an integer.  Anything else calls the constructor.
+        m^n / (n+1), is never 0.  Its den is the lcm of the x^j
+        coefficients' denominators in lowest terms for j >= 2, so each
+        prime power of den comes from a coefficient whose numerator over
+        den is prime to it; the x coefficient, r^n less the others, has a
+        denominator that divides den, so its numerator over den is an
+        integer.  Anything else calls the constructor.
         """
         self = object.__new__(cls)
         self.nums = nums
@@ -210,12 +207,11 @@ class BernoulliCache:
         # memo; it starts at n = 0, where B_0(x) = 1
         self._last_dens: tuple[int, tuple[int, int]] = (0, (1, 1))
         # the last power-sum polynomial only, one slot: (m, r, n) and the
-        # numerators and denominators of its coefficients, not always in
-        # lowest terms.  Written by powersum.power_sum_poly alone, which
-        # carries S_(n-1) to S_n from it, and read by it and by
-        # powersum.am_integer, which takes m^n B_n(r/m), the x coefficient
-        # of S_n, from it; None until power_sum_poly's first call
-        self._last_power_sum: tuple[tuple[int, int, int], list[int], list[int]] | None = None
+        # RationalPoly returned for it.  Written by powersum.power_sum_poly
+        # alone, which carries S_(n-1) to S_n from it, and read by it and
+        # by powersum.am_integer, which takes m^n B_n(r/m), the x
+        # coefficient of S_n, from it; None until power_sum_poly's first call
+        self._last_power_sum: tuple[tuple[int, int, int], RationalPoly] | None = None
 
     def _extend(self, n: int) -> None:
         table, scales = self._table, self._scales

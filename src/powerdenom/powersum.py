@@ -8,18 +8,18 @@ from gcds and the nonconstant denominator sequence alone, decides integrality
 of the whole coefficient vector from a single divisibility, and computes the
 scaled polynomial differences m^n(B_n(r/m) - B_n), which are always integers
 (Almkvist and Meurman's theorem) and carry a p-power divisibility tied to n.
-One slot on the cache, the coefficients of the last polynomial built on it,
-has one writer, ``power_sum_poly``, and two readers, and alone chooses each
-reader's route.  The polynomial S_n is carried when the slot holds S_(n-1)
-at the same m and r: S_n = c x + m n times the integral of S_(n-1) from 0
-(Appell's identity B'_(n+1) = (n+1) B_n), with c fixed by S_n(1) = r^n, so
-no Bernoulli number is read; otherwise it reads the row of r/m to n.  The
-point is handed to the cache as two ints in lowest terms, |r|/g and m/g
-with g = gcd(r, m); no ``Fraction`` is built here.  Either way the
-polynomial is put over its own denominator: each coefficient is reduced by
-one gcd against its own small denominator, and the lcm of those
-denominators is the polynomial's, so no common denominator of the whole
-row is formed and no content gcd is taken.  A scaled difference needs
+One slot on the cache, the last polynomial built on it, has one writer,
+``power_sum_poly``, and two readers, and alone chooses each reader's
+route.  The x^2..x^(n+1) coefficients of S_n are carried when the slot
+holds S_(n-1) at the same m and r: m n times the integral of S_(n-1) from
+0 (Appell's identity B'_(n+1) = (n+1) B_n), so no Bernoulli number is
+read; otherwise they come from the row of r/m to n.  The point is handed
+to the cache as two ints in lowest terms, |r|/g and m/g with
+g = gcd(r, m); no ``Fraction`` is built here.  Either way each coefficient
+is reduced by one gcd against its own small denominator, and the lcm of
+those denominators is the polynomial's, so no common denominator of the
+whole row is formed and no content gcd is taken; the x coefficient over
+that lcm is fixed by S_n(1) = r^n.  A scaled difference needs
 m^n B_n(|r|/m), which is S_n'(0): when the slot holds S_n at m and |r| it
 reads the x coefficient there, and otherwise entry n of the row of |r|/m.
 A negative start is read from the same number by the reflection
@@ -91,17 +91,16 @@ def power_sum_naive(spec: ProgressionSpec, x: int) -> int:
 
 
 def power_sum_poly(cache: BernoulliCache, spec: ProgressionSpec) -> RationalPoly:
-    """The power sum as a polynomial in the term count, by one of two routes.
+    """The power sum as a polynomial in the term count.
 
-    The cache keeps one slot, the coefficients of the last polynomial built
-    on it as pairs num/den, and the slot alone chooses the route.  When it
-    holds (m, r, n - 1), S_n is carried from S_(n-1).  Appell's identity
+    The x^2..x^(n+1) coefficients come by one of two routes, and the
+    cache's slot, the last polynomial built on it, alone chooses.  When it
+    holds (m, r, n - 1), they are carried from S_(n-1).  Appell's identity
     B'_(n+1) = (n+1) B_n gives S_n'(x) = m n S_(n-1)(x) + m^n B_n(r/m), and
     S_n(0) = 0, so for j >= 2 the x^j coefficient of S_n is m n / j times
-    the x^(j-1) coefficient of S_(n-1), a_(j-1) m n / (e_(j-1) j), reduced
-    by one full gcd.  The x coefficient follows from S_n(1) = r^n: over the
-    lcm of the others' denominators it is r^n less their numerators, so no
-    Bernoulli number is read.
+    the x^(j-1) coefficient of S_(n-1), a_(j-1) m n / (e j) with e that
+    polynomial's denominator, reduced by one full gcd; no Bernoulli number
+    is read.
 
     Otherwise the row of r/m is read.  The coefficient of x^j
     (1 <= j <= n+1) is m^n C(n+1, j) B_k(r/m) / (n+1) with k = n+1-j.
@@ -109,58 +108,56 @@ def power_sum_poly(cache: BernoulliCache, spec: ProgressionSpec) -> RationalPoly
     A_k / d_k = q^k B_k(r/m) in lowest terms, so m^n B_k(r/m) =
     g^n q^(j-1) A_k / d_k, and since C(n+1, j) / (n+1) = C(n, j-1) / j the
     coefficient is c_j A_k / (j d_k) with c_j = g^n q^(j-1) C(n, j-1), one
-    multiply and one exact divide from c_(j-1).  Its gcd is taken against
-    c_j alone, so a prime p of both A_k and j stays in the pair, but the
-    lcm of the denominators is the same as in lowest terms: p does not
-    divide d_k, and it does not divide m, since v_p(c_j) >= n >= v_p(j)
-    when p | g and v_p(c_j) >= j - 1 >= v_p(j) when p | q.  Then
+    multiply and one exact divide from c_(j-1), starting at
+    c_2 = g^n q n.  Its gcd is taken against c_j alone, so a prime p of
+    both A_k and j stays in the pair, but the lcm of the denominators for
+    j >= 2 is the same as in lowest terms: p does not divide d_k, and it
+    does not divide m, since v_p(c_j) >= n >= v_p(j) when p | g and
+    v_p(c_j) >= j - 1 >= v_p(j) when p | q.  Then
     v_p(j) - v_p(c_j) = v_p(n+1) - v_p(C(n+1, j)) <= v_p(n+1), and the
     x^(n+1) coefficient m^n / (n+1), where A_0 = 1, puts p^v_p(n+1) into
     the lcm already.
 
     Either way the polynomial's denominator is that lcm, each numerator is
-    scaled to it once, giving the coefficient times the lcm, and the form
-    is canonical (``RationalPoly._canonical``).  The pairs go into the
-    slot; since they are not always in lowest terms, the carried step's
-    gcd is a full one.
+    scaled to it once, giving the coefficient times the lcm, and the x
+    numerator is what S_n(1) = r^n leaves over it: the x coefficient's
+    denominator divides the others' lcm.  The form is canonical
+    (``RationalPoly._canonical``), and the polynomial returned goes into
+    the slot.
     """
     m, r, n = spec.m, spec.r, spec.n
+    nums = [0, 0]
+    reduced = [1, 1]
     last = cache._last_power_sum
     if last and last[0] == (m, r, n - 1):
-        _, tops, bottoms = last
+        tops, bottom = last[1].nums, last[1].den
         mn = m * n
-        nums = [0, 0]
-        reduced = [1, 1]
         for j in range(2, n + 2):
             a = tops[j - 1] * mn
-            d = bottoms[j - 1] * j
+            d = bottom * j
             h = gcd(a, d)
             nums.append(a // h)
             reduced.append(d // h)
-        den = lcm(*reduced)
-        scaled = [a * (den // d) for a, d in zip(nums, reduced)]
-        # S_n(1) = r^n: the x numerator over den is what the others leave
-        scaled[1] = nums[1] = r**n * den - sum(scaled)
-        reduced[1] = den
     else:
         g = gcd(r, m)
         q = m // g
         values, dens = cache.row(n, r // g, q)
-        c = g**n  # c_j, from c_1 = g^n
-        nums = [0]
-        reduced = [1]
-        k = n
-        for j in range(1, n + 2):
+        c = g**n * q * n  # c_j, from c_2 = g^n q n
+        k = n - 1
+        for j in range(2, n + 2):
             d = j * dens[k]
             h = gcd(c, d)
             nums.append(c // h * values[k])
             reduced.append(d // h)
             c = c * (q * k) // j
             k -= 1
-        den = lcm(*reduced)
-        scaled = [a * (den // d) for a, d in zip(nums, reduced)]
-    cache._last_power_sum = ((m, r, n), nums, reduced)
-    return RationalPoly._canonical(tuple(scaled), den)
+    den = lcm(*reduced)
+    scaled = [a * (den // d) for a, d in zip(nums, reduced)]
+    # S_n(1) = r^n: the x numerator over den is what the others leave
+    scaled[1] = r**n * den - sum(scaled)
+    poly = RationalPoly._canonical(tuple(scaled), den)
+    cache._last_power_sum = ((m, r, n), poly)
+    return poly
 
 
 def power_sum_denominator(spec: ProgressionSpec) -> int:
@@ -194,18 +191,18 @@ def am_integer(cache: BernoulliCache, m: int, r: int, n: int) -> AMInteger:
     m^n B_n(|r|/m) comes from one of two sources, and the cache's power-sum
     slot alone chooses.  Appell's identity gives S_n'(0) = m^n B_n(r/m) for
     the power sum S_n of ``power_sum_poly``, so when the slot holds
-    (m, |r|, n) the x coefficient of S_n, num / den, is that number and no
-    row is read.  Otherwise, with g = gcd(|r|, m) and q = m / g, entry n of
+    (m, |r|, n) the x coefficient of that polynomial, its x numerator num
+    over its denominator den, is that number and no row is read.
+    Otherwise, with g = gcd(|r|, m) and q = m / g, entry n of
     ``row(n, |r| // g, q)``, the row ``power_sum_poly`` reads, is
     A_n = q^n B_n(|r|/m), so m^n B_n(|r|/m) = g^n A_n over that entry's
     denominator.  Either way B_n comes from the table, and integrality is
     one exact division by scale, a common multiple of den and B_n's
     denominator.  The table's running lcm at n is not always one on the
-    slot route: when S_n was carried from S_(n-1), den is the polynomial's
-    whole denominator, which can hold primes the table lacks (at
-    (m, r, n) = (1, 0, 5) the x pair is 0/12, while the table's lcm at 5
-    is 30), and the pair is not always in lowest terms; the division is
-    exact either way.  At r < 0 the reflection
+    slot route: den is the polynomial's whole denominator, which can hold
+    primes the table lacks (at (m, r, n) = (1, 0, 5) the x numerator is 0
+    over the polynomial's denominator 12, while the table's lcm at 5 is
+    30); the division is exact either way.  At r < 0 the reflection
     B_n(-x) = (-1)^n (B_n(x) + n x^(n-1)) turns m^n B_n(|r|/m) into
     (-1)^n (m^n B_n(|r|/m) + n m |r|^(n-1)): an integer added to the same
     number, so a negative start fills no row of its own.  A nonzero
@@ -219,7 +216,7 @@ def am_integer(cache: BernoulliCache, m: int, r: int, n: int) -> AMInteger:
     a = abs(r)
     last = cache._last_power_sum
     if last and last[0] == (m, a, n):
-        num, den = last[1][1], last[2][1]
+        num, den = last[1].nums[1], last[1].den
     else:
         g = gcd(a, m)
         values, dens = cache.row(n, a // g, m // g)

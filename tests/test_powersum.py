@@ -229,8 +229,8 @@ def test_carried_polynomials_equal_the_row_route_on_t2_grid():
                 got = chains[m, r, n]
                 assert got.nums == want.nums and got.den == want.den, spec
                 _assert_canonical(got, spec)
-                # one step carried from the row route's pairs, which are not
-                # always in lowest terms; the next r reads its row again
+                # one step carried from the polynomial the row route put in
+                # the slot; the next r reads its row again
                 if n < 60:
                     step = power_sum_poly(by_row, ProgressionSpec(m, r, n + 1))
                     assert step == chains[m, r, n + 1], (m, r, n + 1)
@@ -285,16 +285,26 @@ def test_grid_order_reads_one_row_per_pair(monkeypatch):
 )
 def test_the_slot_alone_chooses_the_route(monkeypatch, before, reads):
     # only (m, r, n - 1) in the slot carries; n - 2, another r, another m
-    # and the same n read the row, and so does a fresh cache
+    # and the same n read the row, and so does a fresh cache.  Either way
+    # the slot then holds (m, r, n) and the very polynomial returned
     cache = BernoulliCache()
     assert cache._last_power_sum is None
-    power_sum_poly(cache, ProgressionSpec(*before))
-    want = power_sum_poly(BernoulliCache(), ProgressionSpec(7, 3, 10))
+    _assert_slot(cache, before, power_sum_poly(cache, ProgressionSpec(*before)))
+    fresh = BernoulliCache()
+    want = power_sum_poly(fresh, ProgressionSpec(7, 3, 10))
+    _assert_slot(fresh, (7, 3, 10), want)
     rows = _count_rows(monkeypatch)
-    assert power_sum_poly(cache, ProgressionSpec(7, 3, 10)) == want
+    got = power_sum_poly(cache, ProgressionSpec(7, 3, 10))
+    assert got == want
+    _assert_slot(cache, (7, 3, 10), got)
     assert len(rows) == reads
     power_sum_poly(BernoulliCache(), ProgressionSpec(7, 3, 10))
     assert len(rows) == reads + 1
+
+
+def _assert_slot(cache, key, poly):
+    assert cache._last_power_sum[0] == key
+    assert cache._last_power_sum[1] is poly
 
 
 def test_am_integer_on_the_slot_equals_the_row_route_on_t2_grid():
@@ -374,15 +384,18 @@ def test_the_slot_alone_chooses_the_am_integer_route(monkeypatch, asked, reads_r
 
 @pytest.mark.parametrize("carried", [False, True])
 def test_am_integer_names_the_sign_that_is_not_integral_on_the_slot(carried):
-    # the slot's x numerator one unit off: 9 B_2(1/3) = -1/2, read from the
-    # row or carried from S_1, becomes 0, so both signs miss an integer by
-    # 1/2, and each names its own r
+    # the slot's polynomial replaced by one whose x numerator is one unit
+    # off: 9 B_2(1/3) = -1/2, the x coefficient of S_2 built from the row
+    # or carried from S_1, becomes 0, so both signs miss an integer by 1/2,
+    # and each names its own r
     cache = BernoulliCache()
     for n in range(0 if carried else 2, 3):
         power_sum_poly(cache, ProgressionSpec(3, 1, n))
-    spec, nums, dens = cache._last_power_sum
-    assert spec == (3, 1, 2) and dens[1] > 1
+    spec, poly = cache._last_power_sum
+    assert spec == (3, 1, 2) and poly.den > 1
+    nums = list(poly.nums)
     nums[1] += 1
+    cache._last_power_sum = (spec, RationalPoly._canonical(tuple(nums), poly.den))
     for r in (1, -1):
         with pytest.raises(TheoremViolationError, match=f"m=3, r={r}, n=2$"):
             am_integer(cache, 3, r, 2)
