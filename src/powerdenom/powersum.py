@@ -18,8 +18,11 @@ to the cache as two ints in lowest terms, |r|/g and m/g with
 g = gcd(r, m); no ``Fraction`` is built here.  Either way each coefficient
 is reduced by one gcd against its own small denominator, and the lcm of
 those denominators is the polynomial's, so no common denominator of the
-whole row is formed and no content gcd is taken; the x coefficient over
-that lcm is fixed by S_n(1) = r^n.  A scaled difference needs
+whole row is formed and no content gcd is taken.  The carried route takes
+that lcm first, from one small gcd per coefficient, and then brings each
+numerator over it by one multiply and one exact division; the row route
+reduces each coefficient and then scales it to the lcm.  The x coefficient
+over that lcm is fixed by S_n(1) = r^n.  A scaled difference needs
 m^n B_n(|r|/m), which is S_n'(0): when the slot holds S_n at m and |r| it
 reads the x coefficient there, and otherwise entry n of the row of |r|/m.
 A negative start is read from the same number by the reflection
@@ -98,9 +101,15 @@ def power_sum_poly(cache: BernoulliCache, spec: ProgressionSpec) -> RationalPoly
     holds (m, r, n - 1), they are carried from S_(n-1).  Appell's identity
     B'_(n+1) = (n+1) B_n gives S_n'(x) = m n S_(n-1)(x) + m^n B_n(r/m), and
     S_n(0) = 0, so for j >= 2 the x^j coefficient of S_n is m n / j times
-    the x^(j-1) coefficient of S_(n-1), a_(j-1) m n / (e j) with e that
-    polynomial's denominator, reduced by one full gcd; no Bernoulli number
-    is read.
+    the x^(j-1) coefficient of S_(n-1), t_(j-1) m n / d_j with t_(j-1) that
+    polynomial's numerator, e its denominator and d_j = e j; no Bernoulli
+    number is read.  The denominator comes first: the coefficient's own is
+    d_j / gcd(t_(j-1) m n, d_j), and the gcd is taken of
+    (t_(j-1) mod d_j) m n, a small int, so the one big-int operation per
+    coefficient is that remainder.  With den the lcm of those and
+    k = m n den, each numerator over den is t_(j-1) k // d_j, one multiply
+    and one division, exact because the coefficient's own denominator
+    divides den.
 
     Otherwise the row of r/m is read.  The coefficient of x^j
     (1 <= j <= n+1) is m^n C(n+1, j) B_k(r/m) / (n+1) with k = n+1-j.
@@ -116,29 +125,27 @@ def power_sum_poly(cache: BernoulliCache, spec: ProgressionSpec) -> RationalPoly
     v_p(c_j) >= j - 1 >= v_p(j) when p | q.  Then
     v_p(j) - v_p(c_j) = v_p(n+1) - v_p(C(n+1, j)) <= v_p(n+1), and the
     x^(n+1) coefficient m^n / (n+1), where A_0 = 1, puts p^v_p(n+1) into
-    the lcm already.
+    the lcm already.  Each reduced numerator is then scaled to that lcm by
+    one multiply.
 
-    Either way the polynomial's denominator is that lcm, each numerator is
-    scaled to it once, giving the coefficient times the lcm, and the x
-    numerator is what S_n(1) = r^n leaves over it: the x coefficient's
-    denominator divides the others' lcm.  The form is canonical
-    (``RationalPoly._canonical``), and the polynomial returned goes into
-    the slot.
+    Either way the polynomial's denominator is the lcm, each x^j numerator
+    for j >= 2 is the coefficient times it, and the x numerator is what
+    S_n(1) = r^n leaves over it: the x coefficient's denominator divides
+    the others' lcm.  The form is canonical (``RationalPoly._canonical``),
+    and the polynomial returned goes into the slot.
     """
     m, r, n = spec.m, spec.r, spec.n
-    nums = [0, 0]
-    reduced = [1, 1]
     last = cache._last_power_sum
     if last and last[0] == (m, r, n - 1):
-        tops, bottom = last[1].nums, last[1].den
+        tops, e = last[1].nums[1:], last[1].den
         mn = m * n
-        for j in range(2, n + 2):
-            a = tops[j - 1] * mn
-            d = bottom * j
-            h = gcd(a, d)
-            nums.append(a // h)
-            reduced.append(d // h)
+        djs = range(2 * e, (n + 2) * e, e)  # d_j = e j for j = 2..n+1
+        den = lcm(*[d // gcd(t % d * mn, d) for t, d in zip(tops, djs)])
+        k = mn * den
+        scaled = [0, 0, *[t * k // d for t, d in zip(tops, djs)]]
     else:
+        nums = [0, 0]
+        reduced = [1, 1]
         g = gcd(r, m)
         q = m // g
         values, dens = cache.row(n, r // g, q)
@@ -151,8 +158,8 @@ def power_sum_poly(cache: BernoulliCache, spec: ProgressionSpec) -> RationalPoly
             reduced.append(d // h)
             c = c * (q * k) // j
             k -= 1
-    den = lcm(*reduced)
-    scaled = [a * (den // d) for a, d in zip(nums, reduced)]
+        den = lcm(*reduced)
+        scaled = [a * (den // d) for a, d in zip(nums, reduced)]
     # S_n(1) = r^n: the x numerator over den is what the others leave
     scaled[1] = r**n * den - sum(scaled)
     poly = RationalPoly._canonical(tuple(scaled), den)

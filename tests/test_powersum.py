@@ -254,6 +254,29 @@ def test_a_chain_from_x_reads_the_row_only_at_n_0(monkeypatch):
             assert chain[n] == power_sum_poly(BernoulliCache(), spec), spec
 
 
+def test_carried_numerators_divide_exactly_where_m_shares_primes_with_j(monkeypatch):
+    # the carried step takes den, the lcm of e j / gcd(t m n, e j), before
+    # any numerator, and then t m n den // (e j) for each; m sharing primes
+    # with j and with e puts those primes on both sides of every division.
+    # The chain runs n upward on one cache, so it reads a row only at n = 0;
+    # the reference runs n downward, so its slot never holds n - 1 and every
+    # call reads the row
+    rows = _count_rows(monkeypatch)
+    for m in (4, 8, 9, 12, 16, 27):
+        for r in (1, m - 1):
+            chain = BernoulliCache()
+            got = [power_sum_poly(chain, ProgressionSpec(m, r, n)) for n in range(121)]
+            assert len(rows) == 1, (m, r)
+            by_row = BernoulliCache()
+            for n in range(120, -1, -1):
+                spec = ProgressionSpec(m, r, n)
+                want = power_sum_poly(by_row, spec)
+                assert got[n].nums == want.nums and got[n].den == want.den, spec
+                _assert_canonical(got[n], spec)
+            assert len(rows) == 122, (m, r)
+            rows.clear()
+
+
 def _count_rows(monkeypatch):
     """The index n of every BernoulliCache.row call, in call order."""
     asked = []
