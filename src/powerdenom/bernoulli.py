@@ -55,11 +55,14 @@ n + 1 coefficients per missing entry, so a row asked for one more entry at
 a time pays a whole shift each time; a caller that walks n upward at one
 point should first ask for the row at its top index, as the AM and L1
 sweeps do.  ``polynomial_denominators`` gives the denominators of
-B_n(x) - B_n and of B_n(x) without building the polynomial: one pass over
-the even indices of B_k, with one binomial for both ends of the row when n
-is even, puts the reduced denominator of each nonconstant coefficient into
-one set of distinct values.  The lcm of that set is the first, and the
-constant term B_n adds its own for the second.
+B_n(x) - B_n and of B_n(x) without building the polynomial, and fills them
+as the table is filled: a request for n makes the pair of every index up
+to n that is missing, and a filled index is one list read.  The cache
+carries the half Pascal row C(k, j), j <= k/2, of the last index filled;
+each new index steps it by one pass of additions and reads both ends of
+its coefficients C(k, j) B_(k-j) from it.  The reduced denominators of the
+nonconstant ones go into one set of distinct values; its lcm is the first
+denominator, and the constant term B_k adds its own for the second.
 
 This module is the certain oracle: exact integers throughout, no
 approximations anywhere.  The closed-form denominator products elsewhere
@@ -71,7 +74,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable
 from itertools import accumulate, repeat
-from operator import mul
+from operator import add, floordiv, mul
 
 from .value import Value
 
@@ -203,9 +206,11 @@ class BernoulliCache:
         self._scales: list[int] = [1, 2]
         # _terms(k) per index k <= _TERMS_MAX, shared by every row's fill
         self._held_terms: dict[int, list[int]] = {}
-        # the last polynomial_denominators answer only, one slot, no per-n
-        # memo; it starts at n = 0, where B_0(x) = 1
-        self._last_dens: tuple[int, tuple[int, int]] = (0, (1, 1))
+        # polynomial_denominators per index, _poly_dens[k] = (DD(k), DB(k)),
+        # filled upward from k = 0, where B_0(x) = 1, and the half Pascal row
+        # C(k, j), j <= k/2, at the last index filled
+        self._poly_dens: list[tuple[int, int]] = [(1, 1)]
+        self._half_pascal: list[int] = [1]
         # the last power-sum polynomial only, one slot: (m, r, n) and the
         # RationalPoly returned for it.  Written by powersum.power_sum_poly
         # alone, which carries S_(n-1) to S_n from it, and read by it and
@@ -254,49 +259,42 @@ class BernoulliCache:
         terms, read without building the polynomial.
 
         Each is the lcm of the reduced denominators of the x^j coefficients
-        C(n, j) B_(n-j), over j >= 1 for DD and over every j for DB.  Only
-        even k = n - j need work: B_k = 0 at odd k >= 3, and the k = 1 term
-        is -n/2.  Each reduced denominator goes into a set of distinct
-        values as it is made, most of them 1, and one lcm reads the set.
-        The binomial steps by two, and for even n the one
-        C(n, j) = C(n, n - j) serves both ends, so only j <= n/2 are
-        stepped; DB is then lcm(DD, den B_n), and at odd n >= 3, where
-        B_n = 0, it is DD.  Only the last n asked for is remembered.
+        C(n, j) B_(n-j), over j >= 1 for DD and over every j for DB.  Every
+        index up to n is filled, as the table is, and kept: a filled index
+        is one list read.  Each new index k steps the half Pascal row
+        C(k, j), j <= k/2, from the one of k - 1 and reads both ends of the
+        row from it, since C(k, j) = C(k, k - j).  Only even k - j need
+        work: B_i = 0 at odd i >= 3, and the term of B_1 is -k/2.  The
+        reduced denominators go into one set of distinct values, most of
+        them 1, whose lcm is DD; DB is lcm(DD, den B_k), and at odd k >= 3,
+        where B_k = 0, it is DD.
         """
-        last_n, pair = self._last_dens
-        if n == last_n:
-            return pair
-        den = self.row(n, 0)[1]
-        gcd = math.gcd
-        # B_k is stored in lowest terms, so the numerator shares no factor
-        # with den[k] and only the binomial can cancel
-        if n % 2:
-            # k = 1 at j = n - 1: -n/2 with n odd; k = n - j even at odd j,
-            # and k = 0 (j = n) has den[0] == 1
-            seen = {2}
-            binom = n  # C(n, 1)
-            for j in range(1, n - 1, 2):
-                d = den[n - j]
-                seen.add(d // gcd(d, binom))
-                binom = binom * ((n - j) * (n - j - 1)) // ((j + 1) * (j + 2))
-            full = math.lcm(*seen)
-            # at n = 1 the term of B_1 is the constant term
-            pair = (full if n > 1 else 1, full)
-        else:
-            # j and n - j both even: one binomial for the pair, from j = 2;
-            # j = 0 pairs the constant term B_n with the leading 1
-            seen = set()
-            binom = n * (n - 1) // 2  # C(n, 2)
-            for j in range(2, n // 2 + 1, 2):
-                d = den[n - j]
-                seen.add(d // gcd(d, binom))
-                d = den[j]
-                seen.add(d // gcd(d, binom))
-                binom = binom * ((n - j) * (n - j - 1)) // ((j + 1) * (j + 2))
-            nonconstant = math.lcm(*seen)
-            pair = (nonconstant, math.lcm(nonconstant, den[n]))
-        self._last_dens = (n, pair)
-        return pair
+        pairs = self._poly_dens
+        if not 0 <= n < len(pairs):
+            # the table's row check refuses n < 0
+            den = self.row(n, 0)[1]
+            half = self._half_pascal
+            for k in range(len(pairs), n + 1):
+                half, last = [1, *map(add, half, half[1:])], half
+                # B_i is stored in lowest terms, so only the binomial can
+                # cancel: j <= k/2 pairs den[k - j] with half[j], and its
+                # mirror j >= k/2 pairs den[i] with half[i] at i = k - j
+                if k % 2:
+                    near = den[k - 1 :: -2], half[1::2]
+                    # -k/2, the x^(k-1) term of B_1; at k = 1 it is constant
+                    seen = {2} if k > 1 else set()
+                else:
+                    half.append(2 * last[-1])  # C(k, k/2) = 2 C(k - 1, k/2 - 1)
+                    near = den[k - 2 :: -2], half[2::2]
+                    seen = set()
+                for ds, cs in (near, (den[2 : k // 2 + 1 : 2], half[2::2])):
+                    seen.update(map(floordiv, ds, map(math.gcd, ds, cs)))
+                nonconstant = math.lcm(*seen)
+                # stored at each index, so the row on the cache is always
+                # that of the last pair filled
+                self._half_pascal = half
+                pairs.append((nonconstant, math.lcm(nonconstant, den[k])))
+        return pairs[n]
 
     def row(self, n: int, p: int, q: int = 1) -> Row:
         """The row of y = p/q, two ints in lowest terms with q >= 1, filled

@@ -49,9 +49,11 @@ primality test.  D is the reduced denominator of the table's B_n.  DD and
 DB are the two values of ``BernoulliCache.polynomial_denominators(n)``: the
 lcm of the reduced denominators of B_n(x)'s coefficients, with the constant
 term left out for DD.  A polynomial's denominator in lowest terms is that
-lcm, so neither builds the polynomial.  One pass over the coefficients
-collects the distinct denominators of the nonconstant ones in a set, most
-of them 1: DD is its lcm, and DB that lcm with the constant term's.
+lcm, so neither builds the polynomial.  The cache fills the pair for every
+index up to n, as it fills the table, and keeps it: each index collects
+the distinct denominators of its nonconstant coefficients in a set, most
+of them 1, reading their binomials from one carried half Pascal row; DD is
+the set's lcm, and DB that lcm with the constant term's.
 
 One index at a time, nonconstant_denom costs O(sqrt(n)) steps once the
 sieve is built.  It splits its primes near sqrt(n), as Kellner does in "On

@@ -14,9 +14,9 @@ MAX_TABLE_N = 1500
 
 # The most repetitions ``run_bench`` accepts.  Each repetition times both
 # paths over the whole span from a fresh cache and empty memos, so time
-# grows with it at every span: ``bench DB 1..1500`` takes 1.9 s at
-# ``--reps 1``, 5.4 s at 5 and 20.8 s at 20, and DD, DDQ and DBQ over the
-# same span 19.8-23.3 s at 20, start-up and the check before timing
+# grows with it at every span: ``bench DB 1..1500`` takes 1.3 s at
+# ``--reps 1``, 3.6 s at 5 and 12.8 s at 20, and DD, DDQ and DBQ over the
+# same span 12.8-13.0 s at 20, start-up and the check before timing
 # included (Python 3.11, 2 CPUs), so the largest span stays under about
 # 30 s.
 MAX_BENCH_REPS = 20

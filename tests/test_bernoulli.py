@@ -140,7 +140,8 @@ def test_polynomial_coefficients_match_recurrence_in_shuffled_order():
 def test_coefficient_denominators_are_the_reduced_coefficient_denominators():
     # the pair (DD, DB) against the lcm, over j >= 1 and over every j, of the
     # denominators of Fractions from the recurrence, one coefficient at a
-    # time, with n descending so every answer misses the one-slot memo
+    # time, with n descending, so the first call fills every index and each
+    # later one reads a filled pair
     cache = BernoulliCache()
     for n in range(200, -1, -1):
         dens = [(comb(n, j) * REFERENCE[n - j]).denominator for j in range(n + 1)]
@@ -165,8 +166,14 @@ def _denominators_at_every_index(dens, n):
 
 
 def test_coefficient_denominators_match_the_every_index_loop_to_1500():
-    # n descending, so every call misses the one-slot memo; both parities
+    # both parities at every n.  On the shared cache the first call, at
+    # n = 1500, fills every index in one run; a second cache is asked for
+    # ascending stops 97 apart, of both parities, so each of its fills
+    # resumes at a large index from the half Pascal row it left
     cache = _table_to_1500()
+    strided = BernoulliCache()
+    for stop in (*range(97, 1500, 97), 1500):
+        strided.polynomial_denominators(stop)
     numbers = _numbers(cache, 1500)
     for k in range(3, 1501, 2):
         assert (numbers[k].numerator, numbers[k].denominator) == (0, 1), k
@@ -175,6 +182,58 @@ def test_coefficient_denominators_match_the_every_index_loop_to_1500():
         want = _denominators_at_every_index(dens, n)
         pair = (math.lcm(*want[1:]), math.lcm(*want))
         assert cache.polynomial_denominators(n) == pair, n
+        assert strided.polynomial_denominators(n) == pair, n
+
+
+def test_a_fill_resumes_from_any_stop():
+    # fresh caches filled to each stop k, then asked for k + 1, k + 2 and
+    # k + 37, at both parities of k; every index up to the last is checked
+    dens = [b.denominator for b in REFERENCE]
+    want = []
+    for n in range(102):
+        every = _denominators_at_every_index(dens, n)
+        want.append((math.lcm(*every[1:]), math.lcm(*every)))
+    for k in range(65):
+        cache = BernoulliCache()
+        for n in (k, k + 1, k + 2, k + 37):
+            assert cache.polynomial_denominators(n) == want[n], (k, n)
+        for n in range(k + 38):
+            assert cache.polynomial_denominators(n) == want[n], (k, n)
+
+
+def test_every_nonconstant_coefficient_reaches_the_pair(monkeypatch):
+    # a made-up table whose even-index denominators are distinct primes past
+    # every prime factor of C(k, j), k <= 80, so no binomial cancels one and
+    # DD(k) is the product of the primes of every even index 2..k-1 read,
+    # times 2 from the term of B_1 at odd k >= 3: a fill that skips a
+    # coefficient in the middle of the row, where the real table's primes
+    # all recur at other indices through n = 1500, misses one here
+    top = 80
+    primes = iter(p for p in primes_up_to(1000) if p > top)
+    dens = [1, 2, *(next(primes) if i % 2 == 0 else 1 for i in range(2, top + 1))]
+    for stops in ([top], range(top + 1)):
+        cache = BernoulliCache()
+        monkeypatch.setattr(cache, "row", lambda n, p, q=1: ([], dens))
+        for n in stops:
+            cache.polynomial_denominators(n)
+        for k in range(top + 1):
+            nonconstant = math.prod(dens[2:k:2]) * (2 if k % 2 and k > 1 else 1)
+            assert cache.polynomial_denominators(k) == (
+                nonconstant,
+                math.lcm(nonconstant, dens[k]),
+            ), k
+
+
+def test_any_request_order_gives_the_same_denominators():
+    ascending = list(range(401))
+    shuffled = ascending[:]
+    random.Random(5101).shuffle(shuffled)
+    answers = []
+    for order in (ascending, ascending[::-1], shuffled):
+        cache = BernoulliCache()
+        got = {n: cache.polynomial_denominators(n) for n in order}
+        answers.append([got[n] for n in ascending])
+    assert answers[0] == answers[1] == answers[2]
 
 
 def test_polynomial_denominators_are_those_of_the_built_polynomial():
@@ -189,20 +248,23 @@ def test_polynomial_denominators_are_those_of_the_built_polynomial():
         assert cache.polynomial_denominators(n) == want, n
 
 
-def test_polynomial_denominators_remember_the_last_pair(monkeypatch):
+def test_filled_denominators_read_no_table(monkeypatch):
     cache = BernoulliCache()
-    # a fresh cache holds n = 0, where B_0(x) = 1, and a second call at the
-    # same n reads no table
+    with pytest.raises(ValueError):
+        cache.polynomial_denominators(-1)
+    # a fresh cache holds n = 0, where B_0(x) = 1
     monkeypatch.setattr(cache, "row", None)
     assert cache.polynomial_denominators(0) == (1, 1)
     monkeypatch.undo()
-    for n in (7, 8):
-        pair = cache.polynomial_denominators(n)
-        monkeypatch.setattr(cache, "row", None)
-        assert cache.polynomial_denominators(n) is pair
-        monkeypatch.undo()
-    assert cache.polynomial_denominators(7) == (6, 6)
     assert cache.polynomial_denominators(8) == (3, 30)
+    # every index up to 8 is filled by that call, and none reads the table
+    monkeypatch.setattr(cache, "row", None)
+    for n, pair in ((1, (1, 2)), (2, (1, 6)), (7, (6, 6)), (8, (3, 30))):
+        assert cache.polynomial_denominators(n) == pair, n
+    monkeypatch.undo()
+    with pytest.raises(ValueError):
+        cache.polynomial_denominators(-1)
+    assert cache.polynomial_denominators(9) == (10, 10)
 
 
 def test_value_at_fixed_points():

@@ -93,7 +93,8 @@ def test_oracles_equal_the_polynomial_route_to_600():
     for i, n in enumerate(order):
         f = reference.polynomial(n)
         dd, db = f.den // gcd(f.den, *f.nums[1:]), f.den
-        # the one-slot memo: DB before DD, the same n twice, then n, n+1, n
+        # the filled pairs in any order: DB before DD, the same n twice,
+        # and at every 50th n also n + 1 and then n again
         assert full_denom_direct(cache, n) == db, n
         assert nonconstant_denom_direct(cache, n) == dd, n
         assert nonconstant_denom_direct(cache, n) == dd, n
