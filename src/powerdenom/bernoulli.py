@@ -261,7 +261,8 @@ class BernoulliCache:
         Each is the lcm of the reduced denominators of the x^j coefficients
         C(n, j) B_(n-j), over j >= 1 for DD and over every j for DB.  Every
         index up to n is filled, as the table is, and kept: a filled index
-        is one list read.  Each new index k steps the half Pascal row
+        is one list read, and a request at a high n pays for every unfilled
+        index below it.  Each new index k steps the half Pascal row
         C(k, j), j <= k/2, from the one of k - 1 and reads both ends of the
         row from it, since C(k, j) = C(k, k - j).  Only even k - j need
         work: B_i = 0 at odd i >= 3, and the term of B_1 is -k/2.  The

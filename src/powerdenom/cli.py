@@ -206,7 +206,10 @@ def run_bench(sequence_id: str, lo: int, hi: int, reps: int = 3) -> tuple[int, i
     disagreement raises TheoremViolationError with nothing timed.  Timing is
     best-of-``reps`` wall clock.  Every repetition of either path starts with
     the memoized formula scans dropped and a fresh Bernoulli cache, so
-    repetitions measure real work, not cache hits.
+    repetitions measure real work, not cache hits.  The oracle's first call,
+    at lo, fills the cache's table and denominator pairs at every index
+    below lo too, so its time includes that work: ``bench DB 1500..1500``
+    times about as much oracle work as ``bench DB 1..1500``.
     """
     if sequence_id not in SEQUENCES:
         known = ", ".join(SEQUENCES)

@@ -17,8 +17,10 @@ MAX_TABLE_N = 1500
 # grows with it at every span: ``bench DB 1..1500`` takes 1.3 s at
 # ``--reps 1``, 3.6 s at 5 and 12.8 s at 20, and DD, DDQ and DBQ over the
 # same span 12.8-13.0 s at 20, start-up and the check before timing
-# included (Python 3.11, 2 CPUs), so the largest span stays under about
-# 30 s.
+# included (Python 3.11, 2 CPUs).  A span that ends at 1500 costs about as
+# much wherever it starts, since the oracle fills every index below lo:
+# ``bench DB 1500..1500 --reps 20`` takes 13.3-14.5 s.  So the largest span
+# stays under about 30 s.
 MAX_BENCH_REPS = 20
 
 # The largest m_max and r_max that a grid sweep accepts.  Each chunk's cache
