@@ -86,9 +86,12 @@ def _direct_quotient(
 
 # id -> (closed form, rational oracle, parity of the domain or None for all
 # n >= 1, the memo fills of the closed form), for the ids of the table of
-# sequences in README.md, which says what each one is.  The closed forms and
-# oracles look their functions up in this module at call time, so a rebound
-# name (a test's fake, a tracing wrapper) is the one called.  The fills only
+# sequences in README.md, which says what each one is.  The closed form
+# and oracle are segment forms: each takes a range of indices (and the
+# oracle a BernoulliCache first) and returns the list of their values from
+# one comprehension, in which the module-level function is looked up and
+# called once per index, so a rebound name (a test's fake, a tracing
+# wrapper) is the one called for every value.  The fills only
 # store values the closed forms then read: D reads the number memo, DD the
 # nonconstant memo, and the quotients the quotient memo, which one fill
 # stores at both parities, so a DBQ range reuses a DDQ range's scan.  DB
@@ -100,32 +103,32 @@ def _direct_quotient(
 # divide the one at n shows up as a disagreement, not as a floored integer.
 SEQUENCES: dict[str, tuple[Callable, Callable, int | None, tuple[Callable, ...]]] = {
     "D": (
-        lambda n: number_denom(n).value,
-        lambda c, n: number_denom_direct(c, n),
+        lambda ns: [number_denom(n).value for n in ns],
+        lambda c, ns: [number_denom_direct(c, n) for n in ns],
         None,
         (fill_number_memo,),
     ),
     "DD": (
-        lambda n: nonconstant_denom(n).value,
-        lambda c, n: nonconstant_denom_direct(c, n),
+        lambda ns: [nonconstant_denom(n).value for n in ns],
+        lambda c, ns: [nonconstant_denom_direct(c, n) for n in ns],
         None,
         (fill_nonconstant_memo,),
     ),
     "DB": (
-        lambda n: lcm(number_denom(n).value, nonconstant_denom(n).value),
-        lambda c, n: full_denom_direct(c, n),
+        lambda ns: [lcm(number_denom(n).value, nonconstant_denom(n).value) for n in ns],
+        lambda c, ns: [full_denom_direct(c, n) for n in ns],
         None,
         (fill_number_memo, fill_nonconstant_memo),
     ),
     "DDQ": (
-        lambda n: nonconstant_quotient(n),
-        lambda c, n: _direct_quotient(nonconstant_denom_direct, c, n),
+        lambda ns: [nonconstant_quotient(n) for n in ns],
+        lambda c, ns: [_direct_quotient(nonconstant_denom_direct, c, n) for n in ns],
         NONCONSTANT_QUOTIENT_PARITY,
         (fill_quotient_memo,),
     ),
     "DBQ": (
-        lambda n: full_denom_quotient(n),
-        lambda c, n: _direct_quotient(full_denom_direct, c, n),
+        lambda ns: [full_denom_quotient(n) for n in ns],
+        lambda c, ns: [_direct_quotient(full_denom_direct, c, n) for n in ns],
         FULL_QUOTIENT_PARITY,
         (fill_quotient_memo,),
     ),
@@ -170,8 +173,10 @@ def _seq(seq_id: str, lo: int, hi: int, fmt: str) -> int:
         for fill in fills:
             if len(segment) >= SEGMENT_MIN_TERMS[fill]:
                 fill(segment[0], segment[-1])
-        for n in segment:
-            value = formula(n)
+        # the segment's values are all computed before its first line is
+        # written, and each line is formatted and written on its own, so a
+        # value too long to print leaves the lines before it printed
+        for n, value in zip(segment, formula(segment)):
             try:
                 line = f"{n}{sep}{value}\n"
             except ValueError:
@@ -201,10 +206,12 @@ def run_bench(sequence_id: str, lo: int, hi: int, reps: int = 3) -> tuple[int, i
     """Verify the closed form and the oracle agree on [lo, hi], then time each;
     return (formula_ns, oracle_ns).
 
-    The contract comes before the stopwatch: both paths are compared value
-    by value at every index of [lo, hi] where the sequence is defined, and a
-    disagreement raises TheoremViolationError with nothing timed.  Timing is
-    best-of-``reps`` wall clock.  Every repetition of either path starts with
+    The contract comes before the stopwatch: each path's segment form
+    computes its values at every index of [lo, hi] where the sequence is
+    defined, in one call, and the two lists are compared index by index; the
+    first disagreement raises TheoremViolationError with nothing timed.
+    Timing is best-of-``reps`` wall clock of one segment-form call per path
+    over the whole span.  Every repetition of either path starts with
     the memoized formula scans dropped and a fresh Bernoulli cache, so
     repetitions measure real work, not cache hits.  The oracle's first call,
     at lo, fills the cache's table and denominator pairs at every index
@@ -225,10 +232,7 @@ def run_bench(sequence_id: str, lo: int, hi: int, reps: int = 3) -> tuple[int, i
     if not ns:
         raise ValueError(f"{sequence_id} is defined at no n in {lo}..{hi}")
 
-    cache = BernoulliCache()
-    for n in ns:
-        want = formula(n)
-        got = oracle(cache, n)
+    for n, want, got in zip(ns, formula(ns), oracle(BernoulliCache(), ns)):
         if want != got:
             raise TheoremViolationError(
                 f"{sequence_id} paths disagree at n={n}: formula {want}, oracle {got}"
@@ -239,11 +243,10 @@ def run_bench(sequence_id: str, lo: int, hi: int, reps: int = 3) -> tuple[int, i
     return formula_ns, oracle_ns
 
 
-def _time_ns(path: Callable[[int], object], ns: range) -> int:
+def _time_ns(path: Callable[[range], list], ns: range) -> int:
     clear_formula_caches()
     start = time.perf_counter_ns()
-    for n in ns:
-        path(n)
+    path(ns)
     return time.perf_counter_ns() - start
 
 

@@ -48,6 +48,16 @@ def _number_value(n):
     return prod(denom._number_primes(n))
 
 
+# each id's per-index closed form, DB's as the prime-set union of D's and DD's
+PER_INDEX = {
+    "D": lambda n: denom.number_denom(n).value,
+    "DD": lambda n: denom.nonconstant_denom(n).value,
+    "DB": lambda n: denom.full_denom(n).value,
+    "DDQ": denom.nonconstant_quotient,
+    "DBQ": denom.full_denom_quotient,
+}
+
+
 def csv(pairs):
     return "n,a_n\n" + "".join(f"{n},{v}\n" for n, v in pairs)
 
@@ -370,14 +380,70 @@ def test_short_seq_ranges_take_the_per_index_path(capsys, monkeypatch):
         ns = denom.parity_indices(parity, 100000, 100000 + 2 * max(edges.values()))
         # one term, then each fill's edge R: R - 1 indices read that memo
         # per index, R indices scan one segment into it
-        for terms in sorted({1, *(edges[fill] + d for fill in fills for d in (-1, 0))}):
+        all_terms = sorted({1, *(edges[fill] + d for fill in fills for d in (-1, 0))})
+        # the per-index values from cleared memos, DB's as the prime-set
+        # union: a segment form that reads a neighbouring index or the wrong
+        # memo, or a quotient fill at the other parity, prints other values
+        denom.clear_formula_caches()
+        values = [PER_INDEX[seq_id](n) for n in ns[: all_terms[-1]]]
+        for terms in all_terms:
             denom.clear_formula_caches()
             scans.clear()
             code, out, _ = run_cli(
                 capsys, "seq", seq_id, "--from", str(ns[0]), "--to", str(ns[terms - 1])
             )
             want = [segments[fill] for fill in fills if terms >= edges[fill]]
-            assert (code, len(out.splitlines()), scans) == (0, terms, want), (seq_id, terms)
+            assert (code, scans) == (0, want), (seq_id, terms)
+            assert out == bfile(zip(ns[:terms], values)), (seq_id, terms)
+
+
+def test_every_printed_value_is_cli_closed_form_called_at_print_time(capsys, monkeypatch):
+    # each closed form seq calls is rebound on cli to a wrapper that records
+    # its index and returns the real value times a prime of its own, so a
+    # value read any other way (a memo, a function bound at import) prints
+    # differently; DB asks both D's and DD's
+    asks = {
+        "D": ("number_denom",),
+        "DD": ("nonconstant_denom",),
+        "DB": ("number_denom", "nonconstant_denom"),
+        "DDQ": ("nonconstant_quotient",),
+        "DBQ": ("full_denom_quotient",),
+    }
+    assert set(asks) == set(cli.SEQUENCES)
+    calls = {
+        name: [] for name in
+        ("number_denom", "nonconstant_denom", "nonconstant_quotient", "full_denom_quotient")
+    }
+
+    def recording(name, tag, real):
+        def wrapper(n):
+            value = real(n)
+            tagged = getattr(value, "value", value) * tag
+            calls[name].append((n, tagged))
+            return tagged if isinstance(value, int) else SimpleNamespace(value=tagged)
+
+        return wrapper
+
+    for tag, name in zip((1000003, 1000033, 1000037, 1000039), calls):
+        monkeypatch.setattr(cli, name, recording(name, tag, getattr(cli, name)))
+    terms = max(cli.SEGMENT_MIN_TERMS.values())
+    assert terms <= cli.SEGMENT_TERMS
+    for seq_id, (_, _, parity, _) in cli.SEQUENCES.items():
+        ns = denom.parity_indices(parity, 1000, 1000 + 2 * terms)[:terms]
+        # one segment long enough for every fill, then one term
+        for span in (ns, ns[:1]):
+            denom.clear_formula_caches()
+            for seen in calls.values():
+                seen.clear()
+            code, out, _ = run_cli(
+                capsys, "seq", seq_id, "--from", str(span[0]), "--to", str(span[-1])
+            )
+            assert code == 0
+            for name, seen in calls.items():
+                asked = list(span) if name in asks[seq_id] else []
+                assert [n for n, _ in seen] == asked, (seq_id, len(span), name)
+            got = map(lcm, *([value for _, value in calls[name]] for name in asks[seq_id]))
+            assert out == bfile(zip(span, got)), (seq_id, len(span))
 
 
 def test_a_short_tail_segment_of_a_long_range_takes_the_per_index_path(capsys, monkeypatch):
