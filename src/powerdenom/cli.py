@@ -144,7 +144,9 @@ SEQUENCES: dict[str, tuple[Callable, Callable, int | None, tuple[Callable, ...]]
 # about 1.6 to 2 ms for DD's against 150 to 170 us per index, 0.2 ms for
 # the quotients' against 10 us, and 0.8 to 1.5 ms for D's against 3 to
 # 5 us per index, the mean of an even n's divisor scan and an odd n's
-# shared constant; D's fill caught up between 320 and 384 indices.
+# shared constant; D's fill caught up between 320 and 384 indices.  Below
+# n = 4096 the per-index path itself fills the 64-index block of each D or
+# DD miss (``denom.MISS_BLOCK_BELOW``).
 SEGMENT_MIN_TERMS = {
     fill_nonconstant_memo: 12,
     fill_number_memo: 320,
@@ -213,10 +215,15 @@ def run_bench(sequence_id: str, lo: int, hi: int, reps: int = 3) -> tuple[int, i
     Timing is best-of-``reps`` wall clock of one segment-form call per path
     over the whole span.  Every repetition of either path starts with
     the memoized formula scans dropped and a fresh Bernoulli cache, so
-    repetitions measure real work, not cache hits.  The oracle's first call,
-    at lo, fills the cache's table and denominator pairs at every index
-    below lo too, so its time includes that work: ``bench DB 1500..1500``
-    times about as much oracle work as ``bench DB 1..1500``.
+    repetitions measure real work, not cache hits.  For D, DD and DB below
+    n = 4096, the formula's first call in each aligned block of 64 indices
+    misses its memo and fills the block by one segment scan
+    (``denom.MISS_BLOCK``), so formula_ns times those fills, not one scan
+    per index, and the speedup printed is the higher for it.  The oracle's
+    first call, at lo, fills the cache's table and denominator pairs at
+    every index below lo too, so its time includes that work:
+    ``bench DB 1500..1500`` times about as much oracle work as
+    ``bench DB 1..1500``.
     """
     if sequence_id not in SEQUENCES:
         known = ", ".join(SEQUENCES)

@@ -344,6 +344,9 @@ def test_filled_memos_hold_the_per_index_values(monkeypatch):
 def test_a_fill_keeps_the_newest_indices_and_never_passes_the_bound(monkeypatch):
     bound = 8
     monkeypatch.setattr(denom, "MEMO_BOUND", bound)
+    # this test's misses scan their index alone, as every miss from
+    # MISS_BLOCK_BELOW on does
+    monkeypatch.setattr(denom, "MISS_BLOCK_BELOW", 0)
     memo = denom._nonconstant_memo
     carried = SquarefreeProduct._carried
     built = []
@@ -400,6 +403,73 @@ def test_a_fill_keeps_the_newest_indices_and_never_passes_the_bound(monkeypatch)
     assert len(built) == 16
     for n, value in number_memo.items():
         assert value.primes == denom._number_primes(n), n
+    clear_formula_caches()
+
+
+def test_a_miss_below_the_threshold_stores_its_aligned_block(monkeypatch):
+    def per_index(n):
+        raise AssertionError(f"{n} scanned alone")
+
+    want_dd = {n: denom._nonconstant_primes(n) for n in range(1, 4096)}
+    want_d = {n: denom._number_primes(n) for n in range(2, 4096, 2)}
+    monkeypatch.setattr(denom, "_nonconstant_primes", per_index)
+    monkeypatch.setattr(denom, "_number_primes", per_index)
+    assert denom.MISS_BLOCK == 64 and denom.MISS_BLOCK_BELOW == 4096
+    # the first block starts at 1, the last below the threshold ends at 4095
+    for n, block in ((5, range(1, 64)), (1000, range(960, 1024)), (4095, range(4032, 4096))):
+        clear_formula_caches()
+        got = nonconstant_denom(n)
+        assert list(denom._nonconstant_memo) == list(block), n
+        assert got is denom._nonconstant_memo[n]
+        for k, value in denom._nonconstant_memo.items():
+            assert (value.primes, value.value) == (want_dd[k], prod(want_dd[k])), k
+        # D's memo holds the block's even n alone
+        clear_formula_caches()
+        even = n - n % 2
+        got = number_denom(even)
+        assert list(denom._number_memo) == list(range(max(block.start, 2), block.stop, 2)), n
+        assert got is denom._number_memo[even]
+        for k, value in denom._number_memo.items():
+            assert (value.primes, value.value) == (want_d[k], prod(want_d[k])), k
+    clear_formula_caches()
+
+
+def test_a_miss_from_the_threshold_on_stores_its_index_alone(monkeypatch):
+    def scanned(lo, hi):
+        raise AssertionError(f"segment {lo}..{hi} scanned")
+
+    monkeypatch.setattr(denom, "_nonconstant_segment", scanned)
+    monkeypatch.setattr(denom, "_number_segment", scanned)
+    for dd, d in ((4096, 4096), (10**5 + 3, 10**5 + 2)):
+        clear_formula_caches()
+        got = nonconstant_denom(dd)
+        assert list(denom._nonconstant_memo) == [dd]
+        assert got.primes == denom._nonconstant_primes(dd)
+        got = number_denom(d)
+        assert list(denom._number_memo) == [d]
+        assert got.primes == denom._number_primes(d)
+    clear_formula_caches()
+
+
+def test_a_miss_in_a_memo_shorter_than_a_block_is_scanned_alone(monkeypatch):
+    # a block fill keeps only the last MEMO_BOUND indices of the block; a
+    # miss it did not store is scanned alone and stored after them
+    bound = 8
+    monkeypatch.setattr(denom, "MEMO_BOUND", bound)
+    clear_formula_caches()
+    for n in (3, 63, 1000, 1023, 2, 4094):
+        dd = nonconstant_denom(n)
+        assert dd.primes == denom._nonconstant_primes(n), n
+        assert dd is denom._nonconstant_memo[n]
+        assert len(denom._nonconstant_memo) <= bound, n
+        d = number_denom(n)
+        assert d.primes == (() if n % 2 else denom._number_primes(n)), n
+        assert len(denom._number_memo) <= bound, n
+    # the fill keeps the block's last 8 indices, 1016..1023; 1000, scanned
+    # alone, then pushes out the oldest
+    clear_formula_caches()
+    nonconstant_denom(1000)
+    assert list(denom._nonconstant_memo) == [*range(1017, 1024), 1000]
     clear_formula_caches()
 
 
