@@ -2,29 +2,32 @@
 
 For a progression r, r+m, r+2m, ... the sum of nth powers of the first x
 terms is a polynomial in x of degree n+1 with zero constant term, for every
-n >= 0: x itself at n = 0.  This
-module builds that polynomial over exact rationals, predicts its denominator
-from gcds and the nonconstant denominator sequence alone, decides integrality
-of the whole coefficient vector from a single divisibility, and computes the
-scaled polynomial differences m^n(B_n(r/m) - B_n), which are always integers
+n >= 0: x itself at n = 0.  This module builds that polynomial over exact
+rationals, predicts its denominator from gcds and the nonconstant
+denominator sequence alone, decides integrality of the whole coefficient
+vector from two remainders, m mod D(n) and m mod DD(n)
+(DB(n) = lcm(D(n), DD(n)) divides m exactly when both are 0), and computes the scaled
+polynomial differences m^n(B_n(r/m) - B_n), which are always integers
 (Almkvist and Meurman's theorem) and carry a p-power divisibility tied to n.
 One slot on the cache, the last polynomial built on it, has one writer,
-``power_sum_poly``, and two readers, and alone chooses each reader's
-route.  The x^2..x^(n+1) coefficients of S_n are carried when the slot
-holds S_(n-1) at the same m and r: m n times the integral of S_(n-1) from
-0 (Appell's identity B'_(n+1) = (n+1) B_n), so no Bernoulli number is
-read; otherwise they come from the row of r/m to n.  The point is handed
-to the cache as two ints in lowest terms, |r|/g and m/g with
-g = gcd(r, m); no ``Fraction`` is built here.  Either way each coefficient
-is reduced by one gcd against its own small denominator, and the lcm of
-those denominators is the polynomial's, so no common denominator of the
-whole row is formed and no content gcd is taken.  The carried route takes
-that lcm first, from one small gcd per coefficient, and then brings each
-numerator over it by one multiply and one exact division; the row route
-reduces each coefficient and then scales it to the lcm.  The x coefficient
-over that lcm is fixed by S_n(1) = r^n.  A scaled difference needs
+``power_sum_poly``, and two readers, and alone chooses each reader's route.
+The x^2..x^(n+1) coefficients of S_n are carried when the slot holds S_(n-1)
+at the same m and r: m n times the integral of S_(n-1) from 0 (Appell's
+identity B'_(n+1) = (n+1) B_n), so no Bernoulli number is read; otherwise
+they come from the row of r/m to n.  The point is handed to the cache as two
+ints in lowest terms, |r|/g and m/g with g = gcd(r, m); no ``Fraction`` is
+built here.  Either way each coefficient is reduced by one gcd against its
+own small denominator, and the lcm of those denominators is the
+polynomial's, so no common denominator of the whole row is formed and no
+content gcd is taken.  The carried route takes that lcm first, from one
+small gcd per coefficient, and then brings each numerator over it by one
+multiply and one exact division; the row route reduces each coefficient and
+then scales it to the lcm.  The x coefficient over that lcm is fixed by
+S_n(1) = r^n, and the polynomial's tuple is built once, from 0, that x
+numerator and the one list of the others.  A scaled difference needs
 m^n B_n(|r|/m), which is S_n'(0): when the slot holds S_n at m and |r| it
 reads the x coefficient there, and otherwise entry n of the row of |r|/m.
+B_n itself comes from the table, and a zero B_n (odd n >= 3) adds no term.
 A negative start is read from the same number by the reflection
 B_n(-x) = (-1)^n (B_n(x) + n x^(n-1)).
 
@@ -40,7 +43,7 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .bernoulli import BernoulliCache, RationalPoly
-from .denom import full_denom, nonconstant_denom
+from .denom import nonconstant_denom, number_denom
 from .errors import TheoremViolationError
 from .value import Value
 
@@ -131,8 +134,11 @@ def power_sum_poly(cache: BernoulliCache, spec: ProgressionSpec) -> RationalPoly
     Either way the polynomial's denominator is the lcm, each x^j numerator
     for j >= 2 is the coefficient times it, and the x numerator is what
     S_n(1) = r^n leaves over it: the x coefficient's denominator divides
-    the others' lcm.  The form is canonical (``RationalPoly._canonical``),
-    and the polynomial returned goes into the slot.
+    the others' lcm.  Each route builds the x^2..x^(n+1) numerators as one
+    list, and the tuple of all n + 2 numerators is built once, with 0 and
+    the x numerator ahead of that list.  The form is canonical
+    (``RationalPoly._canonical``), and the polynomial returned goes into
+    the slot.
     """
     m, r, n = spec.m, spec.r, spec.n
     last = cache._last_power_sum
@@ -142,10 +148,10 @@ def power_sum_poly(cache: BernoulliCache, spec: ProgressionSpec) -> RationalPoly
         djs = range(2 * e, (n + 2) * e, e)  # d_j = e j for j = 2..n+1
         den = lcm(*[d // gcd(t % d * mn, d) for t, d in zip(tops, djs)])
         k = mn * den
-        scaled = [0, 0, *[t * k // d for t, d in zip(tops, djs)]]
+        rest = [t * k // d for t, d in zip(tops, djs)]
     else:
-        nums = [0, 0]
-        reduced = [1, 1]
+        nums = []
+        reduced = []
         g = gcd(r, m)
         q = m // g
         values, dens = cache.row(n, r // g, q)
@@ -159,10 +165,9 @@ def power_sum_poly(cache: BernoulliCache, spec: ProgressionSpec) -> RationalPoly
             c = c * (q * k) // j
             k -= 1
         den = lcm(*reduced)
-        scaled = [a * (den // d) for a, d in zip(nums, reduced)]
+        rest = [a * (den // d) for a, d in zip(nums, reduced)]
     # S_n(1) = r^n: the x numerator over den is what the others leave
-    scaled[1] = r**n * den - sum(scaled)
-    poly = RationalPoly._canonical(tuple(scaled), den)
+    poly = RationalPoly._canonical((0, r**n * den - sum(rest), *rest), den)
     cache._last_power_sum = ((m, r, n), poly)
     return poly
 
@@ -185,11 +190,16 @@ def power_sum_denominator(spec: ProgressionSpec) -> int:
 def is_integral(spec: ProgressionSpec) -> bool:
     """Whether the power sum polynomial has integer coefficients.
 
-    Holds exactly when the full Bernoulli polynomial denominator at n
-    divides m; no polynomial is built.  At n = 0 the sum is x, integral for
-    every m; the denominator sequences start at n = 1.
+    Holds exactly when the full Bernoulli polynomial denominator DB(n)
+    divides m; no polynomial is built.  DB(n) = lcm(D(n), DD(n)), so it
+    divides m exactly when D(n) and DD(n) both do: two remainders of m, and
+    no union of the two prime sets.  D is asked first, as ``full_denom``
+    asks, so that a term past the memos builds one flag table.  At n = 0
+    the sum is x, integral for every m; the denominator sequences start at
+    n = 1.
     """
-    return not spec.n or spec.m % full_denom(spec.n).value == 0
+    n, m = spec.n, spec.m
+    return not n or not (m % number_denom(n).value or m % nonconstant_denom(n).value)
 
 
 def am_integer(cache: BernoulliCache, m: int, r: int, n: int) -> AMInteger:
@@ -203,18 +213,21 @@ def am_integer(cache: BernoulliCache, m: int, r: int, n: int) -> AMInteger:
     Otherwise, with g = gcd(|r|, m) and q = m / g, entry n of
     ``row(n, |r| // g, q)``, the row ``power_sum_poly`` reads, is
     A_n = q^n B_n(|r|/m), so m^n B_n(|r|/m) = g^n A_n over that entry's
-    denominator.  Either way B_n comes from the table, and integrality is
-    one exact division by scale, a common multiple of den and B_n's
-    denominator.  The table's running lcm at n is not always one on the
-    slot route: den is the polynomial's whole denominator, which can hold
-    primes the table lacks (at (m, r, n) = (1, 0, 5) the x numerator is 0
-    over the polynomial's denominator 12, while the table's lcm at 5 is
-    30); the division is exact either way.  At r < 0 the reflection
+    denominator.  Either way B_n comes from the table, through
+    ``row(n, 0)``, and integrality is one exact division by scale, a common
+    multiple of den and B_n's denominator; where B_n = 0 (odd n >= 3) it
+    adds no term, and m^n B_n is not built.  The table's running lcm at n
+    is not always one on the slot route: den is the polynomial's whole
+    denominator, which can hold primes the table lacks (at
+    (m, r, n) = (1, 0, 5) the x numerator is 0 over the polynomial's
+    denominator 12, while the table's lcm at 5 is 30); the division is
+    exact either way.  At r < 0 the reflection
     B_n(-x) = (-1)^n (B_n(x) + n x^(n-1)) turns m^n B_n(|r|/m) into
     (-1)^n (m^n B_n(|r|/m) + n m |r|^(n-1)): an integer added to the same
     number, so a negative start fills no row of its own.  A nonzero
-    remainder would contradict the theorem and raises, naming the (m, r, n)
-    asked for.
+    remainder would contradict the theorem and raises, naming the source
+    of m^n B_n(|r|/m), the slot's x coefficient or entry n of the row of
+    |r|/m, and the (m, r, n) asked for.
     """
     if m < 1:
         raise ValueError(f"difference m must be >= 1, got {m}")
@@ -222,7 +235,8 @@ def am_integer(cache: BernoulliCache, m: int, r: int, n: int) -> AMInteger:
         raise ValueError(f"exponent n must be >= 1, got {n}")
     a = abs(r)
     last = cache._last_power_sum
-    if last and last[0] == (m, a, n):
+    on_slot = last and last[0] == (m, a, n)
+    if on_slot:
         num, den = last[1].nums[1], last[1].den
     else:
         g = gcd(a, m)
@@ -236,9 +250,12 @@ def am_integer(cache: BernoulliCache, m: int, r: int, n: int) -> AMInteger:
         here += n * m * a ** (n - 1) * scale
         if n % 2:
             here = -here
-    value, rem = divmod(here - m**n * tnums[n] * (scale // tden), scale)
+    if tnums[n]:
+        here -= m**n * tnums[n] * (scale // tden)
+    value, rem = divmod(here, scale)
     if rem:
+        source = "the slot's x coefficient" if on_slot else f"entry {n} of the row of {a}/{m}"
         raise TheoremViolationError(
-            f"m^n(B_n(r/m) - B_n) non-integral at m={m}, r={r}, n={n}"
+            f"m^n(B_n(r/m) - B_n) non-integral from {source} at m={m}, r={r}, n={n}"
         )
     return AMInteger(m, r, n, value)

@@ -16,6 +16,7 @@ from powerdenom.denom import (
     full_denom_direct,
     nonconstant_denom,
     nonconstant_denom_direct,
+    number_denom,
     number_denom_direct,
 )
 from powerdenom.digits import p_valuation, primes_up_to
@@ -410,7 +411,7 @@ def test_am_integer_names_the_sign_that_is_not_integral_on_the_slot(carried):
     # the slot's polynomial replaced by one whose x numerator is one unit
     # off: 9 B_2(1/3) = -1/2, the x coefficient of S_2 built from the row
     # or carried from S_1, becomes 0, so both signs miss an integer by 1/2,
-    # and each names its own r
+    # and each names its own r and the slot it read
     cache = BernoulliCache()
     for n in range(0 if carried else 2, 3):
         power_sum_poly(cache, ProgressionSpec(3, 1, n))
@@ -420,7 +421,8 @@ def test_am_integer_names_the_sign_that_is_not_integral_on_the_slot(carried):
     nums[1] += 1
     cache._last_power_sum = (spec, RationalPoly._canonical(tuple(nums), poly.den))
     for r in (1, -1):
-        with pytest.raises(TheoremViolationError, match=f"m=3, r={r}, n=2$"):
+        message = f"from the slot's x coefficient at m=3, r={r}, n=2$"
+        with pytest.raises(TheoremViolationError, match=message):
             am_integer(cache, 3, r, 2)
 
 
@@ -588,6 +590,26 @@ def test_integrality_equivalence_sampled(m, r, n):
     assert flag == (m % full_denom(n).value == 0)
 
 
+def test_integrality_at_each_denominator_and_past_it():
+    # DB(n) | m exactly when D(n) | m and DD(n) | m, since DB(n) is their
+    # lcm: at m = D(n) or DD(n) the other remainder alone can be nonzero, so
+    # a test that drops either answers True where DB(n) does not divide m.
+    # DB(n) q, with q the least prime not dividing DB(n), is integral at
+    # every n
+    cache = BernoulliCache()
+    for n in range(1, 301):
+        db = full_denom(n).value
+        # Bertrand: a prime in (n + 1, 2n + 2], and no prime of DB(n) passes n + 1
+        q = next(p for p in primes_up_to(2 * n + 2) if db % p)
+        for m in (number_denom(n).value, nonconstant_denom(n).value, db, db * q):
+            flag = is_integral(ProgressionSpec(m, 0, n))
+            assert flag == (m % db == 0), (m, n)
+            if n <= 60:
+                for r in (0, 1):
+                    poly = power_sum_poly(cache, ProgressionSpec(m, r, n))
+                    assert flag == (poly.denominator == 1), (m, r, n)
+
+
 @settings(max_examples=60)
 @given(
     st.integers(min_value=1, max_value=8),
@@ -671,7 +693,7 @@ def test_a_negative_start_fills_no_row_of_its_own():
 def test_am_integer_names_the_sign_that_is_not_integral(monkeypatch):
     # the numerator of entry n of the row of 1/3 one unit off: A_2 =
     # 9 B_2(1/3) = -1/2 becomes 0, so both signs miss an integer by 1/2, and
-    # each names its own r
+    # each names its own r and the row entry it read
     for order in ((1, -1), (-1, 1)):
         cache = BernoulliCache()
         real = cache.row
@@ -684,7 +706,8 @@ def test_am_integer_names_the_sign_that_is_not_integral(monkeypatch):
 
         monkeypatch.setattr(cache, "row", off_by_one)
         for r in order:
-            with pytest.raises(TheoremViolationError, match=f"m=3, r={r}, n=2$"):
+            message = f"from entry 2 of the row of 1/3 at m=3, r={r}, n=2$"
+            with pytest.raises(TheoremViolationError, match=message):
                 am_integer(cache, 3, r, 2)
 
 
